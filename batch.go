@@ -32,10 +32,12 @@ type BatchOptions struct {
 }
 
 // SearchBatch answers a whole workload over a bounded worker pool, reusing
-// pooled searcher workspaces and sharing cacheable state (the tree index,
-// compiled requirements, and m-Dijkstra results via ShareCache, which it
-// enables for every query) across the batch. Answers are returned in query
-// order and are identical to what a serial Search loop would produce. The
+// pooled searcher workspaces and sharing cacheable state across the batch:
+// compiled requirements and, for every BSSR query whatever its
+// UseCategoryIndex says, the category index plus the Engine's cross-query
+// m-Dijkstra cache (BSSRNoOpt and the naive baselines run as they do in
+// SearchWith). Answers are returned in query order and are identical to
+// what a serial Search loop would produce. The
 // whole batch runs against the dataset version current when the call
 // starts: a concurrent ApplyUpdates never splits one batch across two
 // epochs.
@@ -86,7 +88,6 @@ func (e *Engine) SearchBatch(queries []Query, opts BatchOptions) ([]*Answer, err
 				if opts.PerQuery != nil {
 					so = opts.PerQuery[i]
 				}
-				so.ShareCache = true
 				if so.Context == nil {
 					// The batch context governs every query it starts: a
 					// cancel between the claim above and the search below —
@@ -129,5 +130,5 @@ func searchRecovered(e *Engine, sn *snapshot, q Query, so SearchOptions, i int) 
 			ans, err = nil, fmt.Errorf("skysr: batch query %d panicked: %v", i, p)
 		}
 	}()
-	return e.searchOn(sn, q, so)
+	return e.searchOn(sn, q, so, true)
 }

@@ -34,11 +34,11 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mixed options: rotate through no-index, tree-index and
-	// category-index across the batch.
+	// Mixed options: alternate no-index and category-index across the
+	// batch.
 	perQuery := make([]SearchOptions, len(queries))
 	for i := range perQuery {
-		perQuery[i] = SearchOptions{UseIndex: i%3 == 0, UseCategoryIndex: i%3 == 1}
+		perQuery[i] = SearchOptions{UseCategoryIndex: i%2 == 1}
 	}
 	want := make([]*Answer, len(queries))
 	for i, q := range queries {
@@ -61,6 +61,73 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 			}
 			if !answersEqual(got[i], want[i]) {
 				t.Errorf("workers=%d: answer %d differs from serial Search", workers, i)
+			}
+		}
+	}
+}
+
+// TestSearchBatchRunsCategoryIndex pins the batch serving profile: every
+// BSSR query of a SearchBatch runs the category index plus the shared
+// m-Dijkstra cache whatever its UseCategoryIndex says, and still answers
+// bit-identically to a serial zero-value SearchWith. A BSSRNoOpt query in
+// the same batch uses neither.
+func TestSearchBatchRunsCategoryIndex(t *testing.T) {
+	eng, err := Generate("tokyo", 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := eng.Workload(8, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every template twice from the same start: the second copy must be
+	// served from the shared cache.
+	queries := append(append([]Query(nil), base...), base...)
+	want := make([]*Answer, len(queries))
+	for i, q := range queries {
+		if want[i], err = eng.SearchWith(q, SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second batch leaves UseCategoryIndex false in every PerQuery
+	// entry and appends one BSSRNoOpt query.
+	perQuery := make([]SearchOptions, len(queries)+1)
+	perQuery[len(queries)].Algorithm = BSSRNoOpt
+	withNoOpt := append(append([]Query(nil), queries...), queries[0])
+
+	for _, tc := range []struct {
+		name    string
+		queries []Query
+		opts    BatchOptions
+	}{
+		{"zero-value options", queries, BatchOptions{Workers: 1}},
+		{"per-query options", withNoOpt, BatchOptions{Workers: 1, PerQuery: perQuery}},
+	} {
+		answers, err := eng.SearchBatch(tc.queries, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var sharedHits int64
+		for i := range queries {
+			st := answers[i].Stats
+			if !st.IndexCovered {
+				t.Errorf("%s: query %d not covered by the category index", tc.name, i)
+			}
+			sharedHits += st.SharedCacheHits
+			if !answersMatch(answers[i], want[i]) {
+				t.Errorf("%s: query %d differs from serial SearchWith", tc.name, i)
+			}
+		}
+		if sharedHits == 0 {
+			t.Errorf("%s: no shared-cache hits on a batch that repeats every template", tc.name)
+		}
+		if len(answers) > len(queries) {
+			noOpt := answers[len(queries)]
+			if noOpt.Stats.IndexCovered || noOpt.Stats.SharedCacheHits != 0 {
+				t.Errorf("%s: BSSRNoOpt query used the batch profile: %+v", tc.name, noOpt.Stats)
+			}
+			if !answersEqual(noOpt, want[0]) {
+				t.Errorf("%s: BSSRNoOpt answer differs from serial SearchWith", tc.name)
 			}
 		}
 	}

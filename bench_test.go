@@ -325,14 +325,18 @@ func BenchmarkAblationPathFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTreeIndex isolates the §9 preprocessing index. The
-// build cost is excluded (paid once per dataset), matching how an
-// application would amortize it.
-func BenchmarkAblationTreeIndex(b *testing.B) {
+// BenchmarkAblationCategoryIndex isolates the §9 preprocessing index.
+// Row builds are excluded (paid once per dataset), matching how an
+// application would amortize them.
+func BenchmarkAblationCategoryIndex(b *testing.B) {
 	benchSetup(b)
 	d := benchState.datasets["tokyo"]
 	qs := benchState.loads["tokyo"][4]
-	idx := index.Build(d)
+	idx := index.New(d, 0)
+	idx.EnsureRoots()
+	for _, q := range qs {
+		idx.Prewarm(q.Categories...)
+	}
 	for _, mode := range []struct {
 		name string
 		use  bool
@@ -350,16 +354,6 @@ func BenchmarkAblationTreeIndex(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTreeIndexBuild measures the one-off preprocessing cost.
-func BenchmarkTreeIndexBuild(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		index.Build(d)
 	}
 }
 

@@ -9,16 +9,36 @@ import (
 	"skysr/internal/faults"
 )
 
-// servingProfiles enumerates the serving configurations every cancellation
-// guarantee must hold under: plain BSSR, the tree-index profile, the
-// category-index profile, and the multi-query ShareCache profile.
-func servingProfiles() map[string]SearchOptions {
-	return map[string]SearchOptions{
+// servingProfile is one serving configuration: the options a query runs
+// with, and whether it runs as a one-query SearchBatch — the only path
+// that shares m-Dijkstra results across queries.
+type servingProfile struct {
+	opts  SearchOptions
+	batch bool
+}
+
+// servingProfiles enumerates the serving configurations the cancellation,
+// update, time-dependent, top-k and metrics suites sweep: plain BSSR, the
+// category-index profile, and SearchBatch's shared cache.
+func servingProfiles() map[string]servingProfile {
+	return map[string]servingProfile{
 		"plain":          {},
-		"tree-index":     {UseIndex: true},
-		"category-index": {UseCategoryIndex: true},
-		"share-cache":    {ShareCache: true},
+		"category-index": {opts: SearchOptions{UseCategoryIndex: true}},
+		"share-cache":    {batch: true},
 	}
+}
+
+// search answers q on eng with opts (the profile's options plus whatever
+// the caller layered on) through the profile's path.
+func (p servingProfile) search(eng *Engine, q Query, opts SearchOptions) (*Answer, error) {
+	if !p.batch {
+		return eng.SearchWith(q, opts)
+	}
+	answers, err := eng.SearchBatch([]Query{q}, BatchOptions{Workers: 1, Options: opts})
+	if err != nil {
+		return nil, err
+	}
+	return answers[0], nil
 }
 
 // queryShapes builds one query of every public shape from a base ordered
@@ -58,31 +78,33 @@ func TestPreExpiredDeadlineAllShapes(t *testing.T) {
 	deadCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	for pname, popts := range servingProfiles() {
+	for pname, p := range servingProfiles() {
 		for sname, q := range shapes {
-			opts := popts
+			opts := p.opts
 			opts.Deadline = time.Now().Add(-time.Second)
-			if _, err := eng.SearchWith(q, opts); !errors.Is(err, ErrDeadlineExceeded) {
+			if _, err := p.search(eng, q, opts); !errors.Is(err, ErrDeadlineExceeded) {
 				t.Errorf("%s/%s: expired deadline err = %v, want ErrDeadlineExceeded", pname, sname, err)
 			}
 
-			opts = popts
+			opts = p.opts
 			opts.Context = deadCtx
-			_, err := eng.SearchWith(q, opts)
+			_, err := p.search(eng, q, opts)
 			if !errors.Is(err, ErrSearchCancelled) || !errors.Is(err, context.Canceled) {
 				t.Errorf("%s/%s: cancelled context err = %v, want ErrSearchCancelled wrapping context.Canceled", pname, sname, err)
 			}
 		}
 
 		// Ranked top-k flows through the same pre-dispatch check.
-		opts := popts
+		opts := p.opts
+		opts.TopK = 3
 		opts.Deadline = time.Now().Add(-time.Second)
-		if _, err := eng.SearchTopK(shapes["ordered"], 3, opts); !errors.Is(err, ErrDeadlineExceeded) {
+		if _, err := p.search(eng, shapes["ordered"], opts); !errors.Is(err, ErrDeadlineExceeded) {
 			t.Errorf("%s/topk: expired deadline err = %v, want ErrDeadlineExceeded", pname, err)
 		}
-		opts = popts
+		opts = p.opts
+		opts.TopK = 3
 		opts.Context = deadCtx
-		if _, err := eng.SearchTopK(shapes["ordered"], 3, opts); !errors.Is(err, ErrSearchCancelled) {
+		if _, err := p.search(eng, shapes["ordered"], opts); !errors.Is(err, ErrSearchCancelled) {
 			t.Errorf("%s/topk: cancelled context err = %v, want ErrSearchCancelled", pname, err)
 		}
 	}
@@ -118,7 +140,7 @@ func TestCancelledThenIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for pname, popts := range servingProfiles() {
+	for pname, p := range servingProfiles() {
 		for i, q := range queries {
 			// Cancel deterministically inside the search: the hook fires at
 			// the first m-Dijkstra entry, before that run's checkpoint, so
@@ -129,9 +151,9 @@ func TestCancelledThenIdentical(t *testing.T) {
 					cancel()
 				}
 			})
-			opts := popts
+			opts := p.opts
 			opts.Context = ctx
-			_, serr := eng.SearchWith(q, opts)
+			_, serr := p.search(eng, q, opts)
 			restore()
 			cancel()
 			if !errors.Is(serr, ErrSearchCancelled) {
@@ -140,11 +162,11 @@ func TestCancelledThenIdentical(t *testing.T) {
 
 			// The identical query, uncancelled, on the engine that just
 			// aborted — against an engine that never cancelled anything.
-			got, err := eng.SearchWith(q, popts)
+			got, err := p.search(eng, q, p.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.SearchWith(q, popts)
+			want, err := p.search(fresh, q, p.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +218,7 @@ func TestBatchMidFlightCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ans := range answers {
-		want, err := eng.SearchWith(batch[i], SearchOptions{ShareCache: true})
+		want, err := eng.SearchWith(batch[i], SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

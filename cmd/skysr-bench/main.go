@@ -1,7 +1,7 @@
 // Command skysr-bench regenerates every table and figure of the paper's
 // evaluation (§7–§8) on synthetic datasets, and measures the engine's
-// serving extensions: batch throughput, serving-profile latency, the
-// live-update churn scenario, and ranked top-k enumeration. The
+// serving extensions: serving-profile latency, the live-update churn
+// scenario, and ranked top-k enumeration. The
 // full-suite output is the source material of EXPERIMENTS.md; the
 // -latency, -churn, -topk and -timedep modes write the machine-readable
 // reports CI tracks per PR (BENCH_PR2.json through BENCH_PR5.json) and
@@ -11,7 +11,6 @@
 //
 //	skysr-bench                     # full suite, laptop-sized defaults
 //	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5
-//	skysr-bench -throughput         # batch serving: queries/sec vs workers
 //	skysr-bench -latency -json BENCH_PR2.json -check
 //	skysr-bench -churn -json BENCH_PR3.json -check
 //	skysr-bench -topk -json BENCH_PR4.json -check
@@ -42,8 +41,7 @@ func main() {
 	budget := flag.Int64("budget", cfg.Budget, "naive-baseline work budget per query (0 = unlimited)")
 	verify := flag.Bool("verify", false, "cross-check all algorithms return identical skylines")
 	csvDir := flag.String("csv", "", "directory for machine-readable CSV exports (optional)")
-	throughputOnly := flag.Bool("throughput", false, "run only the batch-serving throughput sweep (queries/sec vs workers)")
-	latencyOnly := flag.Bool("latency", false, "run only the serving-profile latency comparison (baseline vs tree-index vs category-index)")
+	latencyOnly := flag.Bool("latency", false, "run only the serving-profile latency comparison (baseline vs category-index)")
 	churnOnly := flag.Bool("churn", false, "run only the mixed read/write live-update scenario (queries interleaved with ApplyUpdates batches)")
 	soakOnly := flag.Bool("soak", false, "run only the fault-injected HTTP serving soak (mixed query/update/cancel storm, recovery asserted afterwards)")
 	soakOps := flag.Int("soak-ops", 160, "with -soak: client operations per dataset")
@@ -252,15 +250,6 @@ func main() {
 			}
 			fmt.Println("latency check passed: category-index identical and at least as fast as baseline")
 		}
-		return
-	}
-	if *throughputOnly {
-		rows, err := h.Throughput()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skysr-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.RenderThroughput(os.Stdout, rows)
 		return
 	}
 	if err := h.AllWithCSV(os.Stdout, *csvDir); err != nil {

@@ -12,9 +12,9 @@
 //	skysr-serve -data osm.skysrb               # binary dataset, memory-mapped
 //	skysr-serve -preset tokyo -query-timeout 2s -max-concurrent 8
 //
-// The -index flag selects the serving profile (none, tree or category —
-// see README, "Serving profiles"); -data automatically adopts a matching
-// index sidecar (<file>.cidx) so cold-starts skip the index rebuild, and
+// Every query runs the category-index serving profile (see README,
+// "Serving profiles"); -data automatically adopts a matching index
+// sidecar (<file>.cidx) so cold-starts skip the index rebuild, and
 // -warm-index/-write-index build and persist one. A SIGTERM during the
 // startup index warm is honoured: the server drains as soon as the warm
 // returns.
@@ -112,7 +112,6 @@ func main() {
 	scale := flag.Float64("scale", 0.25, "scale for -preset")
 	seed := flag.Int64("seed", 42, "seed for -preset")
 	addr := flag.String("addr", ":8080", "listen address")
-	indexProfile := flag.String("index", "category", "serving profile: none, tree or category (see README, Serving profiles)")
 	indexBudgetMB := flag.Int64("index-budget-mb", 0, "category-index row budget in MiB (0 = default)")
 	warmIndex := flag.Bool("warm-index", false, "build index rows for all roots and populated leaf categories at startup")
 	writeIndex := flag.Bool("write-index", false, "with -data: persist the built index to the dataset's sidecar so later cold-starts skip the rebuild")
@@ -159,17 +158,6 @@ func main() {
 	if *indexBudgetMB > 0 {
 		eng.ConfigureCategoryIndex(*indexBudgetMB << 20)
 	}
-	var baseOpts skysr.SearchOptions
-	switch *indexProfile {
-	case "none":
-	case "tree":
-		baseOpts.UseIndex = true
-	case "category":
-		baseOpts.UseCategoryIndex = true
-	default:
-		fmt.Fprintln(os.Stderr, "skysr-serve: -index must be none, tree or category")
-		os.Exit(2)
-	}
 	if *writeIndex && *data == "" {
 		fmt.Fprintln(os.Stderr, "skysr-serve: -write-index requires -data")
 		os.Exit(2)
@@ -189,15 +177,7 @@ func main() {
 	}
 	if *warmIndex {
 		began := time.Now()
-		var n int
-		var err error
-		if baseOpts.UseCategoryIndex {
-			n, err = eng.WarmCategoryIndex() // roots + populated leaves
-		} else {
-			// The none/tree profiles only ever read tree-root rows, so
-			// warming leaf rows would just pin budget they never use.
-			n, err = eng.WarmCategoryIndex(eng.RootCategories()...)
-		}
+		n, err := eng.WarmCategoryIndex() // roots + populated leaves
 		if err != nil {
 			logger.Error("index warm-up failed", "err", err)
 			os.Exit(1)
@@ -215,7 +195,7 @@ func main() {
 	}
 
 	s := serve.New(eng, serve.Config{
-		BaseOpts:       baseOpts,
+		BaseOpts:       skysr.SearchOptions{UseCategoryIndex: true},
 		QueryTimeout:   *queryTimeout,
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,
@@ -232,7 +212,7 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("serving", "dataset", eng.Stats(), "addr", ln.Addr().String(),
-		"index_profile", *indexProfile, "query_timeout", *queryTimeout, "pprof", *enablePprof)
+		"query_timeout", *queryTimeout, "pprof", *enablePprof)
 	err = s.Serve(ctx, ln, serve.HTTPConfig{
 		ReadHeaderTimeout: *readHeaderTimeout,
 		ReadTimeout:       *readTimeout,

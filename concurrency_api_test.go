@@ -27,7 +27,7 @@ func TestEngineConcurrentSearch(t *testing.T) {
 			for rep := 0; rep < 5; rep++ {
 				// Alternate plain and indexed searches to also race the
 				// lazy index build.
-				opts := SearchOptions{UseIndex: rep%2 == 0}
+				opts := SearchOptions{UseCategoryIndex: rep%2 == 0}
 				ans, err := eng.SearchWith(q, opts)
 				if err != nil {
 					t.Error(err)

@@ -256,7 +256,7 @@ func TestAllRunsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"Table 5", "Figure 3", "Table 6", "Table 7", "Table 8", "Figure 4", "Figure 5", "Figure 6", "Throughput", "Figure 9", "suite completed"} {
+	for _, want := range []string{"Table 5", "Figure 3", "Table 6", "Table 7", "Table 8", "Figure 4", "Figure 5", "Figure 6", "Figure 9", "suite completed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("All output missing %q", want)
 		}

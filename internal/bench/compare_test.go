@@ -23,6 +23,7 @@ func TestLoadTrajectoryExtractsPlainSearchRows(t *testing.T) {
 		"generated_at": "2026-01-01T00:00:00Z",
 		"rows": [
 			{"dataset": "Tokyo", "profile": "baseline", "seq_size": 3, "median_us": 1100},
+			{"dataset": "Tokyo", "profile": "tree-index", "seq_size": 3, "median_us": 700},
 			{"dataset": "Tokyo", "profile": "category-index", "seq_size": 3, "median_us": 400},
 			{"dataset": "Tokyo", "profile": "baseline", "seq_size": 5, "median_us": 9000}
 		]}`)

@@ -21,10 +21,7 @@ type SuiteResults struct {
 	Figure4 []Figure4Row
 	Figure5 []Figure5Row
 	Figure6 []Figure6Row
-	// Throughput is the queries/sec sweep of the batch serving layer
-	// (not in the paper; see throughput.go).
-	Throughput []ThroughputRow
-	Survey     *Survey
+	Survey  *Survey
 }
 
 // RunAll executes the complete experiment suite and returns the results.
@@ -55,9 +52,6 @@ func (h *Harness) RunAll() (*SuiteResults, error) {
 	if res.Figure6, err = h.Figure6(); err != nil {
 		return nil, fmt.Errorf("figure 6: %w", err)
 	}
-	if res.Throughput, err = h.Throughput(); err != nil {
-		return nil, fmt.Errorf("throughput: %w", err)
-	}
 	return res, nil
 }
 
@@ -81,7 +75,6 @@ func WriteCSVDir(dir string, res *SuiteResults) error {
 		{"figure5.csv", func(w *csv.Writer) error { return csvFigure5(w, res.Figure5) }},
 		{"figure6.csv", func(w *csv.Writer) error { return csvFigure6(w, res.Figure6) }},
 		{"figure9.csv", func(w *csv.Writer) error { return csvFigure9(w, res.Survey) }},
-		{"throughput.csv", func(w *csv.Writer) error { return csvThroughput(w, res.Throughput) }},
 	}
 	for _, f := range files {
 		if err := writeCSVFile(filepath.Join(dir, f.name), f.write); err != nil {
@@ -233,19 +226,6 @@ func csvFigure9(w *csv.Writer, s *Survey) error {
 	return nil
 }
 
-func csvThroughput(w *csv.Writer, rows []ThroughputRow) error {
-	if err := w.Write([]string{"dataset", "workers", "queries", "elapsed_us", "qps", "speedup", "shared_hit_rate"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := w.Write([]string{r.Dataset, istr(int64(r.Workers)), istr(int64(r.Queries)),
-			usec(r.Elapsed), fstr(r.QPS), fstr(r.Speedup), fstr(r.SharedHitRate)}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RenderAll writes every experiment of res as text, in the paper's order.
 func RenderAll(w io.Writer, res *SuiteResults) error {
 	RenderTable5(w, res.Table5)
@@ -263,8 +243,6 @@ func RenderAll(w io.Writer, res *SuiteResults) error {
 	RenderFigure5(w, res.Figure5)
 	writeln(w, "")
 	RenderFigure6(w, res.Figure6)
-	writeln(w, "")
-	RenderThroughput(w, res.Throughput)
 	writeln(w, "")
 	return RenderFigure9(w, res.Survey)
 }

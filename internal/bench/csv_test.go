@@ -25,7 +25,6 @@ func TestWriteCSVDir(t *testing.T) {
 	wantFiles := []string{
 		"table5.csv", "figure3.csv", "table6.csv", "table7.csv",
 		"table8.csv", "figure4.csv", "figure5.csv", "figure6.csv", "figure9.csv",
-		"throughput.csv",
 	}
 	for _, name := range wantFiles {
 		path := filepath.Join(dir, name)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"skysr/internal/core"
 	"skysr/internal/dataset"
 	"skysr/internal/gen"
+	"skysr/internal/graph"
 	"skysr/internal/index"
 	"skysr/internal/stats"
 	"skysr/internal/taxonomy"
@@ -22,12 +24,11 @@ import (
 // buys a single serial searcher: the per-query §5.3.3 lower-bound work
 // (bounded Dijkstras, a full-graph reachability snapshot) moves to build
 // time, so median single-query latency drops while answers stay
-// byte-identical. Three serving profiles are compared on the same
+// byte-identical. The two serving profiles are compared on the same
 // template workload (popular category sequences from many start
 // vertices, |Sq| = 3):
 //
 //	baseline        Search with the paper's defaults (per-query bounds)
-//	tree-index      baseline + resident tree-root rows (PR-1's UseIndex)
 //	category-index  §5.3.3 bounds and pruning radii from index lookups
 //
 // One-time index build cost is excluded from the latencies and reported
@@ -37,13 +38,27 @@ import (
 // Profile names of the latency experiment.
 const (
 	ProfileBaseline      = "baseline"
-	ProfileTreeIndex     = "tree-index"
 	ProfileCategoryIndex = "category-index"
 )
 
 // LatencyProfiles lists the serving profiles in comparison order.
 func LatencyProfiles() []string {
-	return []string{ProfileBaseline, ProfileTreeIndex, ProfileCategoryIndex}
+	return []string{ProfileBaseline, ProfileCategoryIndex}
+}
+
+// templateQueries builds the template workload: every base query's
+// category sequence replayed from `variants` random start vertices.
+func templateQueries(d *dataset.Dataset, base []gen.Query, variants int, seed int64) []gen.Query {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]gen.Query, 0, len(base)*variants)
+	n := d.Graph.NumVertices()
+	for _, q := range base {
+		for v := 0; v < variants; v++ {
+			out = append(out, gen.Query{Start: graph.VertexID(rng.Intn(n)), Categories: q.Categories})
+		}
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
 }
 
 // LatencyRow is one (dataset, profile) measurement.
@@ -139,7 +154,7 @@ func (h *Harness) Latency() ([]LatencyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := throughputQueries(d, base, variants, h.cfg.Seed+211)
+		qs := templateQueries(d, base, variants, h.cfg.Seed+211)
 
 		var baseline []latencyAnswer
 		var baselineMedian float64
@@ -185,21 +200,18 @@ func runLatencyProfile(d *dataset.Dataset, qs []gen.Query, profile string, size 
 
 	switch profile {
 	case ProfileBaseline:
-	case ProfileTreeIndex, ProfileCategoryIndex:
+	case ProfileCategoryIndex:
 		buildBegan := time.Now()
 		ci := index.New(d, 0)
 		ci.EnsureRoots()
-		if profile == ProfileCategoryIndex {
-			opts.IndexCategories = true
-			// Prewarm the workload's category rows, as WarmCategoryIndex
-			// (or a sidecar load) would before serving.
-			seen := map[taxonomy.CategoryID]bool{}
-			for _, q := range qs {
-				for _, c := range q.Categories {
-					if !seen[c] {
-						seen[c] = true
-						ci.Prewarm(c)
-					}
+		// Prewarm the workload's category rows, as WarmCategoryIndex (or a
+		// sidecar load) would before serving.
+		seen := map[taxonomy.CategoryID]bool{}
+		for _, q := range qs {
+			for _, c := range q.Categories {
+				if !seen[c] {
+					seen[c] = true
+					ci.Prewarm(c)
 				}
 			}
 		}

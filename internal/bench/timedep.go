@@ -115,7 +115,6 @@ func timedepConfigs(d *dataset.Dataset, qs []gen.Query) map[string]core.Options 
 		}
 	}
 	withIdx.Index = ci
-	withIdx.IndexCategories = true
 	return map[string]core.Options{
 		"bssr":           core.DefaultOptions(),
 		"no-opt":         withoutOpt,
@@ -217,7 +216,7 @@ func (h *Harness) Timedep() ([]TimedepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := throughputQueries(d, base, variants, h.cfg.Seed+311)
+		qs := templateQueries(d, base, variants, h.cfg.Seed+311)
 
 		staticRow, staticAns, err := runTimedepMode(d, qs, TimedepStatic, 0, size)
 		if err != nil {

@@ -76,7 +76,7 @@ func (h *Harness) TopK() ([]TopKRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs := throughputQueries(d, base, variants, h.cfg.Seed+311)
+		qs := templateQueries(d, base, variants, h.cfg.Seed+311)
 
 		baseRow, baseAnswers, err := runTopKPoint(d, qs, 0, size)
 		if err != nil {

@@ -18,7 +18,7 @@ func TestConcurrentSearchersShareDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	f := taxonomy.Generated(3, 2, 3)
 	d := randomDataset(rng, f, 60, 40)
-	idx := index.Build(d)
+	idx := index.New(d, 0)
 
 	type job struct {
 		start graph.VertexID

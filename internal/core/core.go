@@ -81,22 +81,17 @@ type Options struct {
 	// callers can leave it zero.
 	Epoch int64
 
-	// Index, when non-nil, supplies the precomputed category-level
-	// nearest-matching-PoI distance index (the §9 "preprocessing" future
-	// work, package index). Resident rows tighten the pruning of partial
-	// routes — the next hop costs at least the distance to the nearest
-	// PoI of the next position's tree — without affecting exactness.
-	// Build one with index.Build or index.New and share it across
-	// searchers.
+	// Index, when non-nil, supplies the category-level nearest-matching-PoI
+	// distance index (the §9 "preprocessing" future work, package index) —
+	// the category-index serving profile. Queries
+	// build the rows they need on demand (within the index's memory
+	// budget). Resident rows tighten the pruning of partial routes — the
+	// next hop costs at least the distance to the nearest PoI of the next
+	// position's tree — and when every position's rows are resident the
+	// §5.3.3 lower bounds come from index lookups instead of per-query
+	// Dijkstras. Answers are identical either way; only latency changes.
+	// Create one with index.New and share it across searchers.
 	Index *index.CategoryDistances
-
-	// IndexCategories additionally lets queries build per-category index
-	// rows on demand (within the index's memory budget). When every
-	// position's rows are resident, the §5.3.3 lower bounds are derived
-	// from index lookups instead of per-query Dijkstras — the
-	// category-index serving profile. Answers are identical either way;
-	// only latency changes.
-	IndexCategories bool
 
 	// TopK selects ranked top-k enumeration (package topk): the answer is
 	// the k-skyband of the achieved score points — the k shortest
@@ -313,10 +308,8 @@ type indexRows struct {
 }
 
 // prepareIndexRows resolves the per-position index rows for the current
-// sequence. Under IndexCategories missing rows are built now (one
-// multi-source Dijkstra each, amortized across every later query naming
-// the category); otherwise only already-resident rows are consulted so the
-// hot path never pays build latency.
+// sequence. Missing rows are built now (one multi-source Dijkstra each,
+// amortized across every later query naming the category).
 func (s *Searcher) prepareIndexRows() {
 	s.idxRows = indexRows{}
 	ci := s.opts.Index
@@ -329,7 +322,7 @@ func (s *Searcher) prepareIndexRows() {
 	ir.perf = make([]index.Row, k)
 	ir.cats = make([]taxonomy.CategoryID, k)
 	ir.roots = make([]taxonomy.CategoryID, k)
-	ir.covered = s.opts.IndexCategories
+	ir.covered = true
 	for i, m := range s.seq {
 		ir.cats[i], ir.roots[i] = taxonomy.NoCategory, taxonomy.NoCategory
 		c, ok := m.(*route.Category)
@@ -340,12 +333,8 @@ func (s *Searcher) prepareIndexRows() {
 		cat := c.ID()
 		root := s.d.Forest.Root(cat)
 		ir.cats[i], ir.roots[i] = cat, root
-		if s.opts.IndexCategories {
-			ir.sem[i] = ci.Row(root)
-			ir.perf[i] = ci.Row(cat)
-		} else {
-			ir.sem[i] = ci.RowIfBuilt(root)
-		}
+		ir.sem[i] = ci.Row(root)
+		ir.perf[i] = ci.Row(cat)
 		if ir.sem[i] == nil || ir.perf[i] == nil {
 			ir.covered = false
 		}

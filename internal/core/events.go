@@ -18,8 +18,7 @@ const (
 	EventPruneThreshold
 	// EventPruneBounds fires when the §5.3.3 lower bounds kill a route.
 	EventPruneBounds
-	// EventPruneIndex fires when the precomputed tree-distance index
-	// kills a route.
+	// EventPruneIndex fires when the category index kills a route.
 	EventPruneIndex
 	// EventEnqueue fires when a partial route enters the queue.
 	EventEnqueue

@@ -48,13 +48,13 @@ func sameSkyline3(got []RatedRoute, want *route.Skyline3) bool {
 
 // TestRatedMatchesBruteForce is the exactness test for the three-criteria
 // extension across all optimization configurations, with and without the
-// tree-distance index.
+// category index.
 func TestRatedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	f := taxonomy.Generated(3, 2, 3)
 	for trial := 0; trial < 10; trial++ {
 		d := ratedDataset(t, rng, f, 16, 12)
-		idx := index.Build(d)
+		idx := index.New(d, 0)
 		cats := pickCats(rng, f, 2)
 		start := graph.VertexID(rng.Intn(16))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)

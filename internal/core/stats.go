@@ -31,7 +31,7 @@ type Stats struct {
 	// IndexCovered reports that every position's category-index rows were
 	// resident or buildable for this query (see indexRows.covered): the
 	// §5.3.3 bounds came from index lookups, not per-query Dijkstras.
-	// Always false when no index profile is active.
+	// Always false without Options.Index.
 	IndexCovered bool
 
 	// FirstMDijkstraRadius is the explored radius of the first modified
@@ -50,7 +50,7 @@ type Stats struct {
 	PerfectBound    float64 // Σ lp[i] over all hops
 	PrunedByBounds  int64   // routes dropped by §5.3.3 pruning
 	PrunedThreshold int64   // routes dropped by the Eq. 3 threshold at pop
-	PrunedByIndex   int64   // routes dropped by the tree-distance index
+	PrunedByIndex   int64   // routes dropped by the category index
 
 	// Destination leg (§6 "SkySR with destination"): the reverse sweep
 	// every destination query runs (computeDestDistances) plus, on

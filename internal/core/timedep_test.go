@@ -164,7 +164,7 @@ func bruteTDUnordered(d *dataset.Dataset, seq route.Sequence, start graph.Vertex
 }
 
 // tdVariants are the option configurations the time-dependent exactness
-// tests sweep, including both index-backed serving profiles.
+// tests sweep, including the category-index serving profile.
 func tdVariants(d *dataset.Dataset, cats []taxonomy.CategoryID) map[string]Options {
 	variants := map[string]Options{
 		"none":     WithoutOptimizations(),
@@ -175,16 +175,12 @@ func tdVariants(d *dataset.Dataset, cats []taxonomy.CategoryID) map[string]Optio
 	v.Caching = false
 	variants["no-cache"] = v
 
-	ci := index.Build(d)
+	ci := index.New(d, 0)
 	for _, c := range cats {
 		ci.Prewarm(c)
 	}
-	withTree := DefaultOptions()
-	withTree.Index = ci
-	variants["tree-index"] = withTree
 	withCat := DefaultOptions()
 	withCat.Index = ci
-	withCat.IndexCategories = true
 	variants["category-index"] = withCat
 	return variants
 }

@@ -107,15 +107,6 @@ func New(d *dataset.Dataset, maxBytes int64) *CategoryDistances {
 	return ci
 }
 
-// Build returns an index with every tree-root row prewarmed — the per-tree
-// profile of earlier revisions, and the starting point of the category
-// profile (semantic-match rows are root rows).
-func Build(d *dataset.Dataset) *CategoryDistances {
-	ci := New(d, 0)
-	ci.EnsureRoots()
-	return ci
-}
-
 // Dataset returns the dataset the index was built over.
 func (ci *CategoryDistances) Dataset() *dataset.Dataset { return ci.d }
 

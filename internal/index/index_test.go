@@ -36,6 +36,13 @@ func randomDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int, direc
 	return dataset.MustNew("idx", b.Build(), f)
 }
 
+// rootIndex returns an index over d with every tree-root row resident.
+func rootIndex(d *dataset.Dataset) *CategoryDistances {
+	ci := New(d, 0)
+	ci.EnsureRoots()
+	return ci
+}
+
 // bruteNearest computes the exact nearest-associated-PoI distance from v
 // for category c with per-target Dijkstras on the forward graph.
 func bruteNearest(d *dataset.Dataset, ws *dijkstra.Workspace, c taxonomy.CategoryID, v graph.VertexID) float64 {
@@ -112,7 +119,7 @@ func TestEmptyTreeRowIsInf(t *testing.T) {
 	p := b.AddPoI(geo.Point{Lon: 1}, a)
 	b.AddEdge(v, p, 2)
 	d := dataset.MustNew("e", b.Build(), f)
-	ci := Build(d)
+	ci := rootIndex(d)
 	if got := ci.RowIfBuilt(a); got == nil || got[v] != 2 {
 		t.Errorf("tree A distance = %v, want 2", got)
 	}
@@ -128,7 +135,7 @@ func TestRowAtPoIIsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	f := taxonomy.Generated(2, 2, 2)
 	d := randomDataset(rng, f, 20, 12, false)
-	ci := Build(d)
+	ci := rootIndex(d)
 	for _, p := range d.Graph.PoIVertices() {
 		root := d.Forest.Root(d.Graph.PrimaryCategory(p))
 		if got := ci.RowIfBuilt(root)[p]; got != 0 {

@@ -121,7 +121,7 @@ func TestEvolveAllDropsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	f := taxonomy.Generated(2, 2, 2)
 	d := randomDataset(rng, f, 20, 10, false)
-	ci := Build(d)
+	ci := rootIndex(d)
 	ts, ws := d.Graph.Neighbors(1)
 	d2, err := d.Apply(graph.Edits{SetWeights: []graph.EdgeChange{{U: 1, V: ts[0], Weight: ws[0] / 2}}})
 	if err != nil {

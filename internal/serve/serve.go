@@ -42,8 +42,11 @@ import (
 // Config tunes a Server. The zero value serves with no per-query timeout
 // and concurrency bounded at 2×GOMAXPROCS with a 4× wait queue.
 type Config struct {
-	// BaseOpts is the serving profile applied to every query (index
-	// flags); per-request parameters layer on top of it.
+	// BaseOpts is the serving profile applied to every query
+	// (skysr-serve sets UseCategoryIndex); per-request parameters layer
+	// on top of it. /api/batch runs through Engine.SearchBatch, which
+	// adds the category index and the shared m-Dijkstra cache to every
+	// BSSR query whatever BaseOpts says.
 	BaseOpts skysr.SearchOptions
 	// QueryTimeout caps the compute time of one route query or batch
 	// (the -query-timeout flag). Requests may lower it per call with

@@ -80,27 +80,18 @@ func TestMetricsExactAcrossProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	profiles := []struct {
-		name string
-		opts SearchOptions
-	}{
-		{"plain", SearchOptions{}},
-		{"share-cache", SearchOptions{ShareCache: true}},
-		{"tree-index", SearchOptions{UseIndex: true}},
-		{"category-index", SearchOptions{UseCategoryIndex: true}},
-		{"category-index+cache", SearchOptions{UseCategoryIndex: true, ShareCache: true}},
-		{"top-k", SearchOptions{TopK: 4, UseCategoryIndex: true}},
-	}
+	profiles := servingProfiles()
+	profiles["top-k"] = servingProfile{opts: SearchOptions{TopK: 4, UseCategoryIndex: true}}
 
 	var want statsSums
-	for _, p := range profiles {
+	for name, p := range profiles {
 		for _, q := range queries {
-			ans, err := eng.SearchWith(q, p.opts)
+			ans, err := p.search(eng, q, p.opts)
 			if err != nil {
-				t.Fatalf("%s: %v", p.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			if ans.Stats == nil {
-				t.Fatalf("%s: BSSR answer without Stats", p.name)
+				t.Fatalf("%s: BSSR answer without Stats", name)
 			}
 			want.add(ans.Stats)
 		}

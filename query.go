@@ -236,12 +236,6 @@ type SearchOptions struct {
 	// vertices); 0 means unlimited. BSSR ignores it (it does not need
 	// one).
 	Budget int64
-	// UseIndex enables the tree-index serving profile: the precomputed
-	// per-tree nearest-PoI distance rows (the §9 preprocessing extension,
-	// built lazily on first use and cached on the Engine) tighten BSSR's
-	// pruning on repeated queries over the same dataset. The per-query
-	// §5.3.3 lower-bound Dijkstras still run.
-	UseIndex bool
 	// UseCategoryIndex enables the category-index serving profile: per-
 	// category distance rows are built on demand (within the Engine's
 	// index memory budget, see ConfigureCategoryIndex) and, once a
@@ -272,18 +266,6 @@ type SearchOptions struct {
 	// SearchAt is the convenience wrapper that sets this field. The naive
 	// baseline algorithms do not support time-dependent datasets.
 	DepartAt float64
-	// ShareCache switches the default BSSR algorithm to the Engine's
-	// multi-query serving profile: modified-Dijkstra results are reused
-	// across queries (one concurrency-safe cache per Similarity), the
-	// cached tree index stands in for the per-query §5.3.3 lower-bound
-	// precomputation (whose Dijkstras dominate per-query cost once the
-	// cache is warm), and UseIndex is implied. Every substitution is
-	// exactness-preserving, so answers are identical to a plain Search —
-	// only throughput changes. It pays off when a workload repeats
-	// categories, which is why SearchBatch enables it for every query it
-	// runs; it has no effect on BSSRNoOpt (a pure ablation) or the naive
-	// baselines.
-	ShareCache bool
 	// Context, when non-nil, cancels the search: the BSSR expansion loops
 	// observe it on an amortized schedule (every search start and every
 	// ~1024 units of hot-loop work) and unwind, returning an Answer whose
@@ -421,10 +403,10 @@ const MaxTopK = 1024
 // k = 1 is byte-identical to Search/SearchWith with the same options —
 // it runs the very same code path. For k > 1 the enumeration is exact
 // (verified against a brute-force enumerator in the tests) and flows
-// through every serving profile; note that k > 1 queries bypass the
-// cross-query m-Dijkstra sharing of the ShareCache profile, because
-// ranked enumeration must keep dominated routes the shared entries'
-// Lemma 5.5 annotations discard. Top-k supports ordered, destination and
+// through every serving profile; note that k > 1 queries in a SearchBatch
+// bypass its cross-query m-Dijkstra sharing, because ranked enumeration
+// must keep dominated routes the shared entries' Lemma 5.5 annotations
+// discard. Top-k supports ordered, destination and
 // unordered queries under BSSR/BSSRNoOpt; the naive baselines and
 // IncludeRatings do not support k > 1.
 func (e *Engine) SearchTopK(q Query, k int, opts SearchOptions) (*Answer, error) {
@@ -451,11 +433,13 @@ func (e *Engine) SearchAt(q Query, departAt float64, opts SearchOptions) (*Answe
 func (e *Engine) SearchWith(q Query, opts SearchOptions) (*Answer, error) {
 	sn := e.pin()
 	defer sn.release()
-	return e.searchOn(sn, q, opts)
+	return e.searchOn(sn, q, opts, false)
 }
 
-// searchOn answers q against one pinned snapshot.
-func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, error) {
+// searchOn answers q against one pinned snapshot. share, set only by
+// SearchBatch, runs BSSR queries with the category index and the Engine's
+// cross-query m-Dijkstra cache whatever opts.UseCategoryIndex says.
+func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool) (*Answer, error) {
 	if len(q.Via) == 0 {
 		return nil, fmt.Errorf("skysr: query has no requirements")
 	}
@@ -521,19 +505,12 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions) (*Answer, e
 		if sp := trace.SpanFromContext(opts.Context); sp != nil {
 			copts.Span = sp
 		}
-		if opts.UseIndex || opts.UseCategoryIndex {
+		share = share && opts.Algorithm == BSSR
+		if opts.UseCategoryIndex || share {
 			copts.Index = e.categoryIndex(sn)
-			copts.IndexCategories = opts.UseCategoryIndex
 		}
-		if opts.ShareCache && opts.Algorithm == BSSR {
+		if share {
 			copts.Shared = e.shared[opts.Similarity]
-			copts.Index = e.categoryIndex(sn)
-			if !opts.UseCategoryIndex {
-				// The PR-1 batch profile: the tree rows stand in for the
-				// per-query §5.3.3 bounds entirely. With the category
-				// index the bounds are nearly free, so they stay on.
-				copts.LowerBounds = false
-			}
 		}
 		s := sn.pool.Get(sim, copts)
 		defer sn.pool.Put(s)

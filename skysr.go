@@ -542,18 +542,6 @@ func (e *Engine) Categories() []string {
 	return out
 }
 
-// RootCategories returns the name of every tree root — the categories the
-// tree-index profile reads.
-func (e *Engine) RootCategories() []string {
-	f := e.snap().ds.Forest
-	roots := f.Roots()
-	out := make([]string, len(roots))
-	for i, c := range roots {
-		out[i] = f.Name(c)
-	}
-	return out
-}
-
 // LeafCategories returns the leaf category names (the ones PoIs carry).
 func (e *Engine) LeafCategories() []string {
 	f := e.snap().ds.Forest

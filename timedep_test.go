@@ -40,14 +40,6 @@ func constantProfileBatch(eng *Engine) *UpdateBatch {
 	return b
 }
 
-// timedepProfiles are the serving profiles the identity tests sweep.
-var timedepProfiles = map[string]SearchOptions{
-	"plain":          {},
-	"share-cache":    {ShareCache: true},
-	"tree-index":     {UseIndex: true},
-	"category-index": {UseCategoryIndex: true},
-}
-
 // tdAnswersEqual compares two answers bit-exactly (routes, ranks, scores).
 func tdAnswersEqual(t *testing.T, label string, got, want *Answer) {
 	t.Helper()
@@ -96,27 +88,29 @@ func TestConstantProfilesByteIdenticalToStatic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, opts := range timedepProfiles {
+		for name, p := range servingProfiles() {
 			for _, depart := range []float64{0, timedep.TimePeriod() / 3} {
-				opts := opts
+				opts := p.opts
 				opts.DepartAt = depart
 				for _, q := range queries {
-					want, err := static.SearchWith(q, opts)
+					want, err := p.search(static, q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := timedep.SearchWith(q, opts)
+					got, err := p.search(timedep, q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					label := preset + "/" + name + "/Search"
 					tdAnswersEqual(t, label, got, want)
 
-					wantK, err := static.SearchTopK(q, 4, opts)
+					topK := opts
+					topK.TopK = 4
+					wantK, err := p.search(static, q, topK)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotK, err := timedep.SearchTopK(q, 4, opts)
+					gotK, err := p.search(timedep, q, topK)
 					if err != nil {
 						t.Fatal(err)
 					}

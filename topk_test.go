@@ -12,17 +12,6 @@ import (
 	"skysr/internal/topk"
 )
 
-// topKProfiles are the serving profiles the top-k satellites verify:
-// plain, ShareCache, tree-index and category-index.
-func topKProfiles() map[string]SearchOptions {
-	return map[string]SearchOptions{
-		"plain":          {},
-		"share-cache":    {ShareCache: true},
-		"tree-index":     {UseIndex: true},
-		"category-index": {UseCategoryIndex: true},
-	}
-}
-
 // TestSearchTopKOneIsSearch is the acceptance-criterion property:
 // SearchTopK(q, 1, opts) must be byte-identical to SearchWith(q, opts) —
 // same PoIs, names, ranks, paths, bit-equal scores — on every preset and
@@ -41,17 +30,20 @@ func TestSearchTopKOneIsSearch(t *testing.T) {
 				t.Fatal(err)
 			}
 			queries[len(queries)-1].Unordered = true
-			for name, opts := range topKProfiles() {
+			for name, p := range servingProfiles() {
+				opts := p.opts
 				opts.ExpandPaths = true
 				for i, q := range queries {
 					if q.Unordered {
 						opts.ExpandPaths = false // paths need the ordered expander
 					}
-					want, err := eng.SearchWith(q, opts)
+					want, err := p.search(eng, q, opts)
 					if err != nil {
 						t.Fatalf("%s query %d: %v", name, i, err)
 					}
-					got, err := eng.SearchTopK(q, 1, opts)
+					top1 := opts
+					top1.TopK = 1
+					got, err := p.search(eng, q, top1)
 					if err != nil {
 						t.Fatalf("%s query %d top-1: %v", name, i, err)
 					}
@@ -215,8 +207,10 @@ func TestSearchTopKMatchesBruteForce(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: points %v, brute force wants %v", ctx, got, want)
 					}
-					for name, opts := range topKProfiles() {
-						ans, err := eng.SearchTopK(q, k, opts)
+					for name, p := range servingProfiles() {
+						opts := p.opts
+						opts.TopK = k
+						ans, err := p.search(eng, q, opts)
 						if err != nil {
 							t.Fatalf("%s %s: %v", ctx, name, err)
 						}

@@ -11,15 +11,6 @@ import (
 	"time"
 )
 
-// updateProfiles are the serving profiles the update-correctness tests
-// sweep; exactness must survive updates under every one of them.
-var updateProfiles = map[string]SearchOptions{
-	"baseline":       {},
-	"tree-index":     {UseIndex: true},
-	"category-index": {UseCategoryIndex: true},
-	"share-cache":    {ShareCache: true},
-}
-
 // answersMatch compares two answers route for route (PoI ids and bit-equal
 // scores).
 func answersMatch(a, b *Answer) bool {
@@ -149,13 +140,13 @@ func TestApplyUpdatesMatchesFreshEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, opts := range updateProfiles {
+			for name, p := range servingProfiles() {
 				for i, q := range queries {
-					got, err := eng.SearchWith(q, opts)
+					got, err := p.search(eng, q, p.opts)
 					if err != nil {
 						t.Fatalf("%s query %d on updated engine: %v", name, i, err)
 					}
-					want, err := fresh.SearchWith(q, opts)
+					want, err := p.search(fresh, q, p.opts)
 					if err != nil {
 						t.Fatalf("%s query %d on fresh engine: %v", name, i, err)
 					}
@@ -313,7 +304,7 @@ func TestSnapshotIsolationUnderConcurrency(t *testing.T) {
 	// Concurrent pass: identical engine, identical batches, with search
 	// traffic overlapping the updates.
 	eng := build()
-	profiles := []SearchOptions{{}, {UseCategoryIndex: true}, {ShareCache: true}}
+	profiles := []SearchOptions{{}, {UseCategoryIndex: true}}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	stop := make(chan struct{})
@@ -322,7 +313,9 @@ func TestSnapshotIsolationUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opts := profiles[w%len(profiles)]
+			// Workers pair up so each profile runs through both SearchWith
+			// (even w) and SearchBatch (odd w).
+			opts := profiles[(w/2)%len(profiles)]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
