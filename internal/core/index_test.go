@@ -12,38 +12,67 @@ import (
 	"skysr/internal/taxonomy"
 )
 
+// TestIndexPreservesExactness: the §9 preprocessing index must never change
+// results when it runs alongside a cross-query SharedCache — the profile
+// Engine.SearchBatch serves — with every other optimization on or off. One
+// cache serves all variants of a trial, so later variants read entries the
+// earlier ones wrote.
+func TestIndexPreservesExactness(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	f := taxonomy.Generated(3, 2, 3)
+	var sharedHits int64
+	for trial := 0; trial < 10; trial++ {
+		d := randomDataset(rng, f, 20, 16)
+		idx := index.New(d, 0)
+		shared := NewSharedCache(0)
+		cats := pickCats(rng, f, 2+rng.Intn(2))
+		start := graph.VertexID(rng.Intn(20))
+		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		for name, opts := range optionVariants() {
+			opts.Index = idx
+			opts.Shared = shared
+			s := NewSearcher(d, f.WuPalmer, opts)
+			res, err := s.QueryCategories(start, cats...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameSkyline(res.Routes, want) {
+				t.Fatalf("trial %d %s+index+shared: mismatch\ngot:  %v\nwant: %v",
+					trial, name, res.Routes, want.Routes())
+			}
+			sharedHits += res.Stats.SharedCacheHits
+		}
+	}
+	if sharedHits == 0 {
+		t.Error("no variant was served from the shared cache")
+	}
+}
+
 // TestCategoryIndexPreservesExactness: the category-index profile — index
 // rows built per category, §5.3.3 bounds derived from lookups, tightened
 // expansion radii — must return the exact brute-force skyline under every
 // optimization variant.
 func TestCategoryIndexPreservesExactness(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
 	f := taxonomy.Generated(3, 2, 3)
-	for _, tc := range []struct {
-		seed                        int64
-		trials, vertices, pois, seq int // seq: sequences of 2 .. 1+seq categories
-	}{
-		{seed: 71, trials: 10, vertices: 20, pois: 16, seq: 2},
-		{seed: 75, trials: 12, vertices: 24, pois: 18, seq: 3},
-	} {
-		rng := rand.New(rand.NewSource(tc.seed))
-		for trial := 0; trial < tc.trials; trial++ {
-			d := randomDataset(rng, f, tc.vertices, tc.pois)
-			idx := index.New(d, 0)
-			cats := pickCats(rng, f, 2+rng.Intn(tc.seq))
-			start := graph.VertexID(rng.Intn(tc.vertices))
-			seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-			want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
-			for name, opts := range optionVariants() {
-				opts.Index = idx
-				s := NewSearcher(d, f.WuPalmer, opts)
-				res, err := s.QueryCategories(start, cats...)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !sameSkyline(res.Routes, want) {
-					t.Fatalf("seed %d trial %d %s+catindex: mismatch\ngot:  %v\nwant: %v",
-						tc.seed, trial, name, res.Routes, want.Routes())
-				}
+	for trial := 0; trial < 12; trial++ {
+		d := randomDataset(rng, f, 24, 18)
+		idx := index.New(d, 0)
+		cats := pickCats(rng, f, 2+rng.Intn(3))
+		start := graph.VertexID(rng.Intn(24))
+		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		for name, opts := range optionVariants() {
+			opts.Index = idx
+			s := NewSearcher(d, f.WuPalmer, opts)
+			res, err := s.QueryCategories(start, cats...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !sameSkyline(res.Routes, want) {
+				t.Fatalf("trial %d %s+catindex: mismatch\ngot:  %v\nwant: %v",
+					trial, name, res.Routes, want.Routes())
 			}
 		}
 	}
