@@ -77,11 +77,13 @@ func TestPreExpiredDeadlineAllShapes(t *testing.T) {
 
 	deadCtx, cancel := context.WithCancel(context.Background())
 	cancel()
+	expiredCtx, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
 
 	for pname, p := range servingProfiles() {
 		for sname, q := range shapes {
 			opts := p.opts
-			opts.Deadline = time.Now().Add(-time.Second)
+			opts.Context = expiredCtx
 			if _, err := p.search(eng, q, opts); !errors.Is(err, ErrDeadlineExceeded) {
 				t.Errorf("%s/%s: expired deadline err = %v, want ErrDeadlineExceeded", pname, sname, err)
 			}
@@ -97,7 +99,7 @@ func TestPreExpiredDeadlineAllShapes(t *testing.T) {
 		// Ranked top-k flows through the same pre-dispatch check.
 		opts := p.opts
 		opts.TopK = 3
-		opts.Deadline = time.Now().Add(-time.Second)
+		opts.Context = expiredCtx
 		if _, err := p.search(eng, shapes["ordered"], opts); !errors.Is(err, ErrDeadlineExceeded) {
 			t.Errorf("%s/topk: expired deadline err = %v, want ErrDeadlineExceeded", pname, err)
 		}

@@ -21,9 +21,6 @@ import (
 	"skysr/internal/bench"
 )
 
-// churnRounds is the number of update batches each dataset sustains.
-const churnRounds = 5
-
 // runChurn executes the churn scenario for every configured dataset.
 func runChurn(cfg bench.Config) ([]bench.ChurnRow, error) {
 	var rows []bench.ChurnRow

@@ -44,11 +44,11 @@ import (
 const httpOverheadRounds = 3
 
 // runHTTPLoad executes the httpload scenario for every configured dataset.
-func runHTTPLoad(cfg bench.Config, ops int, workerCounts []int) ([]bench.HTTPLoadRow, []bench.HTTPOverheadRow, error) {
+func runHTTPLoad(cfg bench.Config) ([]bench.HTTPLoadRow, []bench.HTTPOverheadRow, error) {
 	var rows []bench.HTTPLoadRow
 	var overhead []bench.HTTPOverheadRow
 	for _, name := range cfg.Datasets {
-		dsRows, err := httpLoadDataset(cfg, name, ops, workerCounts)
+		dsRows, err := httpLoadDataset(cfg, name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -62,16 +62,10 @@ func runHTTPLoad(cfg bench.Config, ops int, workerCounts []int) ([]bench.HTTPLoa
 	return rows, overhead, nil
 }
 
-func httpLoadDataset(cfg bench.Config, name string, ops int, workerCounts []int) ([]bench.HTTPLoadRow, error) {
+func httpLoadDataset(cfg bench.Config, name string) ([]bench.HTTPLoadRow, error) {
 	eng, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
-	}
-	maxWorkers := 1
-	for _, w := range workerCounts {
-		if w > maxWorkers {
-			maxWorkers = w
-		}
 	}
 	reg := metrics.New()
 	srv := serve.New(eng, serve.Config{
@@ -79,7 +73,7 @@ func httpLoadDataset(cfg bench.Config, name string, ops int, workerCounts []int)
 		// Headroom above the widest worker count: the load phase measures
 		// throughput and counter exactness, not admission behaviour (the
 		// soak scenario owns contention), so nothing may queue or 429.
-		MaxConcurrent: maxWorkers + 4,
+		MaxConcurrent: httpLoadWorkers[len(httpLoadWorkers)-1] + 4,
 		Logger:        logx.Discard(),
 		Registry:      reg,
 		// Keep every trace: with sample=1 the kept counter must advance
@@ -104,8 +98,8 @@ func httpLoadDataset(cfg bench.Config, name string, ops int, workerCounts []int)
 	}
 
 	var rows []bench.HTTPLoadRow
-	for _, workers := range workerCounts {
-		row, err := httpLoadPhase(client, ts.URL, name, vias, ops, workers)
+	for _, workers := range httpLoadWorkers {
+		row, err := httpLoadPhase(client, ts.URL, name, vias, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -116,8 +110,8 @@ func httpLoadDataset(cfg bench.Config, name string, ops int, workerCounts []int)
 
 // httpLoadPhase runs one (dataset, workers) measurement: scrape, load
 // with a concurrent scraper, scrape again, compare deltas.
-func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, ops, workers int) (*bench.HTTPLoadRow, error) {
-	row := &bench.HTTPLoadRow{Dataset: dataset, Workers: workers, Ops: ops, ScrapeOK: true}
+func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, workers int) (*bench.HTTPLoadRow, error) {
+	row := &bench.HTTPLoadRow{Dataset: dataset, Workers: workers, Ops: httpLoadOps, ScrapeOK: true}
 	before, err := httpScrape(client, base)
 	if err != nil {
 		return nil, fmt.Errorf("pre-load scrape: %w", err)
@@ -150,7 +144,7 @@ func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, o
 	}()
 
 	var ok, errors atomic.Int64
-	latencies := make([]float64, ops) // microseconds, indexed by op
+	latencies := make([]float64, httpLoadOps) // microseconds, indexed by op
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	began := time.Now()
@@ -160,7 +154,7 @@ func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, o
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= ops {
+				if i >= httpLoadOps {
 					return
 				}
 				status, micros, err := httpLoadGet(client, base, vias[i%len(vias)])

@@ -39,10 +39,10 @@ import (
 const soakQueryTimeout = 5 * time.Second
 
 // runSoak executes the soak scenario for every configured dataset.
-func runSoak(cfg bench.Config, ops, workers int) ([]bench.SoakRow, error) {
+func runSoak(cfg bench.Config) ([]bench.SoakRow, error) {
 	var rows []bench.SoakRow
 	for _, name := range cfg.Datasets {
-		row, err := soakDataset(cfg, name, ops, workers)
+		row, err := soakDataset(cfg, name)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -51,7 +51,7 @@ func runSoak(cfg bench.Config, ops, workers int) ([]bench.SoakRow, error) {
 	return rows, nil
 }
 
-func soakDataset(cfg bench.Config, name string, ops, workers int) (*bench.SoakRow, error) {
+func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
 	eng, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -61,7 +61,7 @@ func soakDataset(cfg bench.Config, name string, ops, workers int) (*bench.SoakRo
 	if err != nil {
 		return nil, err
 	}
-	row := &bench.SoakRow{Dataset: name, Workers: workers, Ops: ops}
+	row := &bench.SoakRow{Dataset: name, Workers: soakWorkers, Ops: soakOps}
 
 	// Baseline before the server exists: everything started below must be
 	// gone again before the leak count is taken.
@@ -107,14 +107,14 @@ func soakDataset(cfg bench.Config, name string, ops, workers int) (*bench.SoakRo
 	began := time.Now()
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < soakWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*997))
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= ops {
+				if i >= soakOps {
 					return
 				}
 				// Jittered pacing: a zero-think-time loop degenerates into

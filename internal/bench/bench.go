@@ -11,8 +11,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"skysr/internal/core"
@@ -201,6 +203,34 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// report is the envelope every skysr-bench mode writes with -json.
+type report struct {
+	GeneratedAt string   `json:"generated_at"`
+	Scale       float64  `json:"scale"`
+	Seed        int64    `json:"seed"`
+	Datasets    []string `json:"datasets"`
+	Rows        any      `json:"rows"`
+	Overhead    any      `json:"overhead,omitempty"`
+}
+
+// WriteJSON writes one mode's rows to path in the report envelope;
+// overhead carries the httpload mode's instrumentation-overhead rows
+// beside its load rows and is nil for every other mode.
+func WriteJSON(path string, cfg Config, rows, overhead any) error {
+	data, err := json.MarshalIndent(report{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Scale:       cfg.Scale,
+		Seed:        cfg.Seed,
+		Datasets:    cfg.Datasets,
+		Rows:        rows,
+		Overhead:    overhead,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeln is a small fmt helper that ignores write errors (harness output

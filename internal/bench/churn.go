@@ -12,15 +12,11 @@ package bench
 //
 // The scenario runner lives in cmd/skysr-bench (it drives the public
 // skysr.Engine API, which this package cannot import without a cycle);
-// this file owns the row/report types, the text renderer, the JSON writer
-// (BENCH_PR3.json) and the CI gate.
+// this file owns the row type, the text renderer and the CI gate.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 )
 
 // ChurnRow is one dataset's mixed read/write measurement.
@@ -53,16 +49,6 @@ type ChurnRow struct {
 	Identical bool `json:"identical_to_fresh_engine"`
 }
 
-// ChurnReport is the machine-readable record the CI bench smoke writes
-// (BENCH_PR3.json), tracking the live-update path per PR.
-type ChurnReport struct {
-	GeneratedAt string     `json:"generated_at"`
-	Scale       float64    `json:"scale"`
-	Seed        int64      `json:"seed"`
-	Datasets    []string   `json:"datasets"`
-	Rows        []ChurnRow `json:"rows"`
-}
-
 // RenderChurn writes the churn results as a text table.
 func RenderChurn(w io.Writer, rows []ChurnRow) {
 	writeln(w, "Churn: mixed read/write serving (category-index profile; updates interleave with query rounds)")
@@ -73,22 +59,6 @@ func RenderChurn(w io.Writer, rows []ChurnRow) {
 			r.Dataset, r.Queries, r.QPS, r.FinalEpoch, r.MeanUpdateMicros,
 			r.RowsResident, r.RowsCarried, r.RowsRepaired, r.FullRebuildRows, r.Identical)
 	}
-}
-
-// WriteChurnJSON writes the report to path.
-func WriteChurnJSON(path string, cfg Config, rows []ChurnRow) error {
-	rep := ChurnReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Datasets:    cfg.Datasets,
-		Rows:        rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // CheckChurn enforces the CI gate for the live-update path: answers after

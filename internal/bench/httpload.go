@@ -12,16 +12,12 @@ package bench
 //
 // The scenario runner lives in cmd/skysr-bench (it drives skysr.Engine
 // and internal/serve, which this package cannot import without a cycle);
-// this file owns the row/report types, the text renderer, the JSON
-// writer (BENCH_PR8.json, generated in CI) and the gate.
+// this file owns the row types, the text renderer and the gate.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
-	"time"
 )
 
 // RequiredMetricNames are the families every /metrics scrape must carry;
@@ -125,17 +121,6 @@ type HTTPOverheadRow struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// HTTPLoadReport is the machine-readable record the CI httpload smoke
-// writes (BENCH_PR8.json), tracking serving-tier observability per PR.
-type HTTPLoadReport struct {
-	GeneratedAt string            `json:"generated_at"`
-	Scale       float64           `json:"scale"`
-	Seed        int64             `json:"seed"`
-	Datasets    []string          `json:"datasets"`
-	Rows        []HTTPLoadRow     `json:"rows"`
-	Overhead    []HTTPOverheadRow `json:"overhead"`
-}
-
 // RenderHTTPLoad writes the load and overhead results as text tables.
 func RenderHTTPLoad(w io.Writer, rows []HTTPLoadRow, overhead []HTTPOverheadRow) {
 	writeln(w, "HTTP load: concurrent clients vs the serving tier, /metrics scraped mid-run")
@@ -156,23 +141,6 @@ func RenderHTTPLoad(w io.Writer, rows []HTTPLoadRow, overhead []HTTPOverheadRow)
 	for _, o := range overhead {
 		writeln(w, "%-8s %7d %10.1f %12.1f %7.3f", o.Dataset, o.Rounds, o.BaseMicros, o.MeteredMicros, o.Ratio)
 	}
-}
-
-// WriteHTTPLoadJSON writes the report to path.
-func WriteHTTPLoadJSON(path string, cfg Config, rows []HTTPLoadRow, overhead []HTTPOverheadRow) error {
-	rep := HTTPLoadReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Datasets:    cfg.Datasets,
-		Rows:        rows,
-		Overhead:    overhead,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // maxOverheadRatio is the CI gate on instrumentation cost: the

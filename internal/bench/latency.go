@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"sort"
 	"time"
 
 	"skysr/internal/core"
@@ -14,46 +11,203 @@ import (
 	"skysr/internal/gen"
 	"skysr/internal/graph"
 	"skysr/internal/index"
+	"skysr/internal/route"
 	"skysr/internal/stats"
 	"skysr/internal/taxonomy"
 )
 
 // ------------------------------------------------------------- Latency
-
-// The latency experiment measures what the category-level distance index
-// buys a single serial searcher: the per-query §5.3.3 lower-bound work
-// (bounded Dijkstras, a full-graph reachability snapshot) moves to build
-// time, so median single-query latency drops while answers stay
-// byte-identical. The two serving profiles are compared on the same
-// template workload (popular category sequences from many start
-// vertices, |Sq| = 3):
 //
-//	baseline        Search with the paper's defaults (per-query bounds)
-//	category-index  §5.3.3 bounds and pruning radii from index lookups
+// The latency experiment times single-query serving variants against
+// plain BSSR (§5) with one serial searcher, the way a latency-sensitive
+// service path runs. Every variant answers the same template workload
+// (popular category sequences from many start vertices, |Sq| = 3), and
+// plain BSSR is measured once per dataset as the reference:
 //
-// One-time index build cost is excluded from the latencies and reported
-// separately, matching how a server amortizes it (build once or load the
-// sidecar, then serve).
+//	plain             Search with the paper's defaults
+//	category-index    §5.3.3 bounds and pruning radii from index lookups
+//	topk-k            ranked k-skyband enumeration, k = 1, 2, 4, 8
+//	constant-profile  every edge wrapped in a constant profile equal to
+//	                  its weight: static costs priced through the
+//	                  time-dependent metric, so the gap to plain is the
+//	                  pure metric-dispatch overhead
+//	rush-hour@f       gen.TimeProfiles on half the edges, departing at
+//	                  fraction f of the period (free flow and the peak)
+//
+// Every row runs the workload twice and keeps the faster pass: several
+// variants execute the very machine code plain does, so the gates
+// comparing them must suppress scheduler noise, not measure it. Index
+// build time is excluded, matching how a server amortizes it (build once
+// or load the sidecar, then serve).
 
-// Profile names of the latency experiment.
+// costKind selects the edge costs a latency variant runs on.
+type costKind int
+
 const (
-	ProfileBaseline      = "baseline"
-	ProfileCategoryIndex = "category-index"
+	staticCosts   costKind = iota // the preset as generated
+	constantCosts                 // constantProfileEdits
+	rushHourCosts                 // gen.TimeProfiles on half the edges
 )
 
-// LatencyProfiles lists the serving profiles in comparison order.
-func LatencyProfiles() []string {
-	return []string{ProfileBaseline, ProfileCategoryIndex}
+// latencyVariant is one row of the variant table: how the variant runs,
+// and the gate CheckLatency holds its row to.
+type latencyVariant struct {
+	name   string
+	index  bool // answer with a category index prewarmed for the workload
+	topK   int
+	costs  costKind
+	depart float64 // departure, as a fraction of the time period
+
+	maxVsPlain float64 // bound on median / plain median; 0 = ungated
+	identical  bool    // answers must be bit-identical to plain's
+	consistent bool    // the variant's cross-check must hold
+}
+
+// variantPlain names the reference row every other row is measured against.
+const variantPlain = "plain"
+
+// latencyVariants is the variant table, in measurement order. Plain comes
+// first: every later row compares against it. The top-k rows run in
+// increasing k, each cross-checked against the one before.
+var latencyVariants = []latencyVariant{
+	{name: variantPlain},
+	// Measured right after plain: its bound is the tightest relative one,
+	// and on a shared machine the rows timed later in a run drift slower.
+	{name: "constant-profile", costs: constantCosts, identical: true, maxVsPlain: 1.10},
+	{name: "category-index", index: true, identical: true, maxVsPlain: 1},
+	// k = 1 runs the classic code path; the slack absorbs runner noise.
+	{name: "topk-1", topK: 1, identical: true, consistent: true, maxVsPlain: 1.5},
+	{name: "topk-2", topK: 2, consistent: true},
+	{name: "topk-4", topK: 4, consistent: true},
+	// One top-8 query must stay cheaper than 8 plain queries; smaller k
+	// sit too close to break-even on some datasets to gate.
+	{name: "topk-8", topK: 8, consistent: true, maxVsPlain: 8},
+	{name: "rush-hour@0.05", costs: rushHourCosts, depart: 0.05, consistent: true},
+	{name: "rush-hour@0.32", costs: rushHourCosts, depart: 0.32, consistent: true},
+}
+
+// LatencyRow is one (dataset, variant) measurement.
+type LatencyRow struct {
+	Dataset      string  `json:"dataset"`
+	Variant      string  `json:"variant"`
+	Queries      int     `json:"queries"`
+	MedianMicros float64 `json:"median_us"`
+	P95Micros    float64 `json:"p95_us"`
+	MeanRoutes   float64 `json:"mean_routes"`
+
+	// VsPlain is this row's median over plain's (1 for plain itself).
+	VsPlain float64 `json:"vs_plain"`
+	// MaxVsPlain is the bound CheckLatency puts on VsPlain; 0 leaves the
+	// median ungated.
+	MaxVsPlain float64 `json:"max_vs_plain"`
+	// Identical reports that every answer matched plain's for the same
+	// query (PoI sequences and bit-equal scores).
+	Identical bool `json:"identical"`
+	// Consistent reports the variant's exactness cross-check. For topk-k,
+	// every score point of the next smaller k's answer (plain's for k = 1)
+	// survives into this one. For rush-hour, BSSR, BSSR w/o Opt and the
+	// category index agree on every score point. Variants without a
+	// cross-check report true.
+	Consistent bool `json:"consistent"`
+}
+
+// Latency measures the variant table for every configured dataset.
+func (h *Harness) Latency() ([]LatencyRow, error) {
+	const size = 3
+	const starts = 10
+	var rows []LatencyRow
+	for _, name := range h.cfg.Datasets {
+		d, err := h.Dataset(name)
+		if err != nil {
+			return nil, err
+		}
+		base, err := h.Workload(name, size)
+		if err != nil {
+			return nil, err
+		}
+		qs := templateQueries(d, base, starts, h.cfg.Seed+311)
+		seqs := compileSequences(d, qs)
+
+		byCosts := map[costKind]*dataset.Dataset{staticCosts: d}
+		var plain, smallerK []answer
+		var plainMedian float64
+		for _, v := range latencyVariants {
+			vd, ok := byCosts[v.costs]
+			if !ok {
+				if vd, err = withCosts(d, v.costs, h.cfg.Seed+313); err != nil {
+					return nil, fmt.Errorf("%s/%s: %w", name, v.name, err)
+				}
+				byCosts[v.costs] = vd
+			}
+			opts := core.DefaultOptions()
+			opts.TopK = v.topK
+			opts.DepartAt = v.depart * vd.Graph.TimePeriod()
+			if v.index {
+				opts.Index = warmIndex(vd, qs)
+			}
+			row, answers, err := timeVariant(vd, qs, seqs, opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", name, v.name, err)
+			}
+			if plain == nil {
+				plain, smallerK, plainMedian = answers, answers, row.MedianMicros
+			}
+			row.Dataset, row.Variant, row.MaxVsPlain = d.Name, v.name, v.maxVsPlain
+			row.VsPlain = row.MedianMicros / plainMedian
+			row.Identical = sameAnswers(answers, plain)
+			row.Consistent = true
+			switch {
+			case v.topK > 0:
+				row.Consistent = containsPoints(answers, smallerK)
+				smallerK = answers
+			case v.costs == rushHourCosts:
+				if row.Consistent, err = agreeAcrossConfigs(vd, qs, seqs, opts.DepartAt, answers); err != nil {
+					return nil, fmt.Errorf("%s/%s cross-check: %w", name, v.name, err)
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// timeVariant answers the workload with one serial searcher, twice, and
+// reports the pass with the lower median.
+func timeVariant(d *dataset.Dataset, qs []gen.Query, seqs []route.Sequence, opts core.Options) (LatencyRow, []answer, error) {
+	row := LatencyRow{Queries: len(qs)}
+	s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
+	answers := make([]answer, len(qs))
+	times := make([]float64, len(qs))
+	var routes int
+	for pass := 0; pass < 2; pass++ {
+		routes = 0
+		for i, q := range qs {
+			began := time.Now()
+			res, err := s.Query(q.Start, seqs[i])
+			if err != nil {
+				return row, nil, err
+			}
+			times[i] = float64(time.Since(began).Nanoseconds()) / 1000
+			answers[i] = answerOf(res)
+			routes += len(res.Routes)
+		}
+		sum := stats.Summarize(times)
+		if pass == 0 || sum.Median < row.MedianMicros {
+			row.MedianMicros, row.P95Micros = sum.Median, sum.P95
+		}
+	}
+	row.MeanRoutes = float64(routes) / float64(len(qs))
+	return row, answers, nil
 }
 
 // templateQueries builds the template workload: every base query's
-// category sequence replayed from `variants` random start vertices.
-func templateQueries(d *dataset.Dataset, base []gen.Query, variants int, seed int64) []gen.Query {
+// category sequence replayed from `starts` random start vertices.
+func templateQueries(d *dataset.Dataset, base []gen.Query, starts int, seed int64) []gen.Query {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]gen.Query, 0, len(base)*variants)
+	out := make([]gen.Query, 0, len(base)*starts)
 	n := d.Graph.NumVertices()
 	for _, q := range base {
-		for v := 0; v < variants; v++ {
+		for v := 0; v < starts; v++ {
 			out = append(out, gen.Query{Start: graph.VertexID(rng.Intn(n)), Categories: q.Categories})
 		}
 	}
@@ -61,42 +215,122 @@ func templateQueries(d *dataset.Dataset, base []gen.Query, variants int, seed in
 	return out
 }
 
-// LatencyRow is one (dataset, profile) measurement.
-type LatencyRow struct {
-	Dataset string `json:"dataset"`
-	Profile string `json:"profile"`
-	SeqSize int    `json:"seq_size"`
-	Queries int    `json:"queries"`
-
-	QPS          float64 `json:"qps"`
-	MeanMicros   float64 `json:"mean_us"`
-	MedianMicros float64 `json:"median_us"`
-	P95Micros    float64 `json:"p95_us"`
-	P99Micros    float64 `json:"p99_us"`
-
-	// Identical reports that every answer matched the baseline profile's
-	// answer for the same query (PoI sequences and bit-equal scores).
-	Identical bool `json:"identical_to_baseline"`
-	// MedianSpeedup is baseline median / this profile's median (1 for the
-	// baseline row).
-	MedianSpeedup float64 `json:"median_speedup_vs_baseline"`
-
-	// IndexBuildMillis is the one-time row build cost paid before the
-	// timed run (0 for the baseline profile).
-	IndexBuildMillis float64 `json:"index_build_ms"`
-	// IndexBytes is the index's resident row storage during the run.
-	IndexBytes int64 `json:"index_bytes"`
+// compileSequences compiles each query's category template once, the way
+// Engine.SearchWith's matcher cache does in the serving path; recompiling
+// per query would charge every variant an identical constant. Sequences
+// depend only on the forest, so they serve every cost variant of d.
+func compileSequences(d *dataset.Dataset, qs []gen.Query) []route.Sequence {
+	seqs := make([]route.Sequence, len(qs))
+	compiled := map[string]route.Sequence{}
+	for i, q := range qs {
+		key := fmt.Sprint(q.Categories)
+		seq, ok := compiled[key]
+		if !ok {
+			seq = route.NewCategorySequence(d.Forest, d.Forest.WuPalmer, q.Categories...)
+			compiled[key] = seq
+		}
+		seqs[i] = seq
+	}
+	return seqs
 }
 
-// latencyAnswer is the comparable form of one query's answer.
-type latencyAnswer struct {
+// warmIndex builds a category index over d with the workload's rows
+// prewarmed, as WarmCategoryIndex (or a sidecar load) does before serving.
+func warmIndex(d *dataset.Dataset, qs []gen.Query) *index.CategoryDistances {
+	ci := index.New(d, 0)
+	ci.EnsureRoots()
+	seen := map[taxonomy.CategoryID]bool{}
+	for _, q := range qs {
+		for _, c := range q.Categories {
+			if !seen[c] {
+				seen[c] = true
+				ci.Prewarm(c)
+			}
+		}
+	}
+	return ci
+}
+
+// withCosts returns d with its edge costs replaced as kind says.
+func withCosts(d *dataset.Dataset, kind costKind, seed int64) (*dataset.Dataset, error) {
+	var edits graph.Edits
+	switch kind {
+	case constantCosts:
+		edits = constantProfileEdits(d)
+	case rushHourCosts:
+		edits.SetProfiles = gen.TimeProfiles(d, 0.5, seed)
+	}
+	g, err := d.Graph.Apply(edits)
+	if err != nil {
+		return nil, err
+	}
+	return dataset.New(d.Name, g, d.Forest)
+}
+
+// constantProfileEdits wraps every edge of d in a constant profile equal
+// to the pair's minimum weight (parallel edges collapse onto one
+// profile, which preserves every shortest distance).
+func constantProfileEdits(d *dataset.Dataset) graph.Edits {
+	g := d.Graph
+	type pair [2]graph.VertexID
+	seen := map[pair]bool{}
+	var edits graph.Edits
+	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
+		ts, _ := g.Neighbors(u)
+		for _, v := range ts {
+			a, b := u, v
+			if !g.Directed() && a > b {
+				a, b = b, a
+			}
+			if seen[pair{a, b}] {
+				continue
+			}
+			seen[pair{a, b}] = true
+			w, _ := g.EdgeWeight(a, b)
+			edits.SetProfiles = append(edits.SetProfiles, graph.ProfileChange{
+				U: a, V: b, Profile: graph.ConstantProfile(w),
+			})
+		}
+	}
+	return edits
+}
+
+// agreeAcrossConfigs answers the workload with BSSR w/o Opt and with the
+// category index at the same departure, and reports whether both agree
+// with ref (BSSR's answers) on every (length, semantic) point, bit for
+// bit. Only score points are compared: the skyline contract guarantees
+// one representative route per achieved point, and when two distinct
+// routes tie on a point exactly, which one survives depends on
+// exploration order — a legitimate difference between configurations,
+// not an exactness violation.
+func agreeAcrossConfigs(d *dataset.Dataset, qs []gen.Query, seqs []route.Sequence, depart float64, ref []answer) (bool, error) {
+	withIdx := core.DefaultOptions()
+	withIdx.Index = warmIndex(d, qs)
+	for _, opts := range []core.Options{core.WithoutOptimizations(), withIdx} {
+		opts.DepartAt = depart
+		s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
+		for i, q := range qs {
+			res, err := s.Query(q.Start, seqs[i])
+			if err != nil {
+				return false, err
+			}
+			if !answerOf(res).sameScores(ref[i]) {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
+// answer is the comparable form of one query's answer.
+type answer struct {
 	lengths  []float64
 	sems     []float64
 	poiLists [][]int32
 }
 
-func answerOf(res *core.Result) latencyAnswer {
-	var a latencyAnswer
+func answerOf(res *core.Result) answer {
+	var a answer
 	for _, r := range res.Routes {
 		a.lengths = append(a.lengths, r.Length())
 		a.sems = append(a.sems, r.Semantic())
@@ -106,9 +340,8 @@ func answerOf(res *core.Result) latencyAnswer {
 }
 
 // sameScores compares only the (length, semantic) score points,
-// bit-exactly — the part of the answer the exactness guarantee covers
-// when distinct routes tie on a point (see checkConsistency).
-func (a latencyAnswer) sameScores(b latencyAnswer) bool {
+// bit-exactly.
+func (a answer) sameScores(b answer) bool {
 	if len(a.lengths) != len(b.lengths) {
 		return false
 	}
@@ -120,14 +353,12 @@ func (a latencyAnswer) sameScores(b latencyAnswer) bool {
 	return true
 }
 
-func (a latencyAnswer) equal(b latencyAnswer) bool {
-	if len(a.lengths) != len(b.lengths) {
+// equal compares score points bit-exactly and the routes' PoI sequences.
+func (a answer) equal(b answer) bool {
+	if !a.sameScores(b) {
 		return false
 	}
-	for i := range a.lengths {
-		if a.lengths[i] != b.lengths[i] || a.sems[i] != b.sems[i] {
-			return false
-		}
+	for i := range a.poiLists {
 		if len(a.poiLists[i]) != len(b.poiLists[i]) {
 			return false
 		}
@@ -140,47 +371,7 @@ func (a latencyAnswer) equal(b latencyAnswer) bool {
 	return true
 }
 
-// Latency runs the serving-profile comparison for every configured dataset.
-func (h *Harness) Latency() ([]LatencyRow, error) {
-	const size = 3
-	const variants = 10
-	var rows []LatencyRow
-	for _, name := range h.cfg.Datasets {
-		d, err := h.Dataset(name)
-		if err != nil {
-			return nil, err
-		}
-		base, err := h.Workload(name, size)
-		if err != nil {
-			return nil, err
-		}
-		qs := templateQueries(d, base, variants, h.cfg.Seed+211)
-
-		var baseline []latencyAnswer
-		var baselineMedian float64
-		for _, profile := range LatencyProfiles() {
-			row, answers, err := runLatencyProfile(d, qs, profile, size)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, profile, err)
-			}
-			if profile == ProfileBaseline {
-				baseline = answers
-				baselineMedian = row.MedianMicros
-				row.Identical = true
-				row.MedianSpeedup = 1
-			} else {
-				row.Identical = sameAnswers(answers, baseline)
-				if row.MedianMicros > 0 {
-					row.MedianSpeedup = baselineMedian / row.MedianMicros
-				}
-			}
-			rows = append(rows, *row)
-		}
-	}
-	return rows, nil
-}
-
-func sameAnswers(a, b []latencyAnswer) bool {
+func sameAnswers(a, b []answer) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -192,137 +383,84 @@ func sameAnswers(a, b []latencyAnswer) bool {
 	return true
 }
 
-// runLatencyProfile times one profile over the workload with a single
-// serial searcher, the way a latency-sensitive service path runs.
-func runLatencyProfile(d *dataset.Dataset, qs []gen.Query, profile string, size int) (*LatencyRow, []latencyAnswer, error) {
-	opts := core.DefaultOptions()
-	row := &LatencyRow{Dataset: d.Name, Profile: profile, SeqSize: size, Queries: len(qs)}
-
-	switch profile {
-	case ProfileBaseline:
-	case ProfileCategoryIndex:
-		buildBegan := time.Now()
-		ci := index.New(d, 0)
-		ci.EnsureRoots()
-		// Prewarm the workload's category rows, as WarmCategoryIndex (or a
-		// sidecar load) would before serving.
-		seen := map[taxonomy.CategoryID]bool{}
-		for _, q := range qs {
-			for _, c := range q.Categories {
-				if !seen[c] {
-					seen[c] = true
-					ci.Prewarm(c)
+// containsPoints reports that, query by query, every (length, semantic)
+// point of sub appears in sup — the top-k band-monotonicity check.
+// Lengths compare with closeEnough rather than bit equality: the k = 1
+// run keeps the Lemma 5.5 path filter while k > 1 runs must not, and the
+// two traversals may tie-break equal-length shortest paths differently,
+// shifting a route length by an ULP. Semantic scores are products of the
+// same similarities either way and must match exactly.
+func containsPoints(sup, sub []answer) bool {
+	if len(sup) != len(sub) {
+		return false
+	}
+	for i := range sub {
+		for j := range sub[i].lengths {
+			found := false
+			for m := range sup[i].lengths {
+				if closeEnough(sup[i].lengths[m], sub[i].lengths[j]) && sup[i].sems[m] == sub[i].sems[j] {
+					found = true
+					break
 				}
 			}
+			if !found {
+				return false
+			}
 		}
-		opts.Index = ci
-		row.IndexBuildMillis = float64(time.Since(buildBegan).Microseconds()) / 1000
-		row.IndexBytes = ci.MemoryFootprintBytes()
-	default:
-		return nil, nil, fmt.Errorf("unknown profile %q", profile)
 	}
-
-	// Compile each category template once, the way Engine.SearchWith's
-	// matcher cache does in the real serving path; recompiling per query
-	// would charge both profiles an identical constant and understate the
-	// serving-path difference.
-	seqs := compileSequences(d, qs)
-
-	s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-	answers := make([]latencyAnswer, len(qs))
-	times := make([]float64, len(qs))
-	began := time.Now()
-	for i, q := range qs {
-		qBegan := time.Now()
-		res, err := s.Query(q.Start, seqs[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		times[i] = float64(time.Since(qBegan).Nanoseconds()) / 1000
-		answers[i] = answerOf(res)
-	}
-	elapsed := time.Since(began)
-
-	sum := stats.Summarize(times)
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	row.QPS = float64(len(qs)) / elapsed.Seconds()
-	row.MeanMicros = sum.Mean
-	row.MedianMicros = sum.Median
-	row.P95Micros = sum.P95
-	row.P99Micros = stats.Percentile(sorted, 99)
-	return row, answers, nil
+	return true
 }
 
-// RenderLatency writes the comparison as a text table.
+// RenderLatency writes the variant table as text.
 func RenderLatency(w io.Writer, rows []LatencyRow) {
-	writeln(w, "Latency: single-query serving profiles (template workload, |Sq| = 3; index build excluded)")
-	writeln(w, "%-8s %-15s %8s %10s %10s %10s %9s %10s %11s", "Dataset", "Profile", "queries", "median", "p99", "qps", "speedup", "identical", "index-build")
+	writeln(w, "Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)")
+	writeln(w, "%-8s %-16s %7s %10s %10s %7s %9s %7s %10s %11s",
+		"Dataset", "Variant", "queries", "median", "p95", "routes", "vs-plain", "max", "identical", "consistent")
 	for _, r := range rows {
-		writeln(w, "%-8s %-15s %8d %9.0fµs %9.0fµs %10.0f %8.2fx %10v %9.1fms",
-			r.Dataset, r.Profile, r.Queries, r.MedianMicros, r.P99Micros, r.QPS,
-			r.MedianSpeedup, r.Identical, r.IndexBuildMillis)
+		bound := "-"
+		if r.MaxVsPlain > 0 {
+			bound = fmt.Sprintf("%.2fx", r.MaxVsPlain)
+		}
+		writeln(w, "%-8s %-16s %7d %9.0fµs %9.0fµs %7.1f %8.2fx %7s %10v %11v",
+			r.Dataset, r.Variant, r.Queries, r.MedianMicros, r.P95Micros, r.MeanRoutes,
+			r.VsPlain, bound, r.Identical, r.Consistent)
 	}
 }
 
-// LatencyReport is the machine-readable record the CI bench smoke writes
-// (BENCH_PR2.json), so the performance trajectory is tracked per PR.
-type LatencyReport struct {
-	GeneratedAt string  `json:"generated_at"`
-	Scale       float64 `json:"scale"`
-	Seed        int64   `json:"seed"`
-	// QueriesPerPoint is the measured sample size of each row (the
-	// configured workload times the start-vertex variants).
-	QueriesPerPoint int          `json:"queries_per_point"`
-	Datasets        []string     `json:"datasets"`
-	Rows            []LatencyRow `json:"rows"`
-}
-
-// WriteLatencyJSON writes the report to path.
-func WriteLatencyJSON(path string, cfg Config, rows []LatencyRow) error {
-	rep := LatencyReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Datasets:    cfg.Datasets,
-		Rows:        rows,
-	}
-	if len(rows) > 0 {
-		rep.QueriesPerPoint = rows[0].Queries
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// CheckLatency enforces the CI gate: on every dataset the category-index
-// profile must return identical answers and must not be slower than the
-// baseline profile at the median.
+// CheckLatency enforces the variant table's gates on every dataset: each
+// variant's row must be present, answers must be identical to plain where
+// the table requires it, every cross-check the table requires must hold,
+// and no gated median may exceed its bound times plain's median.
 func CheckLatency(rows []LatencyRow) error {
 	byDataset := map[string]map[string]LatencyRow{}
 	for _, r := range rows {
 		if byDataset[r.Dataset] == nil {
 			byDataset[r.Dataset] = map[string]LatencyRow{}
 		}
-		byDataset[r.Dataset][r.Profile] = r
+		byDataset[r.Dataset][r.Variant] = r
 	}
-	for ds, profiles := range byDataset {
-		base, ok := profiles[ProfileBaseline]
-		if !ok {
-			return fmt.Errorf("latency check: dataset %s has no baseline row", ds)
-		}
-		cat, ok := profiles[ProfileCategoryIndex]
-		if !ok {
-			return fmt.Errorf("latency check: dataset %s has no category-index row", ds)
-		}
-		if !cat.Identical {
-			return fmt.Errorf("latency check: %s category-index answers differ from baseline", ds)
-		}
-		if cat.MedianMicros > base.MedianMicros {
-			return fmt.Errorf("latency check: %s category-index median %.0fµs slower than baseline %.0fµs",
-				ds, cat.MedianMicros, base.MedianMicros)
+	if len(byDataset) == 0 {
+		return fmt.Errorf("latency check: no rows")
+	}
+	for ds, got := range byDataset {
+		// Plain heads the table, so a missing plain row fails before any
+		// median is compared with it.
+		plain := got[variantPlain]
+		for _, v := range latencyVariants {
+			r, ok := got[v.name]
+			switch {
+			case !ok:
+				return fmt.Errorf("latency check: dataset %s has no %s row", ds, v.name)
+			case v.identical && !r.Identical:
+				return fmt.Errorf("latency check: %s %s answers differ from plain", ds, v.name)
+			case v.consistent && !r.Consistent && v.topK > 0:
+				return fmt.Errorf("latency check: %s %s lost score points of the smaller k's answer", ds, v.name)
+			case v.consistent && !r.Consistent:
+				return fmt.Errorf("latency check: %s %s answers differ across BSSR, BSSR w/o Opt and category-index", ds, v.name)
+			case v.maxVsPlain > 0 && r.MedianMicros > v.maxVsPlain*plain.MedianMicros:
+				return fmt.Errorf("latency check: %s %s median %.0fµs exceeds %.2fx plain's %.0fµs",
+					ds, v.name, r.MedianMicros, v.maxVsPlain, plain.MedianMicros)
+			}
 		}
 	}
 	return nil

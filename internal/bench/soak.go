@@ -10,15 +10,12 @@ package bench
 //
 // The scenario runner lives in cmd/skysr-bench (it drives the public
 // skysr.Engine API and internal/serve, which this package cannot import
-// without a cycle); this file owns the row/report types, the text
-// renderer, the JSON writer (BENCH_PR7.json) and the CI gate.
+// without a cycle); this file owns the row type, the text renderer and
+// the CI gate.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"time"
 )
 
 // SoakRow is one dataset's soak measurement.
@@ -56,16 +53,6 @@ type SoakRow struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
-// SoakReport is the machine-readable record the CI soak smoke writes
-// (BENCH_PR7.json), tracking the serving tier's robustness per PR.
-type SoakReport struct {
-	GeneratedAt string    `json:"generated_at"`
-	Scale       float64   `json:"scale"`
-	Seed        int64     `json:"seed"`
-	Datasets    []string  `json:"datasets"`
-	Rows        []SoakRow `json:"rows"`
-}
-
 // RenderSoak writes the soak results as a text table.
 func RenderSoak(w io.Writer, rows []SoakRow) {
 	writeln(w, "Soak: fault-injected HTTP serving (mixed query/update/cancel traffic; recovery asserted after the storm)")
@@ -78,22 +65,6 @@ func RenderSoak(w io.Writer, rows []SoakRow) {
 			r.ServerPanics, r.ClientCancels, r.Updates, r.LeakedGoroutines, r.LiveSnapshots,
 			r.Identical, traced, r.DurationMS)
 	}
-}
-
-// WriteSoakJSON writes the report to path.
-func WriteSoakJSON(path string, cfg Config, rows []SoakRow) error {
-	rep := SoakReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Datasets:    cfg.Datasets,
-		Rows:        rows,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // CheckSoak enforces the CI gate for the serving tier's robustness: after

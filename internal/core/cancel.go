@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Typed cancellation errors. The public skysr package re-exports them as
@@ -18,29 +17,27 @@ var (
 	// Options.Context was cancelled.
 	ErrCancelled = errors.New("search cancelled")
 	// ErrDeadlineExceeded reports a search abandoned because its
-	// Options.Deadline (or its context's deadline) passed.
+	// Options.Context's deadline passed.
 	ErrDeadlineExceeded = errors.New("search deadline exceeded")
 )
 
 // cancelStride is the amortized check interval: the hot loops consult the
-// clock and context once per this many pops/settles, so a fault-free
-// query pays one branch and a decrement per unit of work.
+// context once per this many pops/settles, so a fault-free query pays one
+// branch and a decrement per unit of work.
 const cancelStride = 1024
 
 // canceller is the per-query cancellation state. A query with no Context
-// and no Deadline leaves it inert (on == false), keeping every classic
-// code path byte-identical. Once an observation trips — err becomes
-// non-nil — it stays tripped for the rest of the query: every loop that
-// polls the canceller unwinds, and the query returns the typed error with
-// whatever Stats accumulated.
+// leaves it inert (on == false), keeping every classic code path
+// byte-identical. Once an observation trips — err becomes non-nil — it
+// stays tripped for the rest of the query: every loop that polls the
+// canceller unwinds, and the query returns the typed error with whatever
+// Stats accumulated.
 type canceller struct {
-	on          bool
-	ctx         context.Context
-	deadline    time.Time
-	hasDeadline bool
-	budget      int
-	err         error
-	haltFn      func() bool // cached tick closure for dijkstra.Options.Halt
+	on     bool
+	ctx    context.Context
+	budget int
+	err    error
+	haltFn func() bool // cached tick closure for dijkstra.Options.Halt
 }
 
 // initCancel establishes the canceller from the query options and
@@ -49,9 +46,7 @@ type canceller struct {
 // graph traversal runs.
 func (s *Searcher) initCancel() error {
 	c := &s.cc
-	*c = canceller{ctx: s.opts.Context, deadline: s.opts.Deadline}
-	c.hasDeadline = !c.deadline.IsZero()
-	c.on = c.ctx != nil || c.hasDeadline
+	*c = canceller{ctx: s.opts.Context, on: s.opts.Context != nil}
 	if !c.on {
 		return nil
 	}
@@ -65,7 +60,7 @@ func (s *Searcher) initCancel() error {
 func (c *canceller) cancelled() bool { return c.err != nil }
 
 // tick is the amortized hot-path check: most calls cost one branch and a
-// decrement; every cancelStride-th call consults the clock and context.
+// decrement; every cancelStride-th call consults the context.
 // It reports true once the query is cancelled.
 func (c *canceller) tick() bool {
 	if !c.on {
@@ -82,11 +77,11 @@ func (c *canceller) tick() bool {
 	return c.checkNow()
 }
 
-// checkpoint consults the context and deadline immediately, skipping the
-// stride. The per-run entry points (each modified Dijkstra, each
-// destination leg, each NNinit stage) use it, so on small graphs — where
-// a whole query performs fewer than cancelStride units of work —
-// cancellation is still observed within one run.
+// checkpoint consults the context immediately, skipping the stride. The
+// per-run entry points (each modified Dijkstra, each destination leg,
+// each NNinit stage) use it, so on small graphs — where a whole query
+// performs fewer than cancelStride units of work — cancellation is still
+// observed within one run.
 func (c *canceller) checkpoint() bool {
 	if !c.on {
 		return false
@@ -99,18 +94,12 @@ func (c *canceller) checkNow() bool {
 	if c.err != nil {
 		return true
 	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				c.err = fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
-			} else {
-				c.err = fmt.Errorf("%w: %w", ErrCancelled, err)
-			}
-			return true
+	if err := c.ctx.Err(); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			c.err = fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
+		} else {
+			c.err = fmt.Errorf("%w: %w", ErrCancelled, err)
 		}
-	}
-	if c.hasDeadline && !time.Now().Before(c.deadline) {
-		c.err = ErrDeadlineExceeded
 		return true
 	}
 	return false

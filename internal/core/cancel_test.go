@@ -36,8 +36,10 @@ func TestPreExpiredDeadlineCore(t *testing.T) {
 	d := randomDataset(rng, f, 20, 16)
 	cats := pickCats(rng, f, 3)
 
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
 	opts := DefaultOptions()
-	opts.Deadline = time.Now().Add(-time.Second)
+	opts.Context = expired
 	s := NewSearcher(d, f.WuPalmer, opts)
 	res, err := s.QueryCategories(0, cats...)
 	if !errors.Is(err, ErrDeadlineExceeded) {
@@ -186,8 +188,10 @@ func TestDeadlineTripsMidSearch(t *testing.T) {
 
 	restore := faults.Set(faults.MDijkstraRun, func(int64) { time.Sleep(3 * time.Millisecond) })
 	defer restore()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Millisecond))
+	defer cancel()
 	opts := DefaultOptions()
-	opts.Deadline = time.Now().Add(time.Millisecond)
+	opts.Context = ctx
 	s := NewSearcher(d, f.WuPalmer, opts)
 	res, err := s.QueryCategories(graph.VertexID(0), cats...)
 	if !errors.Is(err, ErrDeadlineExceeded) {

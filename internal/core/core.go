@@ -131,15 +131,9 @@ type Options struct {
 	// Context, when non-nil, is observed by every search loop: once it is
 	// cancelled the query unwinds within one check stride (see
 	// cancel.go), returning ErrCancelled (or ErrDeadlineExceeded for a
-	// context deadline) with partial Stats. A nil Context with a zero
-	// Deadline leaves every code path byte-identical to the classic
-	// engine.
+	// context deadline) with partial Stats. A nil Context leaves every
+	// code path byte-identical to the classic engine.
 	Context context.Context
-
-	// Deadline, when non-zero, is an absolute wall-clock cutoff enforced
-	// the same way as a context deadline, without requiring a context.
-	// When both are set, whichever trips first wins.
-	Deadline time.Time
 }
 
 // DefaultOptions is full BSSR: all four optimizations on.
@@ -243,7 +237,7 @@ type Searcher struct {
 	revLegWS *dijkstra.Workspace
 
 	// cc is the per-query cancellation state (cancel.go); inert unless
-	// Options.Context or Options.Deadline is set.
+	// Options.Context is set.
 	cc canceller
 
 	// span/legs are the per-query explain state (tracespan.go); nil

@@ -10,10 +10,13 @@ package skysr
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"skysr/internal/core"
+	"skysr/internal/faults"
 	"skysr/internal/metrics"
 )
 
@@ -181,8 +184,11 @@ func TestMetricsNaiveBaselinesUnobserved(t *testing.T) {
 	assertCounter(t, samples, "skysr_search_total", 1)
 }
 
-// TestMetricsInterruptedSearchCounted verifies a cancelled search is
-// observed with its flag set and its partial work still folded.
+// TestMetricsInterruptedSearchCounted verifies a search interrupted
+// inside the core is observed with its flag set. The deadline must trip
+// mid-search, not in the pre-dispatch check (which refuses the search
+// before anything is observed), so the first modified-Dijkstra run waits
+// it out.
 func TestMetricsInterruptedSearchCounted(t *testing.T) {
 	eng, err := Generate("tokyo", 0.05, 7)
 	if err != nil {
@@ -195,12 +201,17 @@ func TestMetricsInterruptedSearchCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := SearchOptions{Deadline: time.Now().Add(time.Nanosecond)}
-	_, err = eng.SearchWith(queries[0], opts)
-	if err == nil {
-		t.Skip("deadline did not trip — search finished before the first checkpoint")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	restore := faults.Set(faults.MDijkstraRun, func(int64) { <-ctx.Done() })
+	defer restore()
+	if _, err := eng.SearchWith(queries[0], SearchOptions{Context: ctx}); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 	samples := scrapeRegistry(t, reg)
+	if samples["skysr_search_total"] < 1 {
+		t.Fatal("the interrupted search was never observed")
+	}
 	if samples["skysr_search_interrupted_total"] != samples["skysr_search_total"] {
 		t.Errorf("interrupted = %v, searches = %v; a deadline-killed search must count as both",
 			samples["skysr_search_interrupted_total"], samples["skysr_search_total"])

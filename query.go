@@ -219,7 +219,7 @@ var (
 	// SearchOptions.Context was cancelled.
 	ErrSearchCancelled = core.ErrCancelled
 	// ErrDeadlineExceeded reports a search abandoned because its
-	// SearchOptions.Deadline (or its context's deadline) passed.
+	// SearchOptions.Context's deadline passed.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 )
 
@@ -275,18 +275,13 @@ type SearchOptions struct {
 	// remain fully usable afterwards. The naive baselines check it only
 	// before starting. A nil Context costs nothing.
 	Context context.Context
-	// Deadline, when non-zero, is an absolute wall-clock cutoff enforced
-	// like a context deadline without requiring a context; past it the
-	// search returns ErrDeadlineExceeded the same way. When both Context
-	// and Deadline are set, whichever trips first wins.
-	Deadline time.Time
 }
 
-// interrupted reports whether the options are already cancelled or past
-// deadline, as the search core would report it. It is the pre-dispatch
-// check: algorithms that do not thread cancellation internally (the naive
-// baselines) still refuse to start, in O(1), once their caller has given
-// up.
+// interrupted reports whether the options' context is already cancelled
+// or past its deadline, as the search core would report it. It is the
+// pre-dispatch check: algorithms that do not thread cancellation
+// internally (the naive baselines) still refuse to start, in O(1), once
+// their caller has given up.
 func (o SearchOptions) interrupted() error {
 	if o.Context != nil {
 		if err := o.Context.Err(); err != nil {
@@ -295,9 +290,6 @@ func (o SearchOptions) interrupted() error {
 			}
 			return fmt.Errorf("%w: %w", ErrSearchCancelled, err)
 		}
-	}
-	if !o.Deadline.IsZero() && !time.Now().Before(o.Deadline) {
-		return ErrDeadlineExceeded
 	}
 	return nil
 }
@@ -499,7 +491,6 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 		copts.TopK = opts.TopK
 		copts.DepartAt = opts.DepartAt
 		copts.Context = opts.Context
-		copts.Deadline = opts.Deadline
 		// A trace carried by the context (serve's sampled requests,
 		// skysr-query -trace) receives the query's explain span tree.
 		if sp := trace.SpanFromContext(opts.Context); sp != nil {
