@@ -34,8 +34,10 @@ import (
 //	rush-hour@f       gen.TimeProfiles on half the edges, departing at
 //	                  fraction f of the period (free flow and the peak)
 //
-// Every row runs the workload twice and keeps the faster pass: several
-// variants execute the very machine code plain does, so the gates
+// Each pass times the variants round-robin per query — query i on every
+// variant, in table order, before query i+1 — so drift on a shared
+// machine hits every row alike. Every row keeps the faster of two passes:
+// several variants execute the very machine code plain does, so the gates
 // comparing them must suppress scheduler noise, not measure it. Index
 // build time is excluded, matching how a server amortizes it (build once
 // or load the sidecar, then serve).
@@ -71,8 +73,6 @@ const variantPlain = "plain"
 // increasing k, each cross-checked against the one before.
 var latencyVariants = []latencyVariant{
 	{name: variantPlain},
-	// Measured right after plain: its bound is the tightest relative one,
-	// and on a shared machine the rows timed later in a run drift slower.
 	{name: "constant-profile", costs: constantCosts, identical: true, maxVsPlain: 1.10},
 	{name: "category-index", index: true, identical: true, maxVsPlain: 1},
 	// k = 1 runs the classic code path; the slack absorbs runner noise.
@@ -129,9 +129,8 @@ func (h *Harness) Latency() ([]LatencyRow, error) {
 		seqs := compileSequences(d, qs)
 
 		byCosts := map[costKind]*dataset.Dataset{staticCosts: d}
-		var plain, smallerK []answer
-		var plainMedian float64
-		for _, v := range latencyVariants {
+		runs := make([]*variantRun, len(latencyVariants))
+		for j, v := range latencyVariants {
 			vd, ok := byCosts[v.costs]
 			if !ok {
 				if vd, err = withCosts(d, v.costs, h.cfg.Seed+313); err != nil {
@@ -145,23 +144,26 @@ func (h *Harness) Latency() ([]LatencyRow, error) {
 			if v.index {
 				opts.Index = warmIndex(vd, qs)
 			}
-			row, answers, err := timeVariant(vd, qs, seqs, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, v.name, err)
-			}
-			if plain == nil {
-				plain, smallerK, plainMedian = answers, answers, row.MedianMicros
-			}
+			runs[j] = &variantRun{v: v, d: vd, depart: opts.DepartAt, s: core.NewSearcher(vd, vd.Forest.WuPalmer, opts)}
+		}
+		if err := timeRoundRobin(runs, qs, seqs); err != nil {
+			return nil, fmt.Errorf("%s/%w", name, err)
+		}
+
+		plain := runs[0]
+		smallerK := plain.answers
+		for _, run := range runs {
+			v, row := run.v, run.row
 			row.Dataset, row.Variant, row.MaxVsPlain = d.Name, v.name, v.maxVsPlain
-			row.VsPlain = row.MedianMicros / plainMedian
-			row.Identical = sameAnswers(answers, plain)
+			row.VsPlain = row.MedianMicros / plain.row.MedianMicros
+			row.Identical = sameAnswers(run.answers, plain.answers)
 			row.Consistent = true
 			switch {
 			case v.topK > 0:
-				row.Consistent = containsPoints(answers, smallerK)
-				smallerK = answers
+				row.Consistent = containsPoints(run.answers, smallerK)
+				smallerK = run.answers
 			case v.costs == rushHourCosts:
-				if row.Consistent, err = agreeAcrossConfigs(vd, qs, seqs, opts.DepartAt, answers); err != nil {
+				if row.Consistent, err = agreeAcrossConfigs(run.d, qs, seqs, run.depart, run.answers); err != nil {
 					return nil, fmt.Errorf("%s/%s cross-check: %w", name, v.name, err)
 				}
 			}
@@ -171,33 +173,53 @@ func (h *Harness) Latency() ([]LatencyRow, error) {
 	return rows, nil
 }
 
-// timeVariant answers the workload with one serial searcher, twice, and
-// reports the pass with the lower median.
-func timeVariant(d *dataset.Dataset, qs []gen.Query, seqs []route.Sequence, opts core.Options) (LatencyRow, []answer, error) {
-	row := LatencyRow{Queries: len(qs)}
-	s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-	answers := make([]answer, len(qs))
-	times := make([]float64, len(qs))
-	var routes int
+// variantRun is one variant's searcher and what timing it records.
+type variantRun struct {
+	v       latencyVariant
+	d       *dataset.Dataset
+	depart  float64 // absolute departure time
+	s       *core.Searcher
+	answers []answer
+	times   []float64 // µs per query in the current pass
+	row     LatencyRow
+}
+
+// timeRoundRobin answers the workload on every variant, twice. Within a
+// pass it times query i on each variant in turn before query i+1, and
+// each variant keeps the pass with the lower median.
+func timeRoundRobin(runs []*variantRun, qs []gen.Query, seqs []route.Sequence) error {
+	for _, run := range runs {
+		run.answers = make([]answer, len(qs))
+		run.times = make([]float64, len(qs))
+		run.row = LatencyRow{Queries: len(qs)}
+	}
 	for pass := 0; pass < 2; pass++ {
-		routes = 0
 		for i, q := range qs {
-			began := time.Now()
-			res, err := s.Query(q.Start, seqs[i])
-			if err != nil {
-				return row, nil, err
+			for _, run := range runs {
+				began := time.Now()
+				res, err := run.s.Query(q.Start, seqs[i])
+				if err != nil {
+					return fmt.Errorf("%s: %w", run.v.name, err)
+				}
+				run.times[i] = float64(time.Since(began).Nanoseconds()) / 1000
+				run.answers[i] = answerOf(res)
 			}
-			times[i] = float64(time.Since(began).Nanoseconds()) / 1000
-			answers[i] = answerOf(res)
-			routes += len(res.Routes)
 		}
-		sum := stats.Summarize(times)
-		if pass == 0 || sum.Median < row.MedianMicros {
-			row.MedianMicros, row.P95Micros = sum.Median, sum.P95
+		for _, run := range runs {
+			sum := stats.Summarize(run.times)
+			if pass == 0 || sum.Median < run.row.MedianMicros {
+				run.row.MedianMicros, run.row.P95Micros = sum.Median, sum.P95
+			}
 		}
 	}
-	row.MeanRoutes = float64(routes) / float64(len(qs))
-	return row, answers, nil
+	for _, run := range runs {
+		routes := 0
+		for _, a := range run.answers {
+			routes += len(a.lengths)
+		}
+		run.row.MeanRoutes = float64(routes) / float64(len(qs))
+	}
+	return nil
 }
 
 // templateQueries builds the template workload: every base query's

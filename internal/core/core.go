@@ -417,26 +417,8 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		s.opts.DisablePathFilter = true
 		defer func() { s.opts.DisablePathFilter = false }()
 	}
-	s.seq = seq
-	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
-	s.sky = s.newResultSet()
-	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
-	s.cache = nil
-	if s.opts.Caching {
-		s.cache = make(map[cacheKey]*cacheEntry)
-	}
-	s.bounds = nil
-	s.destDist = nil
-	s.posTree = make([]taxonomy.TreeID, len(seq))
-	for i, m := range seq {
-		s.posTree[i] = -1
-		if c, ok := m.(*route.Category); ok {
-			s.posTree[i] = s.d.Forest.Tree(c.ID())
-		}
-	}
-	s.prepareIndexRows()
+	s.resetQuery(seq)
 	s.initTrace(true)
-	s.ws.ResetStats()
 	if dest != graph.NoVertex {
 		s.dest = dest
 		s.computeDestDistances(dest)
@@ -515,6 +497,31 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		return &Result{Stats: s.stats}, err
 	}
 	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
+}
+
+// resetQuery arms the per-query state every entry point shares: the
+// sequence, scorer, result set, counters, on-the-fly cache, per-position
+// trees and index rows.
+func (s *Searcher) resetQuery(seq route.Sequence) {
+	s.seq = seq
+	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
+	s.sky = s.newResultSet()
+	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: s.opts.effectiveTopK()}
+	s.cache = nil
+	if s.opts.Caching {
+		s.cache = make(map[cacheKey]*cacheEntry)
+	}
+	s.bounds = nil
+	s.destDist = nil
+	s.posTree = make([]taxonomy.TreeID, len(seq))
+	for i, m := range seq {
+		s.posTree[i] = -1
+		if c, ok := m.(*route.Category); ok {
+			s.posTree[i] = s.d.Forest.Tree(c.ID())
+		}
+	}
+	s.prepareIndexRows()
+	s.ws.ResetStats()
 }
 
 // noteTopKPop counts the pops a k > 1 run performs beyond what a k = 1

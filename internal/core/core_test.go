@@ -39,6 +39,36 @@ func randomDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int) *data
 	return dataset.MustNew("rand", b.Build(), f)
 }
 
+// randomDirectedDataset is randomDataset on a directed network: a random
+// spanning tree with an arc each way keeps every vertex reachable, the
+// extra arcs are one-way, and every arc carries its own weight.
+func randomDirectedDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int) *dataset.Dataset {
+	b := graph.NewBuilder(true)
+	for i := 0; i < vertices; i++ {
+		b.AddVertex(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()})
+	}
+	both := func(u, v graph.VertexID, lo, spread float64) {
+		b.AddEdge(u, v, lo+rng.Float64()*spread)
+		b.AddEdge(v, u, lo+rng.Float64()*spread)
+	}
+	for i := 1; i < vertices; i++ {
+		both(graph.VertexID(i), graph.VertexID(rng.Intn(i)), 1, 9)
+	}
+	for e := 0; e < vertices; e++ {
+		u, v := rng.Intn(vertices), rng.Intn(vertices)
+		if u != v {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v), 1+rng.Float64()*9)
+		}
+	}
+	leaves := f.Leaves()
+	for i := 0; i < pois; i++ {
+		attach := graph.VertexID(rng.Intn(vertices))
+		p := b.AddPoI(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()}, leaves[rng.Intn(len(leaves))])
+		both(attach, p, 0.1, 1)
+	}
+	return dataset.MustNew("rand-directed", b.Build(), f)
+}
+
 func pickCats(rng *rand.Rand, f *taxonomy.Forest, n int) []taxonomy.CategoryID {
 	leaves := f.Leaves()
 	out := make([]taxonomy.CategoryID, n)

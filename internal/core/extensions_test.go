@@ -1,37 +1,80 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"skysr/internal/gen"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
 
+// TestUnorderedMatchesBruteForce: every optimization variant returns the
+// brute-force unordered skyline with and without the category index, on
+// undirected and directed random networks, and its top-k bands (k = 2, 3)
+// are the same with the index as without. Three-position sequences keep
+// two positions open after the first visit, where the index bound's max
+// over open positions and a sum of their rows differ. Every run times its
+// modified-Dijkstra stage, index runs report IndexCovered, and the index
+// bound must prune somewhere, or the index-on trials would check nothing.
 func TestUnorderedMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
 	f := taxonomy.Generated(3, 2, 3)
-	for trial := 0; trial < 10; trial++ {
-		d := randomDataset(rng, f, 14, 10)
-		cats := pickCats(rng, f, 2)
-		start := graph.VertexID(rng.Intn(14))
-		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceUnordered(d, start, seq, route.AggProduct)
-		for name, opts := range optionVariants() {
-			s := NewSearcher(d, f.WuPalmer, opts)
-			res, err := s.QueryUnordered(start, seq)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	var prunedByIndex int64
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(97))
+		build, trials := randomDataset, 150
+		if directed {
+			build, trials = randomDirectedDataset, 50
+		}
+		for trial := 0; trial < trials; trial++ {
+			d := build(rng, f, 16, 12)
+			idx := index.New(d, 0)
+			cats := pickCats(rng, f, 2+rng.Intn(2))
+			start := graph.VertexID(rng.Intn(16))
+			seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+			want := osr.BruteForceUnordered(d, start, seq, route.AggProduct)
+			run := func(opts Options, ci *index.CategoryDistances, k int) *Result {
+				t.Helper()
+				opts.Index, opts.TopK = ci, k
+				res, err := NewSearcher(d, f.WuPalmer, opts).QueryUnordered(start, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				if st.MDijkstraRuns > 0 && (st.MDijkstraTime <= 0 || st.MDijkstraTime > st.QueryTime) {
+					t.Fatalf("%d m-Dijkstra runs timed at %v in a %v query", st.MDijkstraRuns, st.MDijkstraTime, st.QueryTime)
+				}
+				if st.IndexCovered != (ci != nil) {
+					t.Fatalf("IndexCovered = %v with index %v", st.IndexCovered, ci != nil)
+				}
+				prunedByIndex += st.PrunedByIndex
+				return res
 			}
-			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("trial %d %s: unordered mismatch\ngot:  %v\nwant: %v",
-					trial, name, res.Routes, want.Routes())
+			for name, opts := range optionVariants() {
+				ctx := fmt.Sprintf("directed=%v trial %d %s", directed, trial, name)
+				for _, ci := range []*index.CategoryDistances{nil, idx} {
+					if res := run(opts, ci, 0); !sameSkyline(res.Routes, want) {
+						t.Fatalf("%s index=%v: unordered mismatch\ngot:  %v\nwant: %v",
+							ctx, ci != nil, res.Routes, want.Routes())
+					}
+				}
+				for _, k := range []int{2, 3} {
+					plain, indexed := run(opts, nil, k), run(opts, idx, k)
+					if !routesMatch(indexed.Routes, plain.Routes) {
+						t.Fatalf("%s k=%d: index changed the band\ngot:  %v\nwant: %v",
+							ctx, k, indexed.Routes, plain.Routes)
+					}
+				}
 			}
 		}
+	}
+	if prunedByIndex == 0 {
+		t.Error("the index bound pruned no route in any trial")
 	}
 }
 

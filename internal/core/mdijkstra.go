@@ -11,26 +11,39 @@ import (
 	"skysr/internal/route"
 )
 
-// candidate is one PoI found by the modified Dijkstra: its network distance
-// from the search origin, its similarity to the position's requirement,
-// and the strongest PoI on the shortest path to it (for the route-aware
-// part of the Lemma 5.5 filter).
+// candidate is one PoI found by the modified Dijkstra: the position it
+// matched, its network distance from the search origin, its similarity
+// to that position's requirement, and the strongest PoI on the shortest
+// path to it (for the route-aware part of the Lemma 5.5 filter). Only the
+// unordered loop reads pos: an ordered run matches one position, and a
+// SharedCache entry may come from a query that placed the category at
+// another one.
+//
+// pos is an int32 beside v so the struct stays at 40 bytes: every cached
+// candidate costs that much, and the SharedCache under SearchBatch holds
+// hundreds of thousands of them.
 type candidate struct {
 	v        graph.VertexID
+	pos      int32
 	dist     float64
 	sim      float64
 	blockSim float64        // max similarity of intermediate PoIs on the path
 	blockV   graph.VertexID // the PoI attaining blockSim, NoVertex if none
 }
 
-// cacheKey identifies one modified-Dijkstra origin within a query: the
-// origin vertex, the position whose requirement is searched, and — on
+// cacheKey identifies one modified-Dijkstra run within a query: the
+// origin vertex, the positions searched, the route's size pos and — on
 // time-dependent datasets — the absolute departure time at the origin.
-// The cache is per-query ("on the fly"), so the position index fully
-// determines the requirement; static queries always use depart 0, so
-// their keys (and hit pattern) are byte-identical to the classic code.
+// Ordered and rated runs search position pos alone and leave open zero;
+// unordered runs search every position in open, the set the route has
+// not satisfied yet. pos is 0 exactly when the route is empty, the one
+// case in which the origin is a usable candidate (see runMDijkstra). The
+// cache is per-query ("on the fly"), so positions fully determine the
+// requirements; static queries always use depart 0, so their keys (and
+// hit pattern) are byte-identical to the classic code.
 type cacheKey struct {
 	from   graph.VertexID
+	open   uint32
 	pos    int
 	depart float64
 }
@@ -50,7 +63,6 @@ type cacheEntry struct {
 // at `from`.
 func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 	pos := r.Size()
-	depart := s.expandDepart(r)
 	// Allowed search radius: Algorithm 2 line 8 stops when
 	// l(Rt) = l(Rd) + dist ≥ l̄(Rd).
 	threshold := s.sky.Threshold(r.Semantic())
@@ -74,29 +86,35 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 	if radius <= 0 {
 		return nil
 	}
-	s.stats.MDijkstraRequests++
+	return s.lookupOrRun(cacheKey{from: from, pos: pos, depart: s.expandDepart(r)}, radius)
+}
 
-	if s.cache != nil {
-		key := cacheKey{from: from, pos: pos, depart: depart}
-		if e, ok := s.cache[key]; ok && (e.complete || e.radius >= radius) {
-			s.stats.CacheHits++
-			if lg := s.legHook(pos); lg != nil {
-				lg.cacheHits++
-			}
-			s.emit(EventCacheHit, nil)
-			return e.items
+// lookupOrRun answers one modified-Dijkstra request of the ordered, rated
+// or unordered loop: from the on-the-fly cache when an entry covers the
+// radius, otherwise by a run (through the SharedCache where it applies)
+// whose entry is then cached.
+func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
+	s.stats.MDijkstraRequests++
+	if s.cache == nil {
+		return s.sharedOrRun(key, radius).items
+	}
+	if e, ok := s.cache[key]; ok && (e.complete || e.radius >= radius) {
+		s.stats.CacheHits++
+		if lg := s.legHook(key.pos); lg != nil {
+			lg.cacheHits++
 		}
-		e := s.sharedOrRun(from, pos, radius, depart)
-		if !s.cc.cancelled() {
-			// A truncated run's items stop at an arbitrary frontier; caching
-			// them could serve an incomplete candidate set to a later query
-			// on this searcher.
-			s.cache[key] = e
-			s.accountCacheBytes()
-		}
+		s.emit(EventCacheHit, nil)
 		return e.items
 	}
-	return s.sharedOrRun(from, pos, radius, depart).items
+	e := s.sharedOrRun(key, radius)
+	if !s.cc.cancelled() {
+		// A truncated run's items stop at an arbitrary frontier; caching
+		// them could serve an incomplete candidate set to a later query
+		// on this searcher.
+		s.cache[key] = e
+		s.accountCacheBytes()
+	}
+	return e.items
 }
 
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
@@ -105,32 +123,33 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 // matcher, the Lemma 5.5 path filter is active, and the dataset is not
 // time-dependent: the cached candidates — including their blocking-PoI
 // annotations — then depend only on the immutable dataset and the
-// similarity function the cache is dedicated to. Time-dependent runs
-// bypass the shared cache entirely (their distances are functions of the
-// departure time, which the shared key does not carry).
-func (s *Searcher) sharedOrRun(from graph.VertexID, pos int, radius, depart float64) *cacheEntry {
+// similarity function the cache is dedicated to. Rated and unordered runs
+// are unfiltered, so they never share. Time-dependent runs bypass the
+// shared cache entirely (their distances are functions of the departure
+// time, which the shared key does not carry).
+func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	shared := s.opts.Shared
 	if shared == nil || s.opts.DisablePathFilter || s.td {
-		return s.runMDijkstra(from, pos, radius, depart)
+		return s.runMDijkstra(key, radius)
 	}
-	cat, ok := s.seq[pos].(*route.Category)
+	cat, ok := s.seq[key.pos].(*route.Category)
 	if !ok {
-		return s.runMDijkstra(from, pos, radius, depart)
+		return s.runMDijkstra(key, radius)
 	}
-	key := sharedKey{from: from, cat: cat.ID(), origin: pos == 0}
-	if e := shared.lookup(key, radius, s.opts.Epoch); e != nil {
+	skey := sharedKey{from: key.from, cat: cat.ID(), origin: key.pos == 0}
+	if e := shared.lookup(skey, radius, s.opts.Epoch); e != nil {
 		s.stats.SharedCacheHits++
-		if lg := s.legHook(pos); lg != nil {
+		if lg := s.legHook(key.pos); lg != nil {
 			lg.sharedHits++
 		}
 		s.emit(EventCacheHit, nil)
 		return e
 	}
-	e := s.runMDijkstra(from, pos, radius, depart)
+	e := s.runMDijkstra(key, radius)
 	if !s.cc.cancelled() {
 		// Never publish a truncated run: a poisoned entry would corrupt
 		// every query sharing the cache, not just this one.
-		shared.store(key, e, s.opts.Epoch)
+		shared.store(skey, e, s.opts.Epoch)
 	}
 	return e
 }
@@ -178,30 +197,35 @@ func (w *mdWorkspace) begin() uint32 {
 	return w.gen.begin()
 }
 
-// runMDijkstra is Algorithm 2: a Dijkstra search from `from` that collects
-// every PoI matching position pos within the radius, does not expand
-// through perfectly matching PoIs, and records for each candidate the
-// strongest intermediate PoI on its path (Lemma 5.5). On time-dependent
-// datasets arcs are priced at their arrival time (depart + d); the radius
-// and goal-row cuts below compare those travel times against lower-bound
-// distances, which keeps them admissible (see graph/metric.go).
+// runMDijkstra is Algorithm 2: a Dijkstra search from key.from that
+// collects every PoI matching the key's positions within the radius, does
+// not expand through perfectly matching PoIs while the Lemma 5.5 filter is
+// on, and records for each candidate the strongest intermediate PoI on its
+// path. Ordered and rated runs match one position; unordered runs match
+// every open one, record each (PoI, position) pair as its own candidate,
+// and run unfiltered (QueryUnordered turns the filter off). On
+// time-dependent datasets arcs are priced at their arrival time
+// (depart + d); the radius and goal-row cuts below compare those travel
+// times against lower-bound distances, which keeps them admissible (see
+// graph/metric.go).
 //
-// The origin itself is a usable candidate only when pos == 0: there `from`
-// is the query start vertex, which may be a matching PoI serving position
-// 1 at distance zero. For pos ≥ 1 the origin is the expanding route's own
-// last PoI, which Definition 3.4(iii) forbids reusing — and for the same
-// reason it can neither block other candidates (Lemma 5.5's substitution
-// would be infeasible) nor stop the traversal. This split keeps cache
-// entries consistent: every route expanding through a (from, pos) key has
-// the same relationship to the origin.
-func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart float64) *cacheEntry {
+// The origin itself is a usable candidate only when the route is empty
+// (key.pos == 0): there the origin is the query start vertex, which may be
+// a matching PoI serving the first visit at distance zero. Otherwise the
+// origin is the expanding route's own last PoI, which Definition 3.4(iii)
+// forbids reusing — and for the same reason it can neither block other
+// candidates (Lemma 5.5's substitution would be infeasible) nor stop the
+// traversal. This split keeps cache entries consistent: every route
+// expanding through a key has the same relationship to the origin.
+func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
+	from, depart := key.from, key.depart
 	s.stats.MDijkstraRuns++
 	mdBegan := time.Now()
 	settled := 0
 	defer func() {
 		d := time.Since(mdBegan)
 		s.stats.MDijkstraTime += d
-		if lg := s.legHook(pos); lg != nil {
+		if lg := s.legHook(key.pos); lg != nil {
 			lg.runs++
 			lg.settled += int64(settled)
 			lg.time += d
@@ -219,23 +243,9 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 	if s.cc.checkpoint() {
 		return &cacheEntry{}
 	}
-	originUsable := pos == 0
-	matcher := s.seq[pos]
+	originUsable := key.pos == 0
+	filter := !s.opts.DisablePathFilter
 	g := s.d.Graph
-
-	// Goal-directed frontier pruning from the category index: goalRow[u]
-	// lower-bounds u's distance to the nearest PoI matching this position
-	// (its tree row), so once d + goalRow[u] ≥ radius nothing reachable
-	// through u can be an in-radius candidate and u's expansion is skipped.
-	// The candidate set is unchanged: every in-radius candidate x satisfies
-	// D(from,x) ≥ d_u + goalRow[u] for each u on any path to it, so none of
-	// its shortest paths — nor its Lemma 5.5 annotation chain — can pass
-	// through a skipped vertex. A matching vertex itself has goalRow = 0
-	// and is never skipped.
-	var goalRow index.Row
-	if pos < len(s.idxRows.sem) {
-		goalRow = s.idxRows.sem[pos]
-	}
 
 	if s.md == nil {
 		s.md = newMDWorkspace(g.NumVertices())
@@ -243,6 +253,36 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 	w := s.md
 	epoch := w.begin()
 	h := w.heap
+
+	// Goal-directed frontier pruning from the category index: goalBound
+	// lower-bounds u's distance to the nearest PoI matching any of the
+	// run's positions (the minimum of their tree rows), so once
+	// d + goalBound ≥ radius nothing reachable through u can be an
+	// in-radius candidate and u's expansion is skipped. The candidate set
+	// is unchanged: every in-radius candidate x satisfies
+	// D(from,x) ≥ d_u + goalBound(u) for each u on any path to it, so none
+	// of its shortest paths — nor its Lemma 5.5 annotation chain — can pass
+	// through a skipped vertex. A matching vertex itself has a zero bound
+	// and is never skipped. A position without a row disables the cut.
+	var matchBuf [8]int32
+	var goalBuf [8]index.Row
+	match, goal := matchBuf[:0], goalBuf[:0]
+	if key.open == 0 {
+		match = append(match, int32(key.pos))
+	} else {
+		for p := range s.seq {
+			if key.open&(1<<p) != 0 {
+				match = append(match, int32(p))
+			}
+		}
+	}
+	for _, p := range match {
+		if int(p) >= len(s.idxRows.sem) || s.idxRows.sem[p] == nil {
+			goal = goal[:0]
+			break
+		}
+		goal = append(goal, s.idxRows.sem[p])
+	}
 
 	entry := &cacheEntry{}
 	w.dist[from] = 0
@@ -268,8 +308,8 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 		w.done[u] = epoch
 		settled++
 		maxSettled = d
-		if goalRow != nil {
-			if lb := float64(goalRow[u]); d+lb >= radius {
+		if len(goal) > 0 {
+			if lb := goalBound(goal, u); d+lb >= radius {
 				if !math.IsInf(lb, 1) {
 					// A larger radius could reach candidates through u, so
 					// the cache entry is only complete up to this radius; a
@@ -285,17 +325,20 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 		perfect := false
 		if (u != from || originUsable) && g.IsPoI(u) {
 			cats := g.Categories(u)
-			sim = matcher.Sim(cats)
-			perfect = matcher.Perfect(cats)
-			if sim > 0 {
-				entry.items = append(entry.items, candidate{
-					v: u, dist: d, sim: sim,
-					blockSim: uBlockSim, blockV: uBlockV,
-				})
+			for _, p := range match {
+				m := s.seq[p]
+				if ps := m.Sim(cats); ps > 0 {
+					entry.items = append(entry.items, candidate{
+						v: u, pos: p, dist: d, sim: ps,
+						blockSim: uBlockSim, blockV: uBlockV,
+					})
+					sim = max(sim, ps)
+				}
+				perfect = perfect || filter && m.Perfect(cats)
 			}
 		}
 		// Lemma 5.5 property (ii): no traversal through a perfect match.
-		if perfect && !s.opts.DisablePathFilter {
+		if perfect {
 			continue
 		}
 		// Downstream vertices see u as an intermediate PoI when it
@@ -324,11 +367,11 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 				cut = true
 				continue
 			}
-			if goalRow != nil {
+			if len(goal) > 0 {
 				// Same goal bound at relax time: skip queueing t when no
 				// candidate can lie within the radius through it. Any later
 				// path to t is longer still, so t can never expand anyway.
-				if lb := float64(goalRow[t]); nd+lb >= radius {
+				if lb := goalBound(goal, t); nd+lb >= radius {
 					if !math.IsInf(lb, 1) {
 						cut = true
 					}
@@ -359,6 +402,16 @@ func (s *Searcher) runMDijkstra(from graph.VertexID, pos int, radius, depart flo
 	s.noteFirstRadius(maxSettled)
 	s.chargeSettleStats(settled)
 	return entry
+}
+
+// goalBound is the frontier cut's lower bound at u: the smallest entry of
+// the matched positions' tree rows.
+func goalBound(rows []index.Row, u graph.VertexID) float64 {
+	lb := rows[0][u]
+	for _, row := range rows[1:] {
+		lb = min(lb, row[u])
+	}
+	return float64(lb)
 }
 
 // noteFirstRadius records the explored radius of the first modified

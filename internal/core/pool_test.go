@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"skysr/internal/graph"
 	"skysr/internal/taxonomy"
@@ -149,5 +150,15 @@ func TestSharedCacheByteCapFlush(t *testing.T) {
 	}
 	if shared.Stats().Bytes > 256+48+40*64 {
 		t.Errorf("cache bytes %d far exceed the cap", shared.Stats().Bytes)
+	}
+}
+
+// TestCandidateStaysPacked pins the candidate layout at 40 bytes. Every
+// cached modified-Dijkstra result is a slice of them, and the SharedCache
+// under SearchBatch holds hundreds of thousands: widening pos to an int
+// makes each one 48 bytes, a fifth more resident memory per entry.
+func TestCandidateStaysPacked(t *testing.T) {
+	if got := unsafe.Sizeof(candidate{}); got != 40 {
+		t.Fatalf("candidate is %d bytes, want 40", got)
 	}
 }

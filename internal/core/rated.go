@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"skysr/internal/dataset"
@@ -11,7 +10,6 @@ import (
 	"skysr/internal/graph"
 	"skysr/internal/pq"
 	"skysr/internal/route"
-	"skysr/internal/taxonomy"
 )
 
 // RatedRoute is a skyline route of the three-criteria query: the route
@@ -59,25 +57,7 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 	}
 	began := time.Now()
 	k := len(seq)
-	s.seq = seq
-	s.scorer = route.NewScorer(s.opts.Aggregation, k)
-	s.sky = route.NewSkyline() // unused by the rated flow but kept valid
-	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: 1}
-	s.cache = nil
-	if s.opts.Caching {
-		s.cache = make(map[cacheKey]*cacheEntry)
-	}
-	s.bounds = nil
-	s.destDist = nil
-	s.posTree = make([]taxonomy.TreeID, k)
-	for i, m := range seq {
-		s.posTree[i] = -1
-		if c, ok := m.(*route.Category); ok {
-			s.posTree[i] = s.d.Forest.Tree(c.ID())
-		}
-	}
-	s.prepareIndexRows()
-	s.ws.ResetStats()
+	s.resetQuery(seq) // s.sky is unused by the rated flow but kept valid
 
 	// Unsound for three criteria — force the unfiltered modified Dijkstra
 	// and restore the caller's option afterwards.
@@ -122,30 +102,13 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 	qb := pq.NewHeap(less)
 
 	expand := func(e entry, from graph.VertexID) {
-		pos := e.r.Size()
 		threshold := sky3.Threshold(e.r.Semantic(), rho(e))
 		radius := threshold - e.r.Length()
 		if radius <= 0 {
 			return
 		}
-		s.stats.MDijkstraRequests++
-		depart := s.expandDepart(e.r)
-		var cands []candidate
-		if s.cache != nil {
-			key := cacheKey{from: from, pos: pos, depart: depart}
-			if ce, ok := s.cache[key]; ok && (ce.complete || ce.radius >= radius) {
-				s.stats.CacheHits++
-				cands = ce.items
-			} else {
-				ce = s.runMDijkstra(from, pos, radius, depart)
-				s.cache[key] = ce
-				s.accountCacheBytes()
-				cands = ce.items
-			}
-		} else {
-			cands = s.runMDijkstra(from, pos, radius, depart).items
-		}
-		for _, c := range cands {
+		key := cacheKey{from: from, pos: e.r.Size(), depart: s.expandDepart(e.r)}
+		for _, c := range s.lookupOrRun(key, radius) {
 			if e.r.Contains(c.v) {
 				continue
 			}

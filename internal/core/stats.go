@@ -18,9 +18,9 @@ type Stats struct {
 	SharedCacheHits int64
 
 	// MDijkstraTime totals wall time spent inside runMDijkstra across the
-	// query (the m-Dijkstra stage of the per-search stage breakdown; runs
-	// triggered from NNinit also count toward InitTime, which measures the
-	// whole §5.3.1 phase).
+	// query — ordered, rated and unordered expansions alike (the m-Dijkstra
+	// stage of the per-search stage breakdown; runs triggered from NNinit
+	// also count toward InitTime, which measures the whole §5.3.1 phase).
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches,
@@ -30,8 +30,10 @@ type Stats struct {
 
 	// IndexCovered reports that every position's category-index rows were
 	// resident or buildable for this query (see indexRows.covered): the
-	// §5.3.3 bounds came from index lookups, not per-query Dijkstras.
-	// Always false without Options.Index.
+	// §5.3.3 bounds came from index lookups, not per-query Dijkstras, and
+	// for unordered queries every modified Dijkstra was goal-directed and
+	// every route checked against the index bound. Always false without
+	// Options.Index.
 	IndexCovered bool
 
 	// FirstMDijkstraRadius is the explored radius of the first modified

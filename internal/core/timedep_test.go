@@ -256,7 +256,8 @@ func TestTimeDependentDestinationMatchesBruteForce(t *testing.T) {
 }
 
 // TestTimeDependentUnorderedMatchesBruteForce covers the unordered trip
-// planning query under time-dependence.
+// planning query under time-dependence, with and without the category
+// index.
 func TestTimeDependentUnorderedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	f := taxonomy.Generated(2, 2, 3)
@@ -271,11 +272,7 @@ func TestTimeDependentUnorderedMatchesBruteForce(t *testing.T) {
 		bruteTDUnordered(d, seq, start, depart, scorer, func(r *route.Route) {
 			want.Update(r)
 		})
-		for _, name := range []string{"none", "all"} {
-			opts := WithoutOptimizations()
-			if name == "all" {
-				opts = DefaultOptions()
-			}
+		for name, opts := range tdVariants(d, cats) {
 			opts.DepartAt = depart
 			s := NewSearcher(d, d.Forest.WuPalmer, opts)
 			res, err := s.QueryUnordered(start, seq)

@@ -37,8 +37,8 @@ type legTrace struct {
 
 // initTrace arms the per-query span state. legged selects per-position
 // aggregation (ordered/destination queries); the unordered loop reports
-// stage totals only, its cache keys being position sets rather than
-// positions.
+// stage totals only, since each of its modified Dijkstras searches a set
+// of open positions rather than one.
 func (s *Searcher) initTrace(legged bool) {
 	s.span = nil
 	s.legs = nil

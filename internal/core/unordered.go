@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"time"
 
 	"skysr/internal/dijkstra"
@@ -20,10 +18,17 @@ import (
 // matches, and positions already covered are deleted from the search, as
 // the paper sketches.
 //
-// The ordered-only optimizations (Lemma 5.5 path filtering, the §5.3.3 hop
-// bounds) do not transfer to the unordered setting and are disabled here;
-// the branch-and-bound threshold, the priority queue arrangement, NNinit
-// seeding and on-the-fly caching all apply.
+// Expansions run the ordered path's modified Dijkstra and on-the-fly
+// cache: one run per (origin, unsatisfied set) matches every open
+// position within the Lemma 5.3 radius, and its entry serves later
+// expansions up to that radius. With Options.Index the runs are
+// goal-directed by the open positions' tree rows, and a route is dropped
+// at enqueue and at pop once its length plus the largest open row entry
+// at its last PoI reaches the threshold: every open position must still
+// be visited after it. The ordered-only optimizations (Lemma 5.5 path
+// filtering, the §5.3.3 hop bounds) do not transfer to the unordered
+// setting and are disabled here; the threshold, the priority queue
+// arrangement and NNinit seeding apply as well.
 func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Result, error) {
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("core: empty sequence")
@@ -41,20 +46,19 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 		return nil, err
 	}
 	began := time.Now()
-	k := len(seq)
-	full := uint32(1)<<k - 1
-	s.seq = seq
-	s.scorer = route.NewScorer(s.opts.Aggregation, k)
-	// The unordered loop applies no Lemma 5.5 filtering, so top-k needs
-	// no special handling here beyond the band itself: the threshold
-	// checks below cut against the k-th-best length automatically.
-	s.sky = s.newResultSet()
-	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: s.opts.effectiveTopK()}
-	s.bounds = nil
-	s.destDist = nil
-	s.idxRows = indexRows{} // the unordered loop takes no index shortcuts
+	full := uint32(1)<<len(seq) - 1
+	if !s.opts.DisablePathFilter {
+		// A PoI reached through a perfect match of one position may serve
+		// another, so the filter's substitution argument fails. Restore
+		// the caller's option afterwards, as query does for top-k.
+		s.opts.DisablePathFilter = true
+		defer func() { s.opts.DisablePathFilter = false }()
+	}
+	// Without the filter, top-k needs no special handling beyond the band
+	// itself: every threshold check below cuts against the k-th-best
+	// length.
+	s.resetQuery(seq)
 	s.initTrace(false)
-	s.ws.ResetStats()
 
 	if s.opts.InitialSearch && !s.cc.cancelled() {
 		s.unorderedInit(start, full)
@@ -62,7 +66,7 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 
 	type entry struct {
 		r    *route.Route
-		mask uint32
+		mask uint32 // satisfied positions
 	}
 	less := func(a, b entry) bool {
 		if s.opts.ProposedQueue {
@@ -80,10 +84,34 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	}
 	qb := pq.NewHeap(less)
 
-	cache := map[unorderedKey][]unorderedCand{}
+	// pruneByIndex is the unordered index bound: completing e costs at
+	// least the distance from its last PoI to the nearest semantic match
+	// of each open position, so at least the largest of those row
+	// entries (a missing row contributes nothing).
+	pruneByIndex := func(e entry) bool {
+		if !s.idxRows.any {
+			return false
+		}
+		var lb float32
+		for p, row := range s.idxRows.sem {
+			if row != nil && e.mask&(1<<p) == 0 {
+				lb = max(lb, row[e.r.Last()])
+			}
+		}
+		if e.r.Length()+float64(lb) < s.sky.Threshold(e.r.Semantic()) {
+			return false
+		}
+		s.stats.PrunedByIndex++
+		return true
+	}
+
 	expand := func(e entry, from graph.VertexID) {
-		cands := s.unorderedNext(e.r, e.mask, from, cache)
-		for _, c := range cands {
+		radius := s.sky.Threshold(e.r.Semantic()) - e.r.Length()
+		if radius <= 0 {
+			return
+		}
+		key := cacheKey{from: from, open: full &^ e.mask, pos: e.r.Size(), depart: s.expandDepart(e.r)}
+		for _, c := range s.lookupOrRun(key, radius) {
 			if e.r.Contains(c.v) {
 				continue
 			}
@@ -91,11 +119,13 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 			if rt.Length() >= s.sky.Threshold(rt.Semantic()) {
 				continue
 			}
-			nm := e.mask | 1<<uint(c.pos)
-			if nm == full {
+			next := entry{r: rt, mask: e.mask | 1<<uint(c.pos)}
+			switch {
+			case next.mask == full:
 				s.sky.Update(rt)
-			} else {
-				qb.Push(entry{r: rt, mask: nm})
+			case pruneByIndex(next):
+			default:
+				qb.Push(next)
 				s.stats.RoutesEnqueued++
 				if qb.Len() > s.stats.PeakQueueLen {
 					s.stats.PeakQueueLen = qb.Len()
@@ -119,6 +149,9 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 			continue
 		}
 		s.noteTopKPop(e.r)
+		if pruneByIndex(e) {
+			continue
+		}
 		expand(e, e.r.Last())
 	}
 
@@ -127,99 +160,11 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	s.stats.Results = s.sky.Len()
 	s.harvestTopKStats()
 	s.finishTrace(s.cc.err)
+	s.cache = nil
 	if err := s.cc.err; err != nil {
 		return &Result{Stats: s.stats}, err
 	}
 	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
-}
-
-type unorderedKey struct {
-	from graph.VertexID
-	mask uint32
-	// depart is the absolute departure time at from (always 0 on static
-	// datasets, so classic cache keys are unchanged).
-	depart float64
-}
-
-type unorderedCand struct {
-	v    graph.VertexID
-	dist float64
-	sim  float64
-	pos  int
-}
-
-// unorderedNext collects, within the threshold radius, every (PoI,
-// position) pair where the PoI semantically matches a still-unsatisfied
-// position.
-func (s *Searcher) unorderedNext(r *route.Route, mask uint32, from graph.VertexID, cache map[unorderedKey][]unorderedCand) []unorderedCand {
-	radius := s.sky.Threshold(r.Semantic()) - r.Length()
-	if radius <= 0 {
-		return nil
-	}
-	depart := s.expandDepart(r)
-	s.stats.MDijkstraRequests++
-	key := unorderedKey{from: from, mask: mask, depart: depart}
-	if s.opts.Caching {
-		// The cached list is complete only if it was produced by an
-		// unbounded exploration; unordered caching stores the unbounded
-		// sweep once per key (simpler than radius bookkeeping and still a
-		// large saving).
-		if items, ok := cache[key]; ok {
-			s.stats.CacheHits++
-			return items
-		}
-	}
-	s.stats.MDijkstraRuns++
-	faults.Fire(faults.MDijkstraRun)
-	if s.cc.checkpoint() {
-		return nil
-	}
-	g := s.d.Graph
-	k := len(s.seq)
-	var items []unorderedCand
-	bound := radius
-	if s.opts.Caching {
-		bound = 0 // unbounded so the entry is reusable at any radius
-	}
-	origin := r.Size() == 0
-	s.ws.Run(dijkstra.Options{
-		Sources:  []graph.VertexID{from},
-		Bound:    bound,
-		Metric:   s.searchMetric(),
-		DepartAt: depart,
-		Halt:     s.cc.halt(),
-		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
-			if !g.IsPoI(v) || (v == from && !origin) {
-				return dijkstra.Continue
-			}
-			cats := g.Categories(v)
-			for pos := 0; pos < k; pos++ {
-				if mask&(1<<uint(pos)) != 0 {
-					continue
-				}
-				if h := s.seq[pos].Sim(cats); h > 0 {
-					items = append(items, unorderedCand{v: v, dist: d, sim: h, pos: pos})
-				}
-			}
-			return dijkstra.Continue
-		},
-	})
-	if s.stats.MDijkstraRuns == 1 {
-		s.stats.FirstMDijkstraRadius = s.ws.LastMaxSettledDist()
-	}
-	if s.opts.Caching && !s.cc.cancelled() {
-		// A halted sweep is not the unbounded exploration the cache
-		// contract promises; dropping it keeps later hits complete.
-		cache[key] = items
-		var b int64
-		for _, is := range cache {
-			b += int64(len(is)) * 32
-		}
-		if b > s.stats.PeakCacheBytes {
-			s.stats.PeakCacheBytes = b
-		}
-	}
-	return items
 }
 
 // unorderedInit greedily chains nearest perfect matches over the remaining
@@ -273,5 +218,4 @@ func (s *Searcher) unorderedInit(start graph.VertexID, full uint32) {
 	}
 	s.stats.InitTime = time.Since(began)
 	s.stats.InitPerfectL = s.sky.ThresholdPerfect()
-	_ = bits.OnesCount32(mask)
 }

@@ -274,7 +274,8 @@ func TestSearchTopKDestination(t *testing.T) {
 }
 
 // TestSearchTopKUnordered verifies the unordered (trip-planning) variant:
-// the band must equal the brute-force band over every visit order.
+// under every serving profile, the band must equal the brute-force band
+// over every visit order.
 func TestSearchTopKUnordered(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	eng, leaves := dyadicEngine(t, rng, false, 36, 12)
@@ -296,12 +297,16 @@ func TestSearchTopKUnordered(t *testing.T) {
 			fwd := topk.BruteForce(ds, start, route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, ca, cb), k, Product, graph.NoVertex)
 			rev := topk.BruteForce(ds, start, route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cb, ca), k, Product, graph.NoVertex)
 			want := topk.Band(append(append([]topk.Point(nil), fwd...), rev...), k)
-			ans, err := eng.SearchTopK(q, k, SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := answerPoints(ans); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d k=%d (%s,%s): points %v, want %v", trial, k, a, b, got, want)
+			for name, p := range servingProfiles() {
+				opts := p.opts
+				opts.TopK = k
+				ans, err := p.search(eng, q, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := answerPoints(ans); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s trial %d k=%d (%s,%s): points %v, want %v", name, trial, k, a, b, got, want)
+				}
 			}
 		}
 	}
