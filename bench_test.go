@@ -3,8 +3,7 @@ package skysr
 // bench_test.go holds one testing.B benchmark per table and figure of the
 // paper's evaluation (§7–§8). Each benchmark measures the work of the
 // corresponding experiment at a laptop-friendly scale; the full sweep with
-// configurable scale lives in cmd/skysr-bench, and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// configurable scale lives in cmd/skysr-bench.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -300,9 +299,8 @@ func BenchmarkTable9UseCase(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPathFilter isolates the Lemma 5.5 path filter, one of
-// the design choices DESIGN.md calls out: identical results, different
-// search effort.
+// BenchmarkAblationPathFilter isolates the Lemma 5.5 path filter:
+// identical results, different search effort.
 func BenchmarkAblationPathFilter(b *testing.B) {
 	benchSetup(b)
 	d := benchState.datasets["tokyo"]

@@ -1,7 +1,6 @@
 // Command skysr-bench regenerates every table and figure of the paper's
 // evaluation (§7–§8) on synthetic datasets, and gates the engine's
-// serving extensions. The full-suite output is the source material of
-// EXPERIMENTS.md. The -latency, -churn, -soak and -httpload modes each
+// serving extensions. The -latency, -churn, -soak and -httpload modes each
 // print one table, write it as a machine-readable report with -json, and
 // exit non-zero with -check when one of the mode's gates fails:
 //

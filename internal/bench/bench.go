@@ -1,8 +1,7 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§7) plus the user-study aggregation of
 // §8. Each experiment has a typed runner returning structured results and
-// a text renderer, shared by the skysr-bench CLI, bench_test.go and
-// EXPERIMENTS.md.
+// a text renderer, shared by the skysr-bench CLI and bench_test.go.
 //
 // Absolute numbers differ from the paper (synthetic datasets at reduced
 // scale, Go instead of C++, different hardware); the harness exists to

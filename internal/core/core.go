@@ -99,11 +99,12 @@ type Options struct {
 	// best skyline. 0 and 1 both mean the classic skyline, where every
 	// code path is identical to a plain query. For k > 1 the expansion
 	// keeps running past the first completion per level, every pruning
-	// rule cuts against the current k-th-best length, and the Lemma 5.5
-	// path filter is disabled for the run (a candidate reached through a
+	// rule cuts against the current k-th-best length, and the query runs
+	// without the Lemma 5.5 path filter (a candidate reached through a
 	// more-similar PoI yields a dominated route, and dominated routes are
-	// exactly what a k-band must keep) — which also keeps k > 1 traffic
-	// out of the SharedCache, whose entries embed the filter's
+	// exactly what a k-band must keep). The filter is switched per query,
+	// leaving these options as given; its absence also keeps k > 1
+	// traffic out of the SharedCache, whose entries embed the filter's
 	// annotations. Ordered, destination and unordered queries support it;
 	// the rated three-criteria query and the naive baselines do not.
 	TopK int
@@ -112,11 +113,6 @@ type Options struct {
 	// modified Dijkstra. It exists for the ablation benchmarks; leave it
 	// false for normal use.
 	DisablePathFilter bool
-
-	// Trace, when non-nil, observes search events (pops, prunes, skyline
-	// updates). Intended for debugging and the trace-level tests; adds
-	// overhead when set.
-	Trace func(Event)
 
 	// Span, when non-nil, is the parent span the query attaches its
 	// explain tree to (tracespan.go): one "search" child span annotated
@@ -186,11 +182,12 @@ func (o Options) effectiveTopK() int {
 	return 1
 }
 
-// newResultSet returns the per-query result container: the classic
-// skyline for k ≤ 1 (so single-best queries run byte-identically to
-// always), the top-k band otherwise.
-func (s *Searcher) newResultSet() resultSet {
-	if k := s.opts.effectiveTopK(); k > 1 {
+// newResultSet returns the per-query result container for an effective
+// k: the classic skyline for k = 1 (so single-best queries run
+// byte-identically to always), the top-k band otherwise. It is a variable
+// so tests can substitute a set that records what the search offers it.
+var newResultSet = func(k int) resultSet {
+	if k > 1 {
 		return topk.NewSkyband(k)
 	}
 	return route.NewSkyline()
@@ -205,25 +202,28 @@ type Searcher struct {
 	sim  taxonomy.Similarity
 	ws   *dijkstra.Workspace
 
-	// Per-query state.
-	seq      route.Sequence
-	scorer   route.Scorer
-	sky      resultSet
-	stats    Stats
-	cache    map[cacheKey]*cacheEntry
-	bounds   *bounds
-	destDist []float64         // distance from each vertex to the destination; nil when no destination
-	posTree  []taxonomy.TreeID // per-position category tree, -1 for non-Category matchers
-	idxRows  indexRows         // per-position index rows resolved for this query
-	md       *mdWorkspace      // reusable modified-Dijkstra arrays, lazily sized
-	scr      *boundsScratch    // epoch-stamped §5.3.3 scratch arrays, lazily sized
+	// Per-query state, armed by begin. pathFilter is whether the Lemma 5.5
+	// path filter applies to this query's modified Dijkstras.
+	began      time.Time
+	pathFilter bool
+	seq        route.Sequence
+	scorer     route.Scorer
+	sky        resultSet
+	stats      Stats
+	cache      map[cacheKey]*cacheEntry
+	bounds     *bounds
+	destDist   []float64      // distance from each vertex to the destination; nil when no destination
+	idxRows    indexRows      // per-position index rows resolved for this query
+	md         *mdWorkspace   // reusable modified-Dijkstra arrays, lazily sized
+	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
-	// Cost-metric state (initMetric). td is true when the dataset carries
+	// Cost-metric state (begin). td is true when the dataset carries
 	// time-dependent profiles; depart is the query's departure time;
-	// metric evaluates arcs at their arrival time; dest is the query's
-	// destination (NoVertex for none); legWS is the dedicated workspace
-	// for exact destination-leg pricing (the shared ws may be mid-run
-	// when a leg is priced from inside an OnSettle callback).
+	// metric evaluates arcs at their arrival time, and is nil (the weight
+	// column) on static datasets; dest is the query's destination
+	// (NoVertex for none); legWS is the dedicated workspace for exact
+	// destination-leg pricing (the shared ws may be mid-run when a leg is
+	// priced from inside an OnSettle callback).
 	td     bool
 	depart float64
 	metric graph.Metric
@@ -246,26 +246,6 @@ type Searcher struct {
 	legs []legTrace
 }
 
-// initMetric establishes the per-query cost-metric state from the
-// options and dataset. Static datasets always see td == false (and a
-// depart of whatever was asked — it has no observable effect), so every
-// classic code path stays byte-identical.
-func (s *Searcher) initMetric() error {
-	d := s.opts.DepartAt
-	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		return fmt.Errorf("core: departure time %v is not non-negative and finite", d)
-	}
-	s.td = s.d.Graph.TimeVarying()
-	s.depart = d
-	s.dest = graph.NoVertex
-	if s.td {
-		s.metric = s.d.Graph.Metric()
-	} else {
-		s.metric = nil
-	}
-	return nil
-}
-
 // expandDepart returns the absolute time at which an expansion from the
 // end of r departs: the query departure plus the route's travel time so
 // far. Static queries always see 0, keeping their cache keys identical
@@ -275,15 +255,6 @@ func (s *Searcher) expandDepart(r *route.Route) float64 {
 		return 0
 	}
 	return s.depart + r.Length()
-}
-
-// searchMetric returns the metric to hand the shared Dijkstra workspace:
-// nil (the weight column) for static queries.
-func (s *Searcher) searchMetric() graph.Metric {
-	if !s.td {
-		return nil
-	}
-	return s.metric
 }
 
 // indexRows is the per-query view of Options.Index: the distance rows each
@@ -388,37 +359,16 @@ func (s *Searcher) Query(start graph.VertexID, seq route.Sequence) (*Result, err
 // QueryWithDestination answers the "SkySR with destination" variant (§6):
 // the length score additionally counts the leg from the last PoI to dest.
 func (s *Searcher) QueryWithDestination(start graph.VertexID, seq route.Sequence, dest graph.VertexID) (*Result, error) {
-	if dest == graph.NoVertex || int(dest) >= s.d.Graph.NumVertices() {
+	if dest < 0 || int(dest) >= s.d.Graph.NumVertices() {
 		return nil, fmt.Errorf("core: invalid destination %d", dest)
 	}
 	return s.query(start, seq, dest)
 }
 
 func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.VertexID) (*Result, error) {
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("core: empty sequence")
-	}
-	if start < 0 || int(start) >= s.d.Graph.NumVertices() {
-		return nil, fmt.Errorf("core: invalid start vertex %d", start)
-	}
-	if err := s.initMetric(); err != nil {
+	if err := s.begin(start, seq, true); err != nil {
 		return nil, err
 	}
-	if err := s.initCancel(); err != nil {
-		return nil, err
-	}
-	began := time.Now()
-	k := s.opts.effectiveTopK()
-	if k > 1 && !s.opts.DisablePathFilter {
-		// The Lemma 5.5 filter discards dominated routes, which the k-band
-		// must keep (see Options.TopK). Restore afterwards: callers that
-		// hold a Searcher across queries (the bench harness) expect their
-		// options back.
-		s.opts.DisablePathFilter = true
-		defer func() { s.opts.DisablePathFilter = false }()
-	}
-	s.resetQuery(seq)
-	s.initTrace(true)
 	if dest != graph.NoVertex {
 		s.dest = dest
 		s.computeDestDistances(dest)
@@ -434,7 +384,7 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	}
 
 	// Main loop: Algorithm 1.
-	qb := pq.NewHeap(s.queueLess())
+	qb := pq.NewHeap(s.routeLess)
 	if !s.cc.cancelled() {
 		s.expand(route.Empty(s.scorer), start, qb)
 	}
@@ -445,28 +395,26 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 		}
 		r := qb.Pop()
 		s.stats.RoutesPopped++
-		s.emit(EventPop, r)
 		lg := s.legHook(r.Size())
 		if lg != nil {
 			lg.popped++
 		}
 		// Re-check the Lemma 5.3 threshold at pop time: S may have
 		// improved since r was enqueued (Table 4 steps 6 and 9).
-		if r.Length() >= s.sky.Threshold(r.Semantic()) {
+		threshold := s.sky.Threshold(r.Semantic())
+		if r.Length() >= threshold {
 			s.stats.PrunedThreshold++
 			if lg != nil {
 				lg.prunedThreshold++
 			}
-			s.emit(EventPruneThreshold, r)
 			continue
 		}
 		s.noteTopKPop(r)
-		if s.idxRows.any && s.pruneByIndex(r) {
+		if s.idxRows.any && s.pruneByIndex(r, threshold) {
 			s.stats.PrunedByIndex++
 			if lg != nil {
 				lg.prunedIndex++
 			}
-			s.emit(EventPruneIndex, r)
 			continue
 		}
 		if s.bounds != nil && s.bounds.prune(r, s.sky, s.scorer) {
@@ -474,24 +422,12 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			if lg != nil {
 				lg.prunedBounds++
 			}
-			s.emit(EventPruneBounds, r)
 			continue
 		}
-		from := r.Last()
-		s.expand(r, from, qb)
+		s.expand(r, r.Last(), qb)
 	}
 
-	s.stats.QueryTime = time.Since(began)
-	// Modified-Dijkstra settles are charged as they happen; add the shared
-	// workspace's searches (NNinit, bounds, destination table).
-	s.stats.SettledVertices += s.ws.SettledCount()
-	s.stats.Results = s.sky.Len()
-	s.harvestTopKStats()
-	s.finishTrace(s.cc.err)
-	// On-the-fly caching frees its results once the query finishes
-	// (§5.3.4): the cache rarely helps across different inputs.
-	s.cache = nil
-	if err := s.cc.err; err != nil {
+	if err := s.finish(s.sky.Len()); err != nil {
 		// Interrupted: the skyline may be missing routes a finished search
 		// would have found, so only the instrumentation is returned.
 		return &Result{Stats: s.stats}, err
@@ -499,29 +435,73 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
 }
 
-// resetQuery arms the per-query state every entry point shares: the
-// sequence, scorer, result set, counters, on-the-fly cache, per-position
-// trees and index rows.
-func (s *Searcher) resetQuery(seq route.Sequence) {
+// begin arms one query of the ordered (Algorithm 1), rated or unordered
+// loop: it validates start, sequence and departure time, establishes the
+// cost metric and the canceller, resets every piece of per-query state
+// and opens the query span. ordered selects the classic loop, the only
+// one with per-leg span aggregates and the only one the Lemma 5.5 path
+// filter is sound for; the filter further needs k = 1 (see Options.TopK)
+// and Options.DisablePathFilter unset. Static datasets always see td ==
+// false (and a depart of whatever was asked — it has no observable
+// effect), so every classic code path stays byte-identical.
+func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool) error {
+	if len(seq) == 0 {
+		return fmt.Errorf("core: empty sequence")
+	}
+	if start < 0 || int(start) >= s.d.Graph.NumVertices() {
+		return fmt.Errorf("core: invalid start vertex %d", start)
+	}
+	depart := s.opts.DepartAt
+	if depart < 0 || math.IsNaN(depart) || math.IsInf(depart, 0) {
+		return fmt.Errorf("core: departure time %v is not non-negative and finite", depart)
+	}
+	s.td = s.d.Graph.TimeVarying()
+	s.depart = depart
+	s.dest = graph.NoVertex
+	s.metric = nil
+	if s.td {
+		s.metric = s.d.Graph.Metric()
+	}
+	if err := s.initCancel(); err != nil {
+		return err
+	}
+	s.began = time.Now()
+	k := s.opts.effectiveTopK()
+	s.pathFilter = ordered && k == 1 && !s.opts.DisablePathFilter
 	s.seq = seq
 	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
-	s.sky = s.newResultSet()
-	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: s.opts.effectiveTopK()}
+	s.sky = newResultSet(k)
+	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
 	s.cache = nil
 	if s.opts.Caching {
 		s.cache = make(map[cacheKey]*cacheEntry)
 	}
 	s.bounds = nil
 	s.destDist = nil
-	s.posTree = make([]taxonomy.TreeID, len(seq))
-	for i, m := range seq {
-		s.posTree[i] = -1
-		if c, ok := m.(*route.Category); ok {
-			s.posTree[i] = s.d.Forest.Tree(c.ID())
-		}
-	}
 	s.prepareIndexRows()
 	s.ws.ResetStats()
+	s.initTrace(ordered)
+	return nil
+}
+
+// finish closes the query begin armed: it stamps QueryTime, adds the
+// shared workspace's settles (NNinit, bounds, destination table; the
+// modified-Dijkstra settles are charged as they happen), records the
+// answer size and the top-k band's counters, and closes the span. The
+// on-the-fly cache is freed (§5.3.4): it rarely helps across different
+// inputs. The returned error is the cancellation that cut the query
+// short, if any.
+func (s *Searcher) finish(results int) error {
+	s.stats.QueryTime = time.Since(s.began)
+	s.stats.SettledVertices += s.ws.SettledCount()
+	s.stats.Results = results
+	if sb, ok := s.sky.(*topk.Skyband); ok {
+		s.stats.TopKEvictions = sb.Evictions()
+		s.stats.TopKLevels = sb.Levels()
+	}
+	s.finishTrace(s.cc.err)
+	s.cache = nil
+	return s.cc.err
 }
 
 // noteTopKPop counts the pops a k > 1 run performs beyond what a k = 1
@@ -536,41 +516,29 @@ func (s *Searcher) noteTopKPop(r *route.Route) {
 	}
 }
 
-// harvestTopKStats copies the band's end-of-run counters into Stats.
-func (s *Searcher) harvestTopKStats() {
-	if sb, ok := s.sky.(*topk.Skyband); ok {
-		s.stats.TopKEvictions = sb.Evictions()
-		s.stats.TopKLevels = sb.Levels()
-	}
-}
-
-// queueLess returns the route-queue ordering: the proposed priority
-// (§5.3.2) or the conventional distance order, with deterministic
-// tie-breaks.
-func (s *Searcher) queueLess() func(a, b *route.Route) bool {
+// routeLess is the route-queue order of every search loop: the proposed
+// priority (§5.3.2) or the conventional distance order, with
+// deterministic tie-breaks.
+func (s *Searcher) routeLess(a, b *route.Route) bool {
 	if s.opts.ProposedQueue {
-		return func(a, b *route.Route) bool {
-			if a.Size() != b.Size() {
-				return a.Size() > b.Size()
-			}
-			if a.Semantic() != b.Semantic() {
-				return a.Semantic() < b.Semantic()
-			}
-			if a.Length() != b.Length() {
-				return a.Length() < b.Length()
-			}
-			return a.Last() < b.Last()
-		}
-	}
-	return func(a, b *route.Route) bool {
-		if a.Length() != b.Length() {
-			return a.Length() < b.Length()
-		}
 		if a.Size() != b.Size() {
 			return a.Size() > b.Size()
 		}
+		if a.Semantic() != b.Semantic() {
+			return a.Semantic() < b.Semantic()
+		}
+		if a.Length() != b.Length() {
+			return a.Length() < b.Length()
+		}
 		return a.Last() < b.Last()
 	}
+	if a.Length() != b.Length() {
+		return a.Length() < b.Length()
+	}
+	if a.Size() != b.Size() {
+		return a.Size() > b.Size()
+	}
+	return a.Last() < b.Last()
 }
 
 // expand runs the modified Dijkstra for the next position of r (Algorithm
@@ -585,7 +553,7 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 		// Lemma 5.5: skip candidates reached through a PoI at least as
 		// similar — unless that blocker is already used by this route, in
 		// which case the substitution the lemma relies on is infeasible.
-		if !s.opts.DisablePathFilter &&
+		if s.pathFilter &&
 			c.blockSim >= c.sim && c.blockV != graph.NoVertex && !r.Contains(c.blockV) {
 			continue
 		}
@@ -598,45 +566,41 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			}
 		}
 		// Line 10: the Eq. 3 threshold for rt's own semantic score.
-		if rt.Length() >= s.sky.Threshold(rt.Semantic()) {
+		threshold := s.sky.Threshold(rt.Semantic())
+		if rt.Length() >= threshold {
 			continue
 		}
 		if complete {
-			if s.sky.Update(rt) {
-				s.emit(EventSkylineUpdate, rt)
-			} else {
-				s.emit(EventSkylineReject, rt)
+			s.sky.Update(rt)
+			continue
+		}
+		// Enqueue-time form of the index prune: a route the index bound
+		// already condemns would be pruned at pop (the threshold only
+		// shrinks in the meantime), so don't queue it at all.
+		if s.idxRows.any && s.pruneByIndex(rt, threshold) {
+			s.stats.PrunedByIndex++
+			if lg := s.legHook(rt.Size()); lg != nil {
+				lg.prunedIndex++
 			}
-		} else {
-			// Enqueue-time form of the index prune: a route the index
-			// bound already condemns would be pruned at pop (the threshold
-			// only shrinks in the meantime), so don't queue it at all.
-			if s.idxRows.any && s.pruneByIndex(rt) {
-				s.stats.PrunedByIndex++
-				if lg := s.legHook(rt.Size()); lg != nil {
-					lg.prunedIndex++
-				}
-				s.emit(EventPruneIndex, rt)
-				continue
-			}
-			qb.Push(rt)
-			s.stats.RoutesEnqueued++
-			if lg := s.legHook(rt.Size() - 1); lg != nil {
-				lg.enqueued++
-			}
-			s.emit(EventEnqueue, rt)
-			if qb.Len() > s.stats.PeakQueueLen {
-				s.stats.PeakQueueLen = qb.Len()
-			}
+			continue
+		}
+		qb.Push(rt)
+		s.stats.RoutesEnqueued++
+		if lg := s.legHook(rt.Size() - 1); lg != nil {
+			lg.enqueued++
+		}
+		if qb.Len() > s.stats.PeakQueueLen {
+			s.stats.PeakQueueLen = qb.Len()
 		}
 	}
 }
 
-// pruneByIndex applies the precomputed index lower bound: the next hop of
-// any completion of r costs at least the distance from r's end to the
-// nearest PoI of the next position's tree (a row lookup); later hops are
-// additionally bounded by the §5.3.3 suffix when available.
-func (s *Searcher) pruneByIndex(r *route.Route) bool {
+// pruneByIndex applies the precomputed index lower bound against the
+// threshold r must beat: the next hop of any completion of r costs at
+// least the distance from r's end to the nearest PoI of the next
+// position's tree (a row lookup); later hops are additionally bounded by
+// the §5.3.3 suffix when available. The ordered and rated loops share it.
+func (s *Searcher) pruneByIndex(r *route.Route, threshold float64) bool {
 	m := r.Size()
 	if m == 0 || m >= len(s.seq) {
 		return false
@@ -649,7 +613,7 @@ func (s *Searcher) pruneByIndex(r *route.Route) bool {
 	if s.bounds != nil {
 		bound += s.bounds.lsSuffix[m] // hops after the first
 	}
-	return bound >= s.sky.Threshold(r.Semantic())
+	return bound >= threshold
 }
 
 // completeToDest appends the final leg to the destination (§6) to a
@@ -724,7 +688,7 @@ func (s *Searcher) destLeg(v graph.VertexID, depart, budget float64) float64 {
 }
 
 // hasDest reports that the current query carries a destination (§6).
-// initMetric resets dest at the start of every query, so this is safe to
+// begin resets dest at the start of every query, so this is safe to
 // consult anywhere inside a run.
 func (s *Searcher) hasDest() bool { return s.dest != graph.NoVertex }
 

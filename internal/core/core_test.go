@@ -293,8 +293,10 @@ func TestQueryValidation(t *testing.T) {
 		t.Error("out-of-range start should fail")
 	}
 	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
-	if _, err := s.QueryWithDestination(vq, seq, graph.NoVertex); err == nil {
-		t.Error("invalid destination should fail")
+	for _, dest := range []graph.VertexID{graph.NoVertex, -5, graph.VertexID(ds.Graph.NumVertices())} {
+		if _, err := s.QueryWithDestination(vq, seq, dest); err == nil {
+			t.Errorf("destination %d should fail", dest)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (s *Searcher) shortestPath(u, v graph.VertexID, depart float64) ([]graph.Ve
 	found := false
 	s.ws.Run(dijkstra.Options{
 		Sources:  []graph.VertexID{u},
-		Metric:   s.searchMetric(),
+		Metric:   s.metric,
 		DepartAt: depart,
 		Halt:     s.cc.halt(),
 		OnSettle: func(x graph.VertexID, d float64) dijkstra.Control {

@@ -223,59 +223,44 @@ func TestPathFilterAblationPreservesExactness(t *testing.T) {
 	}
 }
 
+// TestTraceEventsPaperExample checks the Table 4 run's Stats for the
+// bookkeeping of Algorithm 1: the queue drains (every enqueued route is
+// popped), every modified-Dijkstra request is a run or a cache hit, and
+// threshold prunes fire at pop.
 func TestTraceEventsPaperExample(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	var events []Event
-	opts := DefaultOptions()
-	opts.Trace = func(e Event) { events = append(events, e) }
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
+	s := NewSearcher(ds, ds.Forest.WuPalmer, DefaultOptions())
 	res, err := s.QueryCategories(vq, cats...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Fatal("no events emitted")
+	st := res.Stats
+	if st.RoutesPopped == 0 || st.RoutesPopped != st.RoutesEnqueued {
+		t.Errorf("popped %d, enqueued %d: the queue must drain", st.RoutesPopped, st.RoutesEnqueued)
 	}
-	counts := map[EventKind]int{}
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	// The trace must be consistent with the stats.
-	if int64(counts[EventPop]) != res.Stats.RoutesPopped {
-		t.Errorf("pop events %d != RoutesPopped %d", counts[EventPop], res.Stats.RoutesPopped)
-	}
-	if int64(counts[EventEnqueue]) != res.Stats.RoutesEnqueued {
-		t.Errorf("enqueue events %d != RoutesEnqueued %d", counts[EventEnqueue], res.Stats.RoutesEnqueued)
-	}
-	if int64(counts[EventMDijkstraRun]) != res.Stats.MDijkstraRuns {
-		t.Errorf("run events %d != MDijkstraRuns %d", counts[EventMDijkstraRun], res.Stats.MDijkstraRuns)
-	}
-	if int64(counts[EventCacheHit]) != res.Stats.CacheHits {
-		t.Errorf("cache events %d != CacheHits %d", counts[EventCacheHit], res.Stats.CacheHits)
-	}
-	if int64(counts[EventPruneThreshold]) != res.Stats.PrunedThreshold {
-		t.Errorf("prune events %d != PrunedThreshold %d", counts[EventPruneThreshold], res.Stats.PrunedThreshold)
+	if st.MDijkstraRequests != st.MDijkstraRuns+st.CacheHits {
+		t.Errorf("requests %d != runs %d + cache hits %d", st.MDijkstraRequests, st.MDijkstraRuns, st.CacheHits)
 	}
 	// Table 4's trace has pruned fetches (steps 6, 9 and 12's route died
 	// earlier or at fetch): at least one threshold prune must fire.
-	if counts[EventPruneThreshold] == 0 {
+	if st.PrunedThreshold == 0 {
 		t.Error("expected threshold prunes on the Table 4 trace")
 	}
-	// Exactly 2 accepted skyline updates survive to the final S... more
-	// may be accepted then evicted; but at least the 2 winners were
-	// accepted.
-	if counts[EventSkylineUpdate] < 2 {
-		t.Errorf("skyline updates = %d, want ≥ 2", counts[EventSkylineUpdate])
-	}
-	// Event kinds render.
-	for k := EventPop; k <= EventCacheHit; k++ {
-		if k.String() == "" {
-			t.Errorf("event kind %d has no name", k)
-		}
-	}
-	if EventKind(99).String() == "" {
-		t.Error("unknown kind should render")
-	}
+}
+
+// recordingSet wraps a result set and logs every route offered to it,
+// with whether the set accepted it.
+type recordingSet struct {
+	resultSet
+	offered  [][]graph.VertexID
+	accepted []bool
+}
+
+func (rs *recordingSet) Update(r *route.Route) bool {
+	ok := rs.resultSet.Update(r)
+	rs.offered = append(rs.offered, r.PoIs())
+	rs.accepted = append(rs.accepted, ok)
+	return ok
 }
 
 // TestTable4SkylineEvolution follows the skyline set through the Table 4
@@ -284,16 +269,25 @@ func TestTraceEventsPaperExample(t *testing.T) {
 // (step 11).
 func TestTable4SkylineEvolution(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	var accepted [][]graph.VertexID
-	opts := DefaultOptions()
-	opts.Trace = func(e Event) {
-		if e.Kind == EventSkylineUpdate {
-			accepted = append(accepted, e.Route.PoIs())
-		}
+	var rec *recordingSet
+	orig := newResultSet
+	defer func() { newResultSet = orig }()
+	newResultSet = func(k int) resultSet {
+		rec = &recordingSet{resultSet: orig(k)}
+		return rec
 	}
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	if _, err := s.QueryCategories(vq, cats...); err != nil {
+	s := NewSearcher(ds, ds.Forest.WuPalmer, DefaultOptions())
+	res, err := s.QueryCategories(vq, cats...)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// NNinit offers its Example 5.6 seeds ⟨p2,p5,p7⟩ and ⟨p2,p5,p8⟩ first;
+	// Table 4 starts after them.
+	var accepted [][]graph.VertexID
+	for i := res.Stats.InitRoutes; i < len(rec.offered); i++ {
+		if rec.accepted[i] {
+			accepted = append(accepted, rec.offered[i])
+		}
 	}
 	want := [][]graph.VertexID{
 		{10, 12, 13}, // step 5

@@ -103,7 +103,6 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 		if lg := s.legHook(key.pos); lg != nil {
 			lg.cacheHits++
 		}
-		s.emit(EventCacheHit, nil)
 		return e.items
 	}
 	e := s.sharedOrRun(key, radius)
@@ -120,16 +119,17 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
 // SharedCache when the position is shareable, running (and publishing) the
 // search otherwise. A position is shareable when it is a plain Category
-// matcher, the Lemma 5.5 path filter is active, and the dataset is not
+// matcher, the query's Lemma 5.5 path filter is on, and the dataset is not
 // time-dependent: the cached candidates — including their blocking-PoI
 // annotations — then depend only on the immutable dataset and the
-// similarity function the cache is dedicated to. Rated and unordered runs
-// are unfiltered, so they never share. Time-dependent runs bypass the
-// shared cache entirely (their distances are functions of the departure
-// time, which the shared key does not carry).
+// similarity function the cache is dedicated to. Rated, unordered and
+// k > 1 queries run unfiltered (see begin), so they never share.
+// Time-dependent runs bypass the shared cache entirely (their distances
+// are functions of the departure time, which the shared key does not
+// carry).
 func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	shared := s.opts.Shared
-	if shared == nil || s.opts.DisablePathFilter || s.td {
+	if shared == nil || !s.pathFilter || s.td {
 		return s.runMDijkstra(key, radius)
 	}
 	cat, ok := s.seq[key.pos].(*route.Category)
@@ -142,7 +142,6 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 		if lg := s.legHook(key.pos); lg != nil {
 			lg.sharedHits++
 		}
-		s.emit(EventCacheHit, nil)
 		return e
 	}
 	e := s.runMDijkstra(key, radius)
@@ -199,11 +198,11 @@ func (w *mdWorkspace) begin() uint32 {
 
 // runMDijkstra is Algorithm 2: a Dijkstra search from key.from that
 // collects every PoI matching the key's positions within the radius, does
-// not expand through perfectly matching PoIs while the Lemma 5.5 filter is
-// on, and records for each candidate the strongest intermediate PoI on its
-// path. Ordered and rated runs match one position; unordered runs match
-// every open one, record each (PoI, position) pair as its own candidate,
-// and run unfiltered (QueryUnordered turns the filter off). On
+// not expand through perfectly matching PoIs while the query's Lemma 5.5
+// filter is on, and records for each candidate the strongest intermediate
+// PoI on its path. Ordered and rated runs match one position; unordered
+// runs match every open one, record each (PoI, position) pair as its own
+// candidate, and run unfiltered (begin leaves the filter off). On
 // time-dependent datasets arcs are priced at their arrival time
 // (depart + d); the radius and goal-row cuts below compare those travel
 // times against lower-bound distances, which keeps them admissible (see
@@ -235,7 +234,6 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 			}
 		}
 	}()
-	s.emit(EventMDijkstraRun, nil)
 	// The fault hook fires before the checkpoint so a hook that cancels a
 	// context is observed within this very run, keeping cancellation
 	// deterministic on graphs far smaller than the check stride.
@@ -244,7 +242,7 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 		return &cacheEntry{}
 	}
 	originUsable := key.pos == 0
-	filter := !s.opts.DisablePathFilter
+	filter := s.pathFilter
 	g := s.d.Graph
 
 	if s.md == nil {
@@ -266,16 +264,8 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	// and is never skipped. A position without a row disables the cut.
 	var matchBuf [8]int32
 	var goalBuf [8]index.Row
-	match, goal := matchBuf[:0], goalBuf[:0]
-	if key.open == 0 {
-		match = append(match, int32(key.pos))
-	} else {
-		for p := range s.seq {
-			if key.open&(1<<p) != 0 {
-				match = append(match, int32(p))
-			}
-		}
-	}
+	match := s.matchPositions(matchBuf[:0], key.pos, key.open)
+	goal := goalBuf[:0]
 	for _, p := range match {
 		if int(p) >= len(s.idxRows.sem) || s.idxRows.sem[p] == nil {
 			goal = goal[:0]
@@ -402,6 +392,21 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	s.noteFirstRadius(maxSettled)
 	s.chargeSettleStats(settled)
 	return entry
+}
+
+// matchPositions appends to buf the sequence positions a search matches:
+// pos alone when open is empty (ordered and rated searches), otherwise
+// every position in open (unordered searches), in ascending order.
+func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
+	if open == 0 {
+		return append(buf, int32(pos))
+	}
+	for p := range s.seq {
+		if open&(1<<p) != 0 {
+			buf = append(buf, int32(p))
+		}
+	}
+	return buf
 }
 
 // goalBound is the frontier cut's lower bound at u: the smallest entry of

@@ -17,14 +17,41 @@ import (
 // has no threshold and traverses the whole graph (Table 7).
 func (s *Searcher) runNNinit(start graph.VertexID) {
 	began := time.Now()
+	var maxSemRoute *route.Route // seed with the largest semantic score
+	defer func() {
+		s.stats.InitTime = time.Since(began)
+		s.stats.InitPerfectL = s.sky.ThresholdPerfect()
+		if maxSemRoute != nil && !math.IsInf(s.stats.InitPerfectL, 1) && maxSemRoute.Semantic() > 0 {
+			s.stats.InitRatio = maxSemRoute.Length() / s.stats.InitPerfectL
+		}
+	}()
 	g := s.d.Graph
-	k := len(s.seq)
+	last := len(s.seq) - 1
 	r := route.Empty(s.scorer)
 	from := start
 
-	found := 0
-	var maxSemRoute *route.Route // seed with the largest semantic score
-
+	// Index fast path, here and before the last stage: a +Inf row entry
+	// proves no matching PoI is reachable from the chain's current end, so
+	// the stage's search would sweep its whole reachable component and
+	// find nothing — skip it. (Perfect matches are a subset of the
+	// category's associated PoIs, which are a subset of the tree's.)
+	for i := 0; i < last; i++ {
+		if s.idxRows.noPerfectReachable(i, from) {
+			return
+		}
+		next, d, _ := s.greedyStage(r, from, i, 0)
+		if next == graph.NoVertex {
+			// No reachable perfect match for this position: NNinit cannot
+			// complete; the thresholds stay unseeded and BSSR proceeds
+			// exactly.
+			return
+		}
+		r = r.Extend(s.scorer, next, d, 1.0)
+		from = next
+	}
+	if s.idxRows.noSemanticReachable(last, from) || s.cc.checkpoint() {
+		return
+	}
 	update := func(cand *route.Route) {
 		if s.hasDest() {
 			var ok bool
@@ -32,82 +59,70 @@ func (s *Searcher) runNNinit(start graph.VertexID) {
 				return
 			}
 		}
-		found++
+		s.stats.InitRoutes++
 		if maxSemRoute == nil || cand.Semantic() > maxSemRoute.Semantic() ||
 			(cand.Semantic() == maxSemRoute.Semantic() && cand.Length() < maxSemRoute.Length()) {
 			maxSemRoute = cand
 		}
 		s.sky.Update(cand)
 	}
-
-	for i := 0; i < k; i++ {
-		matcher := s.seq[i]
-		last := i == k-1
-		// Index fast path: a +Inf row entry proves no matching PoI is
-		// reachable from the chain's current end, so the stage's search
-		// would sweep its whole reachable component and find nothing —
-		// skip it. (Perfect matches are a subset of the category's
-		// associated PoIs, which are a subset of the tree's.)
-		if last {
-			if s.idxRows.noSemanticReachable(i, from) {
-				break
+	matcher := s.seq[last]
+	s.ws.Run(dijkstra.Options{
+		Sources:  []graph.VertexID{from},
+		Metric:   s.metric,
+		DepartAt: s.expandDepart(r),
+		Halt:     s.cc.halt(),
+		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
+			if !g.IsPoI(v) || r.Contains(v) {
+				return dijkstra.Continue
 			}
-		} else if s.idxRows.noPerfectReachable(i, from) {
-			break
-		}
-		next := graph.NoVertex
-		nextDist := 0.0
-		if s.cc.checkpoint() {
-			break
-		}
-		s.ws.Run(dijkstra.Options{
-			Sources: []graph.VertexID{from},
-			// Each stage of the chain departs when the chain arrives:
-			// time-dependent datasets price it at that instant.
-			Metric:   s.searchMetric(),
-			DepartAt: s.expandDepart(r),
-			Halt:     s.cc.halt(),
-			OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
-				if !g.IsPoI(v) || r.Contains(v) {
-					return dijkstra.Continue
-				}
-				cats := g.Categories(v)
-				if last {
-					// Every semantic match on the final stage yields a
-					// candidate sequenced route (Algorithm 3 lines 9–11).
-					if sim := matcher.Sim(cats); sim > 0 {
-						update(r.Extend(s.scorer, v, d, sim))
-						if matcher.Perfect(cats) {
-							return dijkstra.Stop
-						}
-					}
-					return dijkstra.Continue
-				}
+			// Every semantic match on the final stage yields a candidate
+			// sequenced route (Algorithm 3 lines 9–11).
+			cats := g.Categories(v)
+			if sim := matcher.Sim(cats); sim > 0 {
+				update(r.Extend(s.scorer, v, d, sim))
 				if matcher.Perfect(cats) {
-					next = v
-					nextDist = d
 					return dijkstra.Stop
 				}
-				return dijkstra.Continue
-			},
-		})
-		if last {
-			break
-		}
-		if next == graph.NoVertex {
-			// No reachable perfect match for this position: NNinit cannot
-			// complete; the thresholds stay at the seeds found so far
-			// (none, for intermediate stages) and BSSR proceeds exactly.
-			break
-		}
-		r = r.Extend(s.scorer, next, nextDist, 1.0)
-		from = next
-	}
+			}
+			return dijkstra.Continue
+		},
+	})
+}
 
-	s.stats.InitTime = time.Since(began)
-	s.stats.InitRoutes = found
-	s.stats.InitPerfectL = s.sky.ThresholdPerfect()
-	if maxSemRoute != nil && !math.IsInf(s.stats.InitPerfectL, 1) && maxSemRoute.Semantic() > 0 {
-		s.stats.InitRatio = maxSemRoute.Length() / s.stats.InitPerfectL
+// greedyStage is one stage of the greedy initial searches (NNinit's
+// intermediate stages, ratedInit and unorderedInit): a Dijkstra from
+// `from`, departing when r arrives there, that stops at the nearest PoI
+// off r perfectly matching one of the positions pos and open name (see
+// matchPositions). It returns that PoI, its distance and the position it
+// matched, or NoVertex when none is reachable or the query is cancelled.
+func (s *Searcher) greedyStage(r *route.Route, from graph.VertexID, pos int, open uint32) (graph.VertexID, float64, int) {
+	next, dist, at := graph.NoVertex, 0.0, -1
+	if s.cc.checkpoint() {
+		return next, dist, at
 	}
+	g := s.d.Graph
+	match := s.matchPositions(nil, pos, open)
+	s.ws.Run(dijkstra.Options{
+		Sources: []graph.VertexID{from},
+		// Each stage of the chain departs when the chain arrives:
+		// time-dependent datasets price it at that instant.
+		Metric:   s.metric,
+		DepartAt: s.expandDepart(r),
+		Halt:     s.cc.halt(),
+		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
+			if !g.IsPoI(v) || r.Contains(v) {
+				return dijkstra.Continue
+			}
+			cats := g.Categories(v)
+			for _, p := range match {
+				if s.seq[p].Perfect(cats) {
+					next, dist, at = v, d, int(p)
+					return dijkstra.Stop
+				}
+			}
+			return dijkstra.Continue
+		},
+	})
+	return next, dist, at
 }

@@ -74,9 +74,7 @@ func (s *Searcher) clearTransient() {
 	s.cache = nil
 	s.bounds = nil
 	s.destDist = nil
-	s.posTree = nil
 	s.stats = Stats{}
-	s.opts.Trace = nil
 	s.opts.Shared = nil
 	s.opts.Index = nil
 	s.opts.Context = nil

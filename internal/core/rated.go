@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"skysr/internal/dataset"
-	"skysr/internal/dijkstra"
 	"skysr/internal/faults"
 	"skysr/internal/graph"
 	"skysr/internal/pq"
@@ -36,36 +35,19 @@ type RatedResult struct {
 //
 // The Lemma 5.5 path filter does not carry over (a more-similar
 // intermediate PoI may have a worse rating, breaking the substitution
-// argument), so the modified Dijkstra runs unfiltered here; the minimum-
+// argument), so begin leaves it off and the modified Dijkstra runs
+// unfiltered here, whatever Options.DisablePathFilter says; the minimum-
 // distance semantic rule of §5.3.3 remains sound and is applied when
 // LowerBounds is enabled.
 func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedResult, error) {
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("core: empty sequence")
-	}
-	if start < 0 || int(start) >= s.d.Graph.NumVertices() {
-		return nil, fmt.Errorf("core: invalid start vertex %d", start)
-	}
 	if s.opts.TopK > 1 {
 		return nil, fmt.Errorf("core: top-k enumeration does not extend to the three-criteria rated query")
 	}
-	if err := s.initMetric(); err != nil {
+	if err := s.begin(start, seq, false); err != nil {
 		return nil, err
 	}
-	if err := s.initCancel(); err != nil {
-		return nil, err
-	}
-	began := time.Now()
 	k := len(seq)
-	s.resetQuery(seq) // s.sky is unused by the rated flow but kept valid
-
-	// Unsound for three criteria — force the unfiltered modified Dijkstra
-	// and restore the caller's option afterwards.
-	savedFilter := s.opts.DisablePathFilter
-	s.opts.DisablePathFilter = true
-	defer func() { s.opts.DisablePathFilter = savedFilter }()
-
-	sky3 := route.NewSkyline3()
+	sky3 := route.NewSkyline3() // s.sky is unused by the rated flow but kept valid
 
 	if s.opts.InitialSearch && !s.cc.cancelled() {
 		s.ratedInit(start, sky3)
@@ -85,21 +67,7 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 		penalty float64 // Σ (1 − rating/MaxRating) over visited PoIs
 	}
 	rho := func(e entry) float64 { return e.penalty / float64(k) }
-	less := func(a, b entry) bool {
-		if s.opts.ProposedQueue {
-			if a.r.Size() != b.r.Size() {
-				return a.r.Size() > b.r.Size()
-			}
-			if a.r.Semantic() != b.r.Semantic() {
-				return a.r.Semantic() < b.r.Semantic()
-			}
-		}
-		if a.r.Length() != b.r.Length() {
-			return a.r.Length() < b.r.Length()
-		}
-		return a.r.Last() < b.r.Last()
-	}
-	qb := pq.NewHeap(less)
+	qb := pq.NewHeap(func(a, b entry) bool { return s.routeLess(a.r, b.r) })
 
 	expand := func(e entry, from graph.VertexID) {
 		threshold := sky3.Threshold(e.r.Semantic(), rho(e))
@@ -140,50 +108,28 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 		}
 		e := qb.Pop()
 		s.stats.RoutesPopped++
-		r := rho(e)
-		if e.r.Length() >= sky3.Threshold(e.r.Semantic(), r) {
+		threshold := sky3.Threshold(e.r.Semantic(), rho(e))
+		if e.r.Length() >= threshold {
 			s.stats.PrunedThreshold++
 			continue
 		}
-		// Category-index lower bound, three-criteria form: the next hop
-		// costs at least the distance to the nearest PoI of the next
-		// position's tree (sound because completions only worsen both
-		// other scores).
-		if s.idxRows.any {
-			m := e.r.Size()
-			if m >= 1 && m < k {
-				if row := s.idxRows.sem[m]; row != nil {
-					bound := e.r.Length() + float64(row[e.r.Last()])
-					if s.bounds != nil {
-						bound += s.bounds.lsSuffix[m]
-					}
-					if bound >= sky3.Threshold(e.r.Semantic(), r) {
-						s.stats.PrunedByIndex++
-						continue
-					}
-				}
-			}
+		// The ordered loop's category-index bound holds here too:
+		// completions only worsen both other scores.
+		if s.idxRows.any && s.pruneByIndex(e.r, threshold) {
+			s.stats.PrunedByIndex++
+			continue
 		}
 		// §5.3.3 semantic rule, three-criteria form: every completion
 		// adds at least the remaining semantic-match minimum distances.
-		if s.bounds != nil {
-			m := e.r.Size()
-			if m >= 1 && m < k {
-				if e.r.Length()+s.bounds.lsSuffix[m-1] >= sky3.Threshold(e.r.Semantic(), r) {
-					s.stats.PrunedByBounds++
-					continue
-				}
-			}
+		if m := e.r.Size(); s.bounds != nil && m >= 1 && m < k &&
+			e.r.Length()+s.bounds.lsSuffix[m-1] >= threshold {
+			s.stats.PrunedByBounds++
+			continue
 		}
 		expand(e, e.r.Last())
 	}
 
-	s.stats.QueryTime = time.Since(began)
-	s.stats.SettledVertices += s.ws.SettledCount()
-	s.stats.Results = sky3.Len()
-	s.cache = nil
-
-	if err := s.cc.err; err != nil {
+	if err := s.finish(sky3.Len()); err != nil {
 		return &RatedResult{Stats: s.stats}, err
 	}
 	res := &RatedResult{Stats: s.stats}
@@ -198,46 +144,21 @@ func (s *Searcher) QueryRated(start graph.VertexID, seq route.Sequence) (*RatedR
 // scores with its actual ratings.
 func (s *Searcher) ratedInit(start graph.VertexID, sky3 *route.Skyline3) {
 	began := time.Now()
-	g := s.d.Graph
-	k := len(s.seq)
+	defer func() { s.stats.InitTime = time.Since(began) }()
 	r := route.Empty(s.scorer)
 	penalty := 0.0
 	from := start
-	for i := 0; i < k; i++ {
-		matcher := s.seq[i]
-		next := graph.NoVertex
-		nextDist := 0.0
-		if s.cc.checkpoint() {
-			s.stats.InitTime = time.Since(began)
-			return
-		}
-		s.ws.Run(dijkstra.Options{
-			Sources:  []graph.VertexID{from},
-			Metric:   s.searchMetric(),
-			DepartAt: s.expandDepart(r),
-			Halt:     s.cc.halt(),
-			OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
-				if !g.IsPoI(v) || r.Contains(v) {
-					return dijkstra.Continue
-				}
-				if matcher.Perfect(g.Categories(v)) {
-					next, nextDist = v, d
-					return dijkstra.Stop
-				}
-				return dijkstra.Continue
-			},
-		})
+	for i := range s.seq {
+		next, d, _ := s.greedyStage(r, from, i, 0)
 		if next == graph.NoVertex {
-			s.stats.InitTime = time.Since(began)
 			return
 		}
-		r = r.Extend(s.scorer, next, nextDist, 1.0)
+		r = r.Extend(s.scorer, next, d, 1.0)
 		penalty += dataset.RatingPenalty(s.d.Rating(next))
 		from = next
 	}
-	sky3.Update(route.Point3{L: r.Length(), S: r.Semantic(), R: penalty / float64(k), Route: r})
+	sky3.Update(route.Point3{L: r.Length(), S: r.Semantic(), R: penalty / float64(len(s.seq)), Route: r})
 	s.stats.InitRoutes = 1
-	s.stats.InitTime = time.Since(began)
 	s.stats.InitPerfectL = r.Length()
 }
 

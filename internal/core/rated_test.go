@@ -178,20 +178,40 @@ func TestRatedValidation(t *testing.T) {
 	}
 }
 
+// TestRatedRestoresPathFilterOption: the loops that run without the
+// Lemma 5.5 filter (rated, unordered, top-k) must leave the searcher's
+// options exactly as given, so a later plain query still filters.
 func TestRatedRestoresPathFilterOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	f := taxonomy.Generated(2, 2, 2)
 	d := ratedDataset(t, rng, f, 12, 8)
-	opts := DefaultOptions()
-	s := NewSearcher(d, f.WuPalmer, opts)
 	seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 2)...)
-	if _, err := s.QueryRated(0, seq); err != nil {
-		t.Fatal(err)
-	}
-	// A later plain query must still use the Lemma 5.5 filter; assert by
-	// checking the option was restored.
-	if s.opts.DisablePathFilter {
-		t.Error("QueryRated leaked DisablePathFilter=true")
+	topK := DefaultOptions()
+	topK.TopK = 2
+	for name, tc := range map[string]struct {
+		opts  Options
+		query func(s *Searcher) error
+	}{
+		"rated": {DefaultOptions(), func(s *Searcher) error {
+			_, err := s.QueryRated(0, seq)
+			return err
+		}},
+		"unordered": {DefaultOptions(), func(s *Searcher) error {
+			_, err := s.QueryUnordered(0, seq)
+			return err
+		}},
+		"top-2": {topK, func(s *Searcher) error {
+			_, err := s.Query(0, seq)
+			return err
+		}},
+	} {
+		s := NewSearcher(d, f.WuPalmer, tc.opts)
+		if err := tc.query(s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.opts != tc.opts {
+			t.Errorf("%s: options changed to %+v, want %+v", name, s.opts, tc.opts)
+		}
 	}
 }
 

@@ -36,9 +36,10 @@ type legTrace struct {
 }
 
 // initTrace arms the per-query span state. legged selects per-position
-// aggregation (ordered/destination queries); the unordered loop reports
-// stage totals only, since each of its modified Dijkstras searches a set
-// of open positions rather than one.
+// aggregation (ordered/destination queries); the unordered and rated
+// loops report stage totals only: each unordered modified Dijkstra
+// searches a set of open positions rather than one, and the rated loop
+// keeps no per-leg counters.
 func (s *Searcher) initTrace(legged bool) {
 	s.span = nil
 	s.legs = nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"skysr/internal/faults"
@@ -162,29 +163,54 @@ func TestCancelledQueryRecordsInterruptedSpan(t *testing.T) {
 	}
 }
 
+// TestUnorderedQuerySpanIsCoarse: the unordered and rated loops record one
+// search span annotated with the run's totals, without per-leg children
+// (their modified Dijkstras do not map onto one sequence position each).
 func TestUnorderedQuerySpanIsCoarse(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	opts := DefaultOptions()
-	tr := trace.New("route")
-	opts.Span = tr.Root()
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
-	res, err := s.QueryUnordered(vq, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	kids := tr.Root().Children()
-	if len(kids) != 1 || kids[0].Name() != "search" {
-		t.Fatalf("root children = %v", kids)
-	}
-	attrs := attrMap(kids[0])
-	if attrs["results"] != strconv.Itoa(res.Stats.Results) {
-		t.Errorf("results attr = %q, want %d", attrs["results"], res.Stats.Results)
-	}
-	for _, c := range kids[0].Children() {
-		if len(c.Name()) > 3 && c.Name()[:3] == "leg" {
-			t.Fatalf("unordered query produced a per-leg span %s", c.Name())
+	for _, tc := range []struct {
+		name  string
+		query func(s *Searcher) (Stats, error)
+	}{
+		{"unordered", func(s *Searcher) (Stats, error) {
+			res, err := s.QueryUnordered(vq, seq)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{"rated", func(s *Searcher) (Stats, error) {
+			res, err := s.QueryRated(vq, seq)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+	} {
+		opts := DefaultOptions()
+		tr := trace.New("route")
+		opts.Span = tr.Root()
+		st, err := tc.query(NewSearcher(ds, ds.Forest.WuPalmer, opts))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		tr.Finish()
+		kids := tr.Root().Children()
+		if len(kids) != 1 || kids[0].Name() != "search" {
+			t.Fatalf("%s: root children = %v", tc.name, kids)
+		}
+		attrs := attrMap(kids[0])
+		if attrs["results"] != strconv.Itoa(st.Results) {
+			t.Errorf("%s: results attr = %q, want %d", tc.name, attrs["results"], st.Results)
+		}
+		if attrs["popped"] != strconv.FormatInt(st.RoutesPopped, 10) {
+			t.Errorf("%s: popped attr = %q, want %d", tc.name, attrs["popped"], st.RoutesPopped)
+		}
+		for _, c := range kids[0].Children() {
+			if strings.HasPrefix(c.Name(), "leg") {
+				t.Fatalf("%s: produced a per-leg span %s", tc.name, c.Name())
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"skysr/internal/dijkstra"
 	"skysr/internal/faults"
 	"skysr/internal/graph"
 	"skysr/internal/pq"
@@ -25,41 +24,22 @@ import (
 // goal-directed by the open positions' tree rows, and a route is dropped
 // at enqueue and at pop once its length plus the largest open row entry
 // at its last PoI reaches the threshold: every open position must still
-// be visited after it. The ordered-only optimizations (Lemma 5.5 path
-// filtering, the §5.3.3 hop bounds) do not transfer to the unordered
-// setting and are disabled here; the threshold, the priority queue
-// arrangement and NNinit seeding apply as well.
+// be visited after it. The ordered-only optimizations do not transfer to
+// the unordered setting: a PoI reached through a perfect match of one
+// position may serve another, so the Lemma 5.5 substitution argument
+// fails and begin leaves the path filter off for this loop, and no
+// §5.3.3 hop bounds are computed. The threshold, the priority queue
+// arrangement and NNinit seeding apply as well. Without the filter, top-k
+// needs no special handling beyond the band itself: every threshold check
+// below cuts against the k-th-best length.
 func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Result, error) {
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("core: empty sequence")
-	}
 	if len(seq) > 30 {
 		return nil, fmt.Errorf("core: unordered queries support at most 30 positions, got %d", len(seq))
 	}
-	if start < 0 || int(start) >= s.d.Graph.NumVertices() {
-		return nil, fmt.Errorf("core: invalid start vertex %d", start)
-	}
-	if err := s.initMetric(); err != nil {
+	if err := s.begin(start, seq, false); err != nil {
 		return nil, err
 	}
-	if err := s.initCancel(); err != nil {
-		return nil, err
-	}
-	began := time.Now()
 	full := uint32(1)<<len(seq) - 1
-	if !s.opts.DisablePathFilter {
-		// A PoI reached through a perfect match of one position may serve
-		// another, so the filter's substitution argument fails. Restore
-		// the caller's option afterwards, as query does for top-k.
-		s.opts.DisablePathFilter = true
-		defer func() { s.opts.DisablePathFilter = false }()
-	}
-	// Without the filter, top-k needs no special handling beyond the band
-	// itself: every threshold check below cuts against the k-th-best
-	// length.
-	s.resetQuery(seq)
-	s.initTrace(false)
-
 	if s.opts.InitialSearch && !s.cc.cancelled() {
 		s.unorderedInit(start, full)
 	}
@@ -68,21 +48,7 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 		r    *route.Route
 		mask uint32 // satisfied positions
 	}
-	less := func(a, b entry) bool {
-		if s.opts.ProposedQueue {
-			if a.r.Size() != b.r.Size() {
-				return a.r.Size() > b.r.Size()
-			}
-			if a.r.Semantic() != b.r.Semantic() {
-				return a.r.Semantic() < b.r.Semantic()
-			}
-		}
-		if a.r.Length() != b.r.Length() {
-			return a.r.Length() < b.r.Length()
-		}
-		return a.r.Last() < b.r.Last()
-	}
-	qb := pq.NewHeap(less)
+	qb := pq.NewHeap(func(a, b entry) bool { return s.routeLess(a.r, b.r) })
 
 	// pruneByIndex is the unordered index bound: completing e costs at
 	// least the distance from its last PoI to the nearest semantic match
@@ -155,13 +121,7 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 		expand(e, e.r.Last())
 	}
 
-	s.stats.QueryTime = time.Since(began)
-	s.stats.SettledVertices += s.ws.SettledCount()
-	s.stats.Results = s.sky.Len()
-	s.harvestTopKStats()
-	s.finishTrace(s.cc.err)
-	s.cache = nil
-	if err := s.cc.err; err != nil {
+	if err := s.finish(s.sky.Len()); err != nil {
 		return &Result{Stats: s.stats}, err
 	}
 	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
@@ -171,46 +131,17 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 // positions to seed the upper bound, mirroring NNinit.
 func (s *Searcher) unorderedInit(start graph.VertexID, full uint32) {
 	began := time.Now()
-	g := s.d.Graph
 	r := route.Empty(s.scorer)
 	from := start
 	mask := uint32(0)
-	k := len(s.seq)
 	for mask != full {
-		found := graph.NoVertex
-		foundPos := -1
-		foundDist := 0.0
-		if s.cc.checkpoint() {
+		next, d, pos := s.greedyStage(r, from, 0, full&^mask)
+		if next == graph.NoVertex {
 			break
 		}
-		s.ws.Run(dijkstra.Options{
-			Sources:  []graph.VertexID{from},
-			Metric:   s.searchMetric(),
-			DepartAt: s.expandDepart(r),
-			Halt:     s.cc.halt(),
-			OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
-				if !g.IsPoI(v) || r.Contains(v) {
-					return dijkstra.Continue
-				}
-				cats := g.Categories(v)
-				for pos := 0; pos < k; pos++ {
-					if mask&(1<<uint(pos)) != 0 {
-						continue
-					}
-					if s.seq[pos].Perfect(cats) {
-						found, foundPos, foundDist = v, pos, d
-						return dijkstra.Stop
-					}
-				}
-				return dijkstra.Continue
-			},
-		})
-		if found == graph.NoVertex {
-			break
-		}
-		r = r.Extend(s.scorer, found, foundDist, 1.0)
-		mask |= 1 << uint(foundPos)
-		from = found
+		r = r.Extend(s.scorer, next, d, 1.0)
+		mask |= 1 << uint(pos)
+		from = next
 	}
 	if mask == full {
 		s.sky.Update(r)

@@ -5,7 +5,7 @@
 // synthetic equivalents that preserve the properties the evaluation
 // manipulates: vertex/PoI/edge ratios, category-popularity skew, and the
 // spatial concentration of PoIs that drives the Figure 4 lower-bound
-// behaviour. See DESIGN.md for the substitution rationale.
+// behaviour.
 package gen
 
 import (

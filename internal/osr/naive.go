@@ -15,7 +15,7 @@ import (
 // OSR queries grows with the product of the category depths, which is the
 // cost the paper's evaluation demonstrates (Figure 3).
 //
-// Correctness caveat (tested in naive_test.go, discussed in DESIGN.md):
+// Correctness caveat (tested in naive_test.go):
 // this enumeration is exact under the paper's experimental protocol —
 // query categories are tree leaves and all leaves of a tree sit at equal
 // depth — because the similarity of every PoI in P_a is then bounded below

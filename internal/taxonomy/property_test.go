@@ -89,7 +89,8 @@ func TestSubtreeIsClosedUnderChildren(t *testing.T) {
 
 // TestWuPalmerMonotoneInLCADepth: with uniform leaf depth, a deeper LCA
 // must never give a smaller similarity — the property that makes the
-// paper's ancestor-enumeration baseline exact (DESIGN.md).
+// paper's ancestor-enumeration baseline exact (see the correctness caveat
+// on osr.Solver.SkySR).
 func TestWuPalmerMonotoneInLCADepth(t *testing.T) {
 	f := Generated(1, 3, 4)
 	leaves := f.Leaves()
