@@ -211,8 +211,10 @@ type Searcher struct {
 	sky        resultSet
 	stats      Stats
 	cache      map[cacheKey]*cacheEntry
+	cacheBytes int64 // resident bytes of cache (entryBytes), for PeakCacheBytes
 	bounds     *bounds
-	destDist   []float64      // distance from each vertex to the destination; nil when no destination
+	destDist   []float64      // D(u, dest) for every vertex u (computePotentials); nil without a destination
+	pot        []index.Row    // cost-to-go rows of a destination query (computePotentials); nil without one
 	idxRows    indexRows      // per-position index rows resolved for this query
 	md         *mdWorkspace   // reusable modified-Dijkstra arrays, lazily sized
 	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
@@ -230,9 +232,9 @@ type Searcher struct {
 	dest   graph.VertexID
 	legWS  *dijkstra.Workspace
 
-	// Destination-sweep state (computeDestDistances): revG is the
-	// arc-reversed graph of a directed network and revLegWS its Dijkstra
-	// workspace, both built once and kept across pooled reuse.
+	// Destination-sweep state (reverseSweep): revG is the arc-reversed
+	// graph of a directed network and revLegWS its Dijkstra workspace,
+	// both built once and kept across pooled reuse.
 	revG     *graph.Graph
 	revLegWS *dijkstra.Workspace
 
@@ -371,7 +373,7 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	}
 	if dest != graph.NoVertex {
 		s.dest = dest
-		s.computeDestDistances(dest)
+		s.computePotentials(dest)
 	}
 
 	// Optimization 1: seed the upper bound with NNinit (§5.3.1).
@@ -410,6 +412,13 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 			continue
 		}
 		s.noteTopKPop(r)
+		if s.pruneByPotential(r, threshold) {
+			s.stats.PrunedByBounds++
+			if lg != nil {
+				lg.prunedBounds++
+			}
+			continue
+		}
 		if s.idxRows.any && s.pruneByIndex(r, threshold) {
 			s.stats.PrunedByIndex++
 			if lg != nil {
@@ -473,11 +482,13 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	s.sky = newResultSet(k)
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
 	s.cache = nil
+	s.cacheBytes = 0
 	if s.opts.Caching {
 		s.cache = make(map[cacheKey]*cacheEntry)
 	}
 	s.bounds = nil
 	s.destDist = nil
+	s.pot = nil
 	s.prepareIndexRows()
 	s.ws.ResetStats()
 	s.initTrace(ordered)
@@ -574,9 +585,16 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			s.sky.Update(rt)
 			continue
 		}
-		// Enqueue-time form of the index prune: a route the index bound
-		// already condemns would be pruned at pop (the threshold only
+		// Enqueue-time forms of the cost-to-go and index prunes: a route
+		// they already condemn would be pruned at pop (the threshold only
 		// shrinks in the meantime), so don't queue it at all.
+		if s.pruneByPotential(rt, threshold) {
+			s.stats.PrunedByBounds++
+			if lg := s.legHook(rt.Size()); lg != nil {
+				lg.prunedBounds++
+			}
+			continue
+		}
 		if s.idxRows.any && s.pruneByIndex(rt, threshold) {
 			s.stats.PrunedByIndex++
 			if lg := s.legHook(rt.Size()); lg != nil {
@@ -614,6 +632,25 @@ func (s *Searcher) pruneByIndex(r *route.Route, threshold float64) bool {
 		bound += s.bounds.lsSuffix[m] // hops after the first
 	}
 	return bound >= threshold
+}
+
+// pruneByPotential reports that r cannot visit its remaining positions
+// and reach the query destination before threshold: its length plus the
+// cost-to-go row of its size at its last PoI (computePotentials) already
+// reaches it. Always false without a destination.
+func (s *Searcher) pruneByPotential(r *route.Route, threshold float64) bool {
+	row := s.potRow(r.Size())
+	return row != nil && r.Length()+float64(row[r.Last()]) >= threshold
+}
+
+// potRow returns the cost-to-go row of position pos — the row that cuts
+// the modified Dijkstras of routes holding pos PoIs, and those routes
+// themselves — or nil when there is none: no destination, or pos 0.
+func (s *Searcher) potRow(pos int) index.Row {
+	if pos < 1 || pos >= len(s.pot) {
+		return nil
+	}
+	return s.pot[pos]
 }
 
 // completeToDest appends the final leg to the destination (§6) to a
@@ -703,36 +740,80 @@ func (s *Searcher) reversedGraph() *graph.Graph {
 	return s.revG
 }
 
-// computeDestDistances fills destDist with D(v, dest) for every vertex,
-// searching the reverse graph so directed networks are handled correctly.
-// The reverse graph carries no time table, so on time-dependent datasets
-// the table holds lower-bound distances (see completeToDest). The sweep
-// is charged as one DestLegRuns and to DestLegTime. Its settles are
-// charged here when it runs on the reversed graph's workspace; on the
-// shared ws they are harvested at query end.
-func (s *Searcher) computeDestDistances(dest graph.VertexID) {
+// computePotentials prepares a destination query (§6): destDist holds
+// D(u, dest) for every vertex u, and pot[i], for i from k−1 down to 1
+// (k = len(seq)), lower-bounds the cost of finishing a route from u by
+// visiting positions i..k−1 in order and then the destination: the
+// minimum, over the semantic matches c of position i, of D(u, c) plus
+// the next row's value at c (destDist for i = k−1) — one reverse
+// multi-source sweep seeded at every such c at that value. Position 0
+// gets no row: only the single expansion of the empty route could use it.
+// Like the category index's rows, pot rows are rounded down to float32,
+// so they stay lower bounds and cut the modified Dijkstra through the
+// same goal-row code. The reverse graph carries no time table, so on
+// time-dependent datasets every value is a lower-bound distance (see
+// completeToDest).
+func (s *Searcher) computePotentials(dest graph.VertexID) {
+	k := len(s.seq)
+	g := s.d.Graph
+	n := g.NumVertices()
+	s.destDist = make([]float64, n)
+	for v := range s.destDist {
+		s.destDist[v] = math.Inf(1)
+	}
+	s.reverseSweep([]graph.VertexID{dest}, nil, func(v graph.VertexID, d float64) { s.destDist[v] = d })
+	s.pot = make([]index.Row, k)
+	for i := k - 1; i >= 1; i-- {
+		var seeds []graph.VertexID
+		var at []float64
+		for _, c := range g.PoIVertices() {
+			d := s.destDist[c]
+			if i < k-1 {
+				d = float64(s.pot[i+1][c])
+			}
+			if !math.IsInf(d, 1) && s.seq[i].Sim(g.Categories(c)) > 0 {
+				seeds = append(seeds, c)
+				at = append(at, d)
+			}
+		}
+		row := make(index.Row, n)
+		for v := range row {
+			row[v] = float32(math.Inf(1))
+		}
+		s.reverseSweep(seeds, at, func(v graph.VertexID, d float64) { row[v] = index.RoundDown32(d) })
+		s.pot[i] = row
+	}
+}
+
+// reverseSweep runs one Dijkstra on the reverse graph, so directed
+// networks are handled correctly, from sources at the start distances at
+// (zero when at is nil), and reports every settled vertex with its
+// distance to the sources. Each sweep is charged as one DestLegRuns and
+// to DestLegTime. Its settles are charged here when it runs on the
+// reversed graph's workspace; on the shared ws they are harvested at
+// query end.
+func (s *Searcher) reverseSweep(sources []graph.VertexID, at []float64, settle func(graph.VertexID, float64)) {
 	s.stats.DestLegRuns++
 	began := time.Now()
 	defer func() { s.stats.DestLegTime += time.Since(began) }()
-	g := s.d.Graph
 	rg := s.reversedGraph()
 	ws := s.ws
-	if rg != g {
+	if rg != s.d.Graph {
 		if s.revLegWS == nil {
 			s.revLegWS = dijkstra.New(rg)
 		}
 		ws = s.revLegWS
 	}
-	settled := ws.Run(dijkstra.Options{Sources: []graph.VertexID{dest}, Halt: s.cc.halt()})
+	settled := ws.Run(dijkstra.Options{
+		Sources:    sources,
+		SourceDist: at,
+		Halt:       s.cc.halt(),
+		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
+			settle(v, d)
+			return dijkstra.Continue
+		},
+	})
 	if ws != s.ws {
 		s.chargeSettleStats(settled)
-	}
-	s.destDist = make([]float64, g.NumVertices())
-	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
-		if d, ok := ws.Dist(v); ok {
-			s.destDist[v] = d
-		} else {
-			s.destDist[v] = math.Inf(1)
-		}
 	}
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"skysr/internal/dataset"
 	"skysr/internal/gen"
 	"skysr/internal/geo"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
@@ -67,6 +69,46 @@ func randomDirectedDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois in
 		both(attach, p, 0.1, 1)
 	}
 	return dataset.MustNew("rand-directed", b.Build(), f)
+}
+
+// dyadicDataset is randomDataset, on a directed or undirected network,
+// with dyadic weights (multiples of 1/16): every route length is then a
+// sum of exactly representable values whose result is independent of
+// addition order, so the brute-force enumerator and the search cannot
+// disagree by an ULP on whether two routes tie. Directed networks carry a
+// spanning tree with an arc each way plus one-way extra arcs; a quarter
+// of the PoIs carry a second category.
+func dyadicDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int, directed bool) *dataset.Dataset {
+	b := graph.NewBuilder(directed)
+	for i := 0; i < vertices; i++ {
+		b.AddVertex(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()})
+	}
+	w := func(lo, hi int) float64 { return float64(lo+rng.Intn(hi-lo+1)) / 16 }
+	road := func(u, v graph.VertexID, lo, hi int) {
+		b.AddEdge(u, v, w(lo, hi))
+		if directed {
+			b.AddEdge(v, u, w(lo, hi))
+		}
+	}
+	for i := 1; i < vertices; i++ {
+		road(graph.VertexID(i), graph.VertexID(rng.Intn(i)), 16, 160)
+	}
+	for e := 0; e < vertices; e++ {
+		u, v := rng.Intn(vertices), rng.Intn(vertices)
+		if u != v {
+			b.AddEdge(graph.VertexID(u), graph.VertexID(v), w(16, 160))
+		}
+	}
+	leaves := f.Leaves()
+	for i := 0; i < pois; i++ {
+		attach := graph.VertexID(rng.Intn(vertices))
+		p := b.AddPoI(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()}, leaves[rng.Intn(len(leaves))])
+		if rng.Intn(4) == 0 {
+			b.AddCategory(p, leaves[rng.Intn(len(leaves))])
+		}
+		road(attach, p, 2, 18)
+	}
+	return dataset.MustNew("dyadic", b.Build(), f)
 }
 
 func pickCats(rng *rand.Rand, f *taxonomy.Forest, n int) []taxonomy.CategoryID {
@@ -360,23 +402,62 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 }
 
+// TestQueryWithDestinationMatchesBruteForce: a destination query (§6)
+// returns exactly the brute-force skyline with the final leg included,
+// in every optimization configuration, plain, on the category index, and
+// on the index plus one SharedCache kept for the whole trial. Each
+// destination query runs between two queries without one on the same
+// Searcher and cache, so neither its cost-to-go rows nor the entries its
+// runs could leave in the shared cache may change their answers. Weights
+// are dyadic (see dyadicDataset); with float weights, routes that tie
+// mathematically can sum one ULP apart in different orders, and the
+// brute force then keeps a point the search rightly treats as dominated.
 func TestQueryWithDestinationMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	f := taxonomy.Generated(3, 2, 3)
-	for trial := 0; trial < 8; trial++ {
-		d := randomDataset(rng, f, 18, 14)
-		cats := pickCats(rng, f, 2)
-		start := graph.VertexID(rng.Intn(18))
-		dest := graph.VertexID(rng.Intn(18))
-		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+	variants := optionVariants()
+	names := make([]string, 0, len(variants))
+	for name := range variants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	const vertices, pois = 18, 14
+	for trial := 0; trial < 120; trial++ {
+		d := dyadicDataset(rng, f, vertices, pois, trial%2 == 1)
+		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 2+rng.Intn(2))...)
+		start := graph.VertexID(rng.Intn(vertices))
+		dest := graph.VertexID(rng.Intn(vertices))
 		want := osr.BruteForceSkySRWithDestination(d, start, seq, route.AggProduct, dest)
-		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
-		res, err := s.QueryWithDestination(start, seq, dest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: destination mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+		wantNoDest := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		ci := index.New(d, 0)
+		shared := NewSharedCache(0)
+		for _, profile := range []string{"plain", "index", "index+shared"} {
+			for _, name := range names {
+				opts := variants[name]
+				if profile != "plain" {
+					opts.Index = ci
+				}
+				if profile == "index+shared" {
+					opts.Shared = shared
+				}
+				s := NewSearcher(d, f.WuPalmer, opts)
+				check := func(what string, res *Result, err error, want *route.Skyline) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("trial %d %s %s %s: %v", trial, profile, name, what, err)
+					}
+					if !sameSkyline(res.Routes, want) {
+						t.Fatalf("trial %d (directed %v, %d positions) %s %s %s: mismatch\ngot:  %v\nwant: %v",
+							trial, d.Graph.Directed(), len(seq), profile, name, what, res.Routes, want.Routes())
+					}
+				}
+				res, err := s.Query(start, seq)
+				check("before", res, err, wantNoDest)
+				res, err = s.QueryWithDestination(start, seq, dest)
+				check("destination", res, err, want)
+				res, err = s.Query(start, seq)
+				check("after", res, err, wantNoDest)
+			}
 		}
 	}
 }
@@ -416,12 +497,14 @@ func TestDirectedGraphQuery(t *testing.T) {
 	}
 }
 
-// TestDestinationSweepAccounting: the reverse sweep a destination query
-// runs is charged like any other search — one DestLegRuns with its wall
-// time, and its settles in SettledVertices. A directed network carrying
-// both arcs of every edge searches exactly like its undirected twin, but
-// sweeps on the reversed graph's own workspace, so the two must report
-// the same work.
+// TestDestinationSweepAccounting: the reverse sweeps a destination query
+// runs are charged like any other search — one DestLegRuns each with
+// their wall time, and their settles in SettledVertices. A query of k
+// positions sweeps k times: once from the destination and once per
+// cost-to-go row of positions k−1 down to 1 (computePotentials). A
+// directed network carrying both arcs of every edge searches exactly like
+// its undirected twin, but sweeps on the reversed graph's own workspace,
+// so the two must report the same work.
 func TestDestinationSweepAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	f := taxonomy.Generated(3, 2, 3)
@@ -468,9 +551,9 @@ func TestDestinationSweepAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[i] = res.Stats
-			if res.Stats.DestLegRuns != 1 || res.Stats.DestLegTime <= 0 {
-				t.Errorf("trial %d directed=%v: destination leg runs %d time %v, want the sweep charged once",
-					trial, d.Graph.Directed(), res.Stats.DestLegRuns, res.Stats.DestLegTime)
+			if res.Stats.DestLegRuns != int64(len(seq)) || res.Stats.DestLegTime <= 0 {
+				t.Errorf("trial %d directed=%v: destination leg runs %d time %v, want each of the %d sweeps charged once",
+					trial, d.Graph.Directed(), res.Stats.DestLegRuns, res.Stats.DestLegTime, len(seq))
 			}
 		}
 		if got[0].SettledVertices != got[1].SettledVertices {
@@ -617,6 +700,60 @@ func TestStatsInstrumentation(t *testing.T) {
 	if res.Stats.MDijkstraRuns > res2.Stats.MDijkstraRuns {
 		t.Errorf("cache increased Dijkstra executions: %d > %d",
 			res.Stats.MDijkstraRuns, res2.Stats.MDijkstraRuns)
+	}
+
+	// On static datasets the stages are disjoint: every init stage runs
+	// greedy Dijkstras on the shared workspace, never a modified Dijkstra,
+	// and only time-dependent destination legs run inside NNinit. The
+	// intervals nest on the monotonic clock, so their sum never exceeds
+	// QueryTime. PeakCacheBytes is pinned on the first three starts: the
+	// running total must equal the largest sum of entryBytes over the
+	// cache after any store.
+	wantPeak := map[bool][3][3]int64{ // index → start → ordered, unordered, rated
+		false: {{1584, 5152, 1584}, {2792, 9456, 2792}, {2112, 7440, 2160}},
+		true:  {{1392, 4352, 1392}, {2600, 9072, 2600}, {2016, 7152, 2016}},
+	}
+	seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
+	n := d.Graph.NumVertices()
+	for _, withIndex := range []bool{false, true} {
+		opts := DefaultOptions()
+		if withIndex {
+			opts.Index = index.New(d, 0)
+		}
+		s := NewSearcher(d, f.WuPalmer, opts)
+		for v := 0; v < n; v++ {
+			start := graph.VertexID(v)
+			stats := map[string]Stats{}
+			for shape, run := range map[string]func() (*Result, error){
+				"ordered":     func() (*Result, error) { return s.Query(start, seq) },
+				"destination": func() (*Result, error) { return s.QueryWithDestination(start, seq, graph.VertexID((v+7)%n)) },
+				"unordered":   func() (*Result, error) { return s.QueryUnordered(start, seq) },
+			} {
+				res, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats[shape] = res.Stats
+			}
+			rated, err := s.QueryRated(start, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats["rated"] = rated.Stats
+			for shape, st := range stats {
+				if sum := st.InitTime + st.BoundsTime + st.MDijkstraTime + st.DestLegTime; sum > st.QueryTime {
+					t.Errorf("index %v start %d %s: init %v + bounds %v + mdijkstra %v + destleg %v = %v > query %v",
+						withIndex, v, shape, st.InitTime, st.BoundsTime, st.MDijkstraTime, st.DestLegTime, sum, st.QueryTime)
+				}
+			}
+			if v < 3 {
+				got := [3]int64{stats["ordered"].PeakCacheBytes, stats["unordered"].PeakCacheBytes, stats["rated"].PeakCacheBytes}
+				if got != wantPeak[withIndex][v] {
+					t.Errorf("index %v start %d: PeakCacheBytes ordered, unordered, rated = %v, want %v",
+						withIndex, v, got, wantPeak[withIndex][v])
+				}
+			}
+		}
 	}
 }
 

@@ -49,7 +49,11 @@ type cacheKey struct {
 }
 
 // cacheEntry stores the candidates found around an origin, complete up to
-// the exhausted radius: every matching PoI with dist < radius is present.
+// the exhausted radius: every matching PoI whose route can still beat the
+// radius is present. Without a destination that is every matching PoI
+// with dist < radius; a run cut by a destination's cost-to-go row keeps
+// every x whose dist plus lower bound on finishing the route from x stays
+// below the radius (see runMDijkstra).
 type cacheEntry struct {
 	radius   float64
 	complete bool // whole reachable component explored
@@ -67,7 +71,7 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 	// l(Rt) = l(Rd) + dist ≥ l̄(Rd).
 	threshold := s.sky.Threshold(r.Semantic())
 	radius := threshold - r.Length()
-	if s.bounds != nil && s.bounds.fromIndex {
+	if s.bounds != nil && s.bounds.fromIndex && s.potRow(pos) == nil {
 		// Tighten the radius by the §5.3.3 suffix: a candidate found here
 		// sits at position pos, and completing the route from it costs at
 		// least lsSuffix[pos] more, so any candidate beyond
@@ -75,7 +79,9 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 		// prune at pop (the threshold only shrinks in the meantime, and
 		// extension only raises the semantic score) — don't explore it.
 		// Final-position candidates (lsSuffix = 0) are unaffected, so
-		// skyline entries are byte-identical with or without the cut.
+		// skyline entries are byte-identical with or without the cut. A
+		// run cut by a cost-to-go row skips this: the row already counts
+		// those hops, and subtracting them again would count them twice.
 		if rem := s.bounds.lsSuffix[pos]; rem > 0 {
 			if math.IsInf(rem, 1) {
 				return nil
@@ -98,20 +104,25 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 	if s.cache == nil {
 		return s.sharedOrRun(key, radius).items
 	}
-	if e, ok := s.cache[key]; ok && (e.complete || e.radius >= radius) {
+	old, ok := s.cache[key]
+	if ok && (old.complete || old.radius >= radius) {
 		s.stats.CacheHits++
 		if lg := s.legHook(key.pos); lg != nil {
 			lg.cacheHits++
 		}
-		return e.items
+		return old.items
 	}
 	e := s.sharedOrRun(key, radius)
 	if !s.cc.cancelled() {
 		// A truncated run's items stop at an arbitrary frontier; caching
 		// them could serve an incomplete candidate set to a later query
 		// on this searcher.
+		if ok {
+			s.cacheBytes -= entryBytes(old)
+		}
 		s.cache[key] = e
-		s.accountCacheBytes()
+		s.cacheBytes += entryBytes(e)
+		s.stats.PeakCacheBytes = max(s.stats.PeakCacheBytes, s.cacheBytes)
 	}
 	return e.items
 }
@@ -126,10 +137,12 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 // k > 1 queries run unfiltered (see begin), so they never share.
 // Time-dependent runs bypass the shared cache entirely (their distances
 // are functions of the departure time, which the shared key does not
-// carry).
+// carry), and so do runs cut by a destination's cost-to-go row: their
+// entries leave out candidates that cannot reach this query's
+// destination in time.
 func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	shared := s.opts.Shared
-	if shared == nil || !s.pathFilter || s.td {
+	if shared == nil || !s.pathFilter || s.td || s.potRow(key.pos) != nil {
 		return s.runMDijkstra(key, radius)
 	}
 	cat, ok := s.seq[key.pos].(*route.Category)
@@ -262,16 +275,29 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	// of its shortest paths — nor its Lemma 5.5 annotation chain — can pass
 	// through a skipped vertex. A matching vertex itself has a zero bound
 	// and is never skipped. A position without a row disables the cut.
+	//
+	// A destination query's run for a route holding pos ≥ 1 PoIs cuts by
+	// its cost-to-go row instead (potRow), which dominates the tree rows.
+	// Let C(x) be the next row's value at a candidate x (destDist for the
+	// last position): the route through x can still beat the radius only
+	// while D(from,x) + C(x) < radius, and x seeds row pos at C(x), so every
+	// u on a shortest path to x has d_u + pot[pos][u] ≤ D(from,x) + C(x).
+	// x survives the cut, and so does any Lemma 5.5 blocker b on its path,
+	// whose D(from,b) + C(b) is no larger.
 	var matchBuf [8]int32
 	var goalBuf [8]index.Row
 	match := s.matchPositions(matchBuf[:0], key.pos, key.open)
 	goal := goalBuf[:0]
-	for _, p := range match {
-		if int(p) >= len(s.idxRows.sem) || s.idxRows.sem[p] == nil {
-			goal = goal[:0]
-			break
+	if row := s.potRow(key.pos); row != nil {
+		goal = append(goal, row)
+	} else {
+		for _, p := range match {
+			if int(p) >= len(s.idxRows.sem) || s.idxRows.sem[p] == nil {
+				goal = goal[:0]
+				break
+			}
+			goal = append(goal, s.idxRows.sem[p])
 		}
-		goal = append(goal, s.idxRows.sem[p])
 	}
 
 	entry := &cacheEntry{}
@@ -410,7 +436,8 @@ func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
 }
 
 // goalBound is the frontier cut's lower bound at u: the smallest entry of
-// the matched positions' tree rows.
+// the goal rows (the matched positions' tree rows, or a destination's
+// cost-to-go row).
 func goalBound(rows []index.Row, u graph.VertexID) float64 {
 	lb := rows[0][u]
 	for _, row := range rows[1:] {
@@ -432,14 +459,4 @@ func (s *Searcher) noteFirstRadius(r float64) {
 // sparse state, so they are charged here.
 func (s *Searcher) chargeSettleStats(settled int) {
 	s.stats.SettledVertices += int64(settled)
-}
-
-func (s *Searcher) accountCacheBytes() {
-	var b int64
-	for _, e := range s.cache {
-		b += 48 + int64(len(e.items))*40
-	}
-	if b > s.stats.PeakCacheBytes {
-		s.stats.PeakCacheBytes = b
-	}
 }

@@ -77,7 +77,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		topKExtra: reg.Counter("skysr_topk_extra_pops_total",
 			"Pops a k>1 run performed beyond what the classic best-length threshold would allow."),
 		destLegRuns: reg.Counter("skysr_destleg_runs_total",
-			"Destination-leg searches: the one reverse sweep every destination query runs, plus each exact time-dependent leg pricing (§6)."),
+			"Destination-leg searches: the k reverse cost-to-go sweeps a destination query of k positions runs, plus each exact time-dependent leg pricing (§6)."),
 		indexCovered: reg.Counter("skysr_search_index_covered_total",
 			"Searches whose §5.3.3 bounds came entirely from resident category-index rows (subtract from skysr_search_total for the fallback count)."),
 		stageTotal:  stage("total"),

@@ -74,6 +74,7 @@ func (s *Searcher) clearTransient() {
 	s.cache = nil
 	s.bounds = nil
 	s.destDist = nil
+	s.pot = nil
 	s.stats = Stats{}
 	s.opts.Shared = nil
 	s.opts.Index = nil
@@ -244,7 +245,9 @@ func (c *SharedCache) DropStale(epoch int64) {
 	}
 }
 
-// entryBytes mirrors the per-query accounting of accountCacheBytes.
+// entryBytes is the approximate resident size of a cache entry: a header
+// plus one 40-byte candidate per item. The per-query PeakCacheBytes and
+// the SharedCache byte cap both count with it.
 func entryBytes(e *cacheEntry) int64 {
 	return 48 + int64(len(e.items))*40
 }

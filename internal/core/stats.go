@@ -19,8 +19,11 @@ type Stats struct {
 
 	// MDijkstraTime totals wall time spent inside runMDijkstra across the
 	// query — ordered, rated and unordered expansions alike (the m-Dijkstra
-	// stage of the per-search stage breakdown; runs triggered from NNinit
-	// also count toward InitTime, which measures the whole §5.3.1 phase).
+	// stage of the per-search stage breakdown). The init stages run greedy
+	// Dijkstras, never a modified one, so on static datasets InitTime,
+	// BoundsTime, MDijkstraTime and DestLegTime are disjoint. The one
+	// overlap: time-dependent destination legs priced from inside NNinit
+	// count toward both DestLegTime and InitTime.
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches,
@@ -50,15 +53,16 @@ type Stats struct {
 	BoundsTime      time.Duration
 	SemanticBound   float64 // Σ ls[i] over all hops
 	PerfectBound    float64 // Σ lp[i] over all hops
-	PrunedByBounds  int64   // routes dropped by §5.3.3 pruning
+	PrunedByBounds  int64   // routes dropped by §5.3.3 pruning or a destination's cost-to-go row
 	PrunedThreshold int64   // routes dropped by the Eq. 3 threshold at pop
 	PrunedByIndex   int64   // routes dropped by the category index
 
-	// Destination leg (§6 "SkySR with destination"): the reverse sweep
-	// every destination query runs (computeDestDistances) plus, on
-	// time-dependent datasets, each exact leg pricing (destLeg). Both
-	// count as runs, both charge their wall time here, and both charge
-	// their settled vertices to SettledVertices.
+	// Destination leg (§6 "SkySR with destination"): the reverse sweeps
+	// that build a destination query's cost-to-go rows (computePotentials:
+	// k of them for k positions, one from the destination and one per
+	// position k−1 down to 1) plus, on time-dependent datasets, each exact
+	// leg pricing (destLeg). Each counts as a run, charges its wall time
+	// here, and charges its settled vertices to SettledVertices.
 	DestLegRuns int64
 	DestLegTime time.Duration
 

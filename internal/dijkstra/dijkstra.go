@@ -38,9 +38,13 @@ type Settled struct {
 
 // Options configures one Run.
 type Options struct {
-	// Sources are settled at distance zero. Multiple sources give the
-	// multi-source search of Lemma 5.9.
+	// Sources are settled at distance zero, or at SourceDist. Multiple
+	// sources give the multi-source search of Lemma 5.9.
 	Sources []graph.VertexID
+	// SourceDist, when non-nil, holds per-source start distances parallel
+	// to Sources: a search from a virtual vertex with an arc of that length
+	// to each source. A source listed twice starts at its smaller value.
+	SourceDist []float64
 	// Bound, when positive, stops the search as soon as the next settled
 	// distance is ≥ Bound (the Lemma 5.3 cut in Algorithm 2 line 8).
 	// Zero or negative means unbounded.
@@ -154,11 +158,18 @@ func (w *Workspace) Run(opts Options) int {
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
-	for _, s := range opts.Sources {
-		w.dist[s] = 0
+	for i, s := range opts.Sources {
+		d := 0.0
+		if opts.SourceDist != nil {
+			d = opts.SourceDist[i]
+		}
+		if w.stamp[s] == w.epoch && w.dist[s] <= d {
+			continue // listed twice: the smaller start stands
+		}
+		w.dist[s] = d
 		w.parent[s] = graph.NoVertex
 		w.stamp[s] = w.epoch
-		w.heap.PushOrDecrease(s, 0)
+		w.heap.PushOrDecrease(s, d)
 	}
 	count := 0
 	for w.heap.Len() > 0 {

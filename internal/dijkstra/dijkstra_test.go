@@ -236,6 +236,38 @@ func TestMinDistanceMultiSource(t *testing.T) {
 	}
 }
 
+// TestSeededSourcesMatchFloydWarshall: with SourceDist every vertex
+// settles at the smallest start distance plus path length over the
+// sources, a source listed twice starts at its smaller value, and the
+// sources need not be settled in list order.
+func TestSeededSourcesMatchFloydWarshall(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g := randomConnectedGraph(rng, 40, 60)
+	all := floydWarshall(g)
+	w := New(g)
+	for trial := 0; trial < 20; trial++ {
+		var sources []graph.VertexID
+		var start []float64
+		for i := 0; i < 1+rng.Intn(5); i++ {
+			sources = append(sources, graph.VertexID(rng.Intn(40)))
+			start = append(start, rng.Float64()*20)
+		}
+		sources = append(sources, sources[0])
+		start = append(start, rng.Float64()*20)
+		w.Run(Options{Sources: sources, SourceDist: start})
+		for v := 0; v < 40; v++ {
+			want := math.Inf(1)
+			for i, s := range sources {
+				want = math.Min(want, start[i]+all[s][v])
+			}
+			got, ok := w.Dist(graph.VertexID(v))
+			if !ok || math.Abs(got-want) > 1e-9 {
+				t.Fatalf("trial %d: dist(%d) = %v (reached %v), want %v", trial, v, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestMinDistanceBounded(t *testing.T) {
 	b := graph.NewBuilder(false)
 	for i := 0; i < 3; i++ {

@@ -176,7 +176,7 @@ func (ci *CategoryDistances) buildRowLocked(c taxonomy.CategoryID) Row {
 		ci.ws.Run(dijkstra.Options{
 			Sources: sources,
 			OnSettle: func(v graph.VertexID, dd float64) dijkstra.Control {
-				row[v] = roundDown32(dd)
+				row[v] = RoundDown32(dd)
 				return dijkstra.Continue
 			},
 		})
@@ -191,9 +191,9 @@ func (ci *CategoryDistances) publishLocked(c taxonomy.CategoryID, row Row) {
 	ci.built.Add(1)
 }
 
-// roundDown32 converts an exact float64 distance to the largest float32
+// RoundDown32 converts an exact float64 distance to the largest float32
 // not exceeding it, keeping every stored value a true lower bound.
-func roundDown32(d float64) float32 {
+func RoundDown32(d float64) float32 {
 	f := float32(d)
 	if float64(f) > d {
 		f = math.Nextafter32(f, float32(math.Inf(-1)))

@@ -80,9 +80,9 @@ func TestRowsMatchBruteForce(t *testing.T) {
 					}
 					continue
 				}
-				if got != roundDown32(want) {
+				if got != RoundDown32(want) {
 					t.Fatalf("directed=%v cat %d vertex %d: index %v, want round-down(%v) = %v",
-						directed, c, v, got, want, roundDown32(want))
+						directed, c, v, got, want, RoundDown32(want))
 				}
 				if float64(got) > want {
 					t.Fatalf("directed=%v cat %d vertex %d: stored %v exceeds exact %v (not a lower bound)",
@@ -95,16 +95,16 @@ func TestRowsMatchBruteForce(t *testing.T) {
 
 func TestRoundDown32(t *testing.T) {
 	for _, d := range []float64{0, 1, 2, 0.1, 1e-8, 123456.789, 1e30, math.Pi} {
-		f := roundDown32(d)
+		f := RoundDown32(d)
 		if float64(f) > d {
-			t.Fatalf("roundDown32(%v) = %v exceeds input", d, f)
+			t.Fatalf("RoundDown32(%v) = %v exceeds input", d, f)
 		}
 		if up := math.Nextafter32(f, float32(math.Inf(1))); float64(up) <= d && float64(f) < d {
 			// f must be the LARGEST float32 not exceeding d.
-			t.Fatalf("roundDown32(%v) = %v is not tight (next up %v still ≤)", d, f, up)
+			t.Fatalf("RoundDown32(%v) = %v is not tight (next up %v still ≤)", d, f, up)
 		}
 	}
-	if !math.IsInf(float64(roundDown32(math.Inf(1))), 1) {
+	if !math.IsInf(float64(RoundDown32(math.Inf(1))), 1) {
 		t.Fatal("+Inf must stay +Inf")
 	}
 }

@@ -127,11 +127,12 @@ func dyadicEngine(t *testing.T, rng *rand.Rand, directed bool, vertices, pois in
 	return eng, leaves
 }
 
-// answerPoints projects an Answer onto its score points.
+// answerPoints projects an Answer onto its score points; an empty answer
+// projects to nil, as the brute-force band of no routes does.
 func answerPoints(ans *Answer) []topk.Point {
-	out := make([]topk.Point, len(ans.Routes))
-	for i, r := range ans.Routes {
-		out[i] = topk.Point{Length: r.LengthScore, Semantic: r.SemanticScore}
+	var out []topk.Point
+	for _, r := range ans.Routes {
+		out = append(out, topk.Point{Length: r.LengthScore, Semantic: r.SemanticScore})
 	}
 	return out
 }
@@ -247,27 +248,39 @@ func TestSearchTopKMatchesBruteForce(t *testing.T) {
 }
 
 // TestSearchTopKDestination verifies the §6 destination variant against
-// the brute-force enumerator with the final leg included.
+// the brute-force enumerator with the final leg included, under every
+// serving profile, on directed and undirected networks, with 2–3
+// distinct categories.
 func TestSearchTopKDestination(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	eng, leaves := dyadicEngine(t, rng, false, 36, 12)
-	ds := eng.internalDataset()
-	for trial := 0; trial < 6; trial++ {
-		name := leaves[rng.Intn(len(leaves))]
-		c, _ := ds.Forest.Lookup(name)
-		start := VertexID(rng.Intn(36))
-		dest := VertexID(rng.Intn(36))
-		seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, c, c)
-		q := Query{Start: start, Via: []Requirement{Category(name), Category(name)},
-			Destination: dest, HasDestination: true}
-		for _, k := range []int{1, 2, 4} {
-			want := topk.BruteForce(ds, start, seq, k, Product, dest)
-			ans, err := eng.SearchTopK(q, k, SearchOptions{})
-			if err != nil {
-				t.Fatal(err)
+	for _, directed := range []bool{false, true} {
+		eng, leaves := dyadicEngine(t, rng, directed, 36, 12)
+		ds := eng.internalDataset()
+		for trial := 0; trial < 12; trial++ {
+			var via []Requirement
+			var cats []taxonomy.CategoryID
+			for _, i := range rng.Perm(len(leaves))[:2+rng.Intn(2)] {
+				c, _ := ds.Forest.Lookup(leaves[i])
+				via = append(via, Category(leaves[i]))
+				cats = append(cats, c)
 			}
-			if got := answerPoints(ans); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d k=%d: points %v, want %v", trial, k, got, want)
+			start := VertexID(rng.Intn(36))
+			dest := VertexID(rng.Intn(36))
+			seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
+			q := Query{Start: start, Via: via, Destination: dest, HasDestination: true}
+			for _, k := range []int{1, 2, 3} {
+				want := topk.BruteForce(ds, start, seq, k, Product, dest)
+				for name, p := range servingProfiles() {
+					opts := p.opts
+					opts.TopK = k
+					ans, err := p.search(eng, q, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got := answerPoints(ans); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s directed=%v trial %d k=%d: points %v, want %v", name, directed, trial, k, got, want)
+					}
+				}
 			}
 		}
 	}
