@@ -3,13 +3,13 @@ package main
 // The -churn scenario: a mixed read/write workload against the live-update
 // engine. Each round answers the query workload on the category-index
 // profile, then applies an update batch of congestion-style weight
-// increases plus PoI lifecycle events (the shapes that exercise the
-// incremental repair path; weight decreases — which correctly invalidate
-// every row — are covered by the unit suite). After the final round the
-// engine's answers are replayed against a fresh engine built from the
-// mutated dataset, asserting the live-update exactness guarantee, and the
-// index repair counters quantify how much work incremental repair saved
-// over rebuilding every row per batch.
+// increases, one weight decrease and PoI lifecycle events: every shape the
+// index repairs inside ApplyUpdates (carried rows, decrease-only repairs,
+// rebuilds of rows a PoI left). After every round the engine's answers are
+// replayed against a fresh engine built from the mutated dataset,
+// asserting the live-update exactness guarantee, and the index repair
+// counters quantify how much work incremental repair saved over
+// rebuilding every row per batch.
 
 import (
 	"bytes"
@@ -52,7 +52,7 @@ func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
 
 	var queryTime time.Duration
 	var updateTime time.Duration
-	var repaired int64
+	row.Identical = true
 	runQueries := func() error {
 		began := time.Now()
 		if _, err := eng.SearchBatch(queries, skysr.BatchOptions{Options: opts}); err != nil {
@@ -68,50 +68,45 @@ func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
 	}
 	for round := 0; round < churnRounds; round++ {
 		batch := churnBatch(eng, rng)
-		// The per-epoch repair counter resets when the index evolves;
-		// collect the repairs this epoch performed before superseding it.
-		repairedBefore := eng.CategoryIndexStats().RowsRepaired
 		began := time.Now()
 		res, err := eng.ApplyUpdates(batch)
 		if err != nil {
 			return nil, err
 		}
 		updateTime += time.Since(began)
-		repaired += repairedBefore
 		row.RowsCarried += res.RowsCarried
+		row.RowsRepaired += int64(res.RowsDirtied)
 		if err := runQueries(); err != nil {
 			return nil, err
 		}
+		identical, err := matchesFreshEngine(eng, queries, opts)
+		if err != nil {
+			return nil, err
+		}
+		row.Identical = row.Identical && identical
 	}
 	st := eng.CategoryIndexStats()
-	repaired += st.RowsRepaired
-	row.RowsRepaired = repaired
 	row.RowsResident = st.RowsBuilt
 	row.FullRebuildRows = churnRounds * st.RowsBuilt
 	row.FinalEpoch = eng.Epoch()
 	row.QPS = float64(row.Queries) / queryTime.Seconds()
 	row.MeanUpdateMicros = float64(updateTime.Microseconds()) / churnRounds
-
-	identical, err := matchesFreshEngine(eng, queries, opts)
-	if err != nil {
-		return nil, err
-	}
-	row.Identical = identical
 	return row, nil
 }
 
 // churnBatch builds one update round: congestion-style weight increases on
-// random edges plus one PoI recategorization and one close/open pair.
+// random edges, one weight decrease, one PoI recategorization and one
+// closure.
 func churnBatch(eng *skysr.Engine, rng *rand.Rand) *skysr.UpdateBatch {
 	b := new(skysr.UpdateBatch)
 	leaves := eng.LeafCategories()
 	n := eng.NumVertices()
 
-	// Weight increases: pick distinct random edges and bump them.
-	// Increases never invalidate index rows, so these edits exercise the
-	// carry path.
+	// Weight edits on distinct random edges. Increases never lower a row
+	// entry, so they exercise the carry path; the last edit is a decrease,
+	// which shortens an arc and exercises the decrease-only repair.
 	touched := map[int32]bool{}
-	for picked, tries := 0, 0; picked < 6 && tries < 200; tries++ {
+	for picked, tries := 0, 0; picked < 7 && tries < 200; tries++ {
 		u := int32(rng.Intn(n))
 		if touched[u] {
 			continue
@@ -125,12 +120,17 @@ func churnBatch(eng *skysr.Engine, rng *rand.Rand) *skysr.UpdateBatch {
 			continue
 		}
 		touched[u], touched[ts[i]] = true, true
-		b.SetEdgeWeight(u, ts[i], ws[i]*(1.05+rng.Float64()*0.5))
+		factor := 1.05 + rng.Float64()*0.5
+		if picked == 6 {
+			factor = 0.7 + rng.Float64()*0.25
+		}
+		b.SetEdgeWeight(u, ts[i], ws[i]*factor)
 		picked++
 	}
 
-	// One recategorization and one closure: these dirty only the edited
-	// PoI's ancestor rows — the incremental repair path under test.
+	// One recategorization and one closure: the rows these PoIs leave are
+	// rebuilt and the rows they join are repaired; every other row is
+	// carried.
 	pois := eng.PoIVertices()
 	if len(pois) > 2 {
 		p := pois[rng.Intn(len(pois))]

@@ -108,7 +108,7 @@ func main() {
 		res = result{rows: rows, err: err,
 			render: func(w io.Writer) { bench.RenderChurn(w, rows) },
 			check:  func() error { return bench.CheckChurn(rows) },
-			passed: "churn check passed: answers identical after updates, repairs below full-rebuild work"}
+			passed: "churn check passed: answers identical after every update round, repairs below full-rebuild work"}
 	case *latencyOnly:
 		rows, err := h.Latency()
 		res = result{rows: rows, err: err,

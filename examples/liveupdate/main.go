@@ -6,8 +6,8 @@
 // traffic. Each ApplyUpdates batch publishes a new dataset epoch:
 // in-flight queries keep the snapshot they started on, later queries see
 // the new version, and the category-level distance index is repaired
-// incrementally instead of rebuilt (the printed stats show rows carried
-// across each update versus lazily repaired after it).
+// incrementally instead of rebuilt (the printed stats show the rows each
+// update carried across versus the rows it repaired or rebuilt).
 //
 // Run with: go run ./examples/liveupdate
 package main
@@ -58,8 +58,8 @@ func main() {
 	show("after congestion")
 
 	// The far sushi restaurant closes. Only the rows of the categories it
-	// belonged to (Sushi Restaurant and its ancestors) are dirtied; they
-	// rebuild lazily on the next query that needs them.
+	// belonged to (Sushi Restaurant and its ancestors) are dirtied;
+	// ApplyUpdates rebuilds them before it publishes the new epoch.
 	res, err = eng.ApplyUpdates(new(skysr.UpdateBatch).RemovePoI(2))
 	if err != nil {
 		log.Fatal(err)

@@ -23,8 +23,10 @@
 //     (see MinOverAssociated), so computeBounds needs no graph traversal;
 //   - a +Inf entry proves no matching PoI is reachable at all.
 //
-// Rows can be persisted to a sidecar file and reloaded with the dataset
-// (package io.go), so a server cold-start skips the rebuild.
+// Rows survive live updates: Evolve carries, repairs or rebuilds every
+// resident row for the next dataset version before it is served (see
+// update.go). Rows can be persisted to a sidecar file and reloaded with
+// the dataset (io.go), so a server cold-start skips the rebuild.
 package index
 
 import (
@@ -61,15 +63,13 @@ type CategoryDistances struct {
 
 	// Live-update bookkeeping (see Evolve). epoch identifies the dataset
 	// version the index serves; carried counts rows adopted unchanged from
-	// the previous epoch; repaired counts lazy rebuilds of rows an update
-	// batch invalidated. needRepair (guarded by buildMu) marks the invalid
-	// categories still awaiting their rebuild.
-	epoch      atomic.Int64
-	carried    atomic.Int64
-	repaired   atomic.Int64
-	needRepair []bool
+	// the previous epoch; repaired counts the rows the Evolve that
+	// produced this index repaired or rebuilt.
+	epoch    atomic.Int64
+	carried  atomic.Int64
+	repaired atomic.Int64
 
-	buildMu sync.Mutex // serializes builds; guards ws and needRepair
+	buildMu sync.Mutex // serializes builds and repairs; guards ws
 	ws      *dijkstra.Workspace
 
 	hopMu sync.RWMutex // guards hops
@@ -126,9 +126,9 @@ func (ci *CategoryDistances) RowIfBuilt(c taxonomy.CategoryID) Row {
 	return nil
 }
 
-// Row returns c's row, building it first if needed. It returns nil when
-// the memory budget does not admit the row; callers must treat a nil row
-// as "no information" (bound 0), never as +Inf.
+// Row returns c's row, building it first if it was never built. It returns
+// nil when the memory budget does not admit the row; callers must treat a
+// nil row as "no information" (bound 0), never as +Inf.
 func (ci *CategoryDistances) Row(c taxonomy.CategoryID) Row {
 	if r := ci.RowIfBuilt(c); r != nil {
 		return r
@@ -147,10 +147,6 @@ func (ci *CategoryDistances) Row(c taxonomy.CategoryID) Row {
 		return nil
 	}
 	row := ci.buildRowLocked(c)
-	if ci.needRepair != nil && ci.needRepair[c] {
-		ci.needRepair[c] = false
-		ci.repaired.Add(1)
-	}
 	ci.publishLocked(c, row)
 	return row
 }
@@ -170,10 +166,7 @@ func (ci *CategoryDistances) buildRowLocked(c taxonomy.CategoryID) Row {
 		row[i] = inf
 	}
 	if len(sources) > 0 {
-		if ci.ws == nil {
-			ci.ws = dijkstra.New(ci.search)
-		}
-		ci.ws.Run(dijkstra.Options{
+		ci.workspaceLocked().Run(dijkstra.Options{
 			Sources: sources,
 			OnSettle: func(v graph.VertexID, dd float64) dijkstra.Control {
 				row[v] = RoundDown32(dd)
@@ -182,6 +175,15 @@ func (ci *CategoryDistances) buildRowLocked(c taxonomy.CategoryID) Row {
 		})
 	}
 	return row
+}
+
+// workspaceLocked returns the Dijkstra workspace over the search graph,
+// allocating it on first use. Callers hold buildMu.
+func (ci *CategoryDistances) workspaceLocked() *dijkstra.Workspace {
+	if ci.ws == nil {
+		ci.ws = dijkstra.New(ci.search)
+	}
+	return ci.ws
 }
 
 // publishLocked installs a built row. Callers hold buildMu.
@@ -259,8 +261,8 @@ type Stats struct {
 	MaxBytes      int64 // configured budget
 	SkippedBuilds int64 // build requests denied by the budget
 	Epoch         int64 // dataset version the rows describe
-	RowsCarried   int   // rows adopted unchanged across the last Evolve
-	RowsRepaired  int64 // invalidated rows rebuilt lazily since the last Evolve
+	RowsCarried   int   // rows adopted unchanged by the Evolve that produced the index
+	RowsRepaired  int64 // rows that Evolve repaired or rebuilt
 }
 
 // Stats returns a snapshot of the index counters.

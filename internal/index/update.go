@@ -1,86 +1,176 @@
 package index
 
 import (
+	"math"
+	"slices"
+
 	"skysr/internal/dataset"
+	"skysr/internal/dijkstra"
+	"skysr/internal/graph"
 	"skysr/internal/taxonomy"
 )
 
-// Dirty names the category rows an update batch invalidated — the rows
-// whose stored values may no longer be lower bounds of the new dataset's
-// distances. The engine derives it from the batch:
-//
-//   - a decreased edge weight or an added edge can shorten any path, so it
-//     invalidates every row (All);
-//   - an added, removed or recategorized PoI invalidates the rows of every
-//     category the PoI enters or leaves (the ancestors of its old and new
-//     categories — exactly the P_c sets whose membership changed);
-//   - edge-weight increases and edge removals invalidate nothing: they can
-//     only lengthen distances, and a rounded-down row stays a true lower
-//     bound when distances grow.
+// Dirty lists the changes of an update batch that Evolve must look at:
+// shortened arcs and PoIs joining a category can lower row entries, which
+// would break a carried row's lower-bound guarantee, and PoIs leaving a
+// category leave its row loose. The engine derives it from the batch.
+// Edits it leaves out (weight increases, edge removals, cleared profiles)
+// only lengthen distances, and a rounded-down row stays a lower bound
+// when distances grow.
 type Dirty struct {
-	// All invalidates every row regardless of Cats.
-	All bool
-	// Cats lists invalidated categories (duplicates are fine).
-	Cats []taxonomy.CategoryID
+	// Shortened lists the arcs u→v (on undirected networks, the edges u–v)
+	// whose lower-bound weight the batch lowered, each with its new
+	// weight: decreased weights, profiles with a lower minimum, and added
+	// edges.
+	Shortened []graph.EdgeChange
+	// PoIs lists the vertices whose category list the batch changed
+	// (PoIs added, removed or recategorized). Evolve compares their
+	// category associations before and after the batch.
+	PoIs []graph.VertexID
 }
 
 // Evolve derives an index over the next version of the dataset from the
-// receiver: rows not named by dirty are carried over as-is (they remain
-// valid lower bounds, see Dirty), dirty rows are dropped and marked so the
-// next Row call rebuilds them against the new dataset — the lazy
-// incremental-repair path. The hop-minimum cache is discarded (its minima
-// range over PoI sets that may have changed), the budget is inherited, and
-// the receiver is left untouched for searchers still pinned to the old
-// snapshot.
+// receiver, with every resident row brought up to date before it returns,
+// so no query ever rebuilds a row because of an update:
+//
+//   - a row that some PoI left (the PoI is no longer associated with its
+//     category) is rebuilt from scratch over next. Carrying it would stay
+//     admissible, but loose around the vacated PoI for good;
+//   - a row that shortened arcs or joining PoIs may lower is repaired on a
+//     copy by one decrease-only sweep (see repairLocked);
+//   - every other row is carried by pointer (rows are immutable).
+//
+// The receiver is left untouched for searchers still pinned to the old
+// snapshot. The hop-minimum cache starts empty (its minima range over PoI
+// sets that may have changed) and the budget is inherited. Stats of the
+// result count the rows carried and the rows repaired or rebuilt.
 //
 // next must have the same vertex count and category forest as the dataset
 // the receiver was built over; the engine guarantees this (live updates
 // never grow the vertex set or alter the taxonomy).
 func (ci *CategoryDistances) Evolve(next *dataset.Dataset, dirty Dirty) *CategoryDistances {
 	out := New(next, ci.maxBytes.Load())
-	out.needRepair = make([]bool, len(out.rows))
+	left, joined := ci.membershipChanges(next, dirty.PoIs)
 
-	isDirty := make([]bool, len(out.rows))
-	if dirty.All {
-		for c := range isDirty {
-			isDirty[c] = true
-		}
-	}
-	for _, c := range dirty.Cats {
-		if int(c) >= 0 && int(c) < len(isDirty) {
-			isDirty[c] = true
-		}
-	}
-
-	carried := 0
+	out.buildMu.Lock()
+	defer out.buildMu.Unlock()
+	carried, repaired := 0, 0
 	for c := range ci.rows {
 		p := ci.rows[c].Load()
 		if p == nil {
 			continue
 		}
-		if isDirty[c] {
-			out.needRepair[c] = true
-			continue
+		cat := taxonomy.CategoryID(c)
+		var row Row
+		if left[c] {
+			row = out.buildRowLocked(cat)
+		} else {
+			row = out.repairLocked(*p, dirty.Shortened, joined[c])
 		}
-		out.rows[c].Store(p) // rows are immutable, so sharing is safe
-		out.bytes.Add(out.rowBytes())
-		out.built.Add(1)
-		carried++
+		if row == nil {
+			row = *p
+			carried++
+		} else {
+			repaired++
+		}
+		out.publishLocked(cat, row)
 	}
 	out.carried.Store(int64(carried))
+	out.repaired.Store(int64(repaired))
 	out.epoch.Store(ci.epoch.Load() + 1)
 	return out
 }
 
-// PendingRepairs returns the number of invalidated rows not yet rebuilt.
-func (ci *CategoryDistances) PendingRepairs() int {
-	ci.buildMu.Lock()
-	defer ci.buildMu.Unlock()
-	n := 0
-	for _, d := range ci.needRepair {
-		if d {
-			n++
+// membershipChanges compares the categories each edited vertex is
+// associated with (its own and their ancestors) on the receiver's dataset
+// and on next. It returns, by category, whether some PoI left it and the
+// PoIs that joined it. A category a recategorized PoI keeps is neither:
+// its entry is already 0, and a seed there would flood the PoI's cell.
+func (ci *CategoryDistances) membershipChanges(next *dataset.Dataset, pois []graph.VertexID) (left []bool, joined [][]graph.VertexID) {
+	left = make([]bool, len(ci.rows))
+	joined = make([][]graph.VertexID, len(ci.rows))
+	for _, v := range pois {
+		before, after := associations(ci.d, v), associations(next, v)
+		for _, c := range before {
+			if !slices.Contains(after, c) {
+				left[c] = true
+			}
+		}
+		for _, c := range after {
+			if !slices.Contains(before, c) {
+				joined[c] = append(joined[c], v)
+			}
 		}
 	}
-	return n
+	return left, joined
+}
+
+// associations returns the categories v is associated with in d: each of
+// its categories and their ancestors.
+func associations(d *dataset.Dataset, v graph.VertexID) []taxonomy.CategoryID {
+	var out []taxonomy.CategoryID
+	for _, c := range d.Graph.Categories(v) {
+		for _, a := range d.Forest.Ancestors(c) {
+			if !slices.Contains(out, a) {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
+}
+
+// repairLocked returns a copy of row lowered to a lower bound of the
+// distances on the receiver's dataset, or nil when no seed can lower an
+// entry and row is still one. shortened lists the arcs the batch
+// shortened, and joined the PoIs that joined the row's category. Callers
+// hold buildMu.
+//
+// An arc u→v shortened to weight w seeds u at w + row[v], and an undirected
+// edge also seeds v at w + row[u]; a joined PoI seeds itself at 0. A seed
+// is dropped when it is +Inf or rounds down above its entry. One
+// multi-source sweep on the search graph then stores RoundDown32(d) where
+// that is lower than the entry. It expands a vertex whose rounded value is
+// lower than or equal to its entry, and stops at one whose entry is lower
+// by at least a full float32 step. Expanding on equality is what keeps the
+// result a lower bound: a vertex whose distance fell by less than a
+// float32 step keeps its entry, yet vertices behind it may still have to
+// fall. Stopping is safe because an entry a full step below the rounded
+// candidate rounds down from a value below the candidate itself, and the
+// row already bounds every vertex behind it from that value.
+func (ci *CategoryDistances) repairLocked(row Row, shortened []graph.EdgeChange, joined []graph.VertexID) Row {
+	var sources []graph.VertexID
+	var dist []float64
+	seed := func(v graph.VertexID, d float64) {
+		if !math.IsInf(d, 1) && RoundDown32(d) <= row[v] {
+			sources = append(sources, v)
+			dist = append(dist, d)
+		}
+	}
+	undirected := !ci.d.Graph.Directed()
+	for _, a := range shortened {
+		seed(a.U, a.Weight+float64(row[a.V]))
+		if undirected {
+			seed(a.V, a.Weight+float64(row[a.U]))
+		}
+	}
+	for _, p := range joined {
+		seed(p, 0)
+	}
+	if len(sources) == 0 {
+		return nil
+	}
+	fixed := append(Row(nil), row...)
+	ci.workspaceLocked().Run(dijkstra.Options{
+		Sources:    sources,
+		SourceDist: dist,
+		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
+			r := RoundDown32(d)
+			if r > fixed[v] {
+				return dijkstra.SkipExpand
+			}
+			fixed[v] = r
+			return dijkstra.Continue
+		},
+	})
+	return fixed
 }

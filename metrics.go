@@ -68,8 +68,8 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 			"Approximate resident bytes of the SharedCache entries.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Bytes) }))
 
-		// Index stats are per current snapshot (an invalidating update can
-		// reset them), so they are gauges, not counters.
+		// Index stats are per current snapshot, so they are gauges, not
+		// counters.
 		reg.GaugeFunc("skysr_index_rows",
 			"Category-index rows resident on the current snapshot.",
 			func() float64 { return float64(e.CategoryIndexStats().RowsBuilt) })
@@ -80,7 +80,7 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 			"Index rows carried across the most recent update as still-valid lower bounds.",
 			func() float64 { return float64(e.CategoryIndexStats().RowsCarried) })
 		reg.GaugeFunc("skysr_index_rows_repaired",
-			"Dirty index rows rebuilt lazily since the most recent invalidating update.",
+			"Index rows repaired or rebuilt by the most recent update.",
 			func() float64 { return float64(e.CategoryIndexStats().RowsRepaired) })
 		e.metricsv.Store(m)
 	})

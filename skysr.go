@@ -299,9 +299,9 @@ func (e *Engine) WarmCategoryIndex(names ...string) (int, error) {
 // CategoryIndexStats reports the state of the category-level distance
 // index: rows resident, bytes held, the configured budget, builds denied
 // by the budget, whether the index came from a sidecar file, and the
-// live-update repair counters (rows carried across the last ApplyUpdates,
-// invalidated rows rebuilt lazily since then). A zero Stats with
-// FromSidecar false means the index has not been created yet.
+// live-update repair counters of the ApplyUpdates that produced the
+// current epoch (rows it carried, rows it repaired or rebuilt). A zero
+// Stats with FromSidecar false means the index has not been created yet.
 type CategoryIndexStats struct {
 	RowsBuilt     int
 	Bytes         int64

@@ -175,15 +175,15 @@ func TestTimeProfileUpdates(t *testing.T) {
 		t.Fatalf("profile count = %d", eng.NumTimeProfiles())
 	}
 
-	// A profile that lowers the minimum can shrink any distance: every
-	// row is invalidated.
+	// A profile that lowers the minimum shortens the arc to it: the rows
+	// it can lower are repaired, and no row is dropped.
 	res, err = eng.ApplyUpdates(new(UpdateBatch).SetEdgeProfile(u, v,
 		[]float64{0, 30000}, []float64{w / 2, w}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IndexInvalidated {
-		t.Fatalf("min-lowering profile carried rows: %+v", res)
+	if !res.IndexInvalidated || res.RowsCarried+res.RowsDirtied != rowsBefore {
+		t.Fatalf("min-lowering profile: %+v, want a shortened arc and %d rows kept", res, rowsBefore)
 	}
 
 	// Clearing keeps the lower-bound weight: rows carry again.

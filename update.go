@@ -53,8 +53,9 @@ type poiOp struct {
 }
 
 // SetEdgeWeight changes the weight of the existing edge u–v (the arc u→v
-// on directed networks). Increases never invalidate index rows; decreases
-// do (see UpdateResult.IndexInvalidated).
+// on directed networks). Increases carry every index row; a decrease
+// shortens the arc, and ApplyUpdates repairs the rows it can lower (see
+// UpdateResult.IndexInvalidated).
 func (b *UpdateBatch) SetEdgeWeight(u, v VertexID, weight float64) *UpdateBatch {
 	b.setWeights = append(b.setWeights, graph.EdgeChange{U: u, V: v, Weight: weight})
 	return b
@@ -86,7 +87,8 @@ func (b *UpdateBatch) RemoveEdge(u, v VertexID) *UpdateBatch {
 // Index repair follows the min-weight row carry rule: a profile whose
 // minimum is at least the edge's previous lower-bound weight cannot
 // shorten any lower-bound distance, so every resident row is carried;
-// one that lowers the minimum invalidates them all.
+// one that lowers the minimum shortens the arc to that minimum, and
+// ApplyUpdates repairs the rows it can lower.
 func (b *UpdateBatch) SetEdgeProfile(u, v VertexID, times, costs []float64) *UpdateBatch {
 	b.setProfiles = append(b.setProfiles, graph.ProfileChange{
 		U: u, V: v,
@@ -146,19 +148,23 @@ type UpdateResult struct {
 	// adjacency arrays were rebuilt; weight- and category-only batches
 	// share them copy-on-write instead.
 	GraphRebuilt bool
-	// IndexInvalidated reports that a decreased edge weight or an added
-	// edge forced every category-index row to be dropped (any distance may
-	// have shrunk). Otherwise only the rows listed dirty by the batch's PoI
-	// edits were dropped, and RowsCarried rows survived untouched.
+	// IndexInvalidated reports that the batch shortened an arc's
+	// lower-bound weight (a decreased weight, a profile with a lower
+	// minimum, or an added edge), so any category-index row may have had
+	// entries to lower. Such rows are repaired before the new epoch is
+	// published, never dropped.
 	IndexInvalidated bool
 	// RowsCarried counts resident index rows carried unchanged into the new
-	// epoch; RowsDirtied counts resident rows invalidated by the batch,
-	// which rebuild lazily the next time a query needs them.
+	// epoch; RowsDirtied counts the resident rows ApplyUpdates repaired
+	// (the batch could lower an entry) or rebuilt (a PoI left the row's
+	// category) before publishing it. Together they are every resident
+	// row: an update never drops one.
 	RowsCarried, RowsDirtied int
 }
 
 // compile validates the batch against ds and lowers it to graph edits plus
-// the set of category rows the batch invalidates.
+// the changes index rows must be repaired for: the arcs whose lower-bound
+// weight drops and the vertices whose categories change.
 func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *UpdateResult, error) {
 	var edits graph.Edits
 	var dirty index.Dirty
@@ -174,25 +180,23 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 	edits.RemoveEdges = b.removeEdges
 	edits.SetProfiles = b.setProfiles
 
-	// A decreased weight or a new edge can shorten any path: every row's
-	// lower-bound guarantee is at risk. Increases and removals only grow
-	// distances, which rounded-down rows tolerate by construction.
-	if len(b.addEdges) > 0 {
-		dirty.All = true
-	}
+	// A decreased weight or a new edge shortens an arc, which can shorten
+	// paths through it. Increases and removals only grow distances, which
+	// rounded-down rows tolerate by construction.
+	dirty.Shortened = append(dirty.Shortened, b.addEdges...)
 	for _, c := range b.setWeights {
 		old, ok := g.EdgeWeight(c.U, c.V)
 		if !ok {
 			return edits, dirty, nil, fmt.Errorf("skysr: weight edit names missing edge (%d,%d)", c.U, c.V)
 		}
 		if c.Weight < old {
-			dirty.All = true
+			dirty.Shortened = append(dirty.Shortened, c)
 		}
 	}
 	// The min-weight row carry rule for profile edits: the edge's
-	// lower-bound weight becomes the profile minimum, so rows stay valid
-	// lower bounds iff the minimum did not drop. Clearing keeps the
-	// lower-bound weight, so distances cannot shrink either way.
+	// lower-bound weight becomes the profile minimum, so the arc shortens
+	// iff the minimum drops. Clearing keeps the lower-bound weight, so
+	// distances cannot shrink either way.
 	for _, c := range b.setProfiles {
 		old, ok := g.EdgeWeight(c.U, c.V)
 		if !ok {
@@ -206,16 +210,11 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 			return edits, dirty, nil, fmt.Errorf("skysr: profile edit (%d,%d): %w", c.U, c.V, err)
 		}
 		res.ProfilesSet++
-		if c.Profile.Min() < old {
-			dirty.All = true
+		if m := c.Profile.Min(); m < old {
+			dirty.Shortened = append(dirty.Shortened, graph.EdgeChange{U: c.U, V: c.V, Weight: m})
 		}
 	}
 
-	markDirtyIDs := func(cats []taxonomy.CategoryID) {
-		for _, c := range cats {
-			dirty.Cats = append(dirty.Cats, f.Ancestors(c)...)
-		}
-	}
 	lookupAll := func(names []string) ([]taxonomy.CategoryID, error) {
 		out := make([]taxonomy.CategoryID, len(names))
 		for i, name := range names {
@@ -244,20 +243,12 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 			if err != nil {
 				return edits, dirty, nil, err
 			}
-			// The new PoI can shrink nearest-PoI distances for every
-			// category it joins — including turning +Inf entries finite.
-			markDirtyIDs(cats)
 			edits.SetCategories = append(edits.SetCategories, graph.CategoryChange{V: op.v, Categories: cats})
 			res.PoIsAdded++
 		case poiRemove:
 			if !g.IsPoI(op.v) {
 				return edits, dirty, nil, fmt.Errorf("skysr: RemovePoI: vertex %d is not a PoI", op.v)
 			}
-			// Removal only grows nearest-PoI distances, so carried rows
-			// would stay valid lower bounds — but uselessly loose ones
-			// around the vanished PoI. Dirty them so repairs keep the
-			// index tight.
-			markDirtyIDs(g.Categories(op.v))
 			edits.SetCategories = append(edits.SetCategories, graph.CategoryChange{V: op.v})
 			res.PoIsRemoved++
 		case poiRecategorize:
@@ -271,14 +262,15 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 			if err != nil {
 				return edits, dirty, nil, err
 			}
-			markDirtyIDs(g.Categories(op.v)) // rows it leaves
-			markDirtyIDs(cats)               // rows it joins
 			edits.SetCategories = append(edits.SetCategories, graph.CategoryChange{V: op.v, Categories: cats})
 			res.PoIsRecategorized++
 		}
 	}
+	for _, c := range edits.SetCategories {
+		dirty.PoIs = append(dirty.PoIs, c.V)
+	}
 	res.GraphRebuilt = edits.Structural()
-	res.IndexInvalidated = dirty.All
+	res.IndexInvalidated = len(dirty.Shortened) > 0
 	return edits, dirty, res, nil
 }
 
@@ -288,11 +280,13 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 // started after ApplyUpdates returns see the new epoch, and a superseded
 // snapshot is released when its last searcher checks in.
 //
-// The category-level distance index is repaired incrementally rather than
-// rebuilt: rows whose lower-bound guarantee the batch cannot violate are
-// carried into the new epoch, the rest are dropped and rebuilt lazily on
-// next use (see UpdateResult). Cross-query cache entries are stamped with
-// the epoch that computed them and stop matching automatically.
+// Every resident row of the category-level distance index is brought up to
+// date before the new epoch is published, so no query rebuilds a row
+// because of an update: rows the batch cannot lower are carried into the
+// new epoch, rows that shortened arcs or joining PoIs can lower are
+// repaired by one decrease-only sweep, and rows a PoI left are rebuilt
+// (see UpdateResult). Cross-query cache entries are stamped with the epoch
+// that computed them and stop matching automatically.
 //
 // Updates serialize with each other but never block searches. A validation
 // error leaves the engine untouched. An empty batch is a no-op that keeps
@@ -322,7 +316,7 @@ func (e *Engine) ApplyUpdates(b *UpdateBatch) (*UpdateResult, error) {
 		evolved := oldIdx.Evolve(ds, dirty)
 		st := evolved.Stats()
 		res.RowsCarried = st.RowsCarried
-		res.RowsDirtied = evolved.PendingRepairs()
+		res.RowsDirtied = int(st.RowsRepaired)
 		next.idx = evolved
 	}
 	res.Epoch = next.epoch
