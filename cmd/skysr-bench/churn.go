@@ -1,6 +1,6 @@
 package main
 
-// The -churn scenario: a mixed read/write workload against the live-update
+// The churn gate: a mixed read/write workload against the live-update
 // engine. Each round answers the query workload on the category-index
 // profile, then applies an update batch of congestion-style weight
 // increases, one weight decrease and PoI lifecycle events: every shape the
@@ -13,7 +13,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -21,20 +20,42 @@ import (
 	"skysr/internal/bench"
 )
 
-// runChurn executes the churn scenario for every configured dataset.
-func runChurn(cfg bench.Config) ([]bench.ChurnRow, error) {
-	var rows []bench.ChurnRow
-	for _, name := range cfg.Datasets {
-		row, err := churnDataset(cfg, name)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
+// churnResult is what the churn scenario measured on one dataset.
+type churnResult struct {
+	queries      int     // answered across every read phase
+	epoch        int64   // the engine's dataset version after the run
+	qps          float64 // over the read phases
+	updateMicros float64 // mean ApplyUpdates time per batch
+	resident     int     // category-index rows at the end of the run
+	carried      int     // rows adopted without a rebuild, summed over batches
+	repaired     int     // rows repaired or rebuilt, summed over batches
+	identical    bool    // answers matched a fresh engine after every round
 }
 
-func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
+// churnRow holds one dataset's churn result to its gates: answers match a
+// fresh engine after every round, ApplyUpdates carried at least one index
+// row (else the repair was not incremental at all), and it repaired or
+// rebuilt fewer rows than a rebuild-everything strategy would have
+// recomputed (rounds × resident rows).
+func churnRow(dataset string, m churnResult) bench.Row {
+	full := churnRounds * m.resident
+	r := bench.Row{Dataset: dataset, Scenario: "churn"}
+	r.Count("rounds", churnRounds)
+	r.Count("queries", float64(m.queries))
+	r.Count("qps", m.qps)
+	r.Count("epoch", float64(m.epoch))
+	r.Count("update_us", m.updateMicros)
+	r.Count("resident", float64(m.resident))
+	r.Count("carried", float64(m.carried))
+	r.Count("repaired", float64(m.repaired))
+	r.Count("full_work", float64(full))
+	r.Gate("identical", m.identical)
+	r.Gate("carried>0", m.carried > 0)
+	r.Gate("repaired<rounds×resident", m.repaired < full)
+	return r
+}
+
+func churnDataset(cfg bench.Config, name string) ([]bench.Row, error) {
 	eng, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -47,19 +68,18 @@ func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
 		return nil, err
 	}
 	opts := skysr.SearchOptions{UseCategoryIndex: true}
-	row := &bench.ChurnRow{Dataset: name, Rounds: churnRounds}
+	m := churnResult{identical: true}
 	rng := rand.New(rand.NewSource(cfg.Seed + 509))
 
 	var queryTime time.Duration
 	var updateTime time.Duration
-	row.Identical = true
 	runQueries := func() error {
 		began := time.Now()
 		if _, err := eng.SearchBatch(queries, skysr.BatchOptions{Options: opts}); err != nil {
 			return err
 		}
 		queryTime += time.Since(began)
-		row.Queries += len(queries)
+		m.queries += len(queries)
 		return nil
 	}
 
@@ -74,8 +94,8 @@ func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
 			return nil, err
 		}
 		updateTime += time.Since(began)
-		row.RowsCarried += res.RowsCarried
-		row.RowsRepaired += int64(res.RowsDirtied)
+		m.carried += res.RowsCarried
+		m.repaired += res.RowsDirtied
 		if err := runQueries(); err != nil {
 			return nil, err
 		}
@@ -83,15 +103,13 @@ func churnDataset(cfg bench.Config, name string) (*bench.ChurnRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row.Identical = row.Identical && identical
+		m.identical = m.identical && identical
 	}
-	st := eng.CategoryIndexStats()
-	row.RowsResident = st.RowsBuilt
-	row.FullRebuildRows = churnRounds * st.RowsBuilt
-	row.FinalEpoch = eng.Epoch()
-	row.QPS = float64(row.Queries) / queryTime.Seconds()
-	row.MeanUpdateMicros = float64(updateTime.Microseconds()) / churnRounds
-	return row, nil
+	m.resident = eng.CategoryIndexStats().RowsBuilt
+	m.epoch = eng.Epoch()
+	m.qps = float64(m.queries) / queryTime.Seconds()
+	m.updateMicros = float64(updateTime.Microseconds()) / churnRounds
+	return []bench.Row{churnRow(name, m)}, nil
 }
 
 // churnBatch builds one update round: congestion-style weight increases on

@@ -1,6 +1,6 @@
 package main
 
-// The -httpload scenario: concurrent clients drive the HTTP serving tier
+// The httpload gate: concurrent clients drive the HTTP serving tier
 // across worker counts while a scraper goroutine pulls GET /metrics
 // mid-run. Every scrape must parse as valid Prometheus text and carry
 // the required families, and the scraped counter deltas must equal the
@@ -43,29 +43,115 @@ import (
 // rounds only make the measurement more robust to scheduler noise.
 const httpOverheadRounds = 3
 
-// runHTTPLoad executes the httpload scenario for every configured dataset.
-func runHTTPLoad(cfg bench.Config) ([]bench.HTTPLoadRow, []bench.HTTPOverheadRow, error) {
-	var rows []bench.HTTPLoadRow
-	var overhead []bench.HTTPOverheadRow
-	for _, name := range cfg.Datasets {
-		dsRows, err := httpLoadDataset(cfg, name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, dsRows...)
-		o, err := httpOverheadDataset(cfg, name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", name, err)
-		}
-		overhead = append(overhead, *o)
-	}
-	return rows, overhead, nil
+// maxOverheadRatio bounds the instrumentation cost: the instrumented
+// engine's best-round median single-query latency, with metrics and
+// per-query tracing on, within 5% of the bare engine's. Both layers fold
+// from counters the search already keeps (one ObserveSearch call; span
+// synthesis once per query at finish), so 5% is generous headroom for
+// noise.
+const maxOverheadRatio = 1.05
+
+// loadPhase is what one (dataset, workers) load phase measured.
+type loadPhase struct {
+	workers    int
+	ok, errors int64   // client-observed outcomes
+	qps        float64 // ok requests per second
+	p50, p99   float64 // client latency, ms
+	durationMS float64
+
+	// Mid-load /metrics scrapes; scrapesOK is false unless every one of
+	// them parsed and carried serve.RequiredMetricNames.
+	midScrapes int
+	scrapesOK  bool
+
+	// Scraped counter deltas across the phase: skysr_search_total, the
+	// route endpoint's 2xx requests and latency observations, and
+	// skysr_trace_kept_total.
+	searchDelta, routeOKDelta, routeObsDelta, traceDelta float64
+
+	// Flight-recorder evidence after the phase: the listing's length, and
+	// whether it parsed and its newest trace's span tree has a search span.
+	tracesListed int
+	tracesOK     bool
 }
 
-func httpLoadDataset(cfg bench.Config, name string) ([]bench.HTTPLoadRow, error) {
+// httpLoadResult is what the httpload scenario measured on one dataset:
+// a load phase per httpLoadWorkers entry, in order, and the overhead
+// phase's best round (µs medians of the bare and the instrumented engine).
+type httpLoadResult struct {
+	phases                    []loadPhase
+	baseMicros, meteredMicros float64
+	overheadRatio             float64
+}
+
+// httpLoadRows holds one dataset's httpload result to its gates. Every
+// load phase must answer all its requests, scrape /metrics validly
+// mid-load, move each scraped counter by exactly the client-observed
+// count (the load server samples every trace, so skysr_trace_kept_total
+// too), and leave a flight recorder that serves a usable span tree. The
+// summary row gates throughput scaling (the best multi-worker qps within
+// 0.9× of single-worker) and the instrumentation overhead.
+func httpLoadRows(dataset string, m *httpLoadResult) []bench.Row {
+	var rows []bench.Row
+	var single, bestMulti float64
+	for _, p := range m.phases {
+		ok := float64(p.ok)
+		r := bench.Row{Dataset: dataset, Scenario: fmt.Sprintf("workers=%d", p.workers)}
+		r.Count("ops", httpLoadOps)
+		r.Count("ok", ok)
+		r.Count("errors", float64(p.errors))
+		r.Count("qps", p.qps)
+		r.Count("p50_ms", p.p50)
+		r.Count("p99_ms", p.p99)
+		r.Count("scrapes", float64(p.midScrapes))
+		r.Count("search_delta", p.searchDelta)
+		r.Count("route_delta", p.routeOKDelta)
+		r.Count("traces", float64(p.tracesListed))
+		r.Count("ms", p.durationMS)
+		r.Gate("errors=0", p.errors == 0)
+		r.Gate("ok=ops", p.ok == httpLoadOps)
+		r.Gate("scrapes-ok", p.scrapesOK && p.midScrapes > 0)
+		r.Gate("search-delta=ok", p.searchDelta == ok)
+		r.Gate("route-2xx-delta=ok", p.routeOKDelta == ok)
+		r.Gate("route-obs-delta=ok", p.routeObsDelta == ok)
+		r.Gate("trace-kept-delta=ok", p.traceDelta == ok)
+		r.Gate("traces-served", p.tracesOK && p.tracesListed > 0)
+		rows = append(rows, r)
+		if p.workers == 1 {
+			single = p.qps
+		} else {
+			bestMulti = max(bestMulti, p.qps)
+		}
+	}
+	r := bench.Row{Dataset: dataset, Scenario: "summary"}
+	r.Count("single_qps", single)
+	r.Count("best_multi_qps", bestMulti)
+	r.Count("overhead_rounds", httpOverheadRounds)
+	r.Count("base_us", m.baseMicros)
+	r.Count("metered_us", m.meteredMicros)
+	r.Count("overhead_ratio", m.overheadRatio)
+	r.Gate("multi-qps≥0.9×single", bestMulti >= 0.9*single)
+	r.Gate(fmt.Sprintf("overhead≤%.2f×", maxOverheadRatio), m.overheadRatio <= maxOverheadRatio)
+	return append(rows, r)
+}
+
+func httpLoadDataset(cfg bench.Config, name string) ([]bench.Row, error) {
+	m := new(httpLoadResult)
+	if err := httpLoadPhases(cfg, name, m); err != nil {
+		return nil, err
+	}
+	if err := httpOverhead(cfg, name, m); err != nil {
+		return nil, err
+	}
+	return httpLoadRows(name, m), nil
+}
+
+// httpLoadPhases serves the dataset over HTTP and runs one load phase
+// per httpLoadWorkers entry against it.
+func httpLoadPhases(cfg bench.Config, name string, m *httpLoadResult) error {
 	eng, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	reg := metrics.New()
 	srv := serve.New(eng, serve.Config{
@@ -87,38 +173,38 @@ func httpLoadDataset(cfg bench.Config, name string) ([]bench.HTTPLoadRow, error)
 
 	_, vias, err := soakWorkload(eng, 24, cfg.Seed+811)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Warmup: touch every via once so index rows and pooled searchers
 	// exist before the first measured phase.
 	for _, via := range vias {
 		if _, _, err := httpLoadGet(client, ts.URL, via); err != nil {
-			return nil, fmt.Errorf("warmup: %w", err)
+			return fmt.Errorf("warmup: %w", err)
 		}
 	}
 
-	var rows []bench.HTTPLoadRow
 	for _, workers := range httpLoadWorkers {
-		row, err := httpLoadPhase(client, ts.URL, name, vias, workers)
+		p, err := httpLoadPhase(client, ts.URL, vias, workers)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, *row)
+		m.phases = append(m.phases, p)
 	}
-	return rows, nil
+	return nil
 }
 
 // httpLoadPhase runs one (dataset, workers) measurement: scrape, load
 // with a concurrent scraper, scrape again, compare deltas.
-func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, workers int) (*bench.HTTPLoadRow, error) {
-	row := &bench.HTTPLoadRow{Dataset: dataset, Workers: workers, Ops: httpLoadOps, ScrapeOK: true}
+func httpLoadPhase(client *http.Client, base string, vias [][]string, workers int) (loadPhase, error) {
+	p := loadPhase{workers: workers, scrapesOK: true}
 	before, err := httpScrape(client, base)
 	if err != nil {
-		return nil, fmt.Errorf("pre-load scrape: %w", err)
+		return p, fmt.Errorf("pre-load scrape: %w", err)
 	}
 
 	// The mid-run scraper: pull /metrics continuously while the load
-	// runs; every pull must parse and carry the required families.
+	// runs; every pull must parse and carry the required families. Only
+	// this goroutine writes midScrapes and scrapesOK until it has exited.
 	stop := make(chan struct{})
 	var scraperWG sync.WaitGroup
 	scraperWG.Add(1)
@@ -131,15 +217,11 @@ func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, w
 			case <-time.After(2 * time.Millisecond):
 			}
 			samples, err := httpScrape(client, base)
-			if err != nil {
-				row.ScrapeOK = false
+			if err != nil || len(serve.MissingMetrics(samples)) > 0 {
+				p.scrapesOK = false
 				return
 			}
-			if missing := bench.MissingMetrics(samples); len(missing) > 0 {
-				row.ScrapeOK = false
-				return
-			}
-			row.MidScrapes++
+			p.midScrapes++
 		}
 	}()
 
@@ -168,22 +250,22 @@ func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, w
 		}()
 	}
 	wg.Wait()
-	row.DurationMS = float64(time.Since(began).Microseconds()) / 1000
+	p.durationMS = float64(time.Since(began).Microseconds()) / 1000
 	close(stop)
 	scraperWG.Wait()
 
 	after, err := httpScrape(client, base)
 	if err != nil {
-		return nil, fmt.Errorf("post-load scrape: %w", err)
+		return p, fmt.Errorf("post-load scrape: %w", err)
 	}
-	if missing := bench.MissingMetrics(after); len(missing) > 0 {
-		return nil, fmt.Errorf("post-load scrape missing %s", strings.Join(missing, ", "))
+	if missing := serve.MissingMetrics(after); len(missing) > 0 {
+		return p, fmt.Errorf("post-load scrape missing %s", strings.Join(missing, ", "))
 	}
 
-	row.OK = ok.Load()
-	row.Errors = errors.Load()
-	if row.DurationMS > 0 {
-		row.QPS = float64(row.OK) / (row.DurationMS / 1000)
+	p.ok = ok.Load()
+	p.errors = errors.Load()
+	if p.durationMS > 0 {
+		p.qps = float64(p.ok) / (p.durationMS / 1000)
 	}
 	var times []float64
 	for _, l := range latencies {
@@ -192,20 +274,17 @@ func httpLoadPhase(client *http.Client, base, dataset string, vias [][]string, w
 		}
 	}
 	if len(times) > 0 {
-		sum := stats.Summarize(times)
-		row.P50MS = sum.Median / 1000
-		row.P95MS = sum.P95 / 1000
-		sorted := append([]float64(nil), times...)
-		sort.Float64s(sorted)
-		row.P99MS = stats.Percentile(sorted, 99) / 1000
+		sort.Float64s(times)
+		p.p50 = stats.Percentile(times, 50) / 1000
+		p.p99 = stats.Percentile(times, 99) / 1000
 	}
 	delta := func(key string) float64 { return after[key] - before[key] }
-	row.SearchDelta = delta("skysr_search_total")
-	row.RouteOKDelta = delta(`skysr_http_requests_total{endpoint="route",code="2xx"}`)
-	row.RouteObsDelta = delta(`skysr_http_request_seconds_count{endpoint="route"}`)
-	row.TraceDelta = delta("skysr_trace_kept_total")
-	row.TracesListed, row.TracesOK = httpTracesCheck(client, base)
-	return row, nil
+	p.searchDelta = delta("skysr_search_total")
+	p.routeOKDelta = delta(`skysr_http_requests_total{endpoint="route",code="2xx"}`)
+	p.routeObsDelta = delta(`skysr_http_request_seconds_count{endpoint="route"}`)
+	p.traceDelta = delta("skysr_trace_kept_total")
+	p.tracesListed, p.tracesOK = httpTracesCheck(client, base)
+	return p, nil
 }
 
 // httpTracesCheck pulls the flight recorder after a load phase: the
@@ -282,28 +361,28 @@ func httpScrape(client *http.Client, base string) (map[string]float64, error) {
 	return metrics.ParseText(data)
 }
 
-// httpOverheadDataset measures the instrumentation cost: two engines
+// httpOverhead measures the instrumentation cost: two engines
 // built identically, one carrying the full observability stack — metrics
 // plus a per-query trace offered to a keep-everything flight recorder
 // (the worst case) — answering the same queries interleaved (base,
 // instrumented, base, ...) so scheduler drift hits both alike. The
 // reported ratio is the best (smallest) across rounds — the round least
 // polluted by noise bounds the true overhead from above.
-func httpOverheadDataset(cfg bench.Config, name string) (*bench.HTTPOverheadRow, error) {
+func httpOverhead(cfg bench.Config, name string, m *httpLoadResult) error {
 	engBase, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	engMet, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	engMet.EnableMetrics(metrics.New())
 	rec := trace.NewRecorder(0, 0, 1) // sample=1: every query's trace is kept
 
 	queries, _, err := soakWorkload(engBase, 24, cfg.Seed+811)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	opts := skysr.SearchOptions{UseCategoryIndex: true}
 	runBase := func(q skysr.Query) (float64, error) {
@@ -328,14 +407,13 @@ func httpOverheadDataset(cfg bench.Config, name string) (*bench.HTTPOverheadRow,
 	// Warmup both engines over the whole workload.
 	for _, q := range queries {
 		if _, err := runBase(q); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := runMet(q); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	row := &bench.HTTPOverheadRow{Dataset: name, Rounds: httpOverheadRounds, Traced: true}
 	n := max(cfg.Queries, len(queries))
 	for round := 0; round < httpOverheadRounds; round++ {
 		baseTimes := make([]float64, 0, n)
@@ -348,23 +426,23 @@ func httpOverheadDataset(cfg bench.Config, name string) (*bench.HTTPOverheadRow,
 			if i%2 == 0 {
 				b, err := runBase(q)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				m, err := runMet(q)
+				met, err := runMet(q)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				baseTimes, metTimes = append(baseTimes, b), append(metTimes, m)
+				baseTimes, metTimes = append(baseTimes, b), append(metTimes, met)
 			} else {
-				m, err := runMet(q)
+				met, err := runMet(q)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				b, err := runBase(q)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				baseTimes, metTimes = append(baseTimes, b), append(metTimes, m)
+				baseTimes, metTimes = append(baseTimes, b), append(metTimes, met)
 			}
 		}
 		base := stats.Summarize(baseTimes).Median
@@ -373,14 +451,12 @@ func httpOverheadDataset(cfg bench.Config, name string) (*bench.HTTPOverheadRow,
 			continue
 		}
 		ratio := met / base
-		if row.Ratio == 0 || ratio < row.Ratio {
-			row.Ratio = ratio
-			row.BaseMicros = base
-			row.MeteredMicros = met
+		if m.overheadRatio == 0 || ratio < m.overheadRatio {
+			m.overheadRatio, m.baseMicros, m.meteredMicros = ratio, base, met
 		}
 	}
-	if row.Ratio == 0 {
-		return nil, fmt.Errorf("overhead: no measurable rounds")
+	if m.overheadRatio == 0 {
+		return fmt.Errorf("overhead: no measurable rounds")
 	}
-	return row, nil
+	return nil
 }

@@ -1,29 +1,28 @@
 // Command skysr-bench regenerates every table and figure of the paper's
 // evaluation (§7–§8) on synthetic datasets, and gates the engine's
-// serving extensions. The -latency, -churn, -soak and -httpload modes each
-// print one table, write it as a machine-readable report with -json, and
-// exit non-zero with -check when one of the mode's gates fails:
+// serving extensions. -gate runs one gated mode instead of the suite. It
+// prints the mode's table, writes its rows as a machine-readable report
+// with -json, and exits 1 when one of the mode's gates fails:
 //
-//   - -latency times serving variants (category index, top-k, constant
+//   - latency times serving variants (category index, top-k, constant
 //     and rush-hour profiles) against plain BSSR on one serial searcher;
-//   - -churn interleaves queries with live updates;
-//   - -soak storms a live server with faults, cancels and updates;
-//   - -httpload drives concurrent HTTP clients while scraping /metrics.
+//   - churn interleaves queries with live updates;
+//   - soak storms a live server with faults, cancels and updates;
+//   - httpload drives concurrent HTTP clients while scraping /metrics.
 //
 // Usage:
 //
 //	skysr-bench                     # full suite, laptop-sized defaults
 //	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5
-//	skysr-bench -latency -json BENCH_LATENCY.json -check
-//	skysr-bench -churn -json BENCH_PR3.json -check
-//	skysr-bench -soak -json BENCH_PR7.json -check
-//	skysr-bench -httpload -json BENCH_PR8.json -check
+//	skysr-bench -gate latency -json BENCH_LATENCY.json
+//	skysr-bench -gate churn -json BENCH_CHURN.json
+//	skysr-bench -gate soak -json BENCH_SOAK.json
+//	skysr-bench -gate httpload -json BENCH_HTTPLOAD.json
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,7 +30,7 @@ import (
 	"skysr/internal/bench"
 )
 
-// Scenario sizes of the -churn, -soak and -httpload gates.
+// Scenario sizes of the churn, soak and httpload gates.
 const (
 	churnRounds = 5   // update batches each dataset sustains
 	soakOps     = 160 // soak client operations per dataset
@@ -39,19 +38,42 @@ const (
 	httpLoadOps = 200 // route requests per (dataset, workers) point
 )
 
-// httpLoadWorkers lists the concurrent client counts -httpload measures,
-// ascending; the gate compares the multi-worker points with the first.
+// httpLoadWorkers lists the concurrent client counts the httpload gate
+// measures, ascending; its summary row compares the multi-worker points
+// with the first.
 var httpLoadWorkers = []int{1, 4, 8}
 
-// result is what one gated mode produced: the rows its -json report
-// carries (httpload adds its overhead rows beside them), their text
-// rendering, and the gate -check applies.
-type result struct {
-	rows, overhead any
-	err            error
-	render         func(io.Writer)
-	check          func() error
-	passed         string // printed when the gate holds
+// gate is one gated mode: the title of its table and its runner.
+type gate struct {
+	title string
+	run   func(*bench.Harness) ([]bench.Row, error)
+}
+
+// gates maps every -gate name to its mode.
+var gates = map[string]gate{
+	"latency": {"Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)",
+		(*bench.Harness).Latency},
+	"churn": {"Churn: mixed read/write serving (category-index profile; updates interleave with query rounds)",
+		perDataset(churnDataset)},
+	"soak": {"Soak: fault-injected HTTP serving (mixed query/update/cancel traffic; recovery asserted after the storm)",
+		perDataset(soakDataset)},
+	"httpload": {"HTTP load: concurrent clients vs the serving tier, /metrics scraped mid-run; summary rows gate throughput scaling and instrumentation overhead",
+		perDataset(httpLoadDataset)},
+}
+
+// perDataset runs one gated mode's scenario on every configured dataset.
+func perDataset(run func(cfg bench.Config, name string) ([]bench.Row, error)) func(*bench.Harness) ([]bench.Row, error) {
+	return func(h *bench.Harness) ([]bench.Row, error) {
+		var rows []bench.Row
+		for _, name := range h.Config().Datasets {
+			dsRows, err := run(h.Config(), name)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			rows = append(rows, dsRows...)
+		}
+		return rows, nil
+	}
 }
 
 func main() {
@@ -64,12 +86,8 @@ func main() {
 	budget := flag.Int64("budget", cfg.Budget, "naive-baseline work budget per query (0 = unlimited)")
 	verify := flag.Bool("verify", false, "cross-check all algorithms return identical skylines")
 	csvDir := flag.String("csv", "", "directory for machine-readable CSV exports (optional)")
-	latencyOnly := flag.Bool("latency", false, "run only the serial-latency variant table (category-index, top-k, constant-profile and rush-hour vs plain BSSR)")
-	churnOnly := flag.Bool("churn", false, "run only the mixed read/write live-update scenario (queries interleaved with ApplyUpdates batches)")
-	soakOnly := flag.Bool("soak", false, "run only the fault-injected HTTP serving soak (mixed query/update/cancel storm, recovery asserted afterwards)")
-	httploadOnly := flag.Bool("httpload", false, "run only the HTTP load + observability scenario (concurrent clients, /metrics scraped mid-run, counter exactness and instrumentation overhead gated)")
-	jsonOut := flag.String("json", "", "with -latency, -churn, -soak or -httpload: write the mode's rows as a JSON report to this path")
-	check := flag.Bool("check", false, "with -latency, -churn, -soak or -httpload: exit non-zero unless every gate of the mode holds")
+	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency, churn, soak or httpload): print its table and exit 1 when one of its gates fails")
+	jsonOut := flag.String("json", "", "with -gate: write the mode's rows as a JSON report to this path")
 	flag.Parse()
 
 	cfg.Scale = *scale
@@ -82,65 +100,48 @@ func main() {
 	for _, s := range splitList(*sizes) {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "skysr-bench: bad size %q\n", s)
-			os.Exit(2)
+			exit(2, "bad size %q", s)
 		}
 		cfg.SeqSizes = append(cfg.SeqSizes, n)
 	}
 
 	h := bench.New(cfg)
-	var res result
-	switch {
-	case *httploadOnly:
-		rows, overhead, err := runHTTPLoad(h.Config())
-		res = result{rows: rows, overhead: overhead, err: err,
-			render: func(w io.Writer) { bench.RenderHTTPLoad(w, rows, overhead) },
-			check:  func() error { return bench.CheckHTTPLoad(rows, overhead) },
-			passed: "httpload check passed: scrapes parse under load, counters exact, throughput scales, overhead within 1.05×"}
-	case *soakOnly:
-		rows, err := runSoak(h.Config())
-		res = result{rows: rows, err: err,
-			render: func(w io.Writer) { bench.RenderSoak(w, rows) },
-			check:  func() error { return bench.CheckSoak(rows) },
-			passed: "soak check passed: no leaks, one live snapshot, answers identical after the fault storm"}
-	case *churnOnly:
-		rows, err := runChurn(h.Config())
-		res = result{rows: rows, err: err,
-			render: func(w io.Writer) { bench.RenderChurn(w, rows) },
-			check:  func() error { return bench.CheckChurn(rows) },
-			passed: "churn check passed: answers identical after every update round, repairs below full-rebuild work"}
-	case *latencyOnly:
-		rows, err := h.Latency()
-		res = result{rows: rows, err: err,
-			render: func(w io.Writer) { bench.RenderLatency(w, rows) },
-			check:  func() error { return bench.CheckLatency(rows) },
-			passed: "latency check passed: every variant identical or consistent with plain BSSR and within its median bound"}
-	default:
+	if *gateName == "" {
+		if *jsonOut != "" {
+			exit(2, "-json needs -gate")
+		}
 		// The full suite renders as it runs and has no report or gate.
-		res.err = h.AllWithCSV(os.Stdout, *csvDir)
-	}
-	if res.err != nil {
-		fmt.Fprintf(os.Stderr, "skysr-bench: %v\n", res.err)
-		os.Exit(1)
-	}
-	if res.check == nil {
+		if err := h.AllWithCSV(os.Stdout, *csvDir); err != nil {
+			exit(1, "%v", err)
+		}
 		return
 	}
-	res.render(os.Stdout)
+	g, ok := gates[*gateName]
+	if !ok {
+		exit(2, "unknown gate %q (want latency, churn, soak or httpload)", *gateName)
+	}
+	rows, err := g.run(h)
+	if err != nil {
+		exit(1, "%v", err)
+	}
+	bench.Render(os.Stdout, g.title, rows)
 	if *jsonOut != "" {
-		if err := bench.WriteJSON(*jsonOut, h.Config(), res.rows, res.overhead); err != nil {
-			fmt.Fprintf(os.Stderr, "skysr-bench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
+		if err := bench.WriteJSON(*jsonOut, h.Config(), rows); err != nil {
+			exit(1, "write %s: %v", *jsonOut, err)
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-	if *check {
-		if err := res.check(); err != nil {
-			fmt.Fprintf(os.Stderr, "skysr-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.passed)
+	if err := bench.Check(rows); err != nil {
+		exit(1, "%s gate: %v", *gateName, err)
 	}
+	fmt.Printf("%s gate passed\n", *gateName)
+}
+
+// exit reports a failure on stderr and exits with code: 2 for a usage
+// error, 1 for a failed run or gate.
+func exit(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "skysr-bench: "+format+"\n", args...)
+	os.Exit(code)
 }
 
 func splitList(s string) []string {

@@ -1,6 +1,6 @@
 package main
 
-// The -soak scenario: a fault-injected storm against the hardened HTTP
+// The soak gate: a fault-injected storm against the hardened HTTP
 // serving tier (internal/serve). Concurrent clients mix plain route
 // queries, aggressively deadlined queries (timeout_ms=1), requests
 // cancelled client-side mid-flight, batches, and live weight updates,
@@ -38,20 +38,67 @@ import (
 // enough that only the timeout_ms=1 requests are meant to trip it.
 const soakQueryTimeout = 5 * time.Second
 
-// runSoak executes the soak scenario for every configured dataset.
-func runSoak(cfg bench.Config) ([]bench.SoakRow, error) {
-	var rows []bench.SoakRow
-	for _, name := range cfg.Datasets {
-		row, err := soakDataset(cfg, name)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
+// soakResult is what the soak scenario measured on one dataset. The
+// storm's clients bump the outcome counters concurrently; the rest is
+// filled in after the storm.
+type soakResult struct {
+	ok          atomic.Int64 // 200s
+	timeouts    atomic.Int64 // 504s (query deadline hit)
+	rejected    atomic.Int64 // 429s (admission queue full)
+	unavailable atomic.Int64 // 503s (cancelled / draining)
+	panics      atomic.Int64 // 500s (injected panics, recovered)
+	cancels     atomic.Int64 // requests cancelled client-side
+	updates     atomic.Int64 // live updates applied
+	other       atomic.Int64 // any response not counted above
+
+	// Retained traces by typed status, scraped from /api/debug/traces
+	// before the server shut down.
+	tracedDeadlines, tracedCancels, tracedPanics int
+
+	// Recovery evidence, measured after the storm quiesced.
+	leaked     int // goroutines beyond the pre-storm baseline
+	snapshots  int // live snapshots
+	identical  bool
+	durationMS float64
 }
 
-func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
+// soakRow holds one dataset's soak result to its gates: the tier leaked
+// no goroutine and no snapshot pin, its answers match a fresh engine,
+// some traffic succeeded, and the faults bit (else the storm proved
+// nothing). Every failure class the clients saw must also have left a
+// trace with the matching typed status in the flight recorder.
+func soakRow(dataset string, m *soakResult) bench.Row {
+	ok, timeouts, rejected := m.ok.Load(), m.timeouts.Load(), m.rejected.Load()
+	panics, cancels := m.panics.Load(), m.cancels.Load()
+	r := bench.Row{Dataset: dataset, Scenario: "soak"}
+	r.Count("workers", soakWorkers)
+	r.Count("ops", soakOps)
+	r.Count("ok", float64(ok))
+	r.Count("timeouts", float64(timeouts))
+	r.Count("rejected", float64(rejected))
+	r.Count("unavailable", float64(m.unavailable.Load()))
+	r.Count("panics", float64(panics))
+	r.Count("cancels", float64(cancels))
+	r.Count("updates", float64(m.updates.Load()))
+	r.Count("other", float64(m.other.Load()))
+	r.Count("traced_deadlines", float64(m.tracedDeadlines))
+	r.Count("traced_cancels", float64(m.tracedCancels))
+	r.Count("traced_panics", float64(m.tracedPanics))
+	r.Count("leaked", float64(m.leaked))
+	r.Count("snapshots", float64(m.snapshots))
+	r.Count("ms", m.durationMS)
+	r.Gate("leaked=0", m.leaked == 0)
+	r.Gate("snapshots=1", m.snapshots == 1)
+	r.Gate("identical", m.identical)
+	r.Gate("ok>0", ok > 0)
+	r.Gate("faults>0", timeouts+rejected+panics+cancels > 0)
+	r.Gate("deadlines-traced", timeouts == 0 || m.tracedDeadlines > 0)
+	r.Gate("panics-traced", panics == 0 || m.tracedPanics > 0)
+	r.Gate("cancels-traced", cancels == 0 || m.tracedCancels > 0)
+	return r
+}
+
+func soakDataset(cfg bench.Config, name string) ([]bench.Row, error) {
 	eng, err := skysr.Generate(name, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -61,7 +108,7 @@ func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := &bench.SoakRow{Dataset: name, Workers: soakWorkers, Ops: soakOps}
+	m := new(soakResult)
 
 	// Baseline before the server exists: everything started below must be
 	// gone again before the leak count is taken.
@@ -124,15 +171,15 @@ func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
 				via := vias[i%len(vias)]
 				switch i % 10 {
 				case 7:
-					soakClientCancel(client, ts.URL, via, row)
+					soakClientCancel(client, ts.URL, via, m)
 				case 8:
-					soakBatch(client, ts.URL, vias, i, row)
+					soakBatch(client, ts.URL, vias, i, m)
 				case 9:
-					soakUpdate(client, ts.URL, eng, rng, row)
+					soakUpdate(client, ts.URL, eng, rng, m)
 				case 5, 6:
-					soakRoute(client, ts.URL, via, 1, row)
+					soakRoute(client, ts.URL, via, 1, m)
 				default:
-					soakRoute(client, ts.URL, via, 0, row)
+					soakRoute(client, ts.URL, via, 0, m)
 				}
 			}
 		}(w)
@@ -140,23 +187,21 @@ func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
 	wg.Wait()
 	restoreSleep()
 	restorePanic()
-	soakScrapeTraces(client, ts.URL, row)
+	soakScrapeTraces(client, ts.URL, m)
 	ts.Close()
 	client.CloseIdleConnections()
-	row.DurationMS = float64(time.Since(began).Microseconds()) / 1000
+	m.durationMS = float64(time.Since(began).Microseconds()) / 1000
 
 	// Recovery evidence: the storm's goroutines must all be gone, the
 	// engine must hold exactly its one live snapshot (every timed-out,
 	// cancelled and panicked query released its pin), and the answers must
 	// match a fresh engine built from the mutated dataset.
-	row.LeakedGoroutines = settleGoroutines(baseline)
-	row.LiveSnapshots = eng.LiveSnapshots()
-	identical, err := matchesFreshEngine(eng, queries, opts)
-	if err != nil {
+	m.leaked = settleGoroutines(baseline)
+	m.snapshots = eng.LiveSnapshots()
+	if m.identical, err = matchesFreshEngine(eng, queries, opts); err != nil {
 		return nil, err
 	}
-	row.Identical = identical
-	return row, nil
+	return []bench.Row{soakRow(name, m)}, nil
 }
 
 // soakScrapeTraces pulls the flight recorder while the server is still
@@ -164,7 +209,7 @@ func soakDataset(cfg bench.Config, name string) (*bench.SoakRow, error) {
 // runs with sampling and the slow-query rule off, so everything here was
 // tail-kept as a failure: the storm's deadline hits, client walk-aways
 // and recovered panics must each have left their annotation.
-func soakScrapeTraces(client *http.Client, base string, row *bench.SoakRow) {
+func soakScrapeTraces(client *http.Client, base string, m *soakResult) {
 	resp, err := client.Get(base + "/api/debug/traces")
 	if err != nil {
 		return
@@ -185,11 +230,11 @@ func soakScrapeTraces(client *http.Client, base string, row *bench.SoakRow) {
 	for _, t := range list.Traces {
 		switch t.Status {
 		case "deadline":
-			row.TracedDeadlines++
+			m.tracedDeadlines++
 		case "cancelled":
-			row.TracedCancels++
+			m.tracedCancels++
 		case "panic":
-			row.TracedPanics++
+			m.tracedPanics++
 		}
 	}
 }
@@ -218,41 +263,41 @@ func soakWorkload(eng *skysr.Engine, n int, seed int64) ([]skysr.Query, [][]stri
 }
 
 // soakRoute issues one GET /api/route and tallies the outcome.
-func soakRoute(client *http.Client, base string, via []string, timeoutMS int, row *bench.SoakRow) {
+func soakRoute(client *http.Client, base string, via []string, timeoutMS int, m *soakResult) {
 	u := base + "/api/route?start=0&via=" + url.QueryEscape(strings.Join(via, ","))
 	if timeoutMS > 0 {
 		u += "&timeout_ms=" + strconv.Itoa(timeoutMS)
 	}
 	resp, err := client.Get(u)
 	if err != nil {
-		atomic.AddInt64(&row.Other, 1)
+		m.other.Add(1)
 		return
 	}
-	drainAndCount(resp, row)
+	drainAndCount(resp, m)
 }
 
 // soakClientCancel issues a route request whose context dies after 1ms —
 // the client walks away mid-search, and the server must unwind the search
 // through the request context without leaking anything.
-func soakClientCancel(client *http.Client, base string, via []string, row *bench.SoakRow) {
+func soakClientCancel(client *http.Client, base string, via []string, m *soakResult) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	u := base + "/api/route?start=0&via=" + url.QueryEscape(strings.Join(via, ","))
 	req, err := http.NewRequestWithContext(ctx, "GET", u, nil)
 	if err != nil {
-		atomic.AddInt64(&row.Other, 1)
+		m.other.Add(1)
 		return
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		atomic.AddInt64(&row.ClientCancels, 1)
+		m.cancels.Add(1)
 		return
 	}
-	drainAndCount(resp, row)
+	drainAndCount(resp, m)
 }
 
 // soakBatch issues one POST /api/batch of three workload queries.
-func soakBatch(client *http.Client, base string, vias [][]string, i int, row *bench.SoakRow) {
+func soakBatch(client *http.Client, base string, vias [][]string, i int, m *soakResult) {
 	type bq struct {
 		Start int      `json:"start"`
 		Via   []string `json:"via"`
@@ -267,15 +312,15 @@ func soakBatch(client *http.Client, base string, vias [][]string, i int, row *be
 	data, _ := json.Marshal(body)
 	resp, err := client.Post(base+"/api/batch", "application/json", bytes.NewReader(data))
 	if err != nil {
-		atomic.AddInt64(&row.Other, 1)
+		m.other.Add(1)
 		return
 	}
-	drainAndCount(resp, row)
+	drainAndCount(resp, m)
 }
 
 // soakUpdate applies one congestion-style weight bump through the update
 // endpoint, mutating the dataset while queries are in flight.
-func soakUpdate(client *http.Client, base string, eng *skysr.Engine, rng *rand.Rand, row *bench.SoakRow) {
+func soakUpdate(client *http.Client, base string, eng *skysr.Engine, rng *rand.Rand, m *soakResult) {
 	for tries := 0; tries < 20; tries++ {
 		u := int32(rng.Intn(eng.NumVertices()))
 		ts, ws := eng.Neighbors(u)
@@ -286,11 +331,11 @@ func soakUpdate(client *http.Client, base string, eng *skysr.Engine, rng *rand.R
 		body := fmt.Sprintf(`{"set_weights":[{"u":%d,"v":%d,"w":%g}]}`, u, ts[i], ws[i]*(1.05+rng.Float64()*0.3))
 		resp, err := client.Post(base+"/api/update", "application/json", strings.NewReader(body))
 		if err != nil {
-			atomic.AddInt64(&row.Other, 1)
+			m.other.Add(1)
 			return
 		}
 		if resp.StatusCode == http.StatusOK {
-			atomic.AddInt64(&row.Updates, 1)
+			m.updates.Add(1)
 			drainBody(resp)
 			return
 		}
@@ -298,32 +343,32 @@ func soakUpdate(client *http.Client, base string, eng *skysr.Engine, rng *rand.R
 		// back off and retry so the storm still mutates the dataset (the
 		// final identity check is vacuous on a never-updated engine).
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			drainAndCount(resp, row)
+			drainAndCount(resp, m)
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		drainAndCount(resp, row)
+		drainAndCount(resp, m)
 		return
 	}
-	atomic.AddInt64(&row.Other, 1)
+	m.other.Add(1)
 }
 
 // drainAndCount consumes the response body and tallies the status.
-func drainAndCount(resp *http.Response, row *bench.SoakRow) {
+func drainAndCount(resp *http.Response, m *soakResult) {
 	drainBody(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		atomic.AddInt64(&row.OK, 1)
+		m.ok.Add(1)
 	case http.StatusGatewayTimeout:
-		atomic.AddInt64(&row.Timeouts, 1)
+		m.timeouts.Add(1)
 	case http.StatusTooManyRequests:
-		atomic.AddInt64(&row.Rejected, 1)
+		m.rejected.Add(1)
 	case http.StatusServiceUnavailable:
-		atomic.AddInt64(&row.Unavailable, 1)
+		m.unavailable.Add(1)
 	case http.StatusInternalServerError:
-		atomic.AddInt64(&row.ServerPanics, 1)
+		m.panics.Add(1)
 	default:
-		atomic.AddInt64(&row.Other, 1)
+		m.other.Add(1)
 	}
 }
 

@@ -3,6 +3,12 @@
 // §8. Each experiment has a typed runner returning structured results and
 // a text renderer, shared by the skysr-bench CLI and bench_test.go.
 //
+// It also holds the one row layout of skysr-bench's gated modes (Row,
+// with Render, Check and WriteJSON) and the latency mode itself. The
+// churn, soak and httpload modes drive the public skysr.Engine and
+// internal/serve, which this package cannot import without a cycle, so
+// they live in cmd/skysr-bench and build the same rows.
+//
 // Absolute numbers differ from the paper (synthetic datasets at reduced
 // scale, Go instead of C++, different hardware); the harness exists to
 // reproduce the paper's relative claims: who wins, how the gap scales with
@@ -10,10 +16,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"skysr/internal/core"
@@ -202,34 +206,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// report is the envelope every skysr-bench mode writes with -json.
-type report struct {
-	GeneratedAt string   `json:"generated_at"`
-	Scale       float64  `json:"scale"`
-	Seed        int64    `json:"seed"`
-	Datasets    []string `json:"datasets"`
-	Rows        any      `json:"rows"`
-	Overhead    any      `json:"overhead,omitempty"`
-}
-
-// WriteJSON writes one mode's rows to path in the report envelope;
-// overhead carries the httpload mode's instrumentation-overhead rows
-// beside its load rows and is nil for every other mode.
-func WriteJSON(path string, cfg Config, rows, overhead any) error {
-	data, err := json.MarshalIndent(report{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Datasets:    cfg.Datasets,
-		Rows:        rows,
-		Overhead:    overhead,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // writeln is a small fmt helper that ignores write errors (harness output

@@ -66,3 +66,30 @@ func TestSameSkylinesToleratesFloatDust(t *testing.T) {
 		t.Error("abs wrong")
 	}
 }
+
+func TestRenderRows(t *testing.T) {
+	load := Row{Dataset: "toy", Scenario: "workers=1"}
+	load.Count("ok", 200)
+	load.Count("p50_ms", 1.23456)
+	load.Gate("errors=0", true)
+	summary := Row{Dataset: "toy", Scenario: "summary"}
+	summary.Count("ratio", 1.07)
+	summary.Gate("overhead≤1.05×", false)
+	var sb strings.Builder
+	Render(&sb, "title", []Row{load, load, summary})
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	want := []string{"title", "dataset", "toy", "toy", "dataset", "toy"}
+	if len(lines) != len(want) {
+		t.Fatalf("rendered %d lines, want %d:\n%s", len(lines), len(want), sb.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Fatalf("line %d = %q, want prefix %q", i, lines[i], w)
+		}
+	}
+	for _, s := range []string{"p50_ms", "1.235", "errors=0:ok", "ratio", "1.070", "overhead≤1.05×:FAIL"} {
+		if !strings.Contains(sb.String(), s) {
+			t.Errorf("table lacks %q:\n%s", s, sb.String())
+		}
+	}
+}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -52,7 +51,9 @@ const (
 )
 
 // latencyVariant is one row of the variant table: how the variant runs,
-// and the gate CheckLatency holds its row to.
+// and the gates latencyRows holds its row to. Every top-k row is
+// cross-checked against the next smaller k, and every rush-hour row
+// across BSSR, BSSR w/o Opt and the category index.
 type latencyVariant struct {
 	name   string
 	index  bool // answer with a category index prewarmed for the workload
@@ -62,7 +63,6 @@ type latencyVariant struct {
 
 	maxVsPlain float64 // bound on median / plain median; 0 = ungated
 	identical  bool    // answers must be bit-identical to plain's
-	consistent bool    // the variant's cross-check must hold
 }
 
 // variantPlain names the reference row every other row is measured against.
@@ -76,46 +76,67 @@ var latencyVariants = []latencyVariant{
 	{name: "constant-profile", costs: constantCosts, identical: true, maxVsPlain: 1.10},
 	{name: "category-index", index: true, identical: true, maxVsPlain: 1},
 	// k = 1 runs the classic code path; the slack absorbs runner noise.
-	{name: "topk-1", topK: 1, identical: true, consistent: true, maxVsPlain: 1.5},
-	{name: "topk-2", topK: 2, consistent: true},
-	{name: "topk-4", topK: 4, consistent: true},
+	{name: "topk-1", topK: 1, identical: true, maxVsPlain: 1.5},
+	{name: "topk-2", topK: 2},
+	{name: "topk-4", topK: 4},
 	// One top-8 query must stay cheaper than 8 plain queries; smaller k
 	// sit too close to break-even on some datasets to gate.
-	{name: "topk-8", topK: 8, consistent: true, maxVsPlain: 8},
-	{name: "rush-hour@0.05", costs: rushHourCosts, depart: 0.05, consistent: true},
-	{name: "rush-hour@0.32", costs: rushHourCosts, depart: 0.32, consistent: true},
+	{name: "topk-8", topK: 8, maxVsPlain: 8},
+	{name: "rush-hour@0.05", costs: rushHourCosts, depart: 0.05},
+	{name: "rush-hour@0.32", costs: rushHourCosts, depart: 0.32},
 }
 
-// LatencyRow is one (dataset, variant) measurement.
-type LatencyRow struct {
-	Dataset      string  `json:"dataset"`
-	Variant      string  `json:"variant"`
-	Queries      int     `json:"queries"`
-	MedianMicros float64 `json:"median_us"`
-	P95Micros    float64 `json:"p95_us"`
-	MeanRoutes   float64 `json:"mean_routes"`
+// variantResult is what one variant measured on one dataset.
+type variantResult struct {
+	queries      int
+	median, p95  float64 // µs, of the faster pass
+	meanRoutes   float64
+	identical    bool // every answer matched plain's (PoI sequences and bit-equal scores)
+	crossChecked bool // the variant's cross-check held; false when it has none
+}
 
-	// VsPlain is this row's median over plain's (1 for plain itself).
-	VsPlain float64 `json:"vs_plain"`
-	// MaxVsPlain is the bound CheckLatency puts on VsPlain; 0 leaves the
-	// median ungated.
-	MaxVsPlain float64 `json:"max_vs_plain"`
-	// Identical reports that every answer matched plain's for the same
-	// query (PoI sequences and bit-equal scores).
-	Identical bool `json:"identical"`
-	// Consistent reports the variant's exactness cross-check. For topk-k,
-	// every score point of the next smaller k's answer (plain's for k = 1)
-	// survives into this one. For rush-hour, BSSR, BSSR w/o Opt and the
-	// category index agree on every score point. Variants without a
-	// cross-check report true.
-	Consistent bool `json:"consistent"`
+// medianGatePrefix starts the name of every median-bound gate; the other
+// latency gates are exactness gates.
+const medianGatePrefix = "median≤"
+
+// latencyRows turns one dataset's results, parallel to latencyVariants,
+// into rows. A top-k row's cross-check is band containment: every score
+// point of the next smaller k's answer (plain's for k = 1) survives into
+// it. A rush-hour row's is agreement of BSSR, BSSR w/o Opt and the
+// category index on every score point. Median bounds are inclusive.
+func latencyRows(dataset string, res []variantResult) []Row {
+	plain := res[0].median
+	rows := make([]Row, len(latencyVariants))
+	for i, v := range latencyVariants {
+		m := res[i]
+		r := Row{Dataset: dataset, Scenario: v.name}
+		r.Count("queries", float64(m.queries))
+		r.Count("median_us", m.median)
+		r.Count("p95_us", m.p95)
+		r.Count("routes", m.meanRoutes)
+		r.Count("vs_plain", m.median/plain)
+		if v.identical {
+			r.Gate("identical", m.identical)
+		}
+		switch {
+		case v.topK > 0:
+			r.Gate("contains-smaller-k", m.crossChecked)
+		case v.costs == rushHourCosts:
+			r.Gate("agrees-across-configs", m.crossChecked)
+		}
+		if v.maxVsPlain > 0 {
+			r.Gate(fmt.Sprintf("%s%.2f×plain", medianGatePrefix, v.maxVsPlain), m.median <= v.maxVsPlain*plain)
+		}
+		rows[i] = r
+	}
+	return rows
 }
 
 // Latency measures the variant table for every configured dataset.
-func (h *Harness) Latency() ([]LatencyRow, error) {
+func (h *Harness) Latency() ([]Row, error) {
 	const size = 3
 	const starts = 10
-	var rows []LatencyRow
+	var rows []Row
 	for _, name := range h.cfg.Datasets {
 		d, err := h.Dataset(name)
 		if err != nil {
@@ -150,25 +171,22 @@ func (h *Harness) Latency() ([]LatencyRow, error) {
 			return nil, fmt.Errorf("%s/%w", name, err)
 		}
 
-		plain := runs[0]
-		smallerK := plain.answers
-		for _, run := range runs {
-			v, row := run.v, run.row
-			row.Dataset, row.Variant, row.MaxVsPlain = d.Name, v.name, v.maxVsPlain
-			row.VsPlain = row.MedianMicros / plain.row.MedianMicros
-			row.Identical = sameAnswers(run.answers, plain.answers)
-			row.Consistent = true
+		res := make([]variantResult, len(runs))
+		smallerK := runs[0].answers
+		for j, run := range runs {
+			res[j] = run.res
+			res[j].identical = sameAnswers(run.answers, runs[0].answers)
 			switch {
-			case v.topK > 0:
-				row.Consistent = containsPoints(run.answers, smallerK)
+			case run.v.topK > 0:
+				res[j].crossChecked = containsPoints(run.answers, smallerK)
 				smallerK = run.answers
-			case v.costs == rushHourCosts:
-				if row.Consistent, err = agreeAcrossConfigs(run.d, qs, seqs, run.depart, run.answers); err != nil {
-					return nil, fmt.Errorf("%s/%s cross-check: %w", name, v.name, err)
+			case run.v.costs == rushHourCosts:
+				if res[j].crossChecked, err = agreeAcrossConfigs(run.d, qs, seqs, run.depart, run.answers); err != nil {
+					return nil, fmt.Errorf("%s/%s cross-check: %w", name, run.v.name, err)
 				}
 			}
-			rows = append(rows, row)
 		}
+		rows = append(rows, latencyRows(d.Name, res)...)
 	}
 	return rows, nil
 }
@@ -181,7 +199,7 @@ type variantRun struct {
 	s       *core.Searcher
 	answers []answer
 	times   []float64 // µs per query in the current pass
-	row     LatencyRow
+	res     variantResult
 }
 
 // timeRoundRobin answers the workload on every variant, twice. Within a
@@ -191,7 +209,7 @@ func timeRoundRobin(runs []*variantRun, qs []gen.Query, seqs []route.Sequence) e
 	for _, run := range runs {
 		run.answers = make([]answer, len(qs))
 		run.times = make([]float64, len(qs))
-		run.row = LatencyRow{Queries: len(qs)}
+		run.res = variantResult{queries: len(qs)}
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i, q := range qs {
@@ -207,8 +225,8 @@ func timeRoundRobin(runs []*variantRun, qs []gen.Query, seqs []route.Sequence) e
 		}
 		for _, run := range runs {
 			sum := stats.Summarize(run.times)
-			if pass == 0 || sum.Median < run.row.MedianMicros {
-				run.row.MedianMicros, run.row.P95Micros = sum.Median, sum.P95
+			if pass == 0 || sum.Median < run.res.median {
+				run.res.median, run.res.p95 = sum.Median, sum.P95
 			}
 		}
 	}
@@ -217,7 +235,7 @@ func timeRoundRobin(runs []*variantRun, qs []gen.Query, seqs []route.Sequence) e
 		for _, a := range run.answers {
 			routes += len(a.lengths)
 		}
-		run.row.MeanRoutes = float64(routes) / float64(len(qs))
+		run.res.meanRoutes = float64(routes) / float64(len(qs))
 	}
 	return nil
 }
@@ -431,59 +449,4 @@ func containsPoints(sup, sub []answer) bool {
 		}
 	}
 	return true
-}
-
-// RenderLatency writes the variant table as text.
-func RenderLatency(w io.Writer, rows []LatencyRow) {
-	writeln(w, "Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)")
-	writeln(w, "%-8s %-16s %7s %10s %10s %7s %9s %7s %10s %11s",
-		"Dataset", "Variant", "queries", "median", "p95", "routes", "vs-plain", "max", "identical", "consistent")
-	for _, r := range rows {
-		bound := "-"
-		if r.MaxVsPlain > 0 {
-			bound = fmt.Sprintf("%.2fx", r.MaxVsPlain)
-		}
-		writeln(w, "%-8s %-16s %7d %9.0fµs %9.0fµs %7.1f %8.2fx %7s %10v %11v",
-			r.Dataset, r.Variant, r.Queries, r.MedianMicros, r.P95Micros, r.MeanRoutes,
-			r.VsPlain, bound, r.Identical, r.Consistent)
-	}
-}
-
-// CheckLatency enforces the variant table's gates on every dataset: each
-// variant's row must be present, answers must be identical to plain where
-// the table requires it, every cross-check the table requires must hold,
-// and no gated median may exceed its bound times plain's median.
-func CheckLatency(rows []LatencyRow) error {
-	byDataset := map[string]map[string]LatencyRow{}
-	for _, r := range rows {
-		if byDataset[r.Dataset] == nil {
-			byDataset[r.Dataset] = map[string]LatencyRow{}
-		}
-		byDataset[r.Dataset][r.Variant] = r
-	}
-	if len(byDataset) == 0 {
-		return fmt.Errorf("latency check: no rows")
-	}
-	for ds, got := range byDataset {
-		// Plain heads the table, so a missing plain row fails before any
-		// median is compared with it.
-		plain := got[variantPlain]
-		for _, v := range latencyVariants {
-			r, ok := got[v.name]
-			switch {
-			case !ok:
-				return fmt.Errorf("latency check: dataset %s has no %s row", ds, v.name)
-			case v.identical && !r.Identical:
-				return fmt.Errorf("latency check: %s %s answers differ from plain", ds, v.name)
-			case v.consistent && !r.Consistent && v.topK > 0:
-				return fmt.Errorf("latency check: %s %s lost score points of the smaller k's answer", ds, v.name)
-			case v.consistent && !r.Consistent:
-				return fmt.Errorf("latency check: %s %s answers differ across BSSR, BSSR w/o Opt and category-index", ds, v.name)
-			case v.maxVsPlain > 0 && r.MedianMicros > v.maxVsPlain*plain.MedianMicros:
-				return fmt.Errorf("latency check: %s %s median %.0fµs exceeds %.2fx plain's %.0fµs",
-					ds, v.name, r.MedianMicros, v.maxVsPlain, plain.MedianMicros)
-			}
-		}
-	}
-	return nil
 }

@@ -15,11 +15,11 @@ import (
 // tests below all inspect the same rows.
 var smokeLatency struct {
 	sync.Once
-	rows []LatencyRow
+	rows []Row
 	err  error
 }
 
-func smokeLatencyRows(t *testing.T) []LatencyRow {
+func smokeLatencyRows(t *testing.T) []Row {
 	t.Helper()
 	smokeLatency.Do(func() {
 		cfg := DefaultConfig()
@@ -34,37 +34,48 @@ func smokeLatencyRows(t *testing.T) []LatencyRow {
 	return smokeLatency.rows
 }
 
+// counter returns the named counter of r, failing the test without one.
+func counter(t *testing.T, r Row, name string) float64 {
+	t.Helper()
+	for _, c := range r.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	t.Fatalf("%s %s has no %s counter", r.Dataset, r.Scenario, name)
+	return 0
+}
+
 func TestLatencyExperiment(t *testing.T) {
 	rows := smokeLatencyRows(t)
 	if len(rows) != len(latencyVariants) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(latencyVariants))
 	}
 	for i, r := range rows {
-		v := latencyVariants[i]
-		if r.Variant != v.name || r.MaxVsPlain != v.maxVsPlain {
-			t.Fatalf("row %d is %s (max %.2f), want %s (max %.2f)", i, r.Variant, r.MaxVsPlain, v.name, v.maxVsPlain)
+		if v := latencyVariants[i]; r.Scenario != v.name {
+			t.Fatalf("row %d is %s, want %s", i, r.Scenario, v.name)
 		}
-		if r.Queries == 0 || r.MedianMicros <= 0 || r.P95Micros < r.MedianMicros || r.MeanRoutes <= 0 {
-			t.Fatalf("%s: empty measurement %+v", r.Variant, r)
+		median, p95 := counter(t, r, "median_us"), counter(t, r, "p95_us")
+		if counter(t, r, "queries") == 0 || median <= 0 || p95 < median || counter(t, r, "routes") <= 0 {
+			t.Fatalf("%s: empty measurement %+v", r.Scenario, r)
 		}
-		// The exactness half of CheckLatency; the median bounds are left
-		// to the CLI gate, since -race and a tiny preset distort timings.
-		if v.identical && !r.Identical {
-			t.Errorf("%s: answers differ from plain", r.Variant)
-		}
-		if v.consistent && !r.Consistent {
-			t.Errorf("%s: cross-check failed", r.Variant)
+		// The exactness gates; the median bounds are left to the CLI,
+		// since -race and a tiny preset distort timings.
+		for _, g := range r.Gates {
+			if !g.OK && !strings.HasPrefix(g.Name, medianGatePrefix) {
+				t.Errorf("%s: gate %s failed", r.Scenario, g.Name)
+			}
 		}
 	}
-	if p := rows[0]; p.VsPlain != 1 || !p.Identical || !p.Consistent {
-		t.Fatalf("plain row is not its own reference: %+v", p)
+	if p := rows[0]; counter(t, p, "vs_plain") != 1 || len(p.Gates) != 0 {
+		t.Fatalf("plain row is not its own ungated reference: %+v", p)
 	}
 
 	// JSON report round-trip.
 	cfg := DefaultConfig()
 	cfg.Datasets = []string{"tokyo"}
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := WriteJSON(path, cfg, rows, nil); err != nil {
+	if err := WriteJSON(path, cfg, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -72,9 +83,9 @@ func TestLatencyExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep struct {
-		GeneratedAt string       `json:"generated_at"`
-		Datasets    []string     `json:"datasets"`
-		Rows        []LatencyRow `json:"rows"`
+		GeneratedAt string   `json:"generated_at"`
+		Datasets    []string `json:"datasets"`
+		Rows        []Row    `json:"rows"`
 	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
@@ -82,109 +93,128 @@ func TestLatencyExperiment(t *testing.T) {
 	if rep.GeneratedAt == "" || !reflect.DeepEqual(rep.Datasets, cfg.Datasets) || !reflect.DeepEqual(rep.Rows, rows) {
 		t.Fatalf("report does not round-trip:\n%s", data)
 	}
-	if strings.Contains(string(data), `"overhead"`) {
-		t.Fatalf("latency report carries an overhead section:\n%s", data)
-	}
 }
 
 func TestTopKExperiment(t *testing.T) {
 	rows := smokeLatencyRows(t)
-	byVariant := map[string]LatencyRow{}
+	byVariant := map[string]Row{}
 	for _, r := range rows {
-		byVariant[r.Variant] = r
+		byVariant[r.Scenario] = r
 	}
-	prevRoutes := byVariant[variantPlain].MeanRoutes
+	plainRoutes := counter(t, byVariant[variantPlain], "routes")
+	prevRoutes := plainRoutes
 	for _, name := range []string{"topk-1", "topk-2", "topk-4", "topk-8"} {
 		r, ok := byVariant[name]
 		if !ok {
 			t.Fatalf("no %s row", name)
 		}
-		if !r.Consistent {
-			t.Fatalf("%s lost points of the smaller-k answer", name)
+		for _, g := range r.Gates {
+			if !g.OK && !strings.HasPrefix(g.Name, medianGatePrefix) {
+				t.Fatalf("%s: gate %s failed", name, g.Name)
+			}
 		}
-		if r.MeanRoutes < prevRoutes {
-			t.Fatalf("%s returns fewer routes (%f) than the smaller k (%f)", name, r.MeanRoutes, prevRoutes)
+		routes := counter(t, r, "routes")
+		if routes < prevRoutes {
+			t.Fatalf("%s returns fewer routes (%f) than the smaller k (%f)", name, routes, prevRoutes)
 		}
-		prevRoutes = r.MeanRoutes
+		prevRoutes = routes
 	}
-	if r := byVariant["topk-1"]; !r.Identical || r.MeanRoutes != byVariant[variantPlain].MeanRoutes {
-		t.Fatalf("topk-1 answers differ from plain Search: %+v", r)
+	if routes := counter(t, byVariant["topk-1"], "routes"); routes != plainRoutes {
+		t.Fatalf("topk-1 returns %f routes per query, plain Search %f", routes, plainRoutes)
 	}
 }
 
-// goodLatencyRows is one dataset's full variant table with every gate met.
-func goodLatencyRows() []LatencyRow {
-	var rows []LatencyRow
-	for _, v := range latencyVariants {
-		rows = append(rows, LatencyRow{Dataset: "tokyo", Variant: v.name, MedianMicros: 100, Identical: true, Consistent: true})
+// goodLatency is one dataset's results with every gate met.
+func goodLatency() []variantResult {
+	res := make([]variantResult, len(latencyVariants))
+	for i := range res {
+		res[i] = variantResult{queries: 90, median: 100, p95: 120, meanRoutes: 2, identical: true, crossChecked: true}
 	}
-	return rows
+	return res
 }
 
-// withRow returns goodLatencyRows with the named variant's row changed.
-func withRow(variant string, change func(*LatencyRow)) []LatencyRow {
-	rows := goodLatencyRows()
-	for i := range rows {
-		if rows[i].Variant == variant {
-			change(&rows[i])
+// failedGates lists every failed gate of rows as "scenario gate".
+func failedGates(rows []Row) []string {
+	var failed []string
+	for _, r := range rows {
+		for _, name := range r.Failed() {
+			failed = append(failed, r.Scenario+" "+name)
 		}
 	}
-	return rows
+	return failed
 }
 
 func TestCheckLatency(t *testing.T) {
-	if err := CheckLatency(goodLatencyRows()); err != nil {
-		t.Fatalf("good rows rejected: %v", err)
+	if err := Check(latencyRows("tokyo", goodLatency())); err != nil {
+		t.Fatalf("good results rejected: %v", err)
 	}
-	notIdentical := func(r *LatencyRow) { r.Identical = false }
-	inconsistent := func(r *LatencyRow) { r.Consistent = false }
-	median := func(us float64) func(*LatencyRow) { return func(r *LatencyRow) { r.MedianMicros = us } }
-	bad := []struct {
-		name string
-		rows []LatencyRow
+	if err := Check(nil); err == nil {
+		t.Error("no rows: check passed, want a failure")
+	}
+	notIdentical := func(m *variantResult) { m.identical = false }
+	crossCheckFails := func(m *variantResult) { m.crossChecked = false }
+	median := func(us float64) func(*variantResult) { return func(m *variantResult) { m.median = us } }
+	cases := []struct {
+		variant, gate string
+		change        func(*variantResult)
 	}{
-		{"category-index answers differ", withRow("category-index", notIdentical)},
-		{"category-index slower than plain", withRow("category-index", median(101))},
-		{"topk-1 answers differ", withRow("topk-1", notIdentical)},
-		{"topk-1 beyond 1.5x", withRow("topk-1", median(151))},
-		{"topk-2 lost topk-1 points", withRow("topk-2", inconsistent)},
-		{"topk-4 lost topk-2 points", withRow("topk-4", inconsistent)},
-		{"topk-8 lost topk-4 points", withRow("topk-8", inconsistent)},
-		{"topk-8 beyond 8x", withRow("topk-8", median(801))},
-		{"constant-profile answers differ", withRow("constant-profile", notIdentical)},
-		{"constant-profile beyond 1.10x", withRow("constant-profile", median(111))},
-		{"rush-hour free flow inconsistent", withRow("rush-hour@0.05", inconsistent)},
-		{"rush-hour peak inconsistent", withRow("rush-hour@0.32", inconsistent)},
-		{"no plain row", goodLatencyRows()[1:]},
-		{"no rows", nil},
+		{"category-index", "identical", notIdentical},
+		{"category-index", "median≤1.00×plain", median(101)},
+		{"topk-1", "identical", notIdentical},
+		{"topk-1", "contains-smaller-k", crossCheckFails},
+		{"topk-1", "median≤1.50×plain", median(151)},
+		{"topk-2", "contains-smaller-k", crossCheckFails},
+		{"topk-4", "contains-smaller-k", crossCheckFails},
+		{"topk-8", "contains-smaller-k", crossCheckFails},
+		{"topk-8", "median≤8.00×plain", median(801)},
+		{"constant-profile", "identical", notIdentical},
+		{"constant-profile", "median≤1.10×plain", median(111)},
+		{"rush-hour@0.05", "agrees-across-configs", crossCheckFails},
+		{"rush-hour@0.32", "agrees-across-configs", crossCheckFails},
 	}
-	for _, tc := range bad {
-		if err := CheckLatency(tc.rows); err == nil {
-			t.Errorf("%s: check passed, want a failure", tc.name)
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		want := tc.variant + " " + tc.gate
+		covered[want] = true
+		res := goodLatency()
+		for i, v := range latencyVariants {
+			if v.name == tc.variant {
+				tc.change(&res[i])
+			}
+		}
+		rows := latencyRows("tokyo", res)
+		if got := failedGates(rows); !reflect.DeepEqual(got, []string{want}) {
+			t.Errorf("%s violated: failed gates %v, want only it", want, got)
+		}
+		if err := Check(rows); err == nil || !strings.Contains(err.Error(), "tokyo "+tc.variant+": "+tc.gate) {
+			t.Errorf("%s violated: Check returned %v", want, err)
 		}
 	}
-	for i, v := range latencyVariants {
-		rows := goodLatencyRows()
-		rows = append(rows[:i], rows[i+1:]...)
-		if err := CheckLatency(rows); err == nil {
-			t.Errorf("missing %s row: check passed, want a failure", v.name)
+	// Every gate of the table has a case above.
+	for _, r := range latencyRows("tokyo", goodLatency()) {
+		for _, g := range r.Gates {
+			if !covered[r.Scenario+" "+g.Name] {
+				t.Errorf("gate %s %s has no violation case", r.Scenario, g.Name)
+			}
 		}
 	}
 }
 
 func TestCheckTopK(t *testing.T) {
 	// The median bounds are inclusive.
-	rows := goodLatencyRows()
-	for i := range rows {
-		switch rows[i].Variant {
+	res := goodLatency()
+	for i, v := range latencyVariants {
+		switch v.name {
 		case "topk-1":
-			rows[i].MedianMicros = 150
+			res[i].median = 150
 		case "topk-8":
-			rows[i].MedianMicros = 800
+			res[i].median = 800
+		case "constant-profile":
+			res[i].median = 110
 		}
 	}
-	if err := CheckLatency(rows); err != nil {
-		t.Fatalf("top-k medians at their bounds rejected: %v", err)
+	if err := Check(latencyRows("tokyo", res)); err != nil {
+		t.Fatalf("medians at their bounds rejected: %v", err)
 	}
 
 	// The band-monotonicity cross-check: lengths may move by an ULP (k = 1

@@ -220,15 +220,13 @@ type Searcher struct {
 	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
 	// Cost-metric state (begin). td is true when the dataset carries
-	// time-dependent profiles; depart is the query's departure time;
-	// metric evaluates arcs at their arrival time, and is nil (the weight
-	// column) on static datasets; dest is the query's destination
-	// (NoVertex for none); legWS is the dedicated workspace for exact
-	// destination-leg pricing (the shared ws may be mid-run when a leg is
-	// priced from inside an OnSettle callback).
+	// time-dependent profiles, and then every search prices arcs at their
+	// arrival time; depart is the query's departure time; dest is the
+	// query's destination (NoVertex for none); legWS is the dedicated
+	// workspace for exact destination-leg pricing (the shared ws may be
+	// mid-run when a leg is priced from inside an OnSettle callback).
 	td     bool
 	depart float64
-	metric graph.Metric
 	dest   graph.VertexID
 	legWS  *dijkstra.Workspace
 
@@ -467,10 +465,6 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	s.td = s.d.Graph.TimeVarying()
 	s.depart = depart
 	s.dest = graph.NoVertex
-	s.metric = nil
-	if s.td {
-		s.metric = s.d.Graph.Metric()
-	}
 	if err := s.initCancel(); err != nil {
 		return err
 	}
@@ -707,11 +701,11 @@ func (s *Searcher) destLeg(v graph.VertexID, depart, budget float64) float64 {
 	}
 	found := math.Inf(1)
 	settled := s.legWS.Run(dijkstra.Options{
-		Sources:  []graph.VertexID{v},
-		Bound:    bound,
-		Metric:   s.metric,
-		DepartAt: depart,
-		Halt:     s.cc.halt(),
+		Sources:       []graph.VertexID{v},
+		Bound:         bound,
+		TimeDependent: s.td,
+		DepartAt:      depart,
+		Halt:          s.cc.halt(),
 		OnSettle: func(x graph.VertexID, d float64) dijkstra.Control {
 			if x == s.dest {
 				found = d

@@ -54,10 +54,10 @@ func (s *Searcher) shortestPath(u, v graph.VertexID, depart float64) ([]graph.Ve
 	cost := 0.0
 	found := false
 	s.ws.Run(dijkstra.Options{
-		Sources:  []graph.VertexID{u},
-		Metric:   s.metric,
-		DepartAt: depart,
-		Halt:     s.cc.halt(),
+		Sources:       []graph.VertexID{u},
+		TimeDependent: s.td,
+		DepartAt:      depart,
+		Halt:          s.cc.halt(),
 		OnSettle: func(x graph.VertexID, d float64) dijkstra.Control {
 			if x == v {
 				found, cost = true, d

@@ -374,8 +374,6 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 			}
 			cost := ws[i]
 			if s.td {
-				// Concrete call on the hot path; TimeDependentMetric.Cost
-				// is exactly this method.
 				cost = g.CostAt(base+int32(i), depart+d)
 			}
 			nd := d + cost

@@ -68,10 +68,10 @@ func (s *Searcher) runNNinit(start graph.VertexID) {
 	}
 	matcher := s.seq[last]
 	s.ws.Run(dijkstra.Options{
-		Sources:  []graph.VertexID{from},
-		Metric:   s.metric,
-		DepartAt: s.expandDepart(r),
-		Halt:     s.cc.halt(),
+		Sources:       []graph.VertexID{from},
+		TimeDependent: s.td,
+		DepartAt:      s.expandDepart(r),
+		Halt:          s.cc.halt(),
 		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
 			if !g.IsPoI(v) || r.Contains(v) {
 				return dijkstra.Continue
@@ -107,9 +107,9 @@ func (s *Searcher) greedyStage(r *route.Route, from graph.VertexID, pos int, ope
 		Sources: []graph.VertexID{from},
 		// Each stage of the chain departs when the chain arrives:
 		// time-dependent datasets price it at that instant.
-		Metric:   s.metric,
-		DepartAt: s.expandDepart(r),
-		Halt:     s.cc.halt(),
+		TimeDependent: s.td,
+		DepartAt:      s.expandDepart(r),
+		Halt:          s.cc.halt(),
 		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
 			if !g.IsPoI(v) || r.Contains(v) {
 				return dijkstra.Continue

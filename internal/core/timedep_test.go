@@ -404,7 +404,6 @@ func TestTimeDependentFIFOMonotonic(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		d := tdDataset(rng, f, 20, 6, 60, 0.7)
 		g := d.Graph
-		m := g.Metric()
 		ws := dijkstra.New(g)
 		src := graph.VertexID(rng.Intn(g.NumVertices()))
 		t1 := rng.Float64() * 60
@@ -415,7 +414,7 @@ func TestTimeDependentFIFOMonotonic(t *testing.T) {
 				out[i] = math.Inf(1)
 			}
 			ws.Run(dijkstra.Options{
-				Sources: []graph.VertexID{src}, Metric: m, DepartAt: depart,
+				Sources: []graph.VertexID{src}, TimeDependent: true, DepartAt: depart,
 				OnSettle: func(v graph.VertexID, dd float64) dijkstra.Control {
 					out[v] = depart + dd
 					return dijkstra.Continue

@@ -63,16 +63,15 @@ type Options struct {
 	// not treat them as complete.
 	Halt func() bool
 
-	// Metric, when non-nil and time-dependent, switches relaxation to
-	// cost-at-arrival evaluation: the arc u→t costs
-	// Metric.Cost(arc, DepartAt + dist(u)). Settled distances are then
-	// travel times from the sources. Label-setting Dijkstra stays exact
-	// because profiles are FIFO (graph.Profile.Validate enforces it). A
-	// nil or static Metric relaxes against the graph's weight column —
-	// the metric's lower-bound graph — exactly as before.
-	Metric graph.Metric
+	// TimeDependent switches relaxation to cost-at-arrival evaluation:
+	// the arc u→t costs Graph.CostAt(arc, DepartAt + dist(u)). Settled
+	// distances are then travel times from the sources. Label-setting
+	// Dijkstra stays exact because profiles are FIFO
+	// (graph.Profile.Validate enforces it). Unset, relaxation reads the
+	// graph's weight column, the lower-bound graph of its profiles.
+	TimeDependent bool
 	// DepartAt is the absolute departure time at the sources; only
-	// meaningful with a time-dependent Metric.
+	// meaningful with TimeDependent.
 	DepartAt float64
 }
 
@@ -87,11 +86,7 @@ type Workspace struct {
 	epoch   uint32
 	heap    *pq.IndexedHeap
 
-	// stats
-	settledCount  int64
-	relaxedCount  int64
-	runCount      int64
-	lastMaxSettle float64
+	settledCount int64
 }
 
 // New returns a Workspace for g.
@@ -107,32 +102,12 @@ func New(g *graph.Graph) *Workspace {
 	}
 }
 
-// Graph returns the graph the workspace searches.
-func (w *Workspace) Graph() *graph.Graph { return w.g }
-
 // SettledCount returns the total number of vertices settled across all
 // runs (the Table 8 "number of visited vertices" metric).
 func (w *Workspace) SettledCount() int64 { return w.settledCount }
 
-// RelaxedCount returns the total number of edge relaxations attempted.
-func (w *Workspace) RelaxedCount() int64 { return w.relaxedCount }
-
-// RunCount returns the number of Run invocations (the Figure 5 "number of
-// Dijkstra executions" metric).
-func (w *Workspace) RunCount() int64 { return w.runCount }
-
-// LastMaxSettledDist returns the largest distance settled by the most
-// recent run — the explored radius, the paper's "weight sum" proxy for
-// search space (Table 7).
-func (w *Workspace) LastMaxSettledDist() float64 { return w.lastMaxSettle }
-
-// ResetStats zeroes the cumulative counters.
-func (w *Workspace) ResetStats() {
-	w.settledCount = 0
-	w.relaxedCount = 0
-	w.runCount = 0
-	w.lastMaxSettle = 0
-}
+// ResetStats zeroes the settled count.
+func (w *Workspace) ResetStats() { w.settledCount = 0 }
 
 // Run executes one Dijkstra search and returns the number of settled
 // vertices. Distances and parents of the run remain queryable via Dist and
@@ -147,13 +122,7 @@ func (w *Workspace) Run(opts Options) int {
 		clear(w.settled)
 		w.epoch = 1
 	}
-	w.runCount++
-	w.lastMaxSettle = 0
 	w.heap.Reset()
-	md := opts.Metric
-	if md != nil && !md.TimeDependent() {
-		md = nil // a static metric is exactly the weight column
-	}
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = math.Inf(1)
@@ -183,7 +152,6 @@ func (w *Workspace) Run(opts Options) int {
 		w.settled[v] = w.epoch
 		w.settledCount++
 		count++
-		w.lastMaxSettle = d
 
 		ctrl := Continue
 		if opts.OnSettle != nil {
@@ -197,7 +165,7 @@ func (w *Workspace) Run(opts Options) int {
 		}
 		ts, ws := w.g.Neighbors(v)
 		var base int32
-		if md != nil {
+		if opts.TimeDependent {
 			base = w.g.ArcBase(v)
 		}
 		for i, t := range ts {
@@ -205,11 +173,10 @@ func (w *Workspace) Run(opts Options) int {
 				continue
 			}
 			cost := ws[i]
-			if md != nil {
-				cost = md.Cost(base+int32(i), opts.DepartAt+d)
+			if opts.TimeDependent {
+				cost = w.g.CostAt(base+int32(i), opts.DepartAt+d)
 			}
 			nd := d + cost
-			w.relaxedCount++
 			if nd >= bound {
 				continue
 			}

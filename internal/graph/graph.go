@@ -47,7 +47,7 @@ type Graph struct {
 	// weights always holds each arc's lower-bound cost: the static weight
 	// for plain arcs, the profile minimum for time-profiled arcs — so
 	// every distance derived from the raw weights is an admissible lower
-	// bound under the graph's Metric (see metric.go).
+	// bound of the time-dependent cost CostAt (see metric.go).
 	offsets []int32
 	targets []VertexID
 	weights []float64

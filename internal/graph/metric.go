@@ -1,20 +1,20 @@
 package graph
 
-// This file implements the cost-metric layer: the seam that decouples
-// "what does traversing an arc cost" from the search algorithms. Two
-// metrics exist — Static (the classic scalar edge weight) and
-// TimeDependent (piecewise-linear FIFO travel-time profiles, the setting
+// This file implements the cost metrics: what traversing an arc costs.
+// A static graph's arcs cost their scalar edge weight. A time-dependent
+// graph attaches piecewise-linear FIFO travel-time profiles (the setting
 // of Costa et al., "Optimal Time-dependent Sequenced Route Queries in
-// Road Networks") — and both expose the same contract:
+// Road Networks") to some arcs, and two methods expose them:
 //
-//   - Cost(arc, t) is the cost of traversing the arc when its tail is
+//   - CostAt(arc, t) is the cost of traversing the arc when its tail is
 //     left at absolute time t;
-//   - LowerBound(arc) is the minimum of Cost over the whole time domain.
+//   - EdgeWeight (the CSR weight column) is the minimum of that cost over
+//     the whole time domain.
 //
 // The graph's CSR weights array always holds the per-arc lower bound, so
 // every distance computed from the raw weights — index rows, the §5.3.3
 // hop minima, Algorithm 4 radii, destination tables — is automatically a
-// distance in the metric's lower-bound graph and therefore an admissible
+// distance in the lower-bound graph and therefore an admissible
 // lower bound of the true time-dependent cost. That single invariant is
 // what lets the paper's pruning survive the generalization unchanged.
 //
@@ -217,63 +217,6 @@ func (tt *TimeTable) memoryFootprintBytes() int64 {
 		b += int64(len(p.Times)) * 16
 	}
 	return b
-}
-
-// Metric evaluates arc traversal costs. Arc indices are CSR positions
-// (see Graph.ArcBase); t is an absolute departure time at the arc's
-// tail. Implementations must satisfy Cost(arc, t) ≥ LowerBound(arc) for
-// every t, and the FIFO property t1 ≤ t2 ⇒ t1+Cost(arc,t1) ≤
-// t2+Cost(arc,t2) — the two contracts the search layer's exactness
-// proofs rest on.
-type Metric interface {
-	// Cost returns the cost of traversing the arc departing its tail at
-	// absolute time t.
-	Cost(arc int32, t float64) float64
-	// LowerBound returns the arc's minimum cost over the whole time
-	// domain — its weight in the lower-bound graph.
-	LowerBound(arc int32) float64
-	// TimeDependent reports whether Cost can vary with t.
-	TimeDependent() bool
-}
-
-// Static is the classic scalar metric: every arc costs its graph weight
-// at every departure time. It is the Metric of graphs without time
-// profiles.
-type Static struct{ g *Graph }
-
-// Cost implements Metric; it ignores the departure time.
-func (m Static) Cost(arc int32, _ float64) float64 { return m.g.weights[arc] }
-
-// LowerBound implements Metric.
-func (m Static) LowerBound(arc int32) float64 { return m.g.weights[arc] }
-
-// TimeDependent implements Metric.
-func (m Static) TimeDependent() bool { return false }
-
-// TimeDependentMetric evaluates arcs against the graph's time table:
-// profiled arcs interpolate their profile at the departure time, the
-// rest fall back to the static weight (which equals their lower bound).
-type TimeDependentMetric struct{ g *Graph }
-
-// Cost implements Metric.
-func (m TimeDependentMetric) Cost(arc int32, t float64) float64 { return m.g.CostAt(arc, t) }
-
-// LowerBound implements Metric. The CSR weight of a profiled arc is
-// maintained as its profile minimum, so this is a plain array read.
-func (m TimeDependentMetric) LowerBound(arc int32) float64 { return m.g.weights[arc] }
-
-// TimeDependent implements Metric.
-func (m TimeDependentMetric) TimeDependent() bool { return true }
-
-// Metric returns the graph's cost metric: TimeDependentMetric when some
-// attached profile actually varies with time, Static otherwise (a graph
-// whose profiles are all constant is semantically a static graph, and is
-// served as one).
-func (g *Graph) Metric() Metric {
-	if g.TimeVarying() {
-		return TimeDependentMetric{g: g}
-	}
-	return Static{g: g}
 }
 
 // HasTimeProfiles reports whether any arc carries an attached profile —

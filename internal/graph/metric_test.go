@@ -197,8 +197,8 @@ func TestBuilderProfileWiring(t *testing.T) {
 	if g.TimePeriod() != 100 {
 		t.Fatalf("TimePeriod = %v", g.TimePeriod())
 	}
-	if !g.Metric().TimeDependent() {
-		t.Fatal("Metric not time-dependent")
+	if !g.TimeVarying() {
+		t.Fatal("profiled graph is not time-varying")
 	}
 	// The profiled edge's weight column holds the profile minimum, not
 	// the declared static weight 7.
@@ -208,28 +208,28 @@ func TestBuilderProfileWiring(t *testing.T) {
 	if w, ok := g.EdgeWeight(1, 2); !ok || w != 3 {
 		t.Fatalf("EdgeWeight(1,2) = %v, %v", w, ok)
 	}
-	// Both arcs of the undirected profiled edge evaluate the profile.
-	m := g.Metric()
+	// Both arcs of the undirected profiled edge evaluate the profile,
+	// and both weigh its minimum.
 	for _, uv := range [][2]VertexID{{0, 1}, {1, 0}} {
 		arc := findArc(t, g, uv[0], uv[1])
-		if got := m.Cost(arc, 0); got != 4 {
-			t.Errorf("Cost(%v→%v, 0) = %v, want 4", uv[0], uv[1], got)
+		if got := g.CostAt(arc, 0); got != 4 {
+			t.Errorf("CostAt(%v→%v, 0) = %v, want 4", uv[0], uv[1], got)
 		}
-		if got := m.Cost(arc, 50); got != 10 {
-			t.Errorf("Cost(%v→%v, 50) = %v, want 10", uv[0], uv[1], got)
+		if got := g.CostAt(arc, 50); got != 10 {
+			t.Errorf("CostAt(%v→%v, 50) = %v, want 10", uv[0], uv[1], got)
 		}
-		if got := m.LowerBound(arc); got != 4 {
-			t.Errorf("LowerBound(%v→%v) = %v, want 4", uv[0], uv[1], got)
+		if got, ok := g.EdgeWeight(uv[0], uv[1]); !ok || got != 4 {
+			t.Errorf("EdgeWeight(%v→%v) = %v, %v; want 4", uv[0], uv[1], got, ok)
 		}
 	}
 	// The static edge ignores the departure time.
 	arc := findArc(t, g, 1, 2)
-	if got := m.Cost(arc, 50); got != 3 {
-		t.Errorf("static arc Cost = %v, want 3", got)
+	if got := g.CostAt(arc, 50); got != 3 {
+		t.Errorf("static arc CostAt = %v, want 3", got)
 	}
-	// A static graph's metric is Static.
-	if NewBuilder(false).Build().Metric().TimeDependent() {
-		t.Error("empty graph's metric is time-dependent")
+	// A graph without profiles is static.
+	if NewBuilder(false).Build().TimeVarying() {
+		t.Error("empty graph is time-varying")
 	}
 }
 

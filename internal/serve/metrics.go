@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"skysr/internal/logx"
@@ -30,6 +31,54 @@ import (
 var httpEndpoints = []string{
 	"index", "categories", "route", "batch", "update", "epoch",
 	"survey_post", "survey_get", "metrics", "traces_list", "traces_get",
+}
+
+// RequiredMetricNames are the families every /metrics scrape of a
+// server with tracing on carries. The serve tests, the skysr-bench
+// httpload gate and the CI scrape smoke, which greps for the same list,
+// all assert them, so a renamed family cannot slip out silently.
+var RequiredMetricNames = []string{
+	"skysr_search_total",
+	"skysr_search_stage_seconds_bucket",
+	"skysr_mdijkstra_runs_total",
+	"skysr_settled_vertices_total",
+	"skysr_cache_hits_total",
+	"skysr_epoch",
+	"skysr_searchers_in_use",
+	"skysr_http_requests_total",
+	"skysr_http_request_seconds_bucket",
+	"skysr_http_request_p99_seconds",
+	"skysr_http_in_flight",
+	"skysr_http_queue_depth",
+	"skysr_http_rejected_total",
+	"skysr_http_panics_total",
+	"skysr_http_timeouts_total",
+	"skysr_trace_kept_total",
+	"skysr_trace_dropped_total",
+	"skysr_trace_recorder_len",
+}
+
+// MissingMetrics returns the RequiredMetricNames absent from a parsed
+// scrape (metrics.ParseText output, keyed "name" or "name{labels}").
+func MissingMetrics(samples map[string]float64) []string {
+	var missing []string
+	for _, name := range RequiredMetricNames {
+		if !hasMetric(samples, name) {
+			missing = append(missing, name)
+		}
+	}
+	return missing
+}
+
+// hasMetric reports whether a parsed scrape carries any sample of the
+// named family.
+func hasMetric(samples map[string]float64, name string) bool {
+	for k := range samples {
+		if k == name || strings.HasPrefix(k, name+"{") {
+			return true
+		}
+	}
+	return false
 }
 
 // tracedEndpoints names the endpoints whose requests get a per-request

@@ -11,13 +11,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"skysr"
-	"skysr/internal/bench"
 	"skysr/internal/logx"
 	"skysr/internal/metrics"
 )
@@ -39,7 +40,7 @@ func scrape(t *testing.T, mux http.Handler) map[string]float64 {
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, rec.Body.String())
 	}
-	if missing := bench.MissingMetrics(samples); len(missing) > 0 {
+	if missing := MissingMetrics(samples); len(missing) > 0 {
 		t.Fatalf("/metrics missing families: %s", strings.Join(missing, ", "))
 	}
 	return samples
@@ -185,7 +186,7 @@ func TestMetricsConcurrentStorm(t *testing.T) {
 			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 			samples, err := metrics.ParseText(rec.Body.Bytes())
 			if err == nil {
-				if missing := bench.MissingMetrics(samples); len(missing) > 0 {
+				if missing := MissingMetrics(samples); len(missing) > 0 {
 					err = fmt.Errorf("missing families: %s", strings.Join(missing, ", "))
 				}
 			}
@@ -322,4 +323,23 @@ func TestPprofEnabled(t *testing.T) {
 	}
 	// The pprof mount does not displace /metrics.
 	scrape(t, mux)
+}
+
+// TestCIScrapeSmokeListsRequiredMetrics keeps the CI live-server smoke's
+// grep loop naming exactly RequiredMetricNames.
+func TestCIScrapeSmokeListsRequiredMetrics(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if list, ok := strings.CutPrefix(strings.TrimSpace(line), "for fam in "); ok {
+			list, _, _ = strings.Cut(list, ";")
+			if got := strings.Fields(list); !slices.Equal(got, RequiredMetricNames) {
+				t.Fatalf("CI greps for %v, want RequiredMetricNames %v", got, RequiredMetricNames)
+			}
+			return
+		}
+	}
+	t.Fatal("CI workflow has no metric family grep loop")
 }

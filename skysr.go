@@ -366,12 +366,6 @@ func (sn *snapshot) loadIndexSidecar(datasetPath string, budget int64) {
 	sn.idxMu.Unlock()
 }
 
-// Dataset is an immutable road network with embedded PoIs and a category
-// forest.
-type Dataset struct {
-	ds *dataset.Dataset
-}
-
 // Open loads a dataset from a file in either skysr format, sniffing the
 // first bytes: the binary format (SaveBinary, skysr-gen -binary) is
 // memory-mapped and served zero-copy — cold starts skip the text parse
@@ -622,6 +616,6 @@ func (e *Engine) Workload(n, seqLen int, seed int64) ([]Query, error) {
 	return out, nil
 }
 
-// internalDataset exposes the underlying dataset to the benchmark harness
-// living in the same module.
+// internalDataset exposes the current snapshot's dataset to the root
+// package's tests.
 func (e *Engine) internalDataset() *dataset.Dataset { return e.snap().ds }
