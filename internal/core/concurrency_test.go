@@ -7,6 +7,8 @@ import (
 
 	"skysr/internal/graph"
 	"skysr/internal/index"
+	"skysr/internal/osr"
+	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
 
@@ -79,27 +81,88 @@ func TestConcurrentSearchersShareDataset(t *testing.T) {
 	}
 }
 
-// TestCacheRadiusReRun exercises the on-the-fly cache's re-run path: a
-// cached entry computed under a small radius must be recomputed when a
-// later route needs a larger one. We force this by crafting a skyline
-// where a low-semantic route has a much larger threshold than the
-// perfect-match route that populated the cache first.
+// radiusSpy is a result set that, whenever the search asks it for a
+// threshold, compares the searcher's on-the-fly cache with what it saw the
+// last time: an entry replaced under the same key by one of a larger
+// radius is a re-run at a larger radius.
+type radiusSpy struct {
+	resultSet
+	s      *Searcher
+	seen   map[cacheKey]*cacheEntry
+	reRuns *int
+}
+
+func (rs *radiusSpy) Threshold(sem float64) float64 {
+	for k, e := range rs.s.cache {
+		if old, ok := rs.seen[k]; ok && old != e && e.radius > old.radius {
+			*rs.reRuns++
+		}
+		rs.seen[k] = e
+	}
+	return rs.resultSet.Threshold(sem)
+}
+
+// TestCacheRadiusReRun checks the on-the-fly cache across radii: an
+// entry serves later expansions of its key at smaller radii, and a larger
+// radius re-runs the search. Ordered and unordered queries, plain and on
+// the category index, on undirected and directed dyadic networks, must
+// return the brute-force skyline, and the trials must both hit the cache
+// and re-run a key at a larger radius, or they would not exercise reuse.
 func TestCacheRadiusReRun(t *testing.T) {
+	var cur *Searcher
+	var shape string
+	reRuns := map[string]*int{"ordered": new(int), "unordered": new(int)}
+	orig := newResultSet
+	defer func() { newResultSet = orig }()
+	newResultSet = func(k int) resultSet {
+		return &radiusSpy{resultSet: orig(k), s: cur, seen: map[cacheKey]*cacheEntry{}, reRuns: reRuns[shape]}
+	}
 	rng := rand.New(rand.NewSource(92))
 	f := taxonomy.Generated(2, 2, 3)
-	for trial := 0; trial < 20; trial++ {
-		d := randomDataset(rng, f, 25, 18)
-		cats := pickCats(rng, f, 3)
-		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
-		res, err := s.QueryCategories(graph.VertexID(rng.Intn(25)), cats...)
-		if err != nil {
-			t.Fatal(err)
+	hits := map[string]int64{}
+	const vertices, pois = 25, 18
+	for trial := 0; trial < 40; trial++ {
+		d := dyadicDataset(rng, f, vertices, pois, trial%2 == 1)
+		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 3)...)
+		start := graph.VertexID(rng.Intn(vertices))
+		want := map[string]*route.Skyline{
+			"ordered":   osr.BruteForceSkySR(d, start, seq, route.AggProduct),
+			"unordered": osr.BruteForceUnordered(d, start, seq, route.AggProduct),
 		}
-		// The regression is caught by the exactness suite; here we only
-		// require the accounting to stay consistent when re-runs happen.
-		if res.Stats.MDijkstraRuns+res.Stats.CacheHits != res.Stats.MDijkstraRequests {
-			t.Fatalf("accounting broken: runs=%d hits=%d requests=%d",
-				res.Stats.MDijkstraRuns, res.Stats.CacheHits, res.Stats.MDijkstraRequests)
+		ci := index.New(d, 0)
+		for _, idx := range []*index.CategoryDistances{nil, ci} {
+			opts := DefaultOptions()
+			opts.Index = idx
+			cur = NewSearcher(d, f.WuPalmer, opts)
+			for _, shape = range []string{"ordered", "unordered"} {
+				var res *Result
+				var err error
+				if shape == "ordered" {
+					res, err = cur.Query(start, seq)
+				} else {
+					res, err = cur.QueryUnordered(start, seq)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				if !sameSkyline(res.Routes, want[shape]) {
+					t.Fatalf("trial %d (directed %v) index=%v %s: mismatch\ngot:  %v\nwant: %v",
+						trial, d.Graph.Directed(), idx != nil, shape, res.Routes, want[shape].Routes())
+				}
+				if st.MDijkstraRuns+st.CacheHits != st.MDijkstraRequests {
+					t.Fatalf("accounting broken: runs=%d hits=%d requests=%d",
+						st.MDijkstraRuns, st.CacheHits, st.MDijkstraRequests)
+				}
+				hits[shape] += st.CacheHits
+			}
 		}
+	}
+	for _, shape := range []string{"ordered", "unordered"} {
+		if hits[shape] == 0 || *reRuns[shape] == 0 {
+			t.Errorf("%s: %d cache hits and %d re-runs at a larger radius; the trials must exercise both",
+				shape, hits[shape], *reRuns[shape])
+		}
+		t.Logf("%s: %d cache hits, %d re-runs at a larger radius", shape, hits[shape], *reRuns[shape])
 	}
 }

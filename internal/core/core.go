@@ -219,6 +219,11 @@ type Searcher struct {
 	md         *mdWorkspace   // reusable modified-Dijkstra arrays, lazily sized
 	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
+	// stopsAtPerfect[i] is whether position i's modified Dijkstras may
+	// stop at every perfect match (perfectStops); empty without the path
+	// filter.
+	stopsAtPerfect []bool
+
 	// Cost-metric state (begin). td is true when the dataset carries
 	// time-dependent profiles, and then every search prices arcs at their
 	// arrival time; depart is the query's departure time; dest is the
@@ -472,6 +477,10 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	k := s.opts.effectiveTopK()
 	s.pathFilter = ordered && k == 1 && !s.opts.DisablePathFilter
 	s.seq = seq
+	s.stopsAtPerfect = s.stopsAtPerfect[:0]
+	if s.pathFilter {
+		s.stopsAtPerfect = s.perfectStops(s.stopsAtPerfect)
+	}
 	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
 	s.sky = newResultSet(k)
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
@@ -556,10 +565,11 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			continue // Definition 3.4(iii)
 		}
 		// Lemma 5.5: skip candidates reached through a PoI at least as
-		// similar — unless that blocker is already used by this route, in
-		// which case the substitution the lemma relies on is infeasible.
-		if s.pathFilter &&
-			c.blockSim >= c.sim && c.blockV != graph.NoVertex && !r.Contains(c.blockV) {
+		// similar — unless that blocker is already used by this route or
+		// can serve a later position, in which case the substitution the
+		// lemma relies on may be infeasible.
+		if s.pathFilter && c.blockSim >= c.sim && c.blockV != graph.NoVertex &&
+			!r.Contains(c.blockV) && !s.servesOther(c.blockV, r.Size(), r.Size()+1) {
 			continue
 		}
 		rt := r.Extend(s.scorer, c.v, c.dist, c.sim)
@@ -605,6 +615,43 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			s.stats.PeakQueueLen = qb.Len()
 		}
 	}
+}
+
+// servesOther reports whether PoI v semantically matches a position
+// j ≥ from other than pos. A route may then use v at j, so Lemma 5.5
+// cannot substitute v for a candidate of pos behind it: the substitute
+// would visit v twice.
+func (s *Searcher) servesOther(v graph.VertexID, pos, from int) bool {
+	cats := s.d.Graph.Categories(v)
+	for j := from; j < len(s.seq); j++ {
+		if j != pos && s.seq[j].Sim(cats) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// perfectStops appends to buf, for each position of a query run with the
+// Lemma 5.5 filter, whether none of its perfect matches serves another
+// position. Its modified Dijkstras then stop at every perfect match, as
+// Lemma 5.5 (ii) has them, whatever the rest of the query is; otherwise
+// they decide per match (see runMDijkstra). Only plain Category matchers
+// can report true.
+func (s *Searcher) perfectStops(buf []bool) []bool {
+	for i, m := range s.seq {
+		c, ok := m.(*route.Category)
+		stops := ok
+		if ok {
+			for _, p := range s.d.PoIsExact(c.ID()) {
+				if s.servesOther(p, i, 0) {
+					stops = false
+					break
+				}
+			}
+		}
+		buf = append(buf, stops)
+	}
+	return buf
 }
 
 // pruneByIndex applies the precomputed index lower bound against the

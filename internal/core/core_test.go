@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -702,16 +703,23 @@ func TestStatsInstrumentation(t *testing.T) {
 			res.Stats.MDijkstraRuns, res2.Stats.MDijkstraRuns)
 	}
 
-	// On static datasets the stages are disjoint: every init stage runs
-	// greedy Dijkstras on the shared workspace, never a modified Dijkstra,
-	// and only time-dependent destination legs run inside NNinit. The
-	// intervals nest on the monotonic clock, so their sum never exceeds
-	// QueryTime. PeakCacheBytes is pinned on the first three starts: the
-	// running total must equal the largest sum of entryBytes over the
-	// cache after any store.
+	// The stages are disjoint: every init stage runs greedy Dijkstras on
+	// the shared workspace, never a modified Dijkstra, and the
+	// time-dependent destination legs NNinit prices count toward
+	// DestLegTime alone. The intervals nest on the monotonic clock, so
+	// their sum never exceeds QueryTime. PeakCacheBytes is pinned on the
+	// first three starts: the running total must equal the largest sum of
+	// entryBytes over the cache after any store.
+	disjoint := func(what string, st Stats) {
+		t.Helper()
+		if sum := st.InitTime + st.BoundsTime + st.MDijkstraTime + st.DestLegTime; sum > st.QueryTime {
+			t.Errorf("%s: init %v + bounds %v + mdijkstra %v + destleg %v = %v > query %v",
+				what, st.InitTime, st.BoundsTime, st.MDijkstraTime, st.DestLegTime, sum, st.QueryTime)
+		}
+	}
 	wantPeak := map[bool][3][3]int64{ // index → start → ordered, unordered, rated
 		false: {{1584, 5152, 1584}, {2792, 9456, 2792}, {2112, 7440, 2160}},
-		true:  {{1392, 4352, 1392}, {2600, 9072, 2600}, {2016, 7152, 2016}},
+		true:  {{1392, 3592, 1392}, {2600, 8352, 2600}, {2016, 6272, 2016}},
 	}
 	seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
 	n := d.Graph.NumVertices()
@@ -741,10 +749,7 @@ func TestStatsInstrumentation(t *testing.T) {
 			}
 			stats["rated"] = rated.Stats
 			for shape, st := range stats {
-				if sum := st.InitTime + st.BoundsTime + st.MDijkstraTime + st.DestLegTime; sum > st.QueryTime {
-					t.Errorf("index %v start %d %s: init %v + bounds %v + mdijkstra %v + destleg %v = %v > query %v",
-						withIndex, v, shape, st.InitTime, st.BoundsTime, st.MDijkstraTime, st.DestLegTime, sum, st.QueryTime)
-				}
+				disjoint(fmt.Sprintf("index %v start %d %s", withIndex, v, shape), st)
 			}
 			if v < 3 {
 				got := [3]int64{stats["ordered"].PeakCacheBytes, stats["unordered"].PeakCacheBytes, stats["rated"].PeakCacheBytes}
@@ -753,6 +758,24 @@ func TestStatsInstrumentation(t *testing.T) {
 						withIndex, v, got, wantPeak[withIndex][v])
 				}
 			}
+		}
+	}
+	// Time-dependent destination queries: NNinit prices an exact leg for
+	// every seed it offers, from inside its own stage.
+	tdRng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		td := tdDataset(tdRng, f, 16, 10, 60, 0.6)
+		tdSeq := route.NewCategorySequence(f, f.WuPalmer, pickCats(tdRng, f, 2)...)
+		for q := 0; q < 5; q++ {
+			opts := DefaultOptions()
+			opts.DepartAt = tdRng.Float64() * 60
+			start := graph.VertexID(tdRng.Intn(td.Graph.NumVertices()))
+			dest := graph.VertexID(tdRng.Intn(td.Graph.NumVertices()))
+			res, err := NewSearcher(td, f.WuPalmer, opts).QueryWithDestination(start, tdSeq, dest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disjoint(fmt.Sprintf("time-dependent trial %d query %d", trial, q), res.Stats)
 		}
 	}
 }

@@ -171,34 +171,47 @@ func TestIndexPrunes(t *testing.T) {
 	}
 }
 
-// TestIndexNeverIncreasesWork: settled vertices with the index must be ≤
-// without (it only removes expansions).
+// TestIndexNeverIncreasesWork: for ordered, unordered and rated queries,
+// settled vertices with the index must be ≤ without (it only removes
+// expansions).
 func TestIndexNeverIncreasesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	f := taxonomy.Generated(3, 2, 3)
-	var with, without int64
+	with, without := map[string]int64{}, map[string]int64{}
 	for trial := 0; trial < 8; trial++ {
 		d := randomDataset(rng, f, 50, 30)
 		idx := index.New(d, 0)
-		cats := pickCats(rng, f, 3)
-		opts := DefaultOptions()
-		s := NewSearcher(d, f.WuPalmer, opts)
-		res, err := s.QueryCategories(0, cats...)
-		if err != nil {
-			t.Fatal(err)
+		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 3)...)
+		for _, ci := range []*index.CategoryDistances{nil, idx} {
+			opts := DefaultOptions()
+			opts.Index = ci
+			s := NewSearcher(d, f.WuPalmer, opts)
+			settled := without
+			if ci != nil {
+				settled = with
+			}
+			for shape, run := range map[string]func() (*Result, error){
+				"ordered":   func() (*Result, error) { return s.Query(0, seq) },
+				"unordered": func() (*Result, error) { return s.QueryUnordered(0, seq) },
+			} {
+				res, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				settled[shape] += res.Stats.SettledVertices
+			}
+			rated, err := s.QueryRated(0, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settled["rated"] += rated.Stats.SettledVertices
 		}
-		without += res.Stats.SettledVertices
-
-		opts.Index = idx
-		s2 := NewSearcher(d, f.WuPalmer, opts)
-		res2, err := s2.QueryCategories(0, cats...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		with += res2.Stats.SettledVertices
 	}
-	if with > without {
-		t.Errorf("index increased settled vertices: %d > %d", with, without)
+	for _, shape := range []string{"ordered", "unordered", "rated"} {
+		if with[shape] > without[shape] {
+			t.Errorf("%s: index increased settled vertices: %d > %d", shape, with[shape], without[shape])
+		}
+		t.Logf("%s: settled vertices %d without the index, %d with it", shape, without[shape], with[shape])
 	}
 }
 

@@ -48,12 +48,21 @@ type cacheKey struct {
 	depart float64
 }
 
-// cacheEntry stores the candidates found around an origin, complete up to
-// the exhausted radius: every matching PoI whose route can still beat the
-// radius is present. Without a destination that is every matching PoI
-// with dist < radius; a run cut by a destination's cost-to-go row keeps
-// every x whose dist plus lower bound on finishing the route from x stays
-// below the radius (see runMDijkstra).
+// cacheEntry stores the candidates one modified Dijkstra found around an
+// origin (see runMDijkstra's frontier cut):
+//
+//   - every candidate whose route can still finish within the radius is
+//     present, with its exact distance; for an ordered or rated run
+//     without a destination, that is every matching PoI with
+//     dist < radius;
+//   - other items may be missing, or may carry a longer distance when
+//     their shortest path crossed a cut vertex, and every route built
+//     from them fails its threshold;
+//   - the cut depends only on the key (origin, position and open set)
+//     and the radius, so serving the entry at a smaller radius keeps the
+//     guarantee.
+//
+// Unordered runs stay unfiltered and never enter the SharedCache.
 type cacheEntry struct {
 	radius   float64
 	complete bool // whole reachable component explored
@@ -130,7 +139,9 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
 // SharedCache when the position is shareable, running (and publishing) the
 // search otherwise. A position is shareable when it is a plain Category
-// matcher, the query's Lemma 5.5 path filter is on, and the dataset is not
+// matcher, the query's Lemma 5.5 path filter is on, none of the
+// position's perfect matches serves another position of the query (so
+// the run stops at all of them; see perfectStops), and the dataset is not
 // time-dependent: the cached candidates — including their blocking-PoI
 // annotations — then depend only on the immutable dataset and the
 // similarity function the cache is dedicated to. Rated, unordered and
@@ -142,7 +153,7 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 // destination in time.
 func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	shared := s.opts.Shared
-	if shared == nil || !s.pathFilter || s.td || s.potRow(key.pos) != nil {
+	if shared == nil || !s.pathFilter || s.td || s.potRow(key.pos) != nil || !s.stopsAtPerfect[key.pos] {
 		return s.runMDijkstra(key, radius)
 	}
 	cat, ok := s.seq[key.pos].(*route.Category)
@@ -169,7 +180,8 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 // mdWorkspace holds the epoch-stamped per-vertex state of the modified
 // Dijkstra, reused across the hundreds of runs a query performs so each
 // run allocates nothing but its result slice. Resetting is O(1) via the
-// shared epochScratch generation counter.
+// shared epochScratch generation counter; the decrease-key heap empties in
+// time proportional to what the last run left queued.
 type mdWorkspace struct {
 	dist     []float64
 	blockSim []float64
@@ -177,12 +189,7 @@ type mdWorkspace struct {
 	stamp    []uint32
 	done     []uint32
 	gen      epochScratch
-	heap     *pq.Heap[mdItem]
-}
-
-type mdItem struct {
-	v graph.VertexID
-	d float64
+	heap     *pq.IndexedHeap
 }
 
 func newMDWorkspace(n int) *mdWorkspace {
@@ -192,12 +199,7 @@ func newMDWorkspace(n int) *mdWorkspace {
 		blockV:   make([]graph.VertexID, n),
 		stamp:    make([]uint32, n),
 		done:     make([]uint32, n),
-		heap: pq.NewHeap[mdItem](func(a, b mdItem) bool {
-			if a.d != b.d {
-				return a.d < b.d
-			}
-			return a.v < b.v
-		}),
+		heap:     pq.NewIndexedHeap(n),
 	}
 	w.gen = newEpochScratch(w.stamp, w.done)
 	return w
@@ -210,16 +212,16 @@ func (w *mdWorkspace) begin() uint32 {
 }
 
 // runMDijkstra is Algorithm 2: a Dijkstra search from key.from that
-// collects every PoI matching the key's positions within the radius, does
-// not expand through perfectly matching PoIs while the query's Lemma 5.5
-// filter is on, and records for each candidate the strongest intermediate
-// PoI on its path. Ordered and rated runs match one position; unordered
-// runs match every open one, record each (PoI, position) pair as its own
-// candidate, and run unfiltered (begin leaves the filter off). On
-// time-dependent datasets arcs are priced at their arrival time
-// (depart + d); the radius and goal-row cuts below compare those travel
-// times against lower-bound distances, which keeps them admissible (see
-// graph/metric.go).
+// collects the PoIs matching the key's positions within the radius, does
+// not expand through perfectly matching PoIs that serve no other position
+// while the query's Lemma 5.5 filter is on, and records for each
+// candidate the strongest intermediate PoI on its path. Ordered and rated
+// runs match one position; unordered runs match every open one, record
+// each (PoI, position) pair as its own candidate, and run unfiltered
+// (begin leaves the filter off). On time-dependent datasets arcs are
+// priced at their arrival time (depart + d); the radius and goal-row cuts
+// below compare those travel times against lower-bound distances, which
+// keeps them admissible (see graph/metric.go).
 //
 // The origin itself is a usable candidate only when the route is empty
 // (key.pos == 0): there the origin is the query start vertex, which may be
@@ -229,6 +231,43 @@ func (w *mdWorkspace) begin() uint32 {
 // candidates (Lemma 5.5's substitution would be infeasible) nor stop the
 // traversal. This split keeps cache entries consistent: every route
 // expanding through a key has the same relationship to the origin.
+//
+// Goal-directed frontier cut. The run skips a vertex u, at pop and at
+// relax, once d + goalBound(u) ≥ radius. goalBound is the largest entry
+// at u of the run's goal rows (goalRows): the tree row of every matched
+// position that has one or, for a destination query's route holding
+// pos ≥ 1 PoIs, its cost-to-go row alone. Let r be a route expanding
+// through this key, so radius = threshold(sem r) − l(r), and let x be a
+// candidate of position p whose shortest path from the origin runs
+// through u. Each row bounds what a completion of r through x still
+// costs beyond u:
+//
+//   - p's own tree row: D(u,x) ≥ D_p(u) ≥ row_p[u], where D_q(v) is v's
+//     distance to the nearest semantic match of q. For an ordered or
+//     rated run this is the whole bound, and it keeps every candidate
+//     within the radius.
+//   - Another open position q of an unordered run: the completion visits
+//     q after x, so it costs at least D(u,x) + D_q(x) ≥ D_q(u) ≥ row_q[u].
+//   - A destination row: it seeds x's position at C(x), the next row's
+//     value at x (destDist for the last position), so pot[pos][u] ≤
+//     D(u,x) + C(x), and every completion through x costs at least that.
+//
+// A skipped vertex or arc therefore carries only completions R of length
+// at least l(r) + radius = threshold(sem r) ≥ threshold(sem R): the
+// threshold only shrinks and extension only raises the semantic score,
+// so none of them enters the answer. The argument uses true distances,
+// never a stored row entry at x, and rows are rounded down, so
+// row_q[u] ≤ D_q(u) holds directly, up to the float64 rounding the
+// radius test itself shares. A position without a row contributes
+// nothing to the max, which stays a lower bound. A +Inf entry proves
+// that no completion passes through u at any radius, so it cuts without
+// marking the entry radius-limited.
+//
+// No vertex on a kept candidate's shortest paths is cut, so the
+// candidate is settled with its exact distance, and in the same order as
+// without the cut, which leaves the ordered loop's Lemma 5.5 annotations
+// (the strongest PoI on the path) unchanged too. Entries therefore keep
+// the cacheEntry contract.
 func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	from, depart := key.from, key.depart
 	s.stats.MDijkstraRuns++
@@ -265,47 +304,17 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	epoch := w.begin()
 	h := w.heap
 
-	// Goal-directed frontier pruning from the category index: goalBound
-	// lower-bounds u's distance to the nearest PoI matching any of the
-	// run's positions (the minimum of their tree rows), so once
-	// d + goalBound ≥ radius nothing reachable through u can be an
-	// in-radius candidate and u's expansion is skipped. The candidate set
-	// is unchanged: every in-radius candidate x satisfies
-	// D(from,x) ≥ d_u + goalBound(u) for each u on any path to it, so none
-	// of its shortest paths — nor its Lemma 5.5 annotation chain — can pass
-	// through a skipped vertex. A matching vertex itself has a zero bound
-	// and is never skipped. A position without a row disables the cut.
-	//
-	// A destination query's run for a route holding pos ≥ 1 PoIs cuts by
-	// its cost-to-go row instead (potRow), which dominates the tree rows.
-	// Let C(x) be the next row's value at a candidate x (destDist for the
-	// last position): the route through x can still beat the radius only
-	// while D(from,x) + C(x) < radius, and x seeds row pos at C(x), so every
-	// u on a shortest path to x has d_u + pot[pos][u] ≤ D(from,x) + C(x).
-	// x survives the cut, and so does any Lemma 5.5 blocker b on its path,
-	// whose D(from,b) + C(b) is no larger.
 	var matchBuf [8]int32
 	var goalBuf [8]index.Row
 	match := s.matchPositions(matchBuf[:0], key.pos, key.open)
-	goal := goalBuf[:0]
-	if row := s.potRow(key.pos); row != nil {
-		goal = append(goal, row)
-	} else {
-		for _, p := range match {
-			if int(p) >= len(s.idxRows.sem) || s.idxRows.sem[p] == nil {
-				goal = goal[:0]
-				break
-			}
-			goal = append(goal, s.idxRows.sem[p])
-		}
-	}
+	goal := s.goalRows(goalBuf[:0], key.pos, match)
 
 	entry := &cacheEntry{}
 	w.dist[from] = 0
 	w.blockSim[from] = 0
 	w.blockV[from] = graph.NoVertex
 	w.stamp[from] = epoch
-	h.Push(mdItem{v: from, d: 0})
+	h.PushOrDecrease(from, 0)
 
 	// cut records whether the radius bound ever suppressed a relaxation;
 	// if it never fired, the whole reachable component was explored and
@@ -316,11 +325,7 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 		if s.cc.tick() {
 			break
 		}
-		top := h.Pop()
-		u, d := top.v, top.d
-		if w.done[u] == epoch || d > w.dist[u] {
-			continue // stale duplicate entry
-		}
+		u, d := h.Pop()
 		w.done[u] = epoch
 		settled++
 		maxSettled = d
@@ -329,7 +334,7 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 				if !math.IsInf(lb, 1) {
 					// A larger radius could reach candidates through u, so
 					// the cache entry is only complete up to this radius; a
-					// +Inf bound proves u leads to no candidate ever.
+					// +Inf bound proves no completion ever passes through u.
 					cut = true
 				}
 				continue
@@ -353,8 +358,11 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 				perfect = perfect || filter && m.Perfect(cats)
 			}
 		}
-		// Lemma 5.5 property (ii): no traversal through a perfect match.
-		if perfect {
+		// Lemma 5.5 property (ii): no traversal through a perfect match
+		// that serves no other position. One that does may sit in the
+		// prefix or the suffix of a route expanding through this key, so
+		// the candidates behind it stay reachable, annotated with it.
+		if perfect && (s.stopsAtPerfect[key.pos] || !s.servesOther(u, key.pos, 0)) {
 			continue
 		}
 		// Downstream vertices see u as an intermediate PoI when it
@@ -383,8 +391,9 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 			}
 			if len(goal) > 0 {
 				// Same goal bound at relax time: skip queueing t when no
-				// candidate can lie within the radius through it. Any later
-				// path to t is longer still, so t can never expand anyway.
+				// completion through it can finish within the radius. Any
+				// later path to t is longer still, so t can never expand
+				// anyway.
 				if lb := goalBound(goal, t); nd+lb >= radius {
 					if !math.IsInf(lb, 1) {
 						cut = true
@@ -397,7 +406,7 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 				w.blockSim[t] = nextSim
 				w.blockV[t] = nextV
 				w.stamp[t] = epoch
-				h.Push(mdItem{v: t, d: nd})
+				h.PushOrDecrease(t, nd)
 			}
 		}
 	}
@@ -433,13 +442,30 @@ func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
 	return buf
 }
 
-// goalBound is the frontier cut's lower bound at u: the smallest entry of
-// the goal rows (the matched positions' tree rows, or a destination's
-// cost-to-go row).
+// goalRows appends to buf the rows whose largest entry at a vertex
+// lower-bounds what a route expanding through a run of key position pos,
+// matching the positions in match, still has to travel from that vertex
+// (see runMDijkstra): a destination query's cost-to-go row for pos when
+// there is one, otherwise the tree row of every matched position that
+// has one. The unordered loop's route bound reads the same rows.
+func (s *Searcher) goalRows(buf []index.Row, pos int, match []int32) []index.Row {
+	if row := s.potRow(pos); row != nil {
+		return append(buf, row)
+	}
+	for _, p := range match {
+		if int(p) < len(s.idxRows.sem) && s.idxRows.sem[p] != nil {
+			buf = append(buf, s.idxRows.sem[p])
+		}
+	}
+	return buf
+}
+
+// goalBound is the frontier cut's lower bound at u: the largest entry of
+// the goal rows, 0 when there are none.
 func goalBound(rows []index.Row, u graph.VertexID) float64 {
-	lb := rows[0][u]
-	for _, row := range rows[1:] {
-		lb = min(lb, row[u])
+	var lb float32
+	for _, row := range rows {
+		lb = max(lb, row[u])
 	}
 	return float64(lb)
 }

@@ -16,10 +16,12 @@ import (
 // branch-and-bound upper bound; without them the first modified Dijkstra
 // has no threshold and traverses the whole graph (Table 7).
 func (s *Searcher) runNNinit(start graph.VertexID) {
-	began := time.Now()
+	began, legBefore := time.Now(), s.stats.DestLegTime
 	var maxSemRoute *route.Route // seed with the largest semantic score
 	defer func() {
-		s.stats.InitTime = time.Since(began)
+		// Time-dependent destination legs priced for the seeds below are
+		// DestLegTime's; keep the stages exclusive.
+		s.stats.InitTime = time.Since(began) - (s.stats.DestLegTime - legBefore)
 		s.stats.InitPerfectL = s.sky.ThresholdPerfect()
 		if maxSemRoute != nil && !math.IsInf(s.stats.InitPerfectL, 1) && maxSemRoute.Semantic() > 0 {
 			s.stats.InitRatio = maxSemRoute.Length() / s.stats.InitPerfectL

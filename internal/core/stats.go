@@ -19,11 +19,11 @@ type Stats struct {
 
 	// MDijkstraTime totals wall time spent inside runMDijkstra across the
 	// query — ordered, rated and unordered expansions alike (the m-Dijkstra
-	// stage of the per-search stage breakdown). The init stages run greedy
-	// Dijkstras, never a modified one, so on static datasets InitTime,
-	// BoundsTime, MDijkstraTime and DestLegTime are disjoint. The one
-	// overlap: time-dependent destination legs priced from inside NNinit
-	// count toward both DestLegTime and InitTime.
+	// stage of the per-search stage breakdown). InitTime, BoundsTime,
+	// MDijkstraTime and DestLegTime are disjoint: the init stages run
+	// greedy Dijkstras, never a modified one, and the time-dependent
+	// destination legs NNinit prices for its seeds count toward
+	// DestLegTime only.
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches,

@@ -6,6 +6,7 @@ import (
 
 	"skysr/internal/faults"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/pq"
 	"skysr/internal/route"
 )
@@ -20,15 +21,17 @@ import (
 // Expansions run the ordered path's modified Dijkstra and on-the-fly
 // cache: one run per (origin, unsatisfied set) matches every open
 // position within the Lemma 5.3 radius, and its entry serves later
-// expansions up to that radius. With Options.Index the runs are
-// goal-directed by the open positions' tree rows, and a route is dropped
-// at enqueue and at pop once its length plus the largest open row entry
-// at its last PoI reaches the threshold: every open position must still
-// be visited after it. The ordered-only optimizations do not transfer to
-// the unordered setting: a PoI reached through a perfect match of one
-// position may serve another, so the Lemma 5.5 substitution argument
-// fails and begin leaves the path filter off for this loop, and no
-// §5.3.3 hop bounds are computed. The threshold, the priority queue
+// expansions up to that radius. With Options.Index both the runs and the
+// routes are cut by the largest open row: a run skips a vertex once its
+// distance plus the largest open position's tree-row entry there reaches
+// the radius, and a route is dropped at enqueue and at pop once its
+// length plus the largest open row entry at its last PoI reaches the
+// threshold. Every open position must still be visited after either
+// point (see runMDijkstra). The ordered-only optimizations do not
+// transfer to the unordered setting: a PoI reached through a perfect
+// match of one position may serve another, so the Lemma 5.5 substitution
+// argument fails and begin leaves the path filter off for this loop, and
+// no §5.3.3 hop bounds are computed. The threshold, the priority queue
 // arrangement and NNinit seeding apply as well. Without the filter, top-k
 // needs no special handling beyond the band itself: every threshold check
 // below cuts against the k-th-best length.
@@ -53,18 +56,16 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	// pruneByIndex is the unordered index bound: completing e costs at
 	// least the distance from its last PoI to the nearest semantic match
 	// of each open position, so at least the largest of those row
-	// entries (a missing row contributes nothing).
+	// entries (goalBound over goalRows, as in the runs' frontier cut).
 	pruneByIndex := func(e entry) bool {
 		if !s.idxRows.any {
 			return false
 		}
-		var lb float32
-		for p, row := range s.idxRows.sem {
-			if row != nil && e.mask&(1<<p) == 0 {
-				lb = max(lb, row[e.r.Last()])
-			}
-		}
-		if e.r.Length()+float64(lb) < s.sky.Threshold(e.r.Semantic()) {
+		var matchBuf [8]int32
+		var goalBuf [8]index.Row
+		open := s.matchPositions(matchBuf[:0], e.r.Size(), full&^e.mask)
+		lb := goalBound(s.goalRows(goalBuf[:0], e.r.Size(), open), e.r.Last())
+		if e.r.Length()+lb < s.sky.Threshold(e.r.Semantic()) {
 			return false
 		}
 		s.stats.PrunedByIndex++

@@ -1,6 +1,7 @@
 // Package pq provides the priority queues used across the SkySR engine:
 // a generic binary min-heap for route queues, and an indexed heap with
-// decrease-key keyed by dense integer ids for the Dijkstra family.
+// decrease-key keyed by dense integer ids for both Dijkstra kernels (the
+// plain sweeps of internal/dijkstra and the core's modified Dijkstra).
 //
 // The paper depends on two route-queue orderings (§5.3.2): the conventional
 // distance-based order and the proposed size-descending / semantic-ascending
@@ -102,8 +103,9 @@ func (h *Heap[T]) down(i int) {
 
 // IndexedHeap is a min-heap of (id, priority) pairs supporting DecreaseKey,
 // keyed by dense non-negative integer ids (vertex indices). It is the
-// workhorse of the Dijkstra implementations: Push/DecreaseKey/Pop are all
-// O(log n) and id lookup is O(1) via a position table.
+// workhorse of both Dijkstra kernels, the plain sweeps and the modified
+// Dijkstra: Push/DecreaseKey/Pop are all O(log n) and id lookup is O(1)
+// via a position table.
 //
 // The heap is 4-ary rather than binary: Dijkstra's decrease-key workload
 // performs far more up-sifts (every relaxation) than down-sifts (one per
