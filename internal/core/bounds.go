@@ -43,12 +43,9 @@ type bounds struct {
 // boundsScratch holds the epoch-stamped per-vertex state of the classic
 // §5.3.3 computation, owned by the pooled Searcher so computeBounds
 // allocates no graph-sized structures per query. Resetting is O(1): the
-// shared epochScratch generation counter (scratch.go, also behind the
-// modified-Dijkstra workspace) advances, and stale entries are recognized
-// by their stamp.
+// epoch advances, and stale entries are recognized by their stamp.
 type boundsScratch struct {
-	gen       epochScratch
-	epoch     uint32                    // current generation, set by scratch()
+	epoch     uint32                    // current generation, advanced by scratch()
 	reach     []uint32                  // reach[v] == epoch → v within l̄(∅) of the start
 	perfStamp []uint32                  // perfStamp[v] == epoch → perfMask[v] is current
 	perfMask  []uint64                  // bit i set → v perfectly matches position i (i < 64)
@@ -60,16 +57,22 @@ type boundsScratch struct {
 func (s *Searcher) scratch() *boundsScratch {
 	if s.scr == nil {
 		n := s.d.Graph.NumVertices()
-		scr := &boundsScratch{
+		s.scr = &boundsScratch{
 			reach:     make([]uint32, n),
 			perfStamp: make([]uint32, n),
 			perfMask:  make([]uint64, n),
 		}
-		scr.gen = newEpochScratch(scr.reach, scr.perfStamp)
-		s.scr = scr
 	}
 	scr := s.scr
-	scr.epoch = scr.gen.begin()
+	scr.epoch++
+	if scr.epoch == 0 {
+		// The epoch wrapped: stamps written 2^32 queries ago could collide
+		// with the new one. Pooled searchers live for the process, so a
+		// long-running server does reach this.
+		clear(scr.reach)
+		clear(scr.perfStamp)
+		scr.epoch = 1
+	}
 	scr.overflow = nil
 	return scr
 }
@@ -124,7 +127,7 @@ func (s *Searcher) computeBounds(start graph.VertexID) {
 	// marked in the epoch-stamped scratch array.
 	reachAll := math.IsInf(radius, 1)
 	if !reachAll {
-		s.ws.Run(dijkstra.Options{
+		s.stats.SettledVertices += int64(s.ws.Run(dijkstra.Options{
 			Sources: []graph.VertexID{start},
 			Bound:   radius,
 			Halt:    s.cc.halt(),
@@ -132,7 +135,7 @@ func (s *Searcher) computeBounds(start graph.VertexID) {
 				scr.reach[v] = scr.epoch
 				return dijkstra.Continue
 			},
-		})
+		}))
 	}
 	inReach := func(v graph.VertexID) bool { return reachAll || scr.reach[v] == scr.epoch }
 
@@ -268,7 +271,7 @@ func (s *Searcher) hopMinDistance(sources []graph.VertexID, isDest func(graph.Ve
 		bound = radius
 	}
 	found := math.Inf(1)
-	s.ws.Run(dijkstra.Options{
+	s.stats.SettledVertices += int64(s.ws.Run(dijkstra.Options{
 		Sources: sources,
 		Bound:   bound,
 		Halt:    s.cc.halt(),
@@ -279,7 +282,7 @@ func (s *Searcher) hopMinDistance(sources []graph.VertexID, isDest func(graph.Ve
 			}
 			return dijkstra.Continue
 		},
-	})
+	}))
 	return found
 }
 

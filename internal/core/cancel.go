@@ -91,18 +91,28 @@ func (c *canceller) checkpoint() bool {
 
 // checkNow performs the real observation.
 func (c *canceller) checkNow() bool {
-	if c.err != nil {
-		return true
+	if c.err == nil {
+		c.err = ContextError(c.ctx)
 	}
-	if err := c.ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			c.err = fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
-		} else {
-			c.err = fmt.Errorf("%w: %w", ErrCancelled, err)
-		}
-		return true
+	return c.err != nil
+}
+
+// ContextError is the typed error a search reports for ctx: nil while ctx
+// is nil or live, otherwise ErrDeadlineExceeded (for a passed deadline)
+// or ErrCancelled, wrapping the context's own error.
+func ContextError(ctx context.Context) error {
+	if ctx == nil {
+		return nil
 	}
-	return false
+	err := ctx.Err()
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, context.DeadlineExceeded):
+		return fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
+	default:
+		return fmt.Errorf("%w: %w", ErrCancelled, err)
+	}
 }
 
 // halt returns the poll function to install as dijkstra.Options.Halt: nil

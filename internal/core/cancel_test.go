@@ -201,3 +201,25 @@ func TestDeadlineTripsMidSearch(t *testing.T) {
 		t.Fatal("interrupted search returned no partial stats")
 	}
 }
+
+// TestContextError checks the one classification both the search core and
+// the public pre-dispatch check use.
+func TestContextError(t *testing.T) {
+	var unset context.Context // SearchOptions.Context left nil
+	if err := ContextError(unset); err != nil {
+		t.Errorf("nil context: %v", err)
+	}
+	if err := ContextError(context.Background()); err != nil {
+		t.Errorf("live context: %v", err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ContextError(cancelled); !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) || errors.Is(err, ErrDeadlineExceeded) {
+		t.Errorf("cancelled context: %v", err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if err := ContextError(expired); !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrCancelled) {
+		t.Errorf("expired context: %v", err)
+	}
+}

@@ -216,7 +216,7 @@ type Searcher struct {
 	destDist   []float64      // D(u, dest) for every vertex u (computePotentials); nil without a destination
 	pot        []index.Row    // cost-to-go rows of a destination query (computePotentials); nil without one
 	idxRows    indexRows      // per-position index rows resolved for this query
-	md         *mdWorkspace   // reusable modified-Dijkstra arrays, lazily sized
+	blockers   []blocker      // per vertex: the Lemma 5.5 blocker it passes on in a modified Dijkstra, lazily sized
 	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
 	// stopsAtPerfect[i] is whether position i's modified Dijkstras may
@@ -493,21 +493,17 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	s.destDist = nil
 	s.pot = nil
 	s.prepareIndexRows()
-	s.ws.ResetStats()
 	s.initTrace(ordered)
 	return nil
 }
 
-// finish closes the query begin armed: it stamps QueryTime, adds the
-// shared workspace's settles (NNinit, bounds, destination table; the
-// modified-Dijkstra settles are charged as they happen), records the
+// finish closes the query begin armed: it stamps QueryTime, records the
 // answer size and the top-k band's counters, and closes the span. The
 // on-the-fly cache is freed (§5.3.4): it rarely helps across different
 // inputs. The returned error is the cancellation that cut the query
 // short, if any.
 func (s *Searcher) finish(results int) error {
 	s.stats.QueryTime = time.Since(s.began)
-	s.stats.SettledVertices += s.ws.SettledCount()
 	s.stats.Results = results
 	if sb, ok := s.sky.(*topk.Skyband); ok {
 		s.stats.TopKEvictions = sb.Evictions()
@@ -568,8 +564,8 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 		// similar — unless that blocker is already used by this route or
 		// can serve a later position, in which case the substitution the
 		// lemma relies on may be infeasible.
-		if s.pathFilter && c.blockSim >= c.sim && c.blockV != graph.NoVertex &&
-			!r.Contains(c.blockV) && !s.servesOther(c.blockV, r.Size(), r.Size()+1) {
+		if s.pathFilter && c.block.sim >= c.sim && c.block.v != graph.NoVertex &&
+			!r.Contains(c.block.v) && !s.servesOther(c.block.v, r.Size(), r.Size()+1) {
 			continue
 		}
 		rt := r.Extend(s.scorer, c.v, c.dist, c.sim)
@@ -747,7 +743,7 @@ func (s *Searcher) destLeg(v graph.VertexID, depart, budget float64) float64 {
 		bound = 0 // unbounded
 	}
 	found := math.Inf(1)
-	settled := s.legWS.Run(dijkstra.Options{
+	s.stats.SettledVertices += int64(s.legWS.Run(dijkstra.Options{
 		Sources:       []graph.VertexID{v},
 		Bound:         bound,
 		TimeDependent: s.td,
@@ -760,8 +756,7 @@ func (s *Searcher) destLeg(v graph.VertexID, depart, budget float64) float64 {
 			}
 			return dijkstra.Continue
 		},
-	})
-	s.chargeSettleStats(settled)
+	}))
 	return found
 }
 
@@ -829,10 +824,8 @@ func (s *Searcher) computePotentials(dest graph.VertexID) {
 // reverseSweep runs one Dijkstra on the reverse graph, so directed
 // networks are handled correctly, from sources at the start distances at
 // (zero when at is nil), and reports every settled vertex with its
-// distance to the sources. Each sweep is charged as one DestLegRuns and
-// to DestLegTime. Its settles are charged here when it runs on the
-// reversed graph's workspace; on the shared ws they are harvested at
-// query end.
+// distance to the sources. Each sweep is charged as one DestLegRuns, to
+// DestLegTime and to SettledVertices.
 func (s *Searcher) reverseSweep(sources []graph.VertexID, at []float64, settle func(graph.VertexID, float64)) {
 	s.stats.DestLegRuns++
 	began := time.Now()
@@ -845,7 +838,7 @@ func (s *Searcher) reverseSweep(sources []graph.VertexID, at []float64, settle f
 		}
 		ws = s.revLegWS
 	}
-	settled := ws.Run(dijkstra.Options{
+	s.stats.SettledVertices += int64(ws.Run(dijkstra.Options{
 		Sources:    sources,
 		SourceDist: at,
 		Halt:       s.cc.halt(),
@@ -853,8 +846,5 @@ func (s *Searcher) reverseSweep(sources []graph.VertexID, at []float64, settle f
 			settle(v, d)
 			return dijkstra.Continue
 		},
-	})
-	if ws != s.ws {
-		s.chargeSettleStats(settled)
-	}
+	}))
 }

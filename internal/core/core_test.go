@@ -20,6 +20,13 @@ import (
 // randomDataset builds a small random connected dataset with PoIs assigned
 // uniformly over the forest's leaves.
 func randomDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int) *dataset.Dataset {
+	return randomRoadDataset(rng, f, vertices, pois, false)
+}
+
+// randomRoadDataset is randomDataset; with through set, every PoI also
+// gets an edge to a second random vertex, so shortest paths can pass
+// through PoIs, the case the Lemma 5.5 path filter acts on.
+func randomRoadDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int, through bool) *dataset.Dataset {
 	b := graph.NewBuilder(false)
 	for i := 0; i < vertices; i++ {
 		b.AddVertex(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()})
@@ -38,6 +45,9 @@ func randomDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int) *data
 		attach := graph.VertexID(rng.Intn(vertices))
 		p := b.AddPoI(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()}, leaves[rng.Intn(len(leaves))])
 		b.AddEdge(attach, p, 0.1+rng.Float64())
+		if through {
+			b.AddEdge(graph.VertexID(rng.Intn(vertices)), p, 0.1+rng.Float64())
+		}
 	}
 	return dataset.MustNew("rand", b.Build(), f)
 }
@@ -655,7 +665,7 @@ func skylineOf(routes []*route.Route) *route.Skyline {
 func TestStatsInstrumentation(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	f := taxonomy.Generated(3, 2, 3)
-	d := randomDataset(rng, f, 30, 25)
+	d := randomRoadDataset(rng, f, 30, 25, true)
 	cats := pickCats(rng, f, 3)
 
 	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
@@ -707,9 +717,7 @@ func TestStatsInstrumentation(t *testing.T) {
 	// the shared workspace, never a modified Dijkstra, and the
 	// time-dependent destination legs NNinit prices count toward
 	// DestLegTime alone. The intervals nest on the monotonic clock, so
-	// their sum never exceeds QueryTime. PeakCacheBytes is pinned on the
-	// first three starts: the running total must equal the largest sum of
-	// entryBytes over the cache after any store.
+	// their sum never exceeds QueryTime.
 	disjoint := func(what string, st Stats) {
 		t.Helper()
 		if sum := st.InitTime + st.BoundsTime + st.MDijkstraTime + st.DestLegTime; sum > st.QueryTime {
@@ -717,9 +725,28 @@ func TestStatsInstrumentation(t *testing.T) {
 				what, st.InitTime, st.BoundsTime, st.MDijkstraTime, st.DestLegTime, sum, st.QueryTime)
 		}
 	}
-	wantPeak := map[bool][3][3]int64{ // index → start → ordered, unordered, rated
-		false: {{1584, 5152, 1584}, {2792, 9456, 2792}, {2112, 7440, 2160}},
-		true:  {{1392, 3592, 1392}, {2600, 8352, 2600}, {2016, 6272, 2016}},
+	// The work counters are pinned on the first three starts, so a change
+	// to the search kernels that moves any of them fails here: the Lemma
+	// 5.5 filter firing less (RoutesEnqueued; the dataset's PoIs lie on
+	// roads, so it fires on start 0's destination query), a frontier cut
+	// or a settle charge going missing (SettledVertices), a cache serving
+	// differently (MDijkstraRuns). PeakCacheBytes must equal the largest
+	// sum of entryBytes over the cache after any store.
+	type pin struct{ peakCache, enqueued, settled, runs int64 }
+	pinOf := func(st Stats) pin {
+		return pin{st.PeakCacheBytes, st.RoutesEnqueued, st.SettledVertices, st.MDijkstraRuns}
+	}
+	wantPins := map[bool][3]map[string]pin{ // index → start → shape
+		false: {
+			{"ordered": {1384, 15, 316, 8}, "destination": {1768, 15, 519, 11}, "unordered": {3840, 44, 274, 33}, "rated": {1384, 17, 270, 8}},
+			{"ordered": {1592, 10, 344, 9}, "destination": {2048, 11, 530, 11}, "unordered": {2384, 28, 196, 18}, "rated": {1592, 16, 292, 9}},
+			{"ordered": {2104, 21, 433, 14}, "destination": {1744, 13, 468, 13}, "unordered": {4776, 57, 354, 33}, "rated": {2104, 22, 381, 14}},
+		},
+		true: {
+			{"ordered": {1144, 10, 124, 8}, "destination": {1768, 15, 398, 11}, "unordered": {2184, 23, 125, 19}, "rated": {1384, 17, 148, 8}},
+			{"ordered": {1392, 8, 142, 9}, "destination": {2048, 11, 413, 11}, "unordered": {1232, 14, 88, 9}, "rated": {1592, 16, 180, 9}},
+			{"ordered": {1776, 15, 183, 13}, "destination": {1744, 13, 353, 13}, "unordered": {3328, 41, 197, 22}, "rated": {2056, 22, 219, 13}},
+		},
 	}
 	seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
 	n := d.Graph.NumVertices()
@@ -752,10 +779,11 @@ func TestStatsInstrumentation(t *testing.T) {
 				disjoint(fmt.Sprintf("index %v start %d %s", withIndex, v, shape), st)
 			}
 			if v < 3 {
-				got := [3]int64{stats["ordered"].PeakCacheBytes, stats["unordered"].PeakCacheBytes, stats["rated"].PeakCacheBytes}
-				if got != wantPeak[withIndex][v] {
-					t.Errorf("index %v start %d: PeakCacheBytes ordered, unordered, rated = %v, want %v",
-						withIndex, v, got, wantPeak[withIndex][v])
+				for shape, st := range stats {
+					if got, want := pinOf(st), wantPins[withIndex][v][shape]; got != want {
+						t.Errorf("index %v start %d %s: {PeakCacheBytes, RoutesEnqueued, SettledVertices, MDijkstraRuns} = %v, want %v",
+							withIndex, v, shape, got, want)
+					}
 				}
 			}
 		}

@@ -215,24 +215,59 @@ func TestIndexNeverIncreasesWork(t *testing.T) {
 	}
 }
 
+// TestPathFilterAblationPreservesExactness runs every trial with and
+// without the Lemma 5.5 path filter. Both must be exact, and the filter
+// must earn its keep: it may never enqueue more routes than the
+// unfiltered run, and it must enqueue strictly fewer on some trial, so a
+// filter that silently stops filtering fails here.
 func TestPathFilterAblationPreservesExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	f := taxonomy.Generated(3, 2, 3)
-	for trial := 0; trial < 8; trial++ {
-		d := randomDataset(rng, f, 18, 14)
-		cats := pickCats(rng, f, 2)
+	fewer := 0
+	for trial := 0; trial < 16; trial++ {
+		// A PoI hanging off a single edge never lies on a path to another
+		// candidate, so the filter has nothing to do on the first trials.
+		// The later ones put every PoI on a second edge and ask for the
+		// leaves' parents, which no PoI matches perfectly: the runs then
+		// never stop at a perfect match, and the filter acts through the
+		// blockers the runs pass downstream alone.
+		vertices, pois, k, through := 18, 14, 2, false
+		if trial >= 8 {
+			vertices, pois, k, through = 24, 20, 3, true
+		}
+		d := randomRoadDataset(rng, f, vertices, pois, through)
+		cats := pickCats(rng, f, k)
+		if through {
+			for i := range cats {
+				cats[i] = f.Parent(cats[i])
+			}
+		}
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
 		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
-		opts := DefaultOptions()
-		opts.DisablePathFilter = true
-		s := NewSearcher(d, f.WuPalmer, opts)
-		res, err := s.QueryCategories(0, cats...)
-		if err != nil {
-			t.Fatal(err)
+		enqueued := map[bool]int64{}
+		for _, disable := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.DisablePathFilter = disable
+			s := NewSearcher(d, f.WuPalmer, opts)
+			res, err := s.QueryCategories(0, cats...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameSkyline(res.Routes, want) {
+				t.Fatalf("trial %d filter disabled %v: mismatch\ngot:  %v\nwant: %v", trial, disable, res.Routes, want.Routes())
+			}
+			enqueued[disable] = res.Stats.RoutesEnqueued
 		}
-		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d no-filter: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+		if enqueued[false] > enqueued[true] {
+			t.Errorf("trial %d: the filter enqueued %d routes, more than the %d without it", trial, enqueued[false], enqueued[true])
 		}
+		if enqueued[false] < enqueued[true] {
+			fewer++
+		}
+		t.Logf("trial %d: %d routes enqueued with the filter, %d without", trial, enqueued[false], enqueued[true])
+	}
+	if fewer == 0 {
+		t.Error("the path filter enqueued no fewer routes than the unfiltered run on any trial")
 	}
 }
 

@@ -4,10 +4,9 @@ import (
 	"math"
 	"time"
 
+	"skysr/internal/dijkstra"
 	"skysr/internal/faults"
 	"skysr/internal/graph"
-	"skysr/internal/index"
-	"skysr/internal/pq"
 	"skysr/internal/route"
 )
 
@@ -23,12 +22,19 @@ import (
 // candidate costs that much, and the SharedCache under SearchBatch holds
 // hundreds of thousands of them.
 type candidate struct {
-	v        graph.VertexID
-	pos      int32
-	dist     float64
-	sim      float64
-	blockSim float64        // max similarity of intermediate PoIs on the path
-	blockV   graph.VertexID // the PoI attaining blockSim, NoVertex if none
+	v     graph.VertexID
+	pos   int32
+	dist  float64
+	sim   float64
+	block blocker // the strongest intermediate PoI on the path
+}
+
+// blocker is the strongest PoI on a path, the Lemma 5.5 annotation: its
+// largest similarity to a matched position, and the vertex (NoVertex, at
+// similarity 0, when the path holds no matching PoI).
+type blocker struct {
+	sim float64
+	v   graph.VertexID
 }
 
 // cacheKey identifies one modified-Dijkstra run within a query: the
@@ -177,51 +183,17 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	return e
 }
 
-// mdWorkspace holds the epoch-stamped per-vertex state of the modified
-// Dijkstra, reused across the hundreds of runs a query performs so each
-// run allocates nothing but its result slice. Resetting is O(1) via the
-// shared epochScratch generation counter; the decrease-key heap empties in
-// time proportional to what the last run left queued.
-type mdWorkspace struct {
-	dist     []float64
-	blockSim []float64
-	blockV   []graph.VertexID
-	stamp    []uint32
-	done     []uint32
-	gen      epochScratch
-	heap     *pq.IndexedHeap
-}
-
-func newMDWorkspace(n int) *mdWorkspace {
-	w := &mdWorkspace{
-		dist:     make([]float64, n),
-		blockSim: make([]float64, n),
-		blockV:   make([]graph.VertexID, n),
-		stamp:    make([]uint32, n),
-		done:     make([]uint32, n),
-		heap:     pq.NewIndexedHeap(n),
-	}
-	w.gen = newEpochScratch(w.stamp, w.done)
-	return w
-}
-
-// begin resets the workspace for one run and returns the generation stamp.
-func (w *mdWorkspace) begin() uint32 {
-	w.heap.Reset()
-	return w.gen.begin()
-}
-
-// runMDijkstra is Algorithm 2: a Dijkstra search from key.from that
-// collects the PoIs matching the key's positions within the radius, does
-// not expand through perfectly matching PoIs that serve no other position
-// while the query's Lemma 5.5 filter is on, and records for each
-// candidate the strongest intermediate PoI on its path. Ordered and rated
-// runs match one position; unordered runs match every open one, record
-// each (PoI, position) pair as its own candidate, and run unfiltered
-// (begin leaves the filter off). On time-dependent datasets arcs are
-// priced at their arrival time (depart + d); the radius and goal-row cuts
-// below compare those travel times against lower-bound distances, which
-// keeps them admissible (see graph/metric.go).
+// runMDijkstra is Algorithm 2: one run of the searcher's Dijkstra kernel
+// from key.from, bounded by the radius, that collects the PoIs matching
+// the key's positions, does not expand through perfectly matching PoIs
+// that serve no other position while the query's Lemma 5.5 filter is on,
+// and records for each candidate the strongest intermediate PoI on its
+// path. Ordered and rated runs match one position; unordered runs match
+// every open one, record each (PoI, position) pair as its own candidate,
+// and run unfiltered (begin leaves the filter off). On time-dependent
+// datasets arcs are priced at their arrival time (depart + d); the radius
+// and goal-row cuts below compare those travel times against lower-bound
+// distances, which keeps them admissible (see graph/metric.go).
 //
 // The origin itself is a usable candidate only when the route is empty
 // (key.pos == 0): there the origin is the query start vertex, which may be
@@ -233,7 +205,7 @@ func (w *mdWorkspace) begin() uint32 {
 // expanding through a key has the same relationship to the origin.
 //
 // Goal-directed frontier cut. The run skips a vertex u, at pop and at
-// relax, once d + goalBound(u) ≥ radius. goalBound is the largest entry
+// relax, once d + GoalBound(u) ≥ radius. GoalBound is the largest entry
 // at u of the run's goal rows (goalRows): the tree row of every matched
 // position that has one or, for a destination query's route holding
 // pos ≥ 1 PoIs, its cost-to-go row alone. Let r be a route expanding
@@ -268,6 +240,20 @@ func (w *mdWorkspace) begin() uint32 {
 // without the cut, which leaves the ordered loop's Lemma 5.5 annotations
 // (the strongest PoI on the path) unchanged too. Entries therefore keep
 // the cacheEntry contract.
+//
+// The annotations travel along the kernel's shortest-path tree: a vertex
+// reads its blocker from its parent's entry in s.blockers when it
+// settles, and writes the one it passes on, its own similarity folded
+// in, when it expands. The parent settled, and wrote its entry, earlier
+// in the same run, so a candidate's blocker is the strongest PoI on the
+// path the kernel settled it along. That path is fixed by the kernel: it
+// settles in (distance, vertex id) order and moves a parent only on a
+// strict improvement of a tentative distance. The goal check at pop
+// comes after the settle is counted and can fire only for the origin,
+// since every queued vertex passed the same test at relax with a
+// distance at least its final one. A +Inf entry cuts without marking the
+// run Cut, so an uncancelled run's entry is complete exactly when the
+// run was not cut.
 func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	from, depart := key.from, key.depart
 	s.stats.MDijkstraRuns++
@@ -296,134 +282,76 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	originUsable := key.pos == 0
 	filter := s.pathFilter
 	g := s.d.Graph
-
-	if s.md == nil {
-		s.md = newMDWorkspace(g.NumVertices())
+	if s.blockers == nil {
+		s.blockers = make([]blocker, g.NumVertices())
 	}
-	w := s.md
-	epoch := w.begin()
-	h := w.heap
 
 	var matchBuf [8]int32
-	var goalBuf [8]index.Row
+	var goalBuf [8][]float32
 	match := s.matchPositions(matchBuf[:0], key.pos, key.open)
 	goal := s.goalRows(goalBuf[:0], key.pos, match)
 
 	entry := &cacheEntry{}
-	w.dist[from] = 0
-	w.blockSim[from] = 0
-	w.blockV[from] = graph.NoVertex
-	w.stamp[from] = epoch
-	h.PushOrDecrease(from, 0)
-
-	// cut records whether the radius bound ever suppressed a relaxation;
-	// if it never fired, the whole reachable component was explored and
-	// the cache entry is complete at any radius.
-	cut := false
 	maxSettled := 0.0
-	for h.Len() > 0 {
-		if s.cc.tick() {
-			break
-		}
-		u, d := h.Pop()
-		w.done[u] = epoch
-		settled++
-		maxSettled = d
-		if len(goal) > 0 {
-			if lb := goalBound(goal, u); d+lb >= radius {
-				if !math.IsInf(lb, 1) {
-					// A larger radius could reach candidates through u, so
-					// the cache entry is only complete up to this radius; a
-					// +Inf bound proves no completion ever passes through u.
-					cut = true
-				}
-				continue
+	settled = s.ws.Run(dijkstra.Options{
+		Sources:       []graph.VertexID{from},
+		Bound:         radius,
+		Goal:          goal,
+		TimeDependent: s.td,
+		DepartAt:      depart,
+		Halt:          s.cc.halt(),
+		OnSettle: func(u graph.VertexID, d float64) dijkstra.Control {
+			maxSettled = d
+			block := blocker{v: graph.NoVertex}
+			if p := s.ws.Parent(u); p != graph.NoVertex {
+				block = s.blockers[p]
 			}
-		}
-		uBlockSim, uBlockV := w.blockSim[u], w.blockV[u]
-
-		sim := 0.0
-		perfect := false
-		if (u != from || originUsable) && g.IsPoI(u) {
-			cats := g.Categories(u)
-			for _, p := range match {
-				m := s.seq[p]
-				if ps := m.Sim(cats); ps > 0 {
-					entry.items = append(entry.items, candidate{
-						v: u, pos: p, dist: d, sim: ps,
-						blockSim: uBlockSim, blockV: uBlockV,
-					})
-					sim = max(sim, ps)
-				}
-				perfect = perfect || filter && m.Perfect(cats)
-			}
-		}
-		// Lemma 5.5 property (ii): no traversal through a perfect match
-		// that serves no other position. One that does may sit in the
-		// prefix or the suffix of a route expanding through this key, so
-		// the candidates behind it stay reachable, annotated with it.
-		if perfect && (s.stopsAtPerfect[key.pos] || !s.servesOther(u, key.pos, 0)) {
-			continue
-		}
-		// Downstream vertices see u as an intermediate PoI when it
-		// matches at all.
-		nextSim, nextV := uBlockSim, uBlockV
-		if sim > nextSim {
-			nextSim, nextV = sim, u
-		}
-		ts, ws := g.Neighbors(u)
-		var base int32
-		if s.td {
-			base = g.ArcBase(u)
-		}
-		for i, t := range ts {
-			if w.done[t] == epoch {
-				continue
-			}
-			cost := ws[i]
-			if s.td {
-				cost = g.CostAt(base+int32(i), depart+d)
-			}
-			nd := d + cost
-			if nd >= radius {
-				cut = true
-				continue
-			}
-			if len(goal) > 0 {
-				// Same goal bound at relax time: skip queueing t when no
-				// completion through it can finish within the radius. Any
-				// later path to t is longer still, so t can never expand
-				// anyway.
-				if lb := goalBound(goal, t); nd+lb >= radius {
-					if !math.IsInf(lb, 1) {
-						cut = true
+			sim := 0.0
+			perfect := false
+			if (u != from || originUsable) && g.IsPoI(u) {
+				cats := g.Categories(u)
+				for _, p := range match {
+					m := s.seq[p]
+					if ps := m.Sim(cats); ps > 0 {
+						entry.items = append(entry.items, candidate{v: u, pos: p, dist: d, sim: ps, block: block})
+						sim = max(sim, ps)
 					}
-					continue
+					perfect = perfect || filter && m.Perfect(cats)
 				}
 			}
-			if w.stamp[t] != epoch || nd < w.dist[t] {
-				w.dist[t] = nd
-				w.blockSim[t] = nextSim
-				w.blockV[t] = nextV
-				w.stamp[t] = epoch
-				h.PushOrDecrease(t, nd)
+			// Lemma 5.5 property (ii): no traversal through a perfect
+			// match that serves no other position. One that does may sit
+			// in the prefix or the suffix of a route expanding through
+			// this key, so the candidates behind it stay reachable,
+			// annotated with it.
+			if perfect && (s.stopsAtPerfect[key.pos] || !s.servesOther(u, key.pos, 0)) {
+				return dijkstra.SkipExpand
 			}
-		}
-	}
-	if s.cc.cancelled() {
+			// Downstream vertices see u as an intermediate PoI when it
+			// matches at all.
+			if sim > block.sim {
+				block = blocker{sim, u}
+			}
+			s.blockers[u] = block
+			return dijkstra.Continue
+		},
+	})
+	switch {
+	case s.cc.cancelled():
 		// Truncated run: radius 0 and complete false make the entry
-		// unservable by both cache lookups (radius must be positive), so an
-		// aborted search can never masquerade as a finished one.
-		entry.complete = false
-		entry.radius = 0
-	} else if cut {
+		// unservable by both cache lookups (radius must be positive), so
+		// an aborted search can never masquerade as a finished one.
+	case s.ws.Cut():
+		// A larger radius could reach more candidates.
 		entry.radius = radius
-	} else {
+	default:
+		// The whole reachable component was explored: the entry is
+		// complete at any radius.
 		entry.complete = true
 		entry.radius = math.Inf(1)
 	}
 	s.noteFirstRadius(maxSettled)
-	s.chargeSettleStats(settled)
+	s.stats.SettledVertices += int64(settled)
 	return entry
 }
 
@@ -448,7 +376,7 @@ func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
 // (see runMDijkstra): a destination query's cost-to-go row for pos when
 // there is one, otherwise the tree row of every matched position that
 // has one. The unordered loop's route bound reads the same rows.
-func (s *Searcher) goalRows(buf []index.Row, pos int, match []int32) []index.Row {
+func (s *Searcher) goalRows(buf [][]float32, pos int, match []int32) [][]float32 {
 	if row := s.potRow(pos); row != nil {
 		return append(buf, row)
 	}
@@ -460,27 +388,10 @@ func (s *Searcher) goalRows(buf []index.Row, pos int, match []int32) []index.Row
 	return buf
 }
 
-// goalBound is the frontier cut's lower bound at u: the largest entry of
-// the goal rows, 0 when there are none.
-func goalBound(rows []index.Row, u graph.VertexID) float64 {
-	var lb float32
-	for _, row := range rows {
-		lb = max(lb, row[u])
-	}
-	return float64(lb)
-}
-
 // noteFirstRadius records the explored radius of the first modified
 // Dijkstra — the Table 7 "weight sum" search-space metric.
 func (s *Searcher) noteFirstRadius(r float64) {
 	if s.stats.MDijkstraRuns == 1 {
 		s.stats.FirstMDijkstraRadius = r
 	}
-}
-
-// chargeSettleStats adds the run's settled count to the Table 8 metric.
-// The shared workspace tracks its own searches; modified-Dijkstra runs use
-// sparse state, so they are charged here.
-func (s *Searcher) chargeSettleStats(settled int) {
-	s.stats.SettledVertices += int64(settled)
 }

@@ -69,7 +69,7 @@ func (s *Searcher) runNNinit(start graph.VertexID) {
 		s.sky.Update(cand)
 	}
 	matcher := s.seq[last]
-	s.ws.Run(dijkstra.Options{
+	s.stats.SettledVertices += int64(s.ws.Run(dijkstra.Options{
 		Sources:       []graph.VertexID{from},
 		TimeDependent: s.td,
 		DepartAt:      s.expandDepart(r),
@@ -89,7 +89,7 @@ func (s *Searcher) runNNinit(start graph.VertexID) {
 			}
 			return dijkstra.Continue
 		},
-	})
+	}))
 }
 
 // greedyStage is one stage of the greedy initial searches (NNinit's
@@ -105,7 +105,7 @@ func (s *Searcher) greedyStage(r *route.Route, from graph.VertexID, pos int, ope
 	}
 	g := s.d.Graph
 	match := s.matchPositions(nil, pos, open)
-	s.ws.Run(dijkstra.Options{
+	s.stats.SettledVertices += int64(s.ws.Run(dijkstra.Options{
 		Sources: []graph.VertexID{from},
 		// Each stage of the chain departs when the chain arrives:
 		// time-dependent datasets price it at that instant.
@@ -125,6 +125,6 @@ func (s *Searcher) greedyStage(r *route.Route, from graph.VertexID, pos int, ope
 			}
 			return dijkstra.Continue
 		},
-	})
+	}))
 	return next, dist, at
 }

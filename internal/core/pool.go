@@ -12,8 +12,8 @@ import (
 
 // SearcherPool recycles Searchers over one dataset so concurrent workloads
 // reuse the expensive per-searcher workspaces (the graph-sized Dijkstra
-// arrays and the epoch-stamped modified-Dijkstra workspace) instead of
-// allocating them per query. Get/Put are safe for concurrent use; the
+// arrays, the modified Dijkstra's per-vertex blockers and the §5.3.3
+// scratch) instead of allocating them per query. Get/Put are safe for concurrent use; the
 // Searchers themselves remain single-goroutine objects between a Get and
 // the matching Put.
 type SearcherPool struct {
@@ -65,8 +65,9 @@ func (s *Searcher) Reconfigure(sim taxonomy.Similarity, opts Options) {
 }
 
 // clearTransient drops the per-query references so a pooled searcher does
-// not pin routes, skylines or graph-sized tables while idle. The ws and md
-// workspaces are deliberately kept: reusing them is the point of pooling.
+// not pin routes, skylines or graph-sized tables while idle. The
+// workspaces (ws, blockers, scr) are deliberately kept: reusing them is
+// the point of pooling.
 func (s *Searcher) clearTransient() {
 	s.seq = nil
 	s.scorer = route.Scorer{}

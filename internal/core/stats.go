@@ -27,8 +27,9 @@ type Stats struct {
 	MDijkstraTime time.Duration
 
 	// SettledVertices totals graph vertices settled across all searches,
-	// the destination sweep and legs included — the Table 8 "number of
-	// vertices visited" metric.
+	// the destination sweeps and legs included — the Table 8 "number of
+	// vertices visited" metric. Every search charges the count its
+	// Dijkstra run returns, where it runs.
 	SettledVertices int64
 
 	// IndexCovered reports that every position's category-index rows were

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"skysr/internal/dijkstra"
 	"skysr/internal/faults"
 	"skysr/internal/graph"
-	"skysr/internal/index"
 	"skysr/internal/pq"
 	"skysr/internal/route"
 )
@@ -56,15 +56,15 @@ func (s *Searcher) QueryUnordered(start graph.VertexID, seq route.Sequence) (*Re
 	// pruneByIndex is the unordered index bound: completing e costs at
 	// least the distance from its last PoI to the nearest semantic match
 	// of each open position, so at least the largest of those row
-	// entries (goalBound over goalRows, as in the runs' frontier cut).
+	// entries (GoalBound over goalRows, as in the runs' frontier cut).
 	pruneByIndex := func(e entry) bool {
 		if !s.idxRows.any {
 			return false
 		}
 		var matchBuf [8]int32
-		var goalBuf [8]index.Row
+		var goalBuf [8][]float32
 		open := s.matchPositions(matchBuf[:0], e.r.Size(), full&^e.mask)
-		lb := goalBound(s.goalRows(goalBuf[:0], e.r.Size(), open), e.r.Last())
+		lb := dijkstra.GoalBound(s.goalRows(goalBuf[:0], e.r.Size(), open), e.r.Last())
 		if e.r.Length()+lb < s.sky.Threshold(e.r.Semantic()) {
 			return false
 		}

@@ -363,8 +363,17 @@ func ReadBinary(data []byte) (*Dataset, error) {
 	numCats := int(binary.LittleEndian.Uint64(data[32:]))
 	numEdges := int(binary.LittleEndian.Uint64(data[40:]))
 	headerLen := 48 + 24*numSecs
-	if numV < 0 || numArcs < 0 || numCats < 0 || numSecs < 0 || headerLen > len(body) {
+	if headerLen > len(body) {
 		return nil, binFail("corrupt header")
+	}
+	// Every counted item takes at least one byte of the file, so a count
+	// past its length is corrupt. Bounding the untrusted counts here, before
+	// any product, keeps every section-size check below exact: numV*16 and
+	// the like cannot wrap.
+	for _, c := range [...]int{numV, numArcs, numCats, numEdges} {
+		if c < 0 || c > len(body) {
+			return nil, binFail("corrupt header: count %d in a %d-byte file", c, len(data))
+		}
 	}
 
 	r := &binReader{data: data, secs: make(map[uint32][]byte, numSecs)}
@@ -513,6 +522,9 @@ func (r *binReader) decodeExtraCats(numV, numCats int) (map[graph.VertexID][]gra
 	}
 	count := int(binary.LittleEndian.Uint32(sec))
 	sec = sec[4:]
+	if count > len(sec)/12 { // an entry takes at least 12 bytes
+		return nil, binFail("extra-categories count %d overruns section", count)
+	}
 	m := make(map[graph.VertexID][]graph.CategoryID, count)
 	for i := 0; i < count; i++ {
 		if len(sec) < 8 {
@@ -552,6 +564,9 @@ func (r *binReader) decodeTimeTable(numArcs int) (*graph.TimeTable, error) {
 	period := math.Float64frombits(binary.LittleEndian.Uint64(sec))
 	nProf := int(binary.LittleEndian.Uint32(sec[8:]))
 	sec = sec[16:]
+	if nProf > len(sec)/24 { // a profile takes at least 24 bytes
+		return nil, binFail("profile count %d overruns section", nProf)
+	}
 	profiles := make([]graph.Profile, nProf)
 	for i := 0; i < nProf; i++ {
 		if len(sec) < 8 {

@@ -2,11 +2,17 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"skysr/internal/graph"
+	"skysr/internal/taxonomy"
 )
 
 // textOf renders d in the canonical text format — the bit-exactness
@@ -225,5 +231,96 @@ func TestBinaryOpenMissingFile(t *testing.T) {
 	}
 	if _, _, err := OpenBinary(empty); err == nil {
 		t.Fatal("empty file accepted")
+	}
+}
+
+// binaryImage lays out a binary image by hand: the header with the given
+// counts (vertices, arcs, categories, logical edges), one table entry per
+// section, 8-byte-aligned payloads and the trailing checksum.
+func binaryImage(counts [4]uint64, secs ...binSection) []byte {
+	img := make([]byte, 48+24*len(secs))
+	copy(img, BinaryMagic)
+	binary.LittleEndian.PutUint32(img[12:], uint32(len(secs)))
+	for i, c := range counts {
+		binary.LittleEndian.PutUint64(img[16+8*i:], c)
+	}
+	for i, sec := range secs {
+		img = append(img, make([]byte, align8(uint64(len(img)))-uint64(len(img)))...)
+		ent := img[48+24*i:]
+		binary.LittleEndian.PutUint32(ent, sec.id)
+		binary.LittleEndian.PutUint64(ent[8:], uint64(len(img)))
+		binary.LittleEndian.PutUint64(ent[16:], sec.size())
+		img = append(img, bytes.Join(sec.chunks, nil)...)
+	}
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+}
+
+// overflowImage claims 2^62 vertices in a 292-byte file. Its points and
+// categories sections are empty and its offsets section is one zero word,
+// the sizes numV*16, (numV+1)*4 and numV*4 take once they wrap in 64-bit
+// arithmetic, and it carries one extra-category entry for vertex 5.
+func overflowImage() []byte {
+	fb := taxonomy.NewForestBuilder()
+	fb.MustAddRoot("A")
+	return binaryImage([4]uint64{1 << 62, 0, 1, 0},
+		binSection{secName, [][]byte{[]byte("overflow")}},
+		binSection{secPoints, nil},
+		binSection{secOffsets, [][]byte{make([]byte, 4)}},
+		binSection{secTargets, nil},
+		binSection{secWeights, nil},
+		binSection{secCat, nil},
+		binSection{secTaxonomy, [][]byte{encodeTaxonomy(fb.Build())}},
+		binSection{secExtraCats, [][]byte{encodeExtraCats(map[graph.VertexID][]graph.CategoryID{5: {0}})}},
+	)
+}
+
+// patchSection overwrites the u32 at byte at of section id in a written
+// image and recomputes the checksum.
+func patchSection(t *testing.T, img []byte, id uint32, at int, v uint32) []byte {
+	t.Helper()
+	img = append([]byte(nil), img...)
+	for i := 0; i < int(binary.LittleEndian.Uint32(img[12:])); i++ {
+		ent := img[48+24*i:]
+		if binary.LittleEndian.Uint32(ent) == id {
+			binary.LittleEndian.PutUint32(img[int(binary.LittleEndian.Uint64(ent[8:]))+at:], v)
+			n := len(img) - 4
+			binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], castagnoli))
+			return img
+		}
+	}
+	t.Fatalf("image has no section %d", id)
+	return nil
+}
+
+// TestBinaryRejectsOverflowingCounts pins the bounds on untrusted counts.
+// Header counts are checked against the file length before any section
+// size is computed from them, so a count whose products wrap is rejected
+// instead of decoding to a 0-vertex graph that carries a category for
+// vertex 5. The extra-category and profile counts are checked against
+// their section before anything is allocated for them.
+func TestBinaryRejectsOverflowingCounts(t *testing.T) {
+	overflow := overflowImage()
+	if len(overflow) != 292 {
+		t.Fatalf("overflow image is %d bytes, want 292", len(overflow))
+	}
+	written := func(d *Dataset) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	multi, _, _ := fixture(t)
+	for name, img := range map[string][]byte{
+		"2^62 vertices":           overflow,
+		"2^32-1 extra-categories": patchSection(t, written(multi), secExtraCats, 0, math.MaxUint32),
+		"2^32-1 profiles":         patchSection(t, written(tdFixture(t)), secTProfiles, 8, math.MaxUint32),
+	} {
+		d, err := ReadBinary(img)
+		if err == nil {
+			t.Errorf("%s: ReadBinary accepted the image, decoding %d vertices", name, d.Graph.NumVertices())
+		} else if !errors.Is(err, ErrBadBinary) {
+			t.Errorf("%s: err = %v, want ErrBadBinary", name, err)
+		}
 	}
 }

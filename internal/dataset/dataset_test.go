@@ -11,7 +11,7 @@ import (
 
 // fixture builds a small dataset: Food{Asian, Italian{Pizza}}, Shop{Gift}
 // over a 6-vertex path with 4 PoIs.
-func fixture(t *testing.T) (*Dataset, map[string]taxonomy.CategoryID, map[string]graph.VertexID) {
+func fixture(t testing.TB) (*Dataset, map[string]taxonomy.CategoryID, map[string]graph.VertexID) {
 	t.Helper()
 	fb := taxonomy.NewForestBuilder()
 	food := fb.MustAddRoot("Food")

@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 )
@@ -134,4 +138,65 @@ func TestReadRejectsBadRating(t *testing.T) {
 	if _, err := Read(strings.NewReader(bad2)); err == nil {
 		t.Error("non-numeric rating should fail to parse")
 	}
+}
+
+// FuzzReadBinary feeds mutated binary images to ReadBinary. The target
+// rewrites the trailing checksum before decoding, so mutations get past
+// it into the section decoders. ReadBinary must never panic, and an image
+// it accepts must survive WriteBinary and ReadBinary again, rendering the
+// same text both times. The seeds are the committed file with the
+// retired overlay section, and the golden fixture, a time-profiled
+// dataset and one with ratings and extra categories, each written with
+// WriteBinary. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 30s ./internal/dataset
+func FuzzReadBinary(f *testing.F) {
+	overlay, err := os.ReadFile("testdata/paper-example-ch.skysrb")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(overlay)
+	golden, err := ReadFile("testdata/paper-example.skysr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	rated, _, verts := fixture(f)
+	ratings := make([]float64, rated.Graph.NumVertices())
+	for i := range ratings {
+		ratings[i] = MaxRating
+	}
+	ratings[verts["pMulti"]] = 0.5
+	if err := rated.SetRatings(ratings); err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range []*Dataset{golden, tdFixture(f), rated} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, d); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img := append([]byte(nil), data...)
+		if n := len(img) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], castagnoli))
+		}
+		d, err := ReadBinary(img)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteBinary(&again, d); err != nil {
+			t.Fatalf("WriteBinary fails on an accepted image: %v", err)
+		}
+		d2, err := ReadBinary(again.Bytes())
+		if err != nil {
+			t.Fatalf("ReadBinary rejects the re-encoding of an accepted image: %v", err)
+		}
+		var text, text2 bytes.Buffer
+		err, err2 := Write(&text, d), Write(&text2, d2)
+		if (err == nil) != (err2 == nil) || !bytes.Equal(text.Bytes(), text2.Bytes()) {
+			t.Fatalf("text differs after a binary round trip (errors %v, %v):\n%s\nvs\n%s", err, err2, text.Bytes(), text2.Bytes())
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // tdFixture builds a dataset with a profiled and a static edge.
-func tdFixture(t *testing.T) *Dataset {
+func tdFixture(t testing.TB) *Dataset {
 	t.Helper()
 	fb := taxonomy.NewForestBuilder()
 	root, _ := fb.AddRoot("Food")

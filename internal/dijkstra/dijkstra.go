@@ -1,9 +1,9 @@
 // Package dijkstra implements the shortest-path machinery the paper's
-// algorithms are built from: bounded single-source searches (the skeleton
-// of Algorithm 2), multi-source multi-destination searches (Algorithm 4,
-// Lemma 5.9), an incremental nearest-neighbour iterator (the primitive
-// behind the PNE baseline), and path reconstruction for presenting final
-// routes.
+// algorithms are built from: bounded, goal-cut single-source searches
+// (the kernel of Algorithm 2), multi-source multi-destination searches
+// (Algorithm 4, Lemma 5.9), an incremental nearest-neighbour iterator (the
+// primitive behind the PNE baseline), and path reconstruction for
+// presenting final routes.
 //
 // A Workspace amortizes the per-search arrays across the many Dijkstra
 // executions a single SkySR query performs (the paper counts hundreds,
@@ -49,6 +49,11 @@ type Options struct {
 	// distance is ≥ Bound (the Lemma 5.3 cut in Algorithm 2 line 8).
 	// Zero or negative means unbounded.
 	Bound float64
+	// Goal, when non-empty, cuts the search by rows of per-vertex lower
+	// bounds on what is still to travel from a vertex: a vertex v reached
+	// at distance d is neither expanded (checked at pop) nor queued
+	// (checked at relax) once d + GoalBound(Goal, v) ≥ Bound.
+	Goal [][]float32
 	// OnSettle, when non-nil, observes every settled vertex in ascending
 	// distance order and steers the search.
 	OnSettle func(v graph.VertexID, d float64) Control
@@ -85,8 +90,7 @@ type Workspace struct {
 	settled []uint32
 	epoch   uint32
 	heap    *pq.IndexedHeap
-
-	settledCount int64
+	cut     bool
 }
 
 // New returns a Workspace for g.
@@ -102,16 +106,10 @@ func New(g *graph.Graph) *Workspace {
 	}
 }
 
-// SettledCount returns the total number of vertices settled across all
-// runs (the Table 8 "number of visited vertices" metric).
-func (w *Workspace) SettledCount() int64 { return w.settledCount }
-
-// ResetStats zeroes the settled count.
-func (w *Workspace) ResetStats() { w.settledCount = 0 }
-
 // Run executes one Dijkstra search and returns the number of settled
-// vertices. Distances and parents of the run remain queryable via Dist and
-// PathTo until the next Run.
+// vertices (the Table 8 "number of visited vertices" metric); a vertex the
+// goal rows cut at pop counts as settled. Distances, parents and Cut of
+// the run remain queryable until the next Run.
 func (w *Workspace) Run(opts Options) int {
 	w.epoch++
 	if w.epoch == 0 {
@@ -123,6 +121,7 @@ func (w *Workspace) Run(opts Options) int {
 		w.epoch = 1
 	}
 	w.heap.Reset()
+	w.cut = false
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = math.Inf(1)
@@ -140,6 +139,7 @@ func (w *Workspace) Run(opts Options) int {
 		w.stamp[s] = w.epoch
 		w.heap.PushOrDecrease(s, d)
 	}
+	goal := opts.Goal
 	count := 0
 	for w.heap.Len() > 0 {
 		if opts.Halt != nil && opts.Halt() {
@@ -147,11 +147,14 @@ func (w *Workspace) Run(opts Options) int {
 		}
 		v, d := w.heap.Pop()
 		if d >= bound {
+			w.cut = true
 			break
 		}
 		w.settled[v] = w.epoch
-		w.settledCount++
 		count++
+		if len(goal) > 0 && w.goalCut(goal, v, d, bound) {
+			continue
+		}
 
 		ctrl := Continue
 		if opts.OnSettle != nil {
@@ -178,6 +181,10 @@ func (w *Workspace) Run(opts Options) int {
 			}
 			nd := d + cost
 			if nd >= bound {
+				w.cut = true
+				continue
+			}
+			if len(goal) > 0 && w.goalCut(goal, t, nd, bound) {
 				continue
 			}
 			if w.stamp[t] != w.epoch || nd < w.dist[t] {
@@ -190,6 +197,41 @@ func (w *Workspace) Run(opts Options) int {
 	}
 	return count
 }
+
+// GoalBound is the goal rows' lower bound at v: their largest entry
+// there, 0 when there are none.
+func GoalBound(rows [][]float32, v graph.VertexID) float64 {
+	var lb float32
+	for _, row := range rows {
+		lb = max(lb, row[v])
+	}
+	return float64(lb)
+}
+
+// goalCut reports whether the goal rows rule v out at distance d: no
+// completion through v can end below bound. A finite entry marks the run
+// cut, since a larger Bound could let v through; a +Inf entry proves that
+// no completion ever passes through v, so it cuts without marking.
+func (w *Workspace) goalCut(goal [][]float32, v graph.VertexID, d, bound float64) bool {
+	lb := GoalBound(goal, v)
+	if d+lb < bound {
+		return false
+	}
+	if !math.IsInf(lb, 1) {
+		w.cut = true
+	}
+	return true
+}
+
+// Cut reports whether Bound or a finite Goal entry suppressed a vertex or
+// an arc in the most recent Run. A run that was neither cut nor halted
+// would settle the same vertices at the same distances under any larger
+// Bound.
+func (w *Workspace) Cut() bool { return w.cut }
+
+// Parent returns the predecessor of v on its shortest path in the most
+// recent Run, NoVertex for a source. v must have been reached.
+func (w *Workspace) Parent(v graph.VertexID) graph.VertexID { return w.parent[v] }
 
 // Dist returns the distance of v computed by the most recent Run and
 // whether v was reached (settled or still queued with a tentative value;

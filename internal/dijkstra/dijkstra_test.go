@@ -348,17 +348,192 @@ func TestDirectedGraphSearch(t *testing.T) {
 	}
 }
 
+// TestStatsCounters checks Run's settle count, the Table 8 metric every
+// caller charges: the whole component on a full run, the vertices below
+// the bound on a bounded one, one on a run stopped at its first settle.
 func TestStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnectedGraph(rng, 30, 30)
 	w := New(g)
-	w.Run(Options{Sources: []graph.VertexID{0}})
-	if w.SettledCount() == 0 {
-		t.Error("stats not recorded")
+	if got := w.Run(Options{Sources: []graph.VertexID{0}}); got != 30 {
+		t.Errorf("full run settled %d, want 30", got)
 	}
-	w.ResetStats()
-	if w.SettledCount() != 0 {
-		t.Error("ResetStats did not clear")
+	fw := floydWarshall(g)
+	bound := 8.0
+	want := 0
+	for v := range fw[0] {
+		if fw[0][v] < bound {
+			want++
+		}
+	}
+	if got := w.Run(Options{Sources: []graph.VertexID{0}, Bound: bound}); got != want {
+		t.Errorf("run bounded at %v settled %d, want %d", bound, got, want)
+	}
+	stop := func(graph.VertexID, float64) Control { return Stop }
+	if got := w.Run(Options{Sources: []graph.VertexID{0}, OnSettle: stop}); got != 1 {
+		t.Errorf("run stopped at its first settle settled %d, want 1", got)
+	}
+}
+
+// roundDown32 is the largest float32 not above x, the rounding that keeps
+// a goal row a lower bound.
+func roundDown32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+// goalRow is the row of distances to the nearest goal, each entry scaled
+// by a random factor in [0.5, 1] and rounded down, so it stays a lower
+// bound without being exact.
+func goalRow(rng *rand.Rand, fw [][]float64, goals []graph.VertexID) []float32 {
+	row := make([]float32, len(fw))
+	for v := range row {
+		d := math.Inf(1)
+		for _, x := range goals {
+			d = min(d, fw[v][x])
+		}
+		row[v] = roundDown32(d * (0.5 + rng.Float64()/2))
+	}
+	return row
+}
+
+// TestGoalCutKeepsShortestPathsToGoals checks the goal-row cut on random
+// graphs and admissible rows: it settles a subset of the plain bounded
+// run, and every vertex on a shortest path to a goal within Bound is
+// settled with its exact distance.
+func TestGoalCutKeepsShortestPathsToGoals(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 40; trial++ {
+		g := randomConnectedGraph(rng, 40, 40)
+		fw := floydWarshall(g)
+		n := g.NumVertices()
+		goals := []graph.VertexID{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))}
+		goal := [][]float32{goalRow(rng, fw, goals)}
+		if trial%2 == 1 {
+			// A second row bounds the way to the first goal alone, so the
+			// largest entry is a lower bound for that goal only.
+			goal = append(goal, goalRow(rng, fw, goals[:1]))
+			goals = goals[:1]
+		}
+		src := graph.VertexID(rng.Intn(n))
+		bound := 5 + 20*rng.Float64()
+
+		w := New(g)
+		w.Run(Options{Sources: []graph.VertexID{src}, Bound: bound})
+		plain := make([]bool, n)
+		for v := range plain {
+			plain[v] = w.WasSettled(graph.VertexID(v))
+		}
+		w.Run(Options{Sources: []graph.VertexID{src}, Bound: bound, Goal: goal})
+		for v := 0; v < n; v++ {
+			if w.WasSettled(graph.VertexID(v)) && !plain[v] {
+				t.Fatalf("trial %d: goal run settled %d, which the plain run did not", trial, v)
+			}
+		}
+		for _, x := range goals {
+			if fw[src][x] >= bound-1e-6 {
+				continue
+			}
+			for u := 0; u < n; u++ {
+				if math.Abs(fw[src][u]+fw[u][x]-fw[src][x]) > 1e-9 {
+					continue // u is on no shortest path to x
+				}
+				d, ok := w.Dist(graph.VertexID(u))
+				if !w.WasSettled(graph.VertexID(u)) || !ok || math.Abs(d-fw[src][u]) > 1e-9 {
+					t.Fatalf("trial %d: vertex %d on a shortest path %d→%d: settled %v at %v, want %v",
+						trial, u, src, x, w.WasSettled(graph.VertexID(u)), d, fw[src][u])
+				}
+			}
+		}
+	}
+}
+
+// TestCut checks when a run reports itself cut: never when everything
+// reachable lies inside Bound and no finite goal entry fires, including
+// when +Inf goal entries cut; always when Bound or a finite goal entry
+// suppresses a vertex or an arc.
+func TestCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := randomConnectedGraph(rng, 30, 30)
+	fw := floydWarshall(g)
+	ecc := 0.0
+	for _, d := range fw[0] {
+		ecc = max(ecc, d)
+	}
+	w := New(g)
+	src := []graph.VertexID{0}
+	inf := float32(math.Inf(1))
+
+	if w.Run(Options{Sources: src}); w.Cut() {
+		t.Error("unbounded run reported cut")
+	}
+	if w.Run(Options{Sources: src, Bound: ecc + 1}); w.Cut() {
+		t.Error("run whose component fits inside Bound reported cut")
+	}
+	if w.Run(Options{Sources: src, Bound: ecc / 2}); !w.Cut() {
+		t.Error("run that Bound suppressed did not report cut")
+	}
+
+	// +Inf entries on half the vertices cut them without marking the run.
+	// The detours around them may run past ecc, so Bound sits far out.
+	row := make([]float32, g.NumVertices())
+	for v := 1; v < len(row); v += 2 {
+		row[v] = inf
+	}
+	settled := w.Run(Options{Sources: src, Bound: 1e9, Goal: [][]float32{row}})
+	if w.Cut() {
+		t.Error("run cut only by +Inf goal entries reported cut")
+	}
+	if settled == g.NumVertices() {
+		t.Error("+Inf goal entries cut nothing")
+	}
+	if w.Run(Options{Sources: src, Goal: [][]float32{row}}); w.Cut() {
+		t.Error("unbounded run cut only by +Inf goal entries reported cut")
+	}
+
+	// One finite entry large enough to reach Bound marks the run.
+	far := make([]float32, g.NumVertices())
+	far[len(far)-1] = float32(ecc + 2)
+	if w.Run(Options{Sources: src, Bound: ecc + 1, Goal: [][]float32{far}}); !w.Cut() {
+		t.Error("run that a finite goal entry suppressed did not report cut")
+	}
+	if w.WasSettled(graph.VertexID(len(far) - 1)) {
+		t.Error("vertex whose goal entry reaches Bound was settled")
+	}
+	// A source the goal rows cut at pop counts as settled and marks too.
+	far[0] = float32(ecc + 2)
+	if settled := w.Run(Options{Sources: src, Bound: ecc + 1, Goal: [][]float32{far}}); settled != 1 || !w.Cut() {
+		t.Errorf("source cut at pop: settled %d, cut %v; want 1, true", settled, w.Cut())
+	}
+}
+
+// TestParentChainMatchesPathTo checks that following Parent from every
+// settled vertex walks PathTo backwards to the source.
+func TestParentChainMatchesPathTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	g := randomConnectedGraph(rng, 40, 50)
+	w := New(g)
+	w.Run(Options{Sources: []graph.VertexID{3}, Bound: 20})
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if !w.WasSettled(v) {
+			continue
+		}
+		path := w.PathTo(v)
+		for i := len(path) - 1; i >= 0; i-- {
+			want := graph.NoVertex
+			if i > 0 {
+				want = path[i-1]
+			}
+			if got := w.Parent(path[i]); got != want {
+				t.Fatalf("Parent(%d) = %d on the path to %d, want %d", path[i], got, v, want)
+			}
+		}
+		if path[0] != 3 {
+			t.Fatalf("path to %d starts at %d, want the source 3", v, path[0])
+		}
 	}
 }
 

@@ -111,7 +111,6 @@ func (s *Solver) Stats() Stats { return s.stats }
 func (s *Solver) ResetStats() {
 	s.stats = Stats{}
 	s.nn = make(map[nnKey]*nnIterator)
-	s.ws.ResetStats()
 }
 
 func (s *Solver) overBudget() bool {

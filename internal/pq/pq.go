@@ -1,7 +1,8 @@
 // Package pq provides the priority queues used across the SkySR engine:
 // a generic binary min-heap for route queues, and an indexed heap with
-// decrease-key keyed by dense integer ids for both Dijkstra kernels (the
-// plain sweeps of internal/dijkstra and the core's modified Dijkstra).
+// decrease-key keyed by dense integer ids for the Dijkstra kernel of
+// internal/dijkstra, which runs every graph search of a query, the
+// modified Dijkstra of Algorithm 2 included.
 //
 // The paper depends on two route-queue orderings (§5.3.2): the conventional
 // distance-based order and the proposed size-descending / semantic-ascending
@@ -66,11 +67,6 @@ func (h *Heap[T]) Reset() {
 	h.items = h.items[:0]
 }
 
-// Items returns the underlying slice in heap order (not sorted). It is
-// exposed for instrumentation (peak queue size accounting) and must not be
-// mutated.
-func (h *Heap[T]) Items() []T { return h.items }
-
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -103,9 +99,8 @@ func (h *Heap[T]) down(i int) {
 
 // IndexedHeap is a min-heap of (id, priority) pairs supporting DecreaseKey,
 // keyed by dense non-negative integer ids (vertex indices). It is the
-// workhorse of both Dijkstra kernels, the plain sweeps and the modified
-// Dijkstra: Push/DecreaseKey/Pop are all O(log n) and id lookup is O(1)
-// via a position table.
+// workhorse of the Dijkstra kernel: Push/DecreaseKey/Pop are all
+// O(log n) and id lookup is O(1) via a position table.
 //
 // The heap is 4-ary rather than binary: Dijkstra's decrease-key workload
 // performs far more up-sifts (every relaxation) than down-sifts (one per

@@ -2,7 +2,6 @@ package skysr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -277,23 +276,6 @@ type SearchOptions struct {
 	Context context.Context
 }
 
-// interrupted reports whether the options' context is already cancelled
-// or past its deadline, as the search core would report it. It is the
-// pre-dispatch check: algorithms that do not thread cancellation
-// internally (the naive baselines) still refuse to start, in O(1), once
-// their caller has given up.
-func (o SearchOptions) interrupted() error {
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
-			}
-			return fmt.Errorf("%w: %w", ErrSearchCancelled, err)
-		}
-	}
-	return nil
-}
-
 // Query is one SkySR query.
 type Query struct {
 	// Start is the query's start vertex v_q.
@@ -455,7 +437,10 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 	if sn.ds.Graph.TimeVarying() && (opts.Algorithm == NaiveDijkstra || opts.Algorithm == NaivePNE) {
 		return nil, fmt.Errorf("skysr: the naive baselines do not support time-dependent datasets")
 	}
-	if err := opts.interrupted(); err != nil {
+	// Pre-dispatch check: algorithms that do not thread cancellation
+	// internally (the naive baselines) still refuse to start, in O(1),
+	// once their caller has given up.
+	if err := core.ContextError(opts.Context); err != nil {
 		return nil, err
 	}
 	f := sn.ds.Forest
