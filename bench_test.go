@@ -1,14 +1,16 @@
 package skysr
 
-// bench_test.go holds one testing.B benchmark per table and figure of the
-// paper's evaluation (§7–§8). Each benchmark measures the work of the
-// corresponding experiment at a laptop-friendly scale; the full sweep with
-// configurable scale lives in cmd/skysr-bench.
+// bench_test.go times the work behind the paper's evaluation (§7–§8) at
+// a laptop-friendly scale: Figure 3's four algorithms, whose queries
+// Tables 6 and 7 also measure; one table of ablations (Table 8, Figures 4
+// and 5, the path filter and the category index); Figures 6 and 9; and
+// scenarios through the public API. The full sweep with configurable
+// scale lives in cmd/skysr-bench.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
-	"io"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -75,144 +77,94 @@ func BenchmarkTable5DatasetBuild(b *testing.B) {
 	}
 }
 
+// figure3Algorithms are the four algorithms of Figure 3: BSSR with opts,
+// or the naive baseline on engine when opts is nil.
+var figure3Algorithms = []struct {
+	name   string
+	opts   func() core.Options
+	engine osr.Engine
+}{
+	{name: "BSSR", opts: core.DefaultOptions},
+	{name: "BSSR w/o Opt", opts: core.WithoutOptimizations},
+	{name: "PNE", engine: osr.EnginePNE},
+	{name: "Dij", engine: osr.EngineDijkstra},
+}
+
 // BenchmarkFigure3 measures per-query response time for each dataset,
-// algorithm and sequence size — the cells of Figure 3.
+// algorithm and sequence size — the cells of Figure 3. With -benchmem it
+// also reports the allocations behind Table 6's memory comparison.
 func BenchmarkFigure3(b *testing.B) {
 	h := benchSetup(b)
 	for _, name := range h.Config().Datasets {
 		d := benchState.datasets[name]
-		for _, alg := range bench.Algorithms() {
+		for _, alg := range figure3Algorithms {
 			for _, size := range h.Config().SeqSizes {
 				qs := benchState.loads[name][size]
-				b.Run(name+"/"+alg.String()+"/S"+itoa(size), func(b *testing.B) {
-					runFigure3Cell(b, d, qs, alg, h.Config().Budget)
+				b.Run(name+"/"+alg.name+"/S"+strconv.Itoa(size), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						q := qs[i%len(qs)]
+						if alg.opts != nil {
+							s := core.NewSearcher(d, d.Forest.WuPalmer, alg.opts())
+							if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
+								b.Fatal(err)
+							}
+							continue
+						}
+						solver := osr.NewSolver(d, alg.engine, d.Forest.WuPalmer, route.AggProduct)
+						solver.Budget = h.Config().Budget
+						if _, err := solver.SkySRExact(q.Start, q.Categories); err != nil && err != osr.ErrBudgetExceeded {
+							b.Fatal(err)
+						}
+					}
 				})
 			}
 		}
 	}
 }
 
-func runFigure3Cell(b *testing.B, d *dataset.Dataset, qs []gen.Query, alg bench.Algorithm, budget int64) {
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		switch alg {
-		case bench.AlgBSSR, bench.AlgBSSRNoOpt:
-			opts := core.DefaultOptions()
-			if alg == bench.AlgBSSRNoOpt {
-				opts = core.WithoutOptimizations()
-			}
-			s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-			if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
-				b.Fatal(err)
-			}
-		case bench.AlgPNE, bench.AlgDij:
-			engine := osr.EnginePNE
-			if alg == bench.AlgDij {
-				engine = osr.EngineDijkstra
-			}
-			solver := osr.NewSolver(d, engine, d.Forest.WuPalmer, route.AggProduct)
-			solver.Budget = budget
-			if _, err := solver.SkySRExact(q.Start, q.Categories); err != nil && err != osr.ErrBudgetExceeded {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkTable6Memory measures the |Sq|=4 workload whose peak working
-// memory Table 6 compares (allocation stats via -benchmem are the
-// measurement).
-func BenchmarkTable6Memory(b *testing.B) {
-	h := benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][4]
-	for _, alg := range bench.Algorithms() {
-		b.Run(alg.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			runFigure3Cell(b, d, qs, alg, h.Config().Budget)
-		})
-	}
-}
-
-// BenchmarkTable7InitialSearch measures NNinit itself: the cost the paper
-// reports as "response time" in Table 7.
-func BenchmarkTable7InitialSearch(b *testing.B) {
+// BenchmarkAblations times full BSSR against the same queries with one
+// optimization changed, on the workload each comparison is measured on:
+// the priority queue (Table 8), the minimum-distance lower bounds at the
+// largest sequence size (Figure 4), on-the-fly caching (Figure 5), the
+// Lemma 5.5 path filter, and the §9 category index. Index row builds are
+// excluded (paid once per dataset), matching how an application would
+// amortize them. Answers are identical in every mode; only the work
+// differs.
+func BenchmarkAblations(b *testing.B) {
 	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][4]
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		s := core.NewSearcher(d, d.Forest.WuPalmer, core.DefaultOptions())
-		res, err := s.QueryCategories(q.Start, q.Categories...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Attribute the measured time to NNinit proportionally via the
-		// recorded stats; the full-query run keeps the benchmark honest.
-		_ = res.Stats.InitTime
-	}
-}
-
-// BenchmarkTable8PriorityQueue compares the two queue orderings.
-func BenchmarkTable8PriorityQueue(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][4]
 	for _, mode := range []struct {
-		name     string
-		proposed bool
-	}{{"proposed", true}, {"distance-based", false}} {
+		name    string
+		dataset string
+		size    int
+		set     func(o *core.Options)
+		index   bool // answer with a category index prewarmed for the workload
+	}{
+		{name: "Table8PriorityQueue/proposed", dataset: "tokyo", size: 4},
+		{name: "Table8PriorityQueue/distance-based", dataset: "tokyo", size: 4, set: func(o *core.Options) { o.ProposedQueue = false }},
+		{name: "Figure4LowerBounds/with-bounds", dataset: "tokyo", size: 5},
+		{name: "Figure4LowerBounds/without-bounds", dataset: "tokyo", size: 5, set: func(o *core.Options) { o.LowerBounds = false }},
+		{name: "Figure5Caching/with-cache", dataset: "nyc", size: 4},
+		{name: "Figure5Caching/without-cache", dataset: "nyc", size: 4, set: func(o *core.Options) { o.Caching = false }},
+		{name: "PathFilter/with-filter", dataset: "tokyo", size: 4},
+		{name: "PathFilter/without-filter", dataset: "tokyo", size: 4, set: func(o *core.Options) { o.DisablePathFilter = true }},
+		{name: "CategoryIndex/with-index", dataset: "tokyo", size: 4, index: true},
+		{name: "CategoryIndex/without-index", dataset: "tokyo", size: 4},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
+			d := benchState.datasets[mode.dataset]
+			qs := benchState.loads[mode.dataset][mode.size]
 			opts := core.DefaultOptions()
-			opts.ProposedQueue = mode.proposed
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-				if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
-					b.Fatal(err)
+			if mode.set != nil {
+				mode.set(&opts)
+			}
+			if mode.index {
+				opts.Index = index.New(d, 0)
+				opts.Index.EnsureRoots()
+				for _, q := range qs {
+					opts.Index.Prewarm(q.Categories...)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkFigure4LowerBounds compares queries with and without the
-// minimum-distance lower bounds at the largest sequence size.
-func BenchmarkFigure4LowerBounds(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][5]
-	for _, mode := range []struct {
-		name   string
-		bounds bool
-	}{{"with-bounds", true}, {"without-bounds", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.LowerBounds = mode.bounds
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-				if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure5Caching compares queries with and without on-the-fly
-// caching.
-func BenchmarkFigure5Caching(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["nyc"]
-	qs := benchState.loads["nyc"][4]
-	for _, mode := range []struct {
-		name  string
-		cache bool
-	}{{"with-cache", true}, {"without-cache", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Caching = mode.cache
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
 				s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
@@ -231,7 +183,7 @@ func BenchmarkFigure6SkySRCount(b *testing.B) {
 	for _, size := range h.Config().SeqSizes {
 		qs := benchState.loads["cal"][size]
 		d := benchState.datasets["cal"]
-		b.Run("S"+itoa(size), func(b *testing.B) {
+		b.Run("S"+strconv.Itoa(size), func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
 				q := qs[i%len(qs)]
@@ -251,8 +203,10 @@ func BenchmarkFigure6SkySRCount(b *testing.B) {
 func BenchmarkFigure9Survey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := bench.PaperSurvey()
-		if err := bench.RenderFigure9(io.Discard, s); err != nil {
-			b.Fatal(err)
+		for _, q := range s.Questions {
+			if _, err := s.Ratios(q.ID); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -296,62 +250,6 @@ func BenchmarkTable9UseCase(b *testing.B) {
 		if _, err := eng.Search(q); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationPathFilter isolates the Lemma 5.5 path filter:
-// identical results, different search effort.
-func BenchmarkAblationPathFilter(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][4]
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"with-filter", false}, {"without-filter", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.DisablePathFilter = mode.disable
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-				if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCategoryIndex isolates the §9 preprocessing index.
-// Row builds are excluded (paid once per dataset), matching how an
-// application would amortize them.
-func BenchmarkAblationCategoryIndex(b *testing.B) {
-	benchSetup(b)
-	d := benchState.datasets["tokyo"]
-	qs := benchState.loads["tokyo"][4]
-	idx := index.New(d, 0)
-	idx.EnsureRoots()
-	for _, q := range qs {
-		idx.Prewarm(q.Categories...)
-	}
-	for _, mode := range []struct {
-		name string
-		use  bool
-	}{{"with-index", true}, {"without-index", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			if mode.use {
-				opts.Index = idx
-			}
-			for i := 0; i < b.N; i++ {
-				q := qs[i%len(qs)]
-				s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-				if _, err := s.QueryCategories(q.Start, q.Categories...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -411,11 +309,4 @@ func BenchmarkRunningExample(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
 }

@@ -1,8 +1,10 @@
 // Command skysr-bench regenerates every table and figure of the paper's
 // evaluation (§7–§8) on synthetic datasets, and gates the engine's
-// serving extensions. -gate runs one gated mode instead of the suite. It
-// prints the mode's table, writes its rows as a machine-readable report
-// with -json, and exits 1 when one of the mode's gates fails:
+// serving extensions. Every mode prints one table of rows, writes them as
+// a machine-readable report with -json, and exits 1 when one of its gates
+// fails. Without -gate it runs the paper suite, whose only gate is
+// -verify's: every algorithm returns BSSR's skyline. -gate runs one gated
+// mode instead:
 //
 //   - latency times serving variants (category index, top-k, constant
 //     and rush-hour profiles) against plain BSSR on one serial searcher;
@@ -12,8 +14,8 @@
 //
 // Usage:
 //
-//	skysr-bench                     # full suite, laptop-sized defaults
-//	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5
+//	skysr-bench                     # paper suite, laptop-sized defaults
+//	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5 -verify -json BENCH_PAPER.json
 //	skysr-bench -gate latency -json BENCH_LATENCY.json
 //	skysr-bench -gate churn -json BENCH_CHURN.json
 //	skysr-bench -gate soak -json BENCH_SOAK.json
@@ -43,14 +45,18 @@ const (
 // with the first.
 var httpLoadWorkers = []int{1, 4, 8}
 
-// gate is one gated mode: the title of its table and its runner.
-type gate struct {
+// mode is what one run of the command measures: the title of its table
+// and its runner.
+type mode struct {
 	title string
 	run   func(*bench.Harness) ([]bench.Row, error)
 }
 
-// gates maps every -gate name to its mode.
-var gates = map[string]gate{
+// modes maps every -gate name to its mode; the empty name is the paper
+// suite.
+var modes = map[string]mode{
+	"": {"Paper evaluation (§7–§8): times in µs, memory in bytes; the paper's Table 6 is the figure3 bytes at |Sq|=4, its Figure 4 the largest |Sq|",
+		(*bench.Harness).Paper},
 	"latency": {"Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)",
 		(*bench.Harness).Latency},
 	"churn": {"Churn: mixed read/write serving (category-index profile; updates interleave with query rounds)",
@@ -84,10 +90,9 @@ func main() {
 	sizes := flag.String("sizes", "2,3,4,5", "comma-separated |Sq| values")
 	datasets := flag.String("datasets", "tokyo,nyc,cal", "comma-separated dataset presets")
 	budget := flag.Int64("budget", cfg.Budget, "naive-baseline work budget per query (0 = unlimited)")
-	verify := flag.Bool("verify", false, "cross-check all algorithms return identical skylines")
-	csvDir := flag.String("csv", "", "directory for machine-readable CSV exports (optional)")
+	verify := flag.Bool("verify", false, "gate the suite's Figure 3 rows on returning BSSR's skyline")
 	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency, churn, soak or httpload): print its table and exit 1 when one of its gates fails")
-	jsonOut := flag.String("json", "", "with -gate: write the mode's rows as a JSON report to this path")
+	jsonOut := flag.String("json", "", "write the rows as a JSON report to this path")
 	flag.Parse()
 
 	cfg.Scale = *scale
@@ -105,36 +110,30 @@ func main() {
 		cfg.SeqSizes = append(cfg.SeqSizes, n)
 	}
 
-	h := bench.New(cfg)
-	if *gateName == "" {
-		if *jsonOut != "" {
-			exit(2, "-json needs -gate")
-		}
-		// The full suite renders as it runs and has no report or gate.
-		if err := h.AllWithCSV(os.Stdout, *csvDir); err != nil {
-			exit(1, "%v", err)
-		}
-		return
-	}
-	g, ok := gates[*gateName]
+	m, ok := modes[*gateName]
 	if !ok {
 		exit(2, "unknown gate %q (want latency, churn, soak or httpload)", *gateName)
 	}
-	rows, err := g.run(h)
+	h := bench.New(cfg)
+	rows, err := m.run(h)
 	if err != nil {
 		exit(1, "%v", err)
 	}
-	bench.Render(os.Stdout, g.title, rows)
+	bench.Render(os.Stdout, m.title, rows)
 	if *jsonOut != "" {
 		if err := bench.WriteJSON(*jsonOut, h.Config(), rows); err != nil {
 			exit(1, "write %s: %v", *jsonOut, err)
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-	if err := bench.Check(rows); err != nil {
-		exit(1, "%s gate: %v", *gateName, err)
+	name := *gateName + " gate"
+	if *gateName == "" {
+		name = "paper suite"
 	}
-	fmt.Printf("%s gate passed\n", *gateName)
+	if err := bench.Check(rows); err != nil {
+		exit(1, "%s: %v", name, err)
+	}
+	fmt.Printf("%s passed\n", name)
 }
 
 // exit reports a failure on stderr and exits with code: 2 for a usage

@@ -1,13 +1,12 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (§7) plus the user-study aggregation of
-// §8. Each experiment has a typed runner returning structured results and
-// a text renderer, shared by the skysr-bench CLI and bench_test.go.
-//
-// It also holds the one row layout of skysr-bench's gated modes (Row,
-// with Render, Check and WriteJSON) and the latency mode itself. The
-// churn, soak and httpload modes drive the public skysr.Engine and
-// internal/serve, which this package cannot import without a cycle, so
-// they live in cmd/skysr-bench and build the same rows.
+// Package bench is the experiment harness of skysr-bench and the root Go
+// benchmarks. Every mode reports in one row layout (Row, with Render,
+// Check and WriteJSON): the paper suite (Harness.Paper), which regenerates
+// every table and figure of the paper's evaluation (§7) plus the
+// user-study aggregation of §8 in one pass, and the gated modes. The
+// latency mode lives here too. The churn, soak and httpload modes drive
+// the public skysr.Engine and internal/serve, which this package cannot
+// import without a cycle, so they live in cmd/skysr-bench and build the
+// same rows.
 //
 // Absolute numbers differ from the paper (synthetic datasets at reduced
 // scale, Go instead of C++, different hardware); the harness exists to
@@ -18,12 +17,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+	"math"
 
-	"skysr/internal/core"
 	"skysr/internal/dataset"
 	"skysr/internal/gen"
-	"skysr/internal/osr"
 	"skysr/internal/route"
 )
 
@@ -42,8 +39,9 @@ type Config struct {
 	// Budget caps naive-baseline work (route pops) per query; exceeding
 	// it reports DNF, like the paper's month-long timeouts. 0 = unlimited.
 	Budget int64
-	// Verify cross-checks that all algorithms return identical skylines
-	// (the paper: "all algorithms output the same routes").
+	// Verify gates the paper suite's Figure 3 rows on returning BSSR's
+	// skyline for every query they finish (the paper: "all algorithms
+	// output the same routes").
 	Verify bool
 }
 
@@ -58,37 +56,6 @@ func DefaultConfig() Config {
 		Datasets: []string{"tokyo", "nyc", "cal"},
 		Budget:   2_000_000,
 		Verify:   false,
-	}
-}
-
-// Algorithm identifies the four algorithms of Figure 3.
-type Algorithm int
-
-const (
-	AlgBSSR Algorithm = iota
-	AlgBSSRNoOpt
-	AlgPNE
-	AlgDij
-)
-
-// Algorithms lists them in the paper's legend order.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgBSSR, AlgBSSRNoOpt, AlgPNE, AlgDij}
-}
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgBSSR:
-		return "BSSR"
-	case AlgBSSRNoOpt:
-		return "BSSR w/o Opt"
-	case AlgPNE:
-		return "PNE"
-	case AlgDij:
-		return "Dij"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
@@ -153,28 +120,6 @@ func (h *Harness) Workload(name string, size int) ([]gen.Query, error) {
 	return qs, nil
 }
 
-// runBSSR answers one query with BSSR (optionally de-optimized) and
-// returns the result.
-func runBSSR(d *dataset.Dataset, q gen.Query, opts core.Options) (*core.Result, error) {
-	s := core.NewSearcher(d, d.Forest.WuPalmer, opts)
-	return s.QueryCategories(q.Start, q.Categories...)
-}
-
-// runNaive answers one query with a naive baseline; dnf reports a blown
-// budget.
-func runNaive(d *dataset.Dataset, q gen.Query, engine osr.Engine, budget int64) (sky *route.Skyline, elapsed time.Duration, peakBytes int64, dnf bool, err error) {
-	solver := osr.NewSolver(d, engine, d.Forest.WuPalmer, route.AggProduct)
-	solver.Budget = budget
-	began := time.Now()
-	sky, err = solver.SkySRExact(q.Start, q.Categories)
-	elapsed = time.Since(began)
-	peakBytes = solver.MemoryFootprintBytes()
-	if err == osr.ErrBudgetExceeded {
-		return nil, elapsed, peakBytes, true, nil
-	}
-	return sky, elapsed, peakBytes, false, err
-}
-
 // sameSkylines compares two skyline score sets.
 func sameSkylines(a []*route.Route, b []*route.Route) bool {
 	if len(a) != len(b) {
@@ -194,18 +139,7 @@ func sameSkylines(a []*route.Route, b []*route.Route) bool {
 }
 
 func closeEnough(x, y float64) bool {
-	d := x - y
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-9*(1+abs(x)+abs(y))
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return math.Abs(x-y) <= 1e-9*(1+math.Abs(x)+math.Abs(y))
 }
 
 // writeln is a small fmt helper that ignores write errors (harness output

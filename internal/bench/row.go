@@ -1,10 +1,11 @@
 package bench
 
-// Every gated skysr-bench mode (latency, churn, soak, httpload) reports
-// in one layout. A Row names what it measured (dataset and scenario),
-// carries the values it reports, and holds the verdict of every gate the
-// mode puts on that measurement. Each mode decides its verdicts where it
-// builds its rows, so Render, Check and WriteJSON serve every mode alike.
+// Every skysr-bench mode (the paper suite, latency, churn, soak,
+// httpload) reports in one layout. A Row names what it measured (dataset
+// and scenario), carries the values it reports, and holds the verdict of
+// every gate the mode puts on that measurement. Each mode decides its
+// verdicts where it builds its rows, so Render, Check and WriteJSON serve
+// every mode alike.
 
 import (
 	"encoding/json"
@@ -20,7 +21,7 @@ import (
 	"time"
 )
 
-// Row is one measurement of a gated mode.
+// Row is one measurement of a mode.
 type Row struct {
 	Dataset  string    `json:"dataset"`
 	Scenario string    `json:"scenario"`

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // The §8 user study cannot be re-run (it required 25 humans in Santander);
 // what the paper reports quantitatively is Figure 9, the per-question
@@ -117,22 +114,21 @@ func PaperSurvey() *Survey {
 	return s
 }
 
-// RenderFigure9 writes the answer-ratio bars of Figure 9.
-func RenderFigure9(w io.Writer, s *Survey) error {
-	writeln(w, "Figure 9: user-study answer ratios (§8)")
+// figure9Rows reports each question's answer ratios, one bar group of
+// Figure 9 per row, with one counter per answer option.
+func figure9Rows(s *Survey) ([]Row, error) {
+	var rows []Row
 	for _, q := range s.Questions {
 		ratios, err := s.Ratios(q.ID)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		writeln(w, "  %s %s  (n=%d)", q.ID, q.Text, s.Respondents(q.ID))
+		r := Row{Dataset: "santander", Scenario: "figure9 " + q.ID}
 		for i, opt := range q.Options {
-			bar := ""
-			for b := 0; b < int(ratios[i]*40+0.5); b++ {
-				bar += "█"
-			}
-			writeln(w, "    %d. %-18s %5.1f%% %s", i+1, opt, ratios[i]*100, bar)
+			r.Count(opt, ratios[i])
 		}
+		r.Count("respondents", float64(s.Respondents(q.ID)))
+		rows = append(rows, r)
 	}
-	return nil
+	return rows, nil
 }

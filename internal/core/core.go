@@ -114,16 +114,6 @@ type Options struct {
 	// false for normal use.
 	DisablePathFilter bool
 
-	// Span, when non-nil, is the parent span the query attaches its
-	// explain tree to (tracespan.go): one "search" child span annotated
-	// with the run's totals, beneath it one synthesized span per search
-	// stage — nninit, bounds, each per-position leg with its aggregated
-	// modified-Dijkstra counters, and the destination leg. Span
-	// construction happens once at query end from Stats, so the hot loops
-	// pay only nil-checked counter bumps. A nil Span leaves every code
-	// path byte-identical to the untraced engine.
-	Span *trace.Span
-
 	// Context, when non-nil, is observed by every search loop: once it is
 	// cancelled the query unwinds within one check stride (see
 	// cancel.go), returning ErrCancelled (or ErrDeadlineExceeded for a
@@ -246,7 +236,7 @@ type Searcher struct {
 	cc canceller
 
 	// span/legs are the per-query explain state (tracespan.go); nil
-	// unless Options.Span is set.
+	// unless Options.Context carries a trace.
 	span *trace.Span
 	legs []legTrace
 }

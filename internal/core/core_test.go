@@ -165,28 +165,48 @@ func optionVariants() map[string]Options {
 
 // TestBSSRMatchesBruteForce is the central exactness test (Theorem 3):
 // every optimization configuration must return exactly the brute-force
-// skyline on random instances.
+// skyline on random instances. The last 12 trials let shortest paths pass
+// through PoIs, where the Lemma 5.5 path filter fires; they run every
+// configuration with the filter on and off.
 func TestBSSRMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := taxonomy.Generated(3, 2, 3)
-	for trial := 0; trial < 12; trial++ {
-		d := randomDataset(rng, f, 20, 16)
+	filtered := 0
+	for trial := 0; trial < 24; trial++ {
+		through := trial >= 12
+		d := randomRoadDataset(rng, f, 20, 16, through)
 		cats := pickCats(rng, f, 2+rng.Intn(2))
 		start := graph.VertexID(rng.Intn(20))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
 		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
 
+		enqueued := map[bool]int64{}
 		for name, opts := range optionVariants() {
-			s := NewSearcher(d, f.WuPalmer, opts)
-			res, err := s.QueryCategories(start, cats...)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("trial %d %s: skyline mismatch\ngot:  %v\nwant: %v",
-					trial, name, res.Routes, want.Routes())
+			for _, disable := range []bool{false, true} {
+				if disable && !through {
+					continue
+				}
+				opts.DisablePathFilter = disable
+				s := NewSearcher(d, f.WuPalmer, opts)
+				res, err := s.QueryCategories(start, cats...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !sameSkyline(res.Routes, want) {
+					t.Fatalf("trial %d %s (path filter off: %v): skyline mismatch\ngot:  %v\nwant: %v",
+						trial, name, disable, res.Routes, want.Routes())
+				}
+				if name == "all" {
+					enqueued[disable] = res.Stats.RoutesEnqueued
+				}
 			}
 		}
+		if through && enqueued[false] < enqueued[true] {
+			filtered++
+		}
+	}
+	if filtered == 0 {
+		t.Error("the path filter never cut a route: the through trials do not exercise it")
 	}
 }
 

@@ -83,7 +83,6 @@ func (s *Searcher) clearTransient() {
 	// Drop the explain state too: an idle searcher must not pin a
 	// finished request's trace tree (the flight recorder may hold it for
 	// a long time).
-	s.opts.Span = nil
 	s.span = nil
 	s.legs = nil
 	s.idxRows = indexRows{}

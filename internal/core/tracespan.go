@@ -1,7 +1,8 @@
 package core
 
-// The span bridge: when Options.Span is set, a query synthesizes a
-// trace-span tree mirroring its search stages — NNinit, the §5.3.3
+// The span bridge: when Options.Context carries a trace
+// (trace.NewContext), a query synthesizes a trace-span tree beneath its
+// root mirroring the search stages — NNinit, the §5.3.3
 // bounds, one span per sequence position ("leg") aggregating that
 // position's modified-Dijkstra work, and the §6 destination leg — so a
 // retained trace doubles as a query explain. Like the metrics bridge
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"skysr/internal/taxonomy"
+	"skysr/internal/trace"
 )
 
 // legTrace aggregates one sequence position's search work for the span
@@ -43,7 +45,7 @@ type legTrace struct {
 func (s *Searcher) initTrace(legged bool) {
 	s.span = nil
 	s.legs = nil
-	parent := s.opts.Span
+	parent := trace.SpanFromContext(s.opts.Context)
 	if parent == nil {
 		return
 	}

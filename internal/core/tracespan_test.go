@@ -34,7 +34,7 @@ func TestQuerySpanTreeMirrorsStats(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
 	opts := DefaultOptions()
 	tr := trace.New("route")
-	opts.Span = tr.Root()
+	opts.Context = trace.NewContext(context.Background(), tr)
 	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 	res, err := s.QueryCategories(vq, cats...)
 	if err != nil {
@@ -130,9 +130,8 @@ func TestCancelledQueryRecordsInterruptedSpan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := DefaultOptions()
-	opts.Context = ctx
 	tr := trace.New("route")
-	opts.Span = tr.Root()
+	opts.Context = trace.NewContext(ctx, tr)
 	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 	if _, err := s.QueryCategories(vq, cats...); err == nil {
 		t.Fatal("pre-cancelled query should fail")
@@ -145,9 +144,8 @@ func TestCancelledQueryRecordsInterruptedSpan(t *testing.T) {
 	defer cancel2()
 	restore := faults.Set(faults.MDijkstraRun, func(int64) { cancel2() })
 	defer restore()
-	opts.Context = ctx2
 	tr2 := trace.New("route")
-	opts.Span = tr2.Root()
+	opts.Context = trace.NewContext(ctx2, tr2)
 	s2 := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 	_, err := s2.QueryCategories(vq, cats...)
 	tr2.Finish()
@@ -190,7 +188,7 @@ func TestUnorderedQuerySpanIsCoarse(t *testing.T) {
 	} {
 		opts := DefaultOptions()
 		tr := trace.New("route")
-		opts.Span = tr.Root()
+		opts.Context = trace.NewContext(context.Background(), tr)
 		st, err := tc.query(NewSearcher(ds, ds.Forest.WuPalmer, opts))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -224,7 +222,7 @@ func TestTracedQueryAnswersIdentical(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	tr := trace.New("route")
-	opts.Span = tr.Root()
+	opts.Context = trace.NewContext(context.Background(), tr)
 	traced := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 	got, err := traced.QueryCategories(vq, cats...)
 	if err != nil {

@@ -455,9 +455,12 @@ func ReadBinary(data []byte) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Alias the mapped column directly; Rating never writes, and the
-		// checksum already vouched for the values.
-		d.ratings = viewF64(ratings)
+		// Alias the mapped column directly; Rating never writes.
+		rs := viewF64(ratings)
+		if err := d.checkRatings(rs); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
+		}
+		d.ratings = rs
 	}
 	return d, nil
 }

@@ -274,15 +274,15 @@ func overflowImage() []byte {
 	)
 }
 
-// patchSection overwrites the u32 at byte at of section id in a written
-// image and recomputes the checksum.
-func patchSection(t *testing.T, img []byte, id uint32, at int, v uint32) []byte {
+// patchSection overwrites the bytes at byte at of section id in a written
+// image with v and recomputes the checksum.
+func patchSection(t *testing.T, img []byte, id uint32, at int, v []byte) []byte {
 	t.Helper()
 	img = append([]byte(nil), img...)
 	for i := 0; i < int(binary.LittleEndian.Uint32(img[12:])); i++ {
 		ent := img[48+24*i:]
 		if binary.LittleEndian.Uint32(ent) == id {
-			binary.LittleEndian.PutUint32(img[int(binary.LittleEndian.Uint64(ent[8:]))+at:], v)
+			copy(img[int(binary.LittleEndian.Uint64(ent[8:]))+at:], v)
 			n := len(img) - 4
 			binary.LittleEndian.PutUint32(img[n:], crc32.Checksum(img[:n], castagnoli))
 			return img
@@ -311,10 +311,11 @@ func TestBinaryRejectsOverflowingCounts(t *testing.T) {
 		return buf.Bytes()
 	}
 	multi, _, _ := fixture(t)
+	maxU32 := binary.LittleEndian.AppendUint32(nil, math.MaxUint32)
 	for name, img := range map[string][]byte{
 		"2^62 vertices":           overflow,
-		"2^32-1 extra-categories": patchSection(t, written(multi), secExtraCats, 0, math.MaxUint32),
-		"2^32-1 profiles":         patchSection(t, written(tdFixture(t)), secTProfiles, 8, math.MaxUint32),
+		"2^32-1 extra-categories": patchSection(t, written(multi), secExtraCats, 0, maxU32),
+		"2^32-1 profiles":         patchSection(t, written(tdFixture(t)), secTProfiles, 8, maxU32),
 	} {
 		d, err := ReadBinary(img)
 		if err == nil {
@@ -322,5 +323,64 @@ func TestBinaryRejectsOverflowingCounts(t *testing.T) {
 		} else if !errors.Is(err, ErrBadBinary) {
 			t.Errorf("%s: err = %v, want ErrBadBinary", name, err)
 		}
+	}
+}
+
+// TestBinaryRejectsWhatTextRejects pins the checks the decoder shares
+// with the Builder and the text parser. Each image is a written fixture
+// with one column patched and its checksum rewritten. The fixture is the
+// path 0–1–2–3–4 with unit weights, so arc 0 is 0→1.
+func TestBinaryRejectsWhatTextRejects(t *testing.T) {
+	written := func(d *Dataset) []byte {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	undirected, _, verts := fixture(t)
+	// The directed fixture has no reverse arcs to pair, so only the check
+	// under test can reject its patched images.
+	text := bytes.Replace(textOf(t, undirected), []byte("directed false"), []byte("directed true"), 1)
+	directed, err := Read(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rated, _, _ := fixture(t)
+	ratings := make([]float64, rated.Graph.NumVertices())
+	if err := rated.SetRatings(ratings); err != nil {
+		t.Fatal(err)
+	}
+	f64 := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	for _, tc := range []struct {
+		name string
+		base *Dataset
+		sec  uint32
+		at   int
+		v    []byte
+	}{
+		// Reverse searches run on an undirected graph itself, so a lone
+		// arc 0→3 would make them disagree with forward ones.
+		{"unpaired arc", undirected, secTargets, 0, u32(3)},
+		{"negative weight", directed, secWeights, 0, f64(-5)},
+		{"NaN weight", directed, secWeights, 0, f64(math.NaN())},
+		{"self-loop", directed, secTargets, 0, u32(0)},
+		{"rating 99", rated, secRatings, 8 * int(verts["pAsian"]), f64(99)},
+		{"NaN rating", rated, secRatings, 8 * int(verts["pAsian"]), f64(math.NaN())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := written(tc.base)
+			if _, err := ReadBinary(img); err != nil {
+				t.Fatalf("unpatched image rejected: %v", err)
+			}
+			d, err := ReadBinary(patchSection(t, img, tc.sec, tc.at, tc.v))
+			if err == nil {
+				t.Fatalf("ReadBinary accepted the image:\n%s", textOf(t, d))
+			}
+			if !errors.Is(err, ErrBadBinary) {
+				t.Fatalf("err = %v, want ErrBadBinary", err)
+			}
+		})
 	}
 }

@@ -83,12 +83,20 @@ func (d *Dataset) SetRatings(ratings []float64) error {
 	if len(ratings) != d.Graph.NumVertices() {
 		return fmt.Errorf("dataset: ratings length %d != vertex count %d", len(ratings), d.Graph.NumVertices())
 	}
+	if err := d.checkRatings(ratings); err != nil {
+		return err
+	}
+	d.ratings = append([]float64(nil), ratings...)
+	return nil
+}
+
+// checkRatings fails unless every PoI's rating lies in [0, MaxRating].
+func (d *Dataset) checkRatings(ratings []float64) error {
 	for _, p := range d.Graph.PoIVertices() {
-		if r := ratings[p]; r < 0 || r > MaxRating {
+		if r := ratings[p]; !(r >= 0 && r <= MaxRating) {
 			return fmt.Errorf("dataset: rating %v of PoI %d outside [0, %v]", r, p, MaxRating)
 		}
 	}
-	d.ratings = append([]float64(nil), ratings...)
 	return nil
 }
 

@@ -226,6 +226,7 @@ func TestReadRejectsMalformedInput(t *testing.T) {
 		"bad poi category":   strings.Replace(good, "p 1 0 1", "p 1 0 77", 1),
 		"bad edge endpoint":  strings.Replace(good, "e 0 1 1", "e 0 99 1", 1),
 		"negative weight":    strings.Replace(good, "e 0 1 1", "e 0 1 -5", 1),
+		"NaN weight":         strings.Replace(good, "e 0 1 1", "e 0 1 NaN", 1),
 		"self loop":          strings.Replace(good, "e 0 1 1", "e 1 1 1", 1),
 		"missing end":        strings.TrimSuffix(strings.TrimSpace(good), "end"),
 	}

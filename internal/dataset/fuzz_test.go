@@ -138,6 +138,10 @@ func TestReadRejectsBadRating(t *testing.T) {
 	if _, err := Read(strings.NewReader(bad2)); err == nil {
 		t.Error("non-numeric rating should fail to parse")
 	}
+	nan := strings.Replace(buf.String(), "p 1 0 1", "p 1 0 1 NaN", 1)
+	if _, err := Read(strings.NewReader(nan)); err == nil {
+		t.Error("NaN rating should fail to parse")
+	}
 }
 
 // FuzzReadBinary feeds mutated binary images to ReadBinary. The target

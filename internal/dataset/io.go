@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -338,8 +339,8 @@ func Read(r io.Reader) (*Dataset, error) {
 		if u < 0 || u >= numVerts || v < 0 || v >= numVerts {
 			return nil, p.fail("edge endpoint out of range in %q", line)
 		}
-		if w < 0 {
-			return nil, p.fail("negative edge weight in %q", line)
+		if w < 0 || math.IsNaN(w) {
+			return nil, p.fail("negative or NaN edge weight in %q", line)
 		}
 		if u == v {
 			return nil, p.fail("self-loop edge in %q", line)

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"skysr/internal/geo"
 )
@@ -56,10 +59,14 @@ func (g *Graph) Parts() GraphParts {
 }
 
 // FromParts freezes a Graph directly around the supplied columns,
-// validating the CSR invariants the Builder would have enforced. The
-// slices are adopted, not copied: callers hand over ownership, and
-// read-only backings (an mmap'd file) are fine because no Graph method
-// writes to them. The PoI list is re-derived from the category column.
+// validating the invariants the Builder would have enforced: the CSR
+// shape, arcs that are no self-loops and carry a non-negative weight,
+// and, on undirected graphs, every arc u→v paired with its own reverse
+// arc v→u of the same weight and profile (reverse searches run on an
+// undirected graph itself). The slices are adopted, not copied: callers
+// hand over ownership, and read-only backings (an mmap'd file) are fine
+// because no Graph method writes to them. The PoI list is re-derived from
+// the category column.
 func FromParts(p GraphParts) (*Graph, error) {
 	n := len(p.Points)
 	if len(p.Offsets) != n+1 {
@@ -80,9 +87,16 @@ func FromParts(p GraphParts) (*Graph, error) {
 			return nil, fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 		}
 	}
-	for i, t := range p.Targets {
-		if t < 0 || int(t) >= n {
-			return nil, fmt.Errorf("graph: arc %d target %d out of range", i, t)
+	for u := 0; u < n; u++ {
+		for i := p.Offsets[u]; i < p.Offsets[u+1]; i++ {
+			switch t, w := p.Targets[i], p.Weights[i]; {
+			case t < 0 || int(t) >= n:
+				return nil, fmt.Errorf("graph: arc %d target %d out of range", i, t)
+			case int(t) == u:
+				return nil, fmt.Errorf("graph: arc %d is a self-loop at vertex %d", i, u)
+			case w < 0 || math.IsNaN(w):
+				return nil, fmt.Errorf("graph: arc %d has weight %v", i, w)
+			}
 		}
 	}
 	wantArcs := p.NumEdges
@@ -94,6 +108,11 @@ func FromParts(p GraphParts) (*Graph, error) {
 	}
 	if tt := p.TT; tt != nil && len(tt.arcProf) != numArcs {
 		return nil, fmt.Errorf("graph: time table covers %d arcs, want %d", len(tt.arcProf), numArcs)
+	}
+	if !p.Directed {
+		if err := checkPaired(p); err != nil {
+			return nil, err
+		}
 	}
 	var pois []VertexID
 	for v := 0; v < n; v++ {
@@ -113,6 +132,56 @@ func FromParts(p GraphParts) (*Graph, error) {
 		pois:      pois,
 		numEdges:  p.NumEdges,
 	}, nil
+}
+
+// checkPaired matches every arc of an undirected graph with a reverse
+// arc of the same weight and profile. Two stable counting sorts list
+// each vertex's in-arcs by source and its out-arcs by target; the lists
+// must agree entry by entry, which pairs the arcs one to one in linear
+// time. Parallel arcs between two vertices must therefore keep one order
+// at both ends, as the Builder and every edit lay them out.
+func checkPaired(p GraphParts) error {
+	n, m := len(p.Points), len(p.Targets)
+	src := make([]VertexID, m)
+	for u := 0; u < n; u++ {
+		for i := p.Offsets[u]; i < p.Offsets[u+1]; i++ {
+			src[i] = VertexID(u)
+		}
+	}
+	inStart := make([]int32, n+1)
+	for _, v := range p.Targets {
+		inStart[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		inStart[v+1] += inStart[v]
+	}
+	if !slices.Equal(inStart, p.Offsets) {
+		return errors.New("graph: undirected graph whose in-degrees differ from its out-degrees")
+	}
+	// in lists the arcs by target, then source; out by source, then target.
+	in, out := make([]int32, m), make([]int32, m)
+	next := slices.Clone(p.Offsets[:n])
+	for i, v := range p.Targets {
+		in[next[v]] = int32(i)
+		next[v]++
+	}
+	copy(next, p.Offsets[:n])
+	for _, i := range in {
+		out[next[src[i]]] = i
+		next[src[i]]++
+	}
+	prof := func(i int32) int32 {
+		if p.TT == nil {
+			return -1
+		}
+		return p.TT.arcProf[i]
+	}
+	for k, a := range in {
+		if b := out[k]; src[a] != p.Targets[b] || p.Weights[a] != p.Weights[b] || prof(a) != prof(b) {
+			return fmt.Errorf("graph: undirected arc %d→%d has no reverse arc of the same weight and profile", src[b], p.Targets[b])
+		}
+	}
+	return nil
 }
 
 // NewTimeTable builds a TimeTable from its serialized parts: the period,

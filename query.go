@@ -12,7 +12,6 @@ import (
 	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
-	"skysr/internal/trace"
 )
 
 // Requirement is one position of a query: what kind of PoI must be visited
@@ -475,12 +474,9 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 		copts.Epoch = sn.epoch
 		copts.TopK = opts.TopK
 		copts.DepartAt = opts.DepartAt
-		copts.Context = opts.Context
 		// A trace carried by the context (serve's sampled requests,
 		// skysr-query -trace) receives the query's explain span tree.
-		if sp := trace.SpanFromContext(opts.Context); sp != nil {
-			copts.Span = sp
-		}
+		copts.Context = opts.Context
 		share = share && opts.Algorithm == BSSR
 		if opts.UseCategoryIndex || share {
 			copts.Index = e.categoryIndex(sn)
