@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -198,12 +199,12 @@ func TestFigure5CachingReducesRuns(t *testing.T) {
 
 func TestFigure6SkylineCounts(t *testing.T) {
 	for _, r := range artifactRows(tinySuite.get(t), "figure6") {
-		mean, max := counter(t, r, "mean_skysrs"), counter(t, r, "max_skysrs")
-		if mean < 0 || max < 0 {
+		mean, most := counter(t, r, "mean_skysrs"), counter(t, r, "max_skysrs")
+		if mean < 0 || most < 0 {
 			t.Errorf("bad row %+v", r)
 		}
-		if mean > max {
-			t.Errorf("mean %v exceeds max %v", mean, max)
+		if mean > most {
+			t.Errorf("mean %v exceeds max %v", mean, most)
 		}
 	}
 }
@@ -234,11 +235,22 @@ func TestRenderFigure3HandlesDNFAndMissing(t *testing.T) {
 }
 
 // TestRenderTable6MarksDNF: Table 6's bytes of an algorithm whose queries
-// hit the budget are its peak at the abort, reported beside the dnf count.
+// hit the budget are its peak at the abort, rendered on one line with the
+// dnf count.
 func TestRenderTable6MarksDNF(t *testing.T) {
-	for _, r := range artifactRows(dnfSuite.get(t), "figure3") {
-		if counter(t, r, "dnf") > 0 && counter(t, r, "bytes") <= 0 {
+	rows := artifactRows(dnfSuite.get(t), "figure3")
+	lines := strings.Split(render(rows), "\n")
+	for _, r := range rows {
+		dnf, bytes := counter(t, r, "dnf"), counter(t, r, "bytes")
+		if dnf == 0 {
+			continue
+		}
+		if bytes <= 0 {
 			t.Errorf("%s: no peak bytes at the abort", r.Scenario)
+		}
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.Contains(l, r.Scenario+" ") })
+		if i < 0 || !strings.Contains(lines[i], formatValue(bytes)+" ") || !strings.Contains(lines[i], formatValue(dnf)+" ") {
+			t.Errorf("%s: bytes %v and dnf %v not rendered on its line", r.Scenario, bytes, dnf)
 		}
 	}
 }
