@@ -9,11 +9,11 @@
 //
 // The serving machinery lives here too: Searcher is the single-goroutine
 // query workspace, SearcherPool recycles searchers across queries, and
-// SharedCache extends the §5.3.4 cache across queries and goroutines. A
-// Searcher is bound to one immutable dataset version; cross-version state
-// (SharedCache entries) is epoch-stamped via Options.Epoch, so engines
-// that mutate their dataset (live updates) never mix distances from
-// different graph versions. Every pruning substitution in this package is
+// SharedCache extends the §5.3.4 cache across queries and goroutines.
+// Searchers, pools and shared caches are each bound to one immutable
+// dataset version; an engine that mutates its dataset (live updates)
+// gives every version its own, so distances from different graph versions
+// never mix. Every pruning substitution in this package is
 // exactness-preserving: answers are identical whichever optimizations,
 // caches or indexes are enabled.
 package core
@@ -69,17 +69,9 @@ type Options struct {
 	// Shared, when non-nil, additionally serves modified-Dijkstra results
 	// from a cross-query cache (see SharedCache). Only plain Category
 	// positions participate; the caller must dedicate one SharedCache per
-	// (dataset, similarity function) pair. Sharing never changes results —
-	// a cached entry is a pure function of the dataset version identified
-	// by Epoch.
+	// (dataset version, similarity function) pair. Sharing never changes
+	// results — a cached entry is a pure function of that dataset version.
 	Shared *SharedCache
-
-	// Epoch stamps SharedCache traffic with the dataset version the
-	// searcher runs against. Engines that support live updates bump it per
-	// update batch; entries stamped with another epoch never serve this
-	// searcher (their distances describe a different graph). Single-version
-	// callers can leave it zero.
-	Epoch int64
 
 	// Index, when non-nil, supplies the category-level nearest-matching-PoI
 	// distance index (the §9 "preprocessing" future work, package index) —

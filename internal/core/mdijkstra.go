@@ -167,7 +167,7 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 		return s.runMDijkstra(key, radius)
 	}
 	skey := sharedKey{from: key.from, cat: cat.ID(), origin: key.pos == 0}
-	if e := shared.lookup(skey, radius, s.opts.Epoch); e != nil {
+	if e := shared.lookup(skey, radius); e != nil {
 		s.stats.SharedCacheHits++
 		if lg := s.legHook(key.pos); lg != nil {
 			lg.sharedHits++
@@ -178,7 +178,7 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	if !s.cc.cancelled() {
 		// Never publish a truncated run: a poisoned entry would corrupt
 		// every query sharing the cache, not just this one.
-		shared.store(skey, e, s.opts.Epoch)
+		shared.store(skey, e)
 	}
 	return e
 }

@@ -10,11 +10,7 @@ package core
 // impossible: a scraped counter delta is, by construction, the sum of the
 // Stats fields the tests assert against.
 
-import (
-	"time"
-
-	"skysr/internal/metrics"
-)
+import "skysr/internal/metrics"
 
 // Metrics aggregates finished searches into a metrics.Registry. Create
 // one with NewMetrics; all methods are safe for concurrent use (every
@@ -119,15 +115,4 @@ func (m *Metrics) ObserveSearch(st *Stats, interrupted bool) {
 	m.stageBounds.Observe(st.BoundsTime.Seconds())
 	m.stageMD.Observe(st.MDijkstraTime.Seconds())
 	m.stageDest.Observe(st.DestLegTime.Seconds())
-}
-
-// QueryP50 returns the estimated median total search latency — the
-// cheap-seat summary the serving tier surfaces without a scraper.
-func (m *Metrics) QueryP50() time.Duration {
-	return time.Duration(m.stageTotal.Quantile(0.5) * float64(time.Second))
-}
-
-// QueryP99 returns the estimated 99th-percentile total search latency.
-func (m *Metrics) QueryP99() time.Duration {
-	return time.Duration(m.stageTotal.Quantile(0.99) * float64(time.Second))
 }

@@ -108,44 +108,35 @@ type sharedKey struct {
 
 // SharedCacheStats is a point-in-time snapshot of a SharedCache.
 type SharedCacheStats struct {
-	Hits       int64 // lookups served from the cache
-	Misses     int64 // lookups that fell through to a fresh run
-	Entries    int   // current entry count
-	Bytes      int64 // approximate resident bytes of the entries
-	Flushes    int64 // times the cache was emptied by the byte cap
-	StaleDrops int64 // entries evicted because their epoch went stale
+	Hits    int64 // lookups served from the cache
+	Misses  int64 // lookups that fell through to a fresh run
+	Entries int   // current entry count
+	Bytes   int64 // approximate resident bytes of the entries
+	Flushes int64 // times the cache was emptied by the byte cap
 }
 
-// sharedEntry is one cached result stamped with the dataset epoch it was
-// computed against. Entries from different epochs never serve each other:
-// a live update (Engine.ApplyUpdates) may have changed any distance, so a
-// lookup hits only when the stamps match.
-type sharedEntry struct {
-	epoch int64
-	e     *cacheEntry
+// sharedCounters are the monotone counters of a SharedCache and of every
+// cache Next derives from it.
+type sharedCounters struct {
+	hits, misses, flushes atomic.Int64
 }
 
 // SharedCache caches modified-Dijkstra results across queries and across
 // goroutines (the cross-query extension of the paper's §5.3.4 on-the-fly
-// cache). Within one dataset epoch an entry is a pure function of its key
-// and the explored radius; live updates advance the epoch, and entries
-// carry the epoch stamp of the snapshot that computed them, so searchers
-// pinned to different snapshots never exchange results (see lookup/store
-// and DropStale). All methods are safe for concurrent use.
+// cache). An entry is a pure function of its key, the explored radius and
+// the one dataset version the cache serves: the caller dedicates a cache
+// to each version and starts the next version on Next. All methods are
+// safe for concurrent use.
 //
 // Memory is bounded by an approximate byte cap: when an insert would
 // exceed it, the whole cache is flushed — a simple scheme whose worst case
 // (periodic cold restarts) is still strictly better than no sharing.
 type SharedCache struct {
 	mu       sync.RWMutex
-	entries  map[sharedKey]sharedEntry
+	entries  map[sharedKey]*cacheEntry
 	bytes    int64
 	maxBytes int64
-
-	hits       atomic.Int64
-	misses     atomic.Int64
-	flushes    atomic.Int64
-	staleDrops atomic.Int64
+	counts   *sharedCounters
 }
 
 // DefaultSharedCacheBytes is the byte cap NewSharedCache applies when the
@@ -158,7 +149,15 @@ func NewSharedCache(maxBytes int64) *SharedCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSharedCacheBytes
 	}
-	return &SharedCache{entries: make(map[sharedKey]sharedEntry), maxBytes: maxBytes}
+	return &SharedCache{entries: make(map[sharedKey]*cacheEntry), maxBytes: maxBytes, counts: new(sharedCounters)}
+}
+
+// Next returns an empty cache for the next dataset version, with the same
+// byte cap. It counts hits, misses and flushes into the receiver's
+// counters, so the counters of a cache lineage only ever rise, whichever
+// version a lookup ran against.
+func (c *SharedCache) Next() *SharedCache {
+	return &SharedCache{entries: make(map[sharedKey]*cacheEntry), maxBytes: c.maxBytes, counts: c.counts}
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -167,37 +166,31 @@ func (c *SharedCache) Stats() SharedCacheStats {
 	entries, bytes := len(c.entries), c.bytes
 	c.mu.RUnlock()
 	return SharedCacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Entries:    entries,
-		Bytes:      bytes,
-		Flushes:    c.flushes.Load(),
-		StaleDrops: c.staleDrops.Load(),
+		Hits:    c.counts.hits.Load(),
+		Misses:  c.counts.misses.Load(),
+		Entries: entries,
+		Bytes:   bytes,
+		Flushes: c.counts.flushes.Load(),
 	}
 }
 
-// lookup returns the cached entry for key when its epoch stamp matches the
-// caller's snapshot and it covers radius.
-func (c *SharedCache) lookup(key sharedKey, radius float64, epoch int64) *cacheEntry {
+// lookup returns the cached entry for key when it covers radius.
+func (c *SharedCache) lookup(key sharedKey, radius float64) *cacheEntry {
 	c.mu.RLock()
-	se, ok := c.entries[key]
+	e, ok := c.entries[key]
 	c.mu.RUnlock()
-	if ok && se.epoch == epoch && (se.e.complete || se.e.radius >= radius) {
-		c.hits.Add(1)
-		return se.e
+	if ok && (e.complete || e.radius >= radius) {
+		c.counts.hits.Add(1)
+		return e
 	}
-	c.misses.Add(1)
+	c.counts.misses.Add(1)
 	return nil
 }
 
-// store publishes e under key with the caller's epoch stamp. Within one
-// epoch, whichever entry covers the larger radius wins when two goroutines
-// raced on the same key; across epochs the newer one wins — epochs only
-// ever advance, so a searcher still pinned to a superseded snapshot must
-// not evict an entry the current epoch can serve, while a current-epoch
-// store replaces leftovers from before the update. Entries are immutable
+// store publishes e under key. When two goroutines raced on the same key,
+// whichever entry covers the larger radius wins. Entries are immutable
 // after publication, so readers holding an older entry stay correct.
-func (c *SharedCache) store(key sharedKey, e *cacheEntry, epoch int64) {
+func (c *SharedCache) store(key sharedKey, e *cacheEntry) {
 	cost := entryBytes(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,41 +201,19 @@ func (c *SharedCache) store(key sharedKey, e *cacheEntry, epoch int64) {
 		return
 	}
 	if old, ok := c.entries[key]; ok {
-		if old.epoch > epoch {
-			return // never displace a newer epoch's entry
-		}
-		if old.epoch == epoch && (old.e.complete || old.e.radius >= e.radius) {
+		if old.complete || old.radius >= e.radius {
 			return
 		}
-		c.bytes -= entryBytes(old.e)
+		c.bytes -= entryBytes(old)
 		delete(c.entries, key)
-		if old.epoch != epoch {
-			c.staleDrops.Add(1)
-		}
 	}
 	if c.bytes+cost > c.maxBytes {
-		c.entries = make(map[sharedKey]sharedEntry)
+		c.entries = make(map[sharedKey]*cacheEntry)
 		c.bytes = 0
-		c.flushes.Add(1)
+		c.counts.flushes.Add(1)
 	}
-	c.entries[key] = sharedEntry{epoch: epoch, e: e}
+	c.entries[key] = e
 	c.bytes += cost
-}
-
-// DropStale evicts every entry whose epoch stamp differs from epoch.
-// ApplyUpdates calls it after publishing a new snapshot so superseded
-// results release their memory promptly instead of lingering until the
-// byte cap flushes them.
-func (c *SharedCache) DropStale(epoch int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, se := range c.entries {
-		if se.epoch != epoch {
-			c.bytes -= entryBytes(se.e)
-			delete(c.entries, key)
-			c.staleDrops.Add(1)
-		}
-	}
 }
 
 // entryBytes is the approximate resident size of a cache entry: a header

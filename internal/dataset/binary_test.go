@@ -383,4 +383,48 @@ func TestBinaryRejectsWhatTextRejects(t *testing.T) {
 			}
 		})
 	}
+
+	// Names the text format cannot reproduce: each image is the fixture
+	// written under one bad dataset or category name, which the literal
+	// below lets past New.
+	renamed := func(name, asian string) *Dataset {
+		f, fb := undirected.Forest, taxonomy.NewForestBuilder()
+		for c := taxonomy.CategoryID(0); int(c) < f.NumCategories(); c++ {
+			n := f.Name(c)
+			if n == "Asian" {
+				n = asian
+			}
+			if p := f.Parent(c); p < 0 {
+				fb.MustAddRoot(n)
+			} else {
+				fb.MustAddChild(p, n)
+			}
+		}
+		return &Dataset{Name: name, Graph: undirected.Graph, Forest: fb.Build()}
+	}
+	for _, tc := range []struct {
+		test string
+		d    *Dataset
+	}{
+		{"empty name", renamed("", "Asian")},
+		{"name with a newline", renamed("a\nb", "Asian")},
+		{"name ending in a space", renamed("fixture ", "Asian")},
+		{"empty category", renamed("fixture", "")},
+		{"category with a newline", renamed("fixture", "Su\nshi")},
+		{"category ending in a space", renamed("fixture", "Sushi ")},
+	} {
+		t.Run(tc.test, func(t *testing.T) {
+			text := textOf(t, tc.d)
+			if back, err := Read(bytes.NewReader(text)); err == nil && bytes.Equal(textOf(t, back), text) {
+				t.Fatalf("the text format reproduces the dataset:\n%s", text)
+			}
+			d, err := ReadBinary(written(tc.d))
+			if err == nil {
+				t.Fatalf("ReadBinary accepted the image:\n%s", textOf(t, d))
+			}
+			if !errors.Is(err, ErrBadBinary) {
+				t.Fatalf("err = %v, want ErrBadBinary", err)
+			}
+		})
+	}
 }

@@ -9,8 +9,12 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"skysr/internal/graph"
 	"skysr/internal/taxonomy"
@@ -36,8 +40,17 @@ type Dataset struct {
 const MaxRating = 5.0
 
 // New indexes g against f and returns the Dataset. Every PoI category in g
-// must be a valid id of f.
+// must be a valid id of f, and the dataset's name and every category name
+// must be one the text format reproduces (see checkName).
 func New(name string, g *graph.Graph, f *taxonomy.Forest) (*Dataset, error) {
+	if err := checkName(name); err != nil {
+		return nil, fmt.Errorf("dataset name %q %w", name, err)
+	}
+	for c := taxonomy.CategoryID(0); int(c) < f.NumCategories(); c++ {
+		if err := checkName(f.Name(c)); err != nil {
+			return nil, fmt.Errorf("dataset %s: category name %q %w", name, f.Name(c), err)
+		}
+	}
 	d := &Dataset{
 		Name:       name,
 		Graph:      g,
@@ -64,6 +77,23 @@ func New(name string, g *graph.Graph, f *taxonomy.Forest) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// checkName fails for a name the text format cannot reproduce. The parser
+// reads a name to the end of its line and trims trailing whitespace, so a
+// name must be non-empty, hold no line feed or carriage return, and not end
+// in whitespace.
+func checkName(name string) error {
+	last, _ := utf8.DecodeLastRuneInString(name)
+	switch {
+	case name == "":
+		return errors.New("is empty")
+	case strings.ContainsAny(name, "\n\r"):
+		return errors.New("holds a line break")
+	case unicode.IsSpace(last):
+		return errors.New("ends in whitespace")
+	}
+	return nil
 }
 
 // MustNew is New that panics on error, for tests and generators whose

@@ -147,11 +147,13 @@ func TestReadRejectsBadRating(t *testing.T) {
 // FuzzReadBinary feeds mutated binary images to ReadBinary. The target
 // rewrites the trailing checksum before decoding, so mutations get past
 // it into the section decoders. ReadBinary must never panic, and an image
-// it accepts must survive WriteBinary and ReadBinary again, rendering the
-// same text both times. The seeds are the committed file with the
-// retired overlay section, and the golden fixture, a time-profiled
-// dataset and one with ratings and extra categories, each written with
-// WriteBinary. Run it with
+// it accepts must load to the same dataset as its text: it survives
+// WriteBinary and ReadBinary again, and the text it renders loads with
+// Read, both rendering the same text. The seeds are the committed file
+// with the retired overlay section, and the golden fixture, a
+// time-profiled dataset, one with ratings and extra categories, and the
+// golden fixture renamed to a name holding a newline (which the text
+// format cannot reproduce), each written with WriteBinary. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 30s ./internal/dataset
 func FuzzReadBinary(f *testing.F) {
@@ -173,7 +175,9 @@ func FuzzReadBinary(f *testing.F) {
 	if err := rated.SetRatings(ratings); err != nil {
 		f.Fatal(err)
 	}
-	for _, d := range []*Dataset{golden, tdFixture(f), rated} {
+	newline := *golden
+	newline.Name = "a\nb"
+	for _, d := range []*Dataset{golden, tdFixture(f), rated, &newline} {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, d); err != nil {
 			f.Fatal(err)
@@ -189,6 +193,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		text := textOf(t, d)
 		var again bytes.Buffer
 		if err := WriteBinary(&again, d); err != nil {
 			t.Fatalf("WriteBinary fails on an accepted image: %v", err)
@@ -197,10 +202,15 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadBinary rejects the re-encoding of an accepted image: %v", err)
 		}
-		var text, text2 bytes.Buffer
-		err, err2 := Write(&text, d), Write(&text2, d2)
-		if (err == nil) != (err2 == nil) || !bytes.Equal(text.Bytes(), text2.Bytes()) {
-			t.Fatalf("text differs after a binary round trip (errors %v, %v):\n%s\nvs\n%s", err, err2, text.Bytes(), text2.Bytes())
+		if text2 := textOf(t, d2); !bytes.Equal(text, text2) {
+			t.Fatalf("text differs after a binary round trip:\n%s\nvs\n%s", text, text2)
+		}
+		d3, err := Read(bytes.NewReader(text))
+		if err != nil {
+			t.Fatalf("Read rejects the text of an accepted image: %v\n%s", err, text)
+		}
+		if text3 := textOf(t, d3); !bytes.Equal(text, text3) {
+			t.Fatalf("text differs after a text round trip:\n%s\nvs\n%s", text, text3)
 		}
 	})
 }

@@ -32,7 +32,10 @@ import (
 //	end
 //
 // Category and vertex ids are dense and implicit in line order, which keeps
-// files compact and makes hand-crafted fixtures easy to write.
+// files compact and makes hand-crafted fixtures easy to write. A name runs
+// to the end of its line, so New rejects names this format cannot
+// reproduce: empty ones, ones holding a line break and ones ending in
+// whitespace.
 //
 // The optional tprofiles section attaches piecewise-linear FIFO
 // travel-time profiles (period-periodic; see graph.Profile) to k of the

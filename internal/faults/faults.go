@@ -1,12 +1,12 @@
 // Package faults is the compiled-in fault-injection seam of the search
 // core and serving tier. Production builds carry the instrumentation
-// permanently — every instrumented site costs one atomic load when no
-// hook is installed — and tests (and the skysr-bench soak experiment)
-// install hooks to delay, panic, or cancel at precise points inside a
-// search: per-pop delays simulate slow storage and CPU contention,
-// panic-at-pop-N proves the serving tier's recovery middleware and the
-// pool/snapshot unwinding, and cancel-mid-leg drives the cancellation
-// seam from arbitrary depths.
+// permanently — every instrumented site calls Fire, which costs one
+// atomic load when no hook is installed at its point — and tests (and the
+// skysr-bench soak experiment) install hooks to delay, panic, or cancel
+// at precise points inside a search: per-pop delays simulate slow storage
+// and CPU contention, panic-at-pop-N proves the serving tier's recovery
+// middleware and the pool/snapshot unwinding, and cancel-mid-leg drives
+// the cancellation seam from arbitrary depths.
 //
 // Hooks are process-global (the seam cuts across pooled searchers and
 // HTTP handlers, which have no per-request identity to key on), so tests
@@ -55,17 +55,7 @@ type hook struct {
 	n  atomic.Int64
 }
 
-var (
-	// installed counts active hooks; Enabled is a single atomic load off
-	// it so the hot paths pay nothing else when the seam is idle.
-	installed atomic.Int32
-	hooks     [numPoints]atomic.Pointer[hook]
-)
-
-// Enabled reports whether any hook is installed. Hot paths gate Fire
-// behind it so a fault-free run pays one atomic load per instrumented
-// event.
-func Enabled() bool { return installed.Load() != 0 }
+var hooks [numPoints]atomic.Pointer[hook]
 
 // Fire invokes the hook installed at p, passing the 1-based count of
 // firings since installation. It is a no-op when p has no hook. The hook
@@ -84,22 +74,14 @@ func Fire(p Point) {
 // restoring the point to its uninstalled state. Tests must call restore
 // (defer or t.Cleanup) so later tests see a fault-free engine.
 func Set(p Point, fn func(n int64)) (restore func()) {
-	if hooks[p].Swap(&hook{fn: fn}) == nil {
-		installed.Add(1)
-	}
-	return func() {
-		if hooks[p].Swap(nil) != nil {
-			installed.Add(-1)
-		}
-	}
+	hooks[p].Store(&hook{fn: fn})
+	return func() { hooks[p].Store(nil) }
 }
 
 // Reset uninstalls every hook. Test helpers call it to guarantee a clean
 // slate regardless of restore discipline.
 func Reset() {
-	for p := Point(0); p < numPoints; p++ {
-		if hooks[p].Swap(nil) != nil {
-			installed.Add(-1)
-		}
+	for p := range hooks {
+		hooks[p].Store(nil)
 	}
 }

@@ -3,16 +3,10 @@ package faults
 import "testing"
 
 func TestFireCountsAndRestore(t *testing.T) {
-	if Enabled() {
-		t.Fatal("seam enabled before any Set")
-	}
 	Fire(RoutePop) // no hook: must be a no-op
 
 	var seen []int64
 	restore := Set(RoutePop, func(n int64) { seen = append(seen, n) })
-	if !Enabled() {
-		t.Fatal("seam not enabled after Set")
-	}
 	Fire(RoutePop)
 	Fire(RoutePop)
 	Fire(MDijkstraRun) // different point: no hook
@@ -21,22 +15,20 @@ func TestFireCountsAndRestore(t *testing.T) {
 	}
 
 	restore()
-	if Enabled() {
-		t.Fatal("seam still enabled after restore")
-	}
 	Fire(RoutePop)
 	if len(seen) != 2 {
 		t.Fatalf("hook fired after restore: %v", seen)
 	}
-	restore() // second restore must not underflow the install count
-	if Enabled() {
-		t.Fatal("double restore corrupted the install count")
+	restore() // a second restore must leave the point uninstalled
+	Fire(RoutePop)
+	if len(seen) != 2 {
+		t.Fatalf("hook fired after a double restore: %v", seen)
 	}
 }
 
 func TestSetReplacesAndCountsFresh(t *testing.T) {
 	defer Reset()
-	var a, b int64
+	var a, b, c int64
 	Set(DestLeg, func(n int64) { a = n })
 	Fire(DestLeg)
 	Fire(DestLeg)
@@ -48,8 +40,11 @@ func TestSetReplacesAndCountsFresh(t *testing.T) {
 	if b != 1 {
 		t.Fatalf("replacement hook saw n=%d, want a fresh count of 1", b)
 	}
+	Set(RoutePop, func(n int64) { c = n })
 	Reset()
-	if Enabled() {
-		t.Fatal("Reset left the seam enabled")
+	Fire(DestLeg)
+	Fire(RoutePop)
+	if b != 1 || c != 0 {
+		t.Fatalf("hooks fired after Reset: DestLeg n=%d, RoutePop n=%d", b, c)
 	}
 }

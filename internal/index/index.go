@@ -61,11 +61,9 @@ type CategoryDistances struct {
 	skipped  atomic.Int64 // builds denied by the budget
 	built    atomic.Int64 // rows built or adopted
 
-	// Live-update bookkeeping (see Evolve). epoch identifies the dataset
-	// version the index serves; carried counts rows adopted unchanged from
-	// the previous epoch; repaired counts the rows the Evolve that
-	// produced this index repaired or rebuilt.
-	epoch    atomic.Int64
+	// Live-update bookkeeping (see Evolve): carried counts rows adopted
+	// unchanged from the previous dataset version; repaired counts the
+	// rows the Evolve that produced this index repaired or rebuilt.
 	carried  atomic.Int64
 	repaired atomic.Int64
 
@@ -260,7 +258,6 @@ type Stats struct {
 	Bytes         int64 // row storage held
 	MaxBytes      int64 // configured budget
 	SkippedBuilds int64 // build requests denied by the budget
-	Epoch         int64 // dataset version the rows describe
 	RowsCarried   int   // rows adopted unchanged by the Evolve that produced the index
 	RowsRepaired  int64 // rows that Evolve repaired or rebuilt
 }
@@ -272,20 +269,10 @@ func (ci *CategoryDistances) Stats() Stats {
 		Bytes:         ci.bytes.Load(),
 		MaxBytes:      ci.maxBytes.Load(),
 		SkippedBuilds: ci.skipped.Load(),
-		Epoch:         ci.epoch.Load(),
 		RowsCarried:   int(ci.carried.Load()),
 		RowsRepaired:  ci.repaired.Load(),
 	}
 }
-
-// Epoch returns the dataset version the index serves (0 for an index that
-// never evolved; see Evolve and SetEpoch).
-func (ci *CategoryDistances) Epoch() int64 { return ci.epoch.Load() }
-
-// SetEpoch records the dataset version the index serves. The engine stamps
-// every index with its snapshot's epoch so the sidecar records which
-// version it persisted.
-func (ci *CategoryDistances) SetEpoch(epoch int64) { ci.epoch.Store(epoch) }
 
 // NumBuiltRows returns the number of resident rows.
 func (ci *CategoryDistances) NumBuiltRows() int { return int(ci.built.Load()) }

@@ -34,9 +34,8 @@ import (
 // batch: ApplyUpdates changes the dataset's serialization, so a sidecar
 // persisted before the update no longer matches the dataset saved after
 // it, and the loader falls back to rebuilding. The epoch field records the
-// engine's update epoch at Save time for observability; it does not
-// participate in the match (an engine restarted from disk legitimately
-// starts counting epochs at the persisted state). Sidecars written by
+// writer's dataset version (Engine.Epoch at Save) for observability; Read
+// skips it, and it does not participate in the match. Sidecars written by
 // earlier format versions fail the magic check and are likewise rebuilt.
 
 var indexMagic = [8]byte{'S', 'K', 'Y', 'S', 'R', 'C', 'I', '2'}
@@ -86,8 +85,9 @@ func datasetChecksum(d *dataset.Dataset) uint32 {
 	return crc.Sum32()
 }
 
-// Write serializes every built row of ci to w.
-func (ci *CategoryDistances) Write(w io.Writer) error {
+// Write serializes every built row of ci to w, recording epoch as the
+// dataset version in the header.
+func (ci *CategoryDistances) Write(w io.Writer, epoch int64) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(indexMagic[:]); err != nil {
 		return err
@@ -98,7 +98,7 @@ func (ci *CategoryDistances) Write(w io.Writer) error {
 	if err := binary.Write(out, binary.LittleEndian, fingerprintOf(ci.d)); err != nil {
 		return err
 	}
-	if err := binary.Write(out, binary.LittleEndian, uint64(ci.epoch.Load())); err != nil {
+	if err := binary.Write(out, binary.LittleEndian, uint64(epoch)); err != nil {
 		return err
 	}
 	var cats []taxonomy.CategoryID
@@ -152,7 +152,7 @@ func Read(r io.Reader, d *dataset.Dataset, maxBytes int64) (*CategoryDistances, 
 	if fp != fingerprintOf(d) {
 		return nil, ErrDatasetMismatch
 	}
-	var epoch uint64
+	var epoch uint64 // informational only
 	if err := binary.Read(in, binary.LittleEndian, &epoch); err != nil {
 		return nil, fmt.Errorf("%w: truncated epoch: %v", ErrBadFormat, err)
 	}
@@ -203,17 +203,16 @@ func Read(r io.Reader, d *dataset.Dataset, maxBytes int64) (*CategoryDistances, 
 	if b := ci.bytes.Load(); b > ci.maxBytes.Load() {
 		ci.maxBytes.Store(b)
 	}
-	ci.epoch.Store(int64(epoch))
 	return ci, nil
 }
 
-// WriteFile serializes ci's built rows to a sidecar file.
-func (ci *CategoryDistances) WriteFile(path string) error {
+// WriteFile serializes ci's built rows to a sidecar file (see Write).
+func (ci *CategoryDistances) WriteFile(path string, epoch int64) error {
 	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ci.Write(file); err != nil {
+	if err := ci.Write(file, epoch); err != nil {
 		file.Close()
 		return err
 	}

@@ -27,7 +27,7 @@ func TestSidecarRoundTripBitExact(t *testing.T) {
 		ci.Prewarm(f.Leaves()[0], f.Leaves()[2])
 
 		var buf bytes.Buffer
-		if err := ci.Write(&buf); err != nil {
+		if err := ci.Write(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		first := append([]byte(nil), buf.Bytes()...)
@@ -51,7 +51,7 @@ func TestSidecarRoundTripBitExact(t *testing.T) {
 			}
 		}
 		var buf2 bytes.Buffer
-		if err := loaded.Write(&buf2); err != nil {
+		if err := loaded.Write(&buf2, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first, buf2.Bytes()) {
@@ -66,7 +66,7 @@ func TestSidecarFileRoundTrip(t *testing.T) {
 	d := randomDataset(rng, f, 20, 10, false)
 	ci := rootIndex(d)
 	path := filepath.Join(t.TempDir(), "ds.cidx")
-	if err := ci.WriteFile(path); err != nil {
+	if err := ci.WriteFile(path, 0); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadFile(path, d, 0)
@@ -86,7 +86,7 @@ func TestSidecarRejectsMismatchedDataset(t *testing.T) {
 	d1 := randomDataset(rng, f, 20, 10, false)
 	d2 := randomDataset(rng, f, 21, 10, false)
 	var buf bytes.Buffer
-	if err := rootIndex(d1).Write(&buf); err != nil {
+	if err := rootIndex(d1).Write(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()), d2, 0); !errors.Is(err, ErrDatasetMismatch) {
@@ -110,7 +110,7 @@ func TestSidecarRejectsSameShapeDifferentContent(t *testing.T) {
 	}
 	d1, d2 := build(2), build(3)
 	var buf bytes.Buffer
-	if err := rootIndex(d1).Write(&buf); err != nil {
+	if err := rootIndex(d1).Write(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()), d2, 0); !errors.Is(err, ErrDatasetMismatch) {
@@ -129,7 +129,7 @@ func TestSidecarRejectsHighBitCategory(t *testing.T) {
 	f := taxonomy.Generated(2, 2, 2)
 	d := randomDataset(rng, f, 18, 9, false)
 	var buf bytes.Buffer
-	if err := rootIndex(d).Write(&buf); err != nil {
+	if err := rootIndex(d).Write(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
@@ -149,7 +149,7 @@ func TestSidecarRejectsCorruption(t *testing.T) {
 	f := taxonomy.Generated(2, 2, 2)
 	d := randomDataset(rng, f, 18, 9, false)
 	var buf bytes.Buffer
-	if err := rootIndex(d).Write(&buf); err != nil {
+	if err := rootIndex(d).Write(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -77,7 +77,6 @@ func (ci *CategoryDistances) Evolve(next *dataset.Dataset, dirty Dirty) *Categor
 	}
 	out.carried.Store(int64(carried))
 	out.repaired.Store(int64(repaired))
-	out.epoch.Store(ci.epoch.Load() + 1)
 	return out
 }
 

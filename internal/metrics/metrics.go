@@ -445,30 +445,3 @@ var DefTimeBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// ExpBuckets returns n strictly ascending buckets starting at start and
-// multiplying by factor (> 1) each step.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n strictly ascending buckets starting at start
-// with the given width (> 0) between them.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("metrics: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}

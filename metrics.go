@@ -40,10 +40,15 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 			"Searcher workspaces checked out of the current snapshot's pool (each holds graph-sized arrays).",
 			func() float64 { return float64(e.SearchersInUse()) })
 
+		// The current snapshot's caches: entries and bytes describe its
+		// version, while hits, misses and flushes count every version's
+		// lookups (see core.SharedCache.Next).
 		shared := func(f func(core.SharedCacheStats) float64) func() float64 {
 			return func() float64 {
+				sn := e.pin()
+				defer sn.release()
 				var sum float64
-				for _, c := range e.shared {
+				for _, c := range sn.shared {
 					sum += f(c.Stats())
 				}
 				return sum
@@ -58,14 +63,11 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 		reg.CounterFunc("skysr_shared_cache_flushes_total",
 			"Times a SharedCache was emptied by its byte cap.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Flushes) }))
-		reg.CounterFunc("skysr_shared_cache_stale_drops_total",
-			"SharedCache entries evicted because their epoch stamp went stale.",
-			shared(func(s core.SharedCacheStats) float64 { return float64(s.StaleDrops) }))
 		reg.GaugeFunc("skysr_shared_cache_entries",
-			"Resident SharedCache entries.",
+			"Resident SharedCache entries of the current snapshot.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Entries) }))
 		reg.GaugeFunc("skysr_shared_cache_bytes",
-			"Approximate resident bytes of the SharedCache entries.",
+			"Approximate resident bytes of the current snapshot's SharedCache entries.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Bytes) }))
 
 		// Index stats are per current snapshot, so they are gauges, not

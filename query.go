@@ -410,8 +410,9 @@ func (e *Engine) SearchWith(q Query, opts SearchOptions) (*Answer, error) {
 }
 
 // searchOn answers q against one pinned snapshot. share, set only by
-// SearchBatch, runs BSSR queries with the category index and the Engine's
-// cross-query m-Dijkstra cache whatever opts.UseCategoryIndex says.
+// SearchBatch, runs BSSR queries with the category index and the
+// snapshot's cross-query m-Dijkstra cache whatever opts.UseCategoryIndex
+// says.
 func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool) (*Answer, error) {
 	if len(q.Via) == 0 {
 		return nil, fmt.Errorf("skysr: query has no requirements")
@@ -462,8 +463,6 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 	}
 
 	began := time.Now()
-	var routes []*route.Route
-	var stats *core.Stats
 	switch opts.Algorithm {
 	case BSSR, BSSRNoOpt:
 		copts := core.DefaultOptions()
@@ -471,7 +470,6 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 			copts = core.WithoutOptimizations()
 		}
 		copts.Aggregation = opts.Aggregation
-		copts.Epoch = sn.epoch
 		copts.TopK = opts.TopK
 		copts.DepartAt = opts.DepartAt
 		// A trace carried by the context (serve's sampled requests,
@@ -482,7 +480,7 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 			copts.Index = e.categoryIndex(sn)
 		}
 		if share {
-			copts.Shared = e.shared[opts.Similarity]
+			copts.Shared = sn.shared[opts.Similarity]
 		}
 		s := sn.pool.Get(sim, copts)
 		defer sn.pool.Put(s)
@@ -499,7 +497,12 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 				return nil, err
 			}
 			e.observeSearch(&res.Stats, false)
-			return buildRatedAnswer(sn, q, opts, res, began, s)
+			routes := make([]*route.Route, len(res.Routes))
+			ratings := make([]float64, len(res.Routes))
+			for i, rr := range res.Routes {
+				routes[i], ratings[i] = rr.Route, rr.Rating
+			}
+			return buildAnswer(sn, q, opts, routes, ratings, &res.Stats, began, s)
 		}
 		var res *core.Result
 		var err error
@@ -520,16 +523,8 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 			}
 			return nil, err
 		}
-		routes = res.Routes
-		stats = &res.Stats
-		e.observeSearch(stats, false)
-		if opts.ExpandPaths {
-			dest := graph.NoVertex
-			if q.HasDestination {
-				dest = q.Destination
-			}
-			return buildAnswer(sn, q, opts, routes, stats, began, s, dest)
-		}
+		e.observeSearch(&res.Stats, false)
+		return buildAnswer(sn, q, opts, res.Routes, nil, &res.Stats, began, s)
 	case NaiveDijkstra, NaivePNE:
 		if q.Unordered || q.HasDestination || q.IncludeRatings {
 			return nil, fmt.Errorf("skysr: the naive baselines answer only plain ordered queries")
@@ -548,11 +543,10 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 		if err != nil {
 			return nil, err
 		}
-		routes = sky.Routes()
+		return buildAnswer(sn, q, opts, sky.Routes(), nil, nil, began, nil)
 	default:
 		return nil, fmt.Errorf("skysr: unknown algorithm %d", opts.Algorithm)
 	}
-	return buildAnswer(sn, q, opts, routes, stats, began, nil, graph.NoVertex)
 }
 
 // partialAnswer packages the instrumentation of an interrupted search:
@@ -563,34 +557,15 @@ func partialAnswer(alg Algorithm, stats *core.Stats, began time.Time) *Answer {
 	return &Answer{Algorithm: alg, Stats: stats, Elapsed: time.Since(began)}
 }
 
-// buildRatedAnswer converts a three-criteria result into an Answer.
-func buildRatedAnswer(sn *snapshot, q Query, opts SearchOptions, res *core.RatedResult, began time.Time, s *core.Searcher) (*Answer, error) {
-	ans := &Answer{Algorithm: opts.Algorithm, Stats: &res.Stats}
-	for i, rr := range res.Routes {
-		info := RouteInfo{
-			Rank:          i + 1,
-			PoIs:          rr.Route.PoIs(),
-			LengthScore:   rr.Route.Length(),
-			SemanticScore: rr.Route.Semantic(),
-			RatingScore:   rr.Rating,
-		}
-		for _, p := range info.PoIs {
-			info.PoINames = append(info.PoINames, poiName(sn.ds, p))
-		}
-		if opts.ExpandPaths {
-			path, err := s.ExpandPath(q.Start, rr.Route, graph.NoVertex)
-			if err != nil {
-				return nil, err
-			}
-			info.Path = path
-		}
-		ans.Routes = append(ans.Routes, info)
+// buildAnswer converts the routes of one search into an Answer. ratings
+// holds the rating penalty of each route for IncludeRatings searches and is
+// nil otherwise, which reports RatingScore -1. Paths are expanded on s, the
+// searcher that answered (nil for the naive baselines, which expand none).
+func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, ratings []float64, stats *core.Stats, began time.Time, s *core.Searcher) (*Answer, error) {
+	dest := graph.NoVertex
+	if q.HasDestination {
+		dest = q.Destination
 	}
-	ans.Elapsed = time.Since(began)
-	return ans, nil
-}
-
-func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, stats *core.Stats, began time.Time, s *core.Searcher, dest VertexID) (*Answer, error) {
 	ans := &Answer{Algorithm: opts.Algorithm, Stats: stats}
 	for i, r := range routes {
 		info := RouteInfo{
@@ -599,6 +574,9 @@ func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Rout
 			LengthScore:   r.Length(),
 			SemanticScore: r.Semantic(),
 			RatingScore:   -1,
+		}
+		if ratings != nil {
+			info.RatingScore = ratings[i]
 		}
 		for _, p := range info.PoIs {
 			info.PoINames = append(info.PoINames, poiName(sn.ds, p))

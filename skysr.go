@@ -99,7 +99,7 @@ const NoVertex VertexID = graph.NoVertex
 // ApplyUpdates calls: queries run against immutable copy-on-write
 // snapshots of the dataset (see snapshot), each in-flight search owns a
 // pooled searcher workspace, and all cross-query state (the category
-// index, compiled requirements, the shared m-Dijkstra cache) is guarded
+// index, compiled requirements, the shared m-Dijkstra caches) is guarded
 // for concurrent use. The prototype HTTP service shares one Engine across
 // handlers, SearchBatch fans a whole workload out over it, and
 // POST /api/update mutates it while it serves.
@@ -119,10 +119,6 @@ type Engine struct {
 	// snapshot's index (0 = index.DefaultMaxBytes).
 	idxBudget atomic.Int64
 
-	// shared holds one cross-query m-Dijkstra cache per Similarity value
-	// (entries depend on the similarity function, so they cannot mix).
-	// Entries are epoch-stamped, so the caches safely span updates.
-	shared [2]*core.SharedCache
 	// matchers caches compiled requirements ("sim|key" → route.Matcher);
 	// compiled matchers depend only on the immutable category forest —
 	// which live updates never alter — so they are shared across snapshots
@@ -137,13 +133,14 @@ type Engine struct {
 	metricsOnce sync.Once
 }
 
-// snapshot is one immutable version of the engine's dataset plus the
+// snapshot is one immutable version of the engine's dataset plus all the
 // version-bound serving state: the searcher pool (whose workspaces are
-// sized to the graph) and the category-level distance index (whose rows
-// are lower bounds of this version's distances). ApplyUpdates builds a new
-// snapshot copy-on-write and publishes it atomically; searches pin the
-// snapshot they start on, and a superseded snapshot is released when its
-// last searcher checks in.
+// sized to the graph), the shared m-Dijkstra caches (whose entries hold
+// this version's distances) and the category-level distance index (whose
+// rows are lower bounds of this version's distances). ApplyUpdates builds
+// a new snapshot copy-on-write and publishes it atomically; searches pin
+// the snapshot they start on, and a superseded snapshot is released when
+// its last searcher checks in.
 type snapshot struct {
 	owner *Engine
 	// epoch is the dataset version: 0 at construction, +1 per update batch.
@@ -152,6 +149,9 @@ type snapshot struct {
 	// pool recycles searcher workspaces (graph-sized Dijkstra arrays)
 	// across queries on this snapshot instead of allocating them per call.
 	pool *core.SearcherPool
+	// shared holds one cross-query m-Dijkstra cache per Similarity value
+	// (entries depend on the similarity function, so they cannot mix).
+	shared [2]*core.SharedCache
 
 	// refs counts pins: 1 for being the current snapshot plus 1 per
 	// in-flight search. dead latches the final release so the live-
@@ -168,9 +168,10 @@ type snapshot struct {
 	idxLoaded bool // idx was loaded from a sidecar rather than built
 }
 
-// newSnapshot wraps a dataset version. The caller owns installing it.
-func (e *Engine) newSnapshot(epoch int64, ds *dataset.Dataset) *snapshot {
-	sn := &snapshot{owner: e, epoch: epoch, ds: ds, pool: core.NewSearcherPool(ds)}
+// newSnapshot wraps a dataset version and its shared caches. The caller
+// owns installing it.
+func (e *Engine) newSnapshot(epoch int64, ds *dataset.Dataset, shared [2]*core.SharedCache) *snapshot {
+	sn := &snapshot{owner: e, epoch: epoch, ds: ds, pool: core.NewSearcherPool(ds), shared: shared}
 	sn.refs.Store(1) // the "current" reference, dropped when superseded
 	e.live.Add(1)
 	return sn
@@ -195,9 +196,10 @@ func (e *Engine) pin() *snapshot {
 
 // release drops one pin. The final release of a superseded snapshot
 // retires it: the dead latch makes the live-count decrement idempotent
-// against pin/release races, and dropping the pool and index references
-// lets the garbage collector reclaim the graph-sized workspaces promptly
-// even if something still holds the snapshot struct itself. No search can
+// against pin/release races, and dropping the pool, cache and index
+// references lets the garbage collector reclaim the graph-sized
+// workspaces and this version's cache entries promptly even if something
+// still holds the snapshot struct itself. No search can
 // observe the cleared fields: a pin taken after the snapshot was
 // superseded always fails its recheck without touching them.
 func (sn *snapshot) release() {
@@ -207,6 +209,7 @@ func (sn *snapshot) release() {
 	if sn.dead.CompareAndSwap(false, true) {
 		sn.owner.live.Add(-1)
 		sn.pool = nil
+		sn.shared = [2]*core.SharedCache{}
 		sn.idxMu.Lock()
 		sn.idx = nil
 		sn.idxMu.Unlock()
@@ -220,10 +223,11 @@ func (e *Engine) snap() *snapshot { return e.cur.Load() }
 // newEngine wraps a dataset with the engine's cross-query machinery.
 func newEngine(ds *dataset.Dataset) *Engine {
 	e := &Engine{}
-	for i := range e.shared {
-		e.shared[i] = core.NewSharedCache(0)
+	var shared [2]*core.SharedCache
+	for i := range shared {
+		shared[i] = core.NewSharedCache(0)
 	}
-	e.cur.Store(e.newSnapshot(0, ds))
+	e.cur.Store(e.newSnapshot(0, ds, shared))
 	return e
 }
 
@@ -243,7 +247,6 @@ func (e *Engine) categoryIndex(sn *snapshot) *index.CategoryDistances {
 	defer sn.idxMu.Unlock()
 	if sn.idx == nil {
 		sn.idx = index.New(sn.ds, e.idxBudget.Load())
-		sn.idx.SetEpoch(sn.epoch)
 		sn.idx.EnsureRoots()
 	}
 	return sn.idx
@@ -308,7 +311,6 @@ type CategoryIndexStats struct {
 	MaxBytes      int64
 	SkippedBuilds int64
 	FromSidecar   bool
-	Epoch         int64
 	RowsCarried   int
 	RowsRepaired  int64
 }
@@ -329,7 +331,6 @@ func (e *Engine) CategoryIndexStats() CategoryIndexStats {
 		MaxBytes:      st.MaxBytes,
 		SkippedBuilds: st.SkippedBuilds,
 		FromSidecar:   loaded,
-		Epoch:         st.Epoch,
 		RowsCarried:   st.RowsCarried,
 		RowsRepaired:  st.RowsRepaired,
 	}
@@ -349,7 +350,7 @@ func IndexSidecarPath(path string) string { return path + ".cidx" }
 func (e *Engine) SaveIndex(path string) error {
 	sn := e.pin()
 	defer sn.release()
-	return e.categoryIndex(sn).WriteFile(path)
+	return e.categoryIndex(sn).WriteFile(path, sn.epoch)
 }
 
 // loadIndexSidecar adopts a sidecar index if one exists next to the
@@ -419,7 +420,7 @@ func (e *Engine) Save(path string) error {
 	idx := sn.idx
 	sn.idxMu.Unlock()
 	if idx != nil && idx.NumBuiltRows() > 0 {
-		return idx.WriteFile(IndexSidecarPath(path))
+		return idx.WriteFile(IndexSidecarPath(path), sn.epoch)
 	}
 	return nil
 }

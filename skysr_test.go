@@ -397,6 +397,23 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := nb.EmbedPoI(0, 0, "A"); err == nil {
 		t.Error("EmbedPoI before any road should fail")
 	}
+
+	// Names the text format cannot reproduce fail at Build, so a built
+	// engine always saves to a file Open reads back.
+	for _, tc := range []struct{ name, category string }{
+		{"", "A"},
+		{"a\nb", "A"},
+		{"city ", "A"},
+		{"city", ""},
+		{"city", "Su\nshi"},
+		{"city", "Sushi "},
+	} {
+		nb := NewNetworkBuilder(tc.name, NewTaxonomyBuilder().Root(tc.category))
+		nb.AddVertex(0, 0)
+		if _, err := nb.Build(); err == nil {
+			t.Errorf("Build accepted dataset %q with category %q", tc.name, tc.category)
+		}
+	}
 }
 
 func TestFoursquareBuilderAndEmbedding(t *testing.T) {

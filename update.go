@@ -3,6 +3,7 @@ package skysr
 import (
 	"fmt"
 
+	"skysr/internal/core"
 	"skysr/internal/dataset"
 	"skysr/internal/graph"
 	"skysr/internal/index"
@@ -285,8 +286,9 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 // because of an update: rows the batch cannot lower are carried into the
 // new epoch, rows that shortened arcs or joining PoIs can lower are
 // repaired by one decrease-only sweep, and rows a PoI left are rebuilt
-// (see UpdateResult). Cross-query cache entries are stamped with the epoch
-// that computed them and stop matching automatically.
+// (see UpdateResult). The new epoch starts on empty cross-query
+// m-Dijkstra caches, which keep counting into the old caches' hit, miss
+// and flush counters.
 //
 // Updates serialize with each other but never block searches. A validation
 // error leaves the engine untouched. An empty batch is a no-op that keeps
@@ -308,7 +310,11 @@ func (e *Engine) ApplyUpdates(b *UpdateBatch) (*UpdateResult, error) {
 		return nil, err
 	}
 
-	next := e.newSnapshot(sn.epoch+1, ds)
+	var shared [2]*core.SharedCache
+	for i, c := range sn.shared {
+		shared[i] = c.Next()
+	}
+	next := e.newSnapshot(sn.epoch+1, ds, shared)
 	sn.idxMu.Lock()
 	oldIdx := sn.idx
 	sn.idxMu.Unlock()
@@ -323,8 +329,5 @@ func (e *Engine) ApplyUpdates(b *UpdateBatch) (*UpdateResult, error) {
 
 	e.cur.Store(next)
 	sn.release() // drop the superseded snapshot's "current" reference
-	for _, c := range e.shared {
-		c.DropStale(next.epoch)
-	}
 	return res, nil
 }

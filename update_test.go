@@ -2,6 +2,7 @@ package skysr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"skysr/internal/index"
+	"skysr/internal/metrics"
 	"skysr/internal/taxonomy"
 )
 
@@ -378,6 +380,94 @@ func TestSnapshotIsolationUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestSharedCachesFollowSnapshots: the cross-query m-Dijkstra caches
+// belong to one dataset version. A batch warms them, an update shortens an
+// arc on a route the batch returned and removes a PoI another route
+// visited, and the same batch afterwards must answer exactly like a fresh
+// engine over the updated dataset: no entry computed before the update may
+// serve it. The scraped hit and miss counters must not drop across the
+// update, although the new version starts on empty caches.
+func TestSharedCachesFollowSnapshots(t *testing.T) {
+	eng, err := Generate("tokyo", 0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	eng.EnableMetrics(reg)
+	base, err := eng.Workload(8, 3, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every template twice, so the batch also hits what it stored.
+	queries := append(append([]Query(nil), base...), base...)
+	opts := BatchOptions{Workers: 2, Options: SearchOptions{ExpandPaths: true}}
+	warm, err := eng.SearchBatch(queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scrapeRegistry(t, reg)["skysr_shared_cache_entries"] == 0 {
+		t.Fatal("the warm-up batch stored nothing in the shared cache")
+	}
+	scrape := func() (hits, misses float64) {
+		samples := scrapeRegistry(t, reg)
+		return samples["skysr_shared_cache_hits_total"], samples["skysr_shared_cache_misses_total"]
+	}
+	hits, misses := scrape()
+
+	// Halve the first arc of the first answer's shortest route, and remove
+	// the last PoI of the last answer's shortest route.
+	b := new(UpdateBatch)
+	path := warm[0].Routes[0].Path
+	for i := 0; i+1 < len(path); i++ {
+		if u, v := path[i], path[i+1]; u != v {
+			ts, ws := eng.Neighbors(u)
+			for j, w := range ts {
+				if w == v {
+					b.SetEdgeWeight(u, v, ws[j]/2)
+					break
+				}
+			}
+			break
+		}
+	}
+	last := warm[len(warm)-1].Routes[0].PoIs
+	b.RemovePoI(last[len(last)-1])
+	if b.Len() != 2 {
+		t.Fatalf("built %d edits, want 2", b.Len())
+	}
+	if _, err := eng.ApplyUpdates(b); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := scrape(); h < hits || m < misses {
+		t.Fatalf("shared-cache counters dropped across the update: hits %v -> %v, misses %v -> %v", hits, h, misses, m)
+	}
+
+	got, err := eng.SearchBatch(queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.SearchBatch(queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		if !answersMatch(got[i], want[i]) {
+			t.Errorf("query %d after the update differs from a fresh engine\ngot:  %+v\nwant: %+v", i, got[i].Routes, want[i].Routes)
+		}
+	}
+	if h, m := scrape(); h < hits || m < misses {
+		t.Fatalf("shared-cache counters dropped: hits %v -> %v, misses %v -> %v", hits, h, misses, m)
+	}
+}
+
 // TestIndexRepairIsIncremental: a PoI-only batch carries every index row
 // except the edited PoI's changed ancestor rows, a weight decrease repairs
 // the rows it can lower, and neither drops a resident row. Every repaired
@@ -598,5 +688,44 @@ func TestStaleSidecarRejectedAfterUpdate(t *testing.T) {
 		if _, err := reopened.SearchWith(q, SearchOptions{UseCategoryIndex: true}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSidecarRecordsSaveEpoch: the sidecar header's epoch field holds
+// Engine.Epoch at Save. Opening the files starts a new engine at epoch 0,
+// with the sidecar adopted.
+func TestSidecarRecordsSaveEpoch(t *testing.T) {
+	eng, err := Generate("tokyo", 0.05, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.WarmCategoryIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		ts, ws := eng.Neighbors(1)
+		if _, err := eng.ApplyUpdates(new(UpdateBatch).SetEdgeWeight(1, ts[0], ws[0]+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "city.skysr")
+	if err := eng.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	sidecar, err := os.ReadFile(IndexSidecarPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Layout: magic(8) + fingerprint(25), then epoch(u64).
+	if got := binary.LittleEndian.Uint64(sidecar[33:]); got != uint64(eng.Epoch()) || got != 2 {
+		t.Fatalf("sidecar epoch = %d, want Engine.Epoch() = %d", got, eng.Epoch())
+	}
+	reopened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reopened.CategoryIndexStats().FromSidecar || reopened.Epoch() != 0 {
+		t.Fatalf("reopened engine: sidecar adopted %v, epoch %d; want true, 0",
+			reopened.CategoryIndexStats().FromSidecar, reopened.Epoch())
 	}
 }
