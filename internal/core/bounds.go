@@ -105,9 +105,11 @@ func (scr *boundsScratch) isPerfect(v graph.VertexID, pos int) bool {
 }
 
 // computeBounds runs Algorithm 4 plus the δ precomputation of Lemma 5.8,
-// or — when the category index covers every position — derives the same
-// structure from index lookups without any per-query Dijkstra.
-func (s *Searcher) computeBounds(start graph.VertexID) {
+// restricting the PoI sets to the vertices within radius of the start
+// (+Inf for none), or — when the category index covers every position —
+// derives the same structure from index lookups without any per-query
+// Dijkstra.
+func (s *Searcher) computeBounds(start graph.VertexID, radius float64) {
 	began := time.Now()
 	defer func() { s.stats.BoundsTime += time.Since(began) }()
 
@@ -120,7 +122,6 @@ func (s *Searcher) computeBounds(start graph.VertexID) {
 		return
 	}
 	g := s.d.Graph
-	radius := s.sky.ThresholdPerfect()
 	scr := s.scratch()
 
 	// Reachability snapshot: vertices within the l̄(∅) radius of the start,
@@ -302,21 +303,24 @@ func suffixMax(xs []float64) []float64 {
 	return out
 }
 
-// prune applies the §5.3.3 lower-bound rules to a popped partial route:
+// prune applies the §5.3.3 lower-bound rules to a popped partial route
+// whose Eq. 3 threshold is threshold:
 //
 //  1. Semantic rule: every completion of r adds at least the semantic-match
 //     minimum distance of the remaining hops, so r is dead if even that
-//     cannot beat the Eq. 3 threshold.
+//     cannot beat the threshold.
 //  2. Perfect rule (Lemma 5.8): if any imperfect continuation is already
 //     dominated via the minimum semantic increment δ (witness R'), and the
 //     all-perfect continuation is dominated via the perfect-match minimum
-//     distance (witness R”), r is dead.
+//     distance (witness R”), r is dead. Its witnesses come from the
+//     two-criteria result set sky; a rated query passes nil and runs the
+//     semantic rule alone.
 //
-// Both rules are written against the resultSet witness test, so they
-// generalize unchanged to top-k runs: CoversPoint then demands k
+// The perfect rule is written against the resultSet witness test, so it
+// generalizes unchanged to top-k runs: CoversPoint then demands k
 // witnesses instead of one, i.e. every cut happens against the current
 // k-th-best length of the route's similarity level.
-func (b *bounds) prune(r *route.Route, sky resultSet, scorer route.Scorer) bool {
+func (b *bounds) prune(r *route.Route, threshold float64, sky resultSet, scorer route.Scorer) bool {
 	m := r.Size()
 	if m == 0 || m >= b.k {
 		return false
@@ -324,8 +328,11 @@ func (b *bounds) prune(r *route.Route, sky resultSet, scorer route.Scorer) bool 
 	// Remaining hops start at hop index m-1 (from r's last PoI at
 	// position m-1 to position m).
 	lsRem := b.lsSuffix[m-1]
-	if r.Length()+lsRem >= sky.Threshold(r.Semantic()) {
+	if r.Length()+lsRem >= threshold {
 		return true
+	}
+	if sky == nil {
+		return false
 	}
 	delta := scorer.MinIncrement(r.AggState(), m, b.maxImpSuffix[m])
 	if delta <= 0 {

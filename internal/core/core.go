@@ -7,6 +7,14 @@
 // Algorithm 4, Lemma 5.8) and on-the-fly caching of modified-Dijkstra
 // results (§5.3.4).
 //
+// One branch-and-bound loop (search, Algorithm 1) answers every query
+// shape: ordered queries with or without a destination (§5, §6), the
+// unordered skyline trip planning query (§6) and the rated query with
+// ratings as a third criterion (§9). The shapes differ only in the
+// positions a route's next PoI may serve and in the result set that
+// ranks complete routes; Query, QueryWithDestination, QueryUnordered and
+// QueryRated pick those two and seed the search.
+//
 // The serving machinery lives here too: Searcher is the single-goroutine
 // query workspace, SearcherPool recycles searchers across queries, and
 // SharedCache extends the §5.3.4 cache across queries and goroutines.
@@ -97,8 +105,10 @@ type Options struct {
 	// exactly what a k-band must keep). The filter is switched per query,
 	// leaving these options as given; its absence also keeps k > 1
 	// traffic out of the SharedCache, whose entries embed the filter's
-	// annotations. Ordered, destination and unordered queries support it;
-	// the rated three-criteria query and the naive baselines do not.
+	// annotations. Ordered, destination and unordered queries support it:
+	// their result set is the band. The rated query ranks routes on a
+	// three-criteria skyline, which has no band, so it rejects k > 1, and
+	// so do the naive baselines.
 	TopK int
 
 	// DisablePathFilter turns off the Lemma 5.5 path filtering inside the
@@ -139,13 +149,15 @@ type Result struct {
 	Stats Stats
 }
 
-// resultSet is the container of complete routes the search fills: the
-// classic skyline for k ≤ 1 runs, the top-k band otherwise. Both share
-// the exact-pruning contract — Threshold is the length at which a route
-// of the given semantic score is provably outside the answer, and
-// CoversPoint witnesses that no completion scoring at-or-beyond a point
-// can enter it — so the search loop, the §5.3.3 bounds and the index
-// prune are written once against this interface.
+// resultSet is the two-criteria container of complete routes the search
+// fills: the classic skyline for k ≤ 1 runs, the top-k band otherwise.
+// Both share the exact-pruning contract — Threshold is the length at
+// which a route of the given semantic score is provably outside the
+// answer, and CoversPoint witnesses that no completion scoring
+// at-or-beyond a point can enter it — so the search loop, the §5.3.3
+// bounds and the index prune are written once against this interface.
+// A rated query ranks routes on a route.Skyline3 instead (see
+// Searcher.threshold).
 type resultSet interface {
 	Update(*route.Route) bool
 	Len() int
@@ -185,12 +197,15 @@ type Searcher struct {
 	ws   *dijkstra.Workspace
 
 	// Per-query state, armed by begin. pathFilter is whether the Lemma 5.5
-	// path filter applies to this query's modified Dijkstras.
+	// path filter applies to this query's modified Dijkstras. A rated
+	// query fills sky3 and leaves sky nil; every other query fills sky.
 	began      time.Time
+	shape      shape
 	pathFilter bool
 	seq        route.Sequence
 	scorer     route.Scorer
 	sky        resultSet
+	sky3       *route.Skyline3
 	stats      Stats
 	cache      map[cacheKey]*cacheEntry
 	cacheBytes int64 // resident bytes of cache (entryBytes), for PeakCacheBytes
@@ -353,92 +368,60 @@ func (s *Searcher) QueryWithDestination(start graph.VertexID, seq route.Sequence
 }
 
 func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.VertexID) (*Result, error) {
-	if err := s.begin(start, seq, true); err != nil {
+	if err := s.begin(start, seq, ordered); err != nil {
 		return nil, err
 	}
 	if dest != graph.NoVertex {
 		s.dest = dest
 		s.computePotentials(dest)
 	}
-
 	// Optimization 1: seed the upper bound with NNinit (§5.3.1).
 	if s.opts.InitialSearch && !s.cc.cancelled() {
 		s.runNNinit(start)
 	}
-	// Optimization 3: possible minimum distances (§5.3.3, Algorithm 4).
+	// Optimization 3: possible minimum distances (§5.3.3, Algorithm 4),
+	// restricted to the l̄(∅) radius around the start.
 	if s.opts.LowerBounds && !s.cc.cancelled() {
-		s.computeBounds(start)
+		s.computeBounds(start, s.sky.ThresholdPerfect())
 	}
-
-	// Main loop: Algorithm 1.
-	qb := pq.NewHeap(s.routeLess)
-	if !s.cc.cancelled() {
-		s.expand(route.Empty(s.scorer), start, qb)
-	}
-	for qb.Len() > 0 {
-		faults.Fire(faults.RoutePop)
-		if s.cc.tick() {
-			break
-		}
-		r := qb.Pop()
-		s.stats.RoutesPopped++
-		lg := s.legHook(r.Size())
-		if lg != nil {
-			lg.popped++
-		}
-		// Re-check the Lemma 5.3 threshold at pop time: S may have
-		// improved since r was enqueued (Table 4 steps 6 and 9).
-		threshold := s.sky.Threshold(r.Semantic())
-		if r.Length() >= threshold {
-			s.stats.PrunedThreshold++
-			if lg != nil {
-				lg.prunedThreshold++
-			}
-			continue
-		}
-		s.noteTopKPop(r)
-		if s.pruneByPotential(r, threshold) {
-			s.stats.PrunedByBounds++
-			if lg != nil {
-				lg.prunedBounds++
-			}
-			continue
-		}
-		if s.idxRows.any && s.pruneByIndex(r, threshold) {
-			s.stats.PrunedByIndex++
-			if lg != nil {
-				lg.prunedIndex++
-			}
-			continue
-		}
-		if s.bounds != nil && s.bounds.prune(r, s.sky, s.scorer) {
-			s.stats.PrunedByBounds++
-			if lg != nil {
-				lg.prunedBounds++
-			}
-			continue
-		}
-		s.expand(r, r.Last(), qb)
-	}
-
-	if err := s.finish(s.sky.Len()); err != nil {
-		// Interrupted: the skyline may be missing routes a finished search
-		// would have found, so only the instrumentation is returned.
-		return &Result{Stats: s.stats}, err
-	}
-	return &Result{Routes: s.sky.Routes(), Stats: s.stats}, nil
+	return s.search(start, 0)
 }
 
-// begin arms one query of the ordered (Algorithm 1), rated or unordered
-// loop: it validates start, sequence and departure time, establishes the
-// cost metric and the canceller, resets every piece of per-query state
-// and opens the query span. ordered selects the classic loop, the only
-// one with per-leg span aggregates and the only one the Lemma 5.5 path
-// filter is sound for; the filter further needs k = 1 (see Options.TopK)
-// and Options.DisablePathFilter unset. Static datasets always see td ==
-// false (and a depart of whatever was asked — it has no observable
-// effect), so every classic code path stays byte-identical.
-func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool) error {
+// shape is the form of query the search loop answers. It decides what
+// begin arms: the result set, the Lemma 5.5 path filter and how the leg
+// spans are labelled.
+type shape uint8
+
+const (
+	ordered   shape = iota // Algorithm 1 (§5), with or without a destination (§6)
+	unordered              // the skyline trip planning query (§6)
+	rated                  // ratings as a third criterion (§9)
+)
+
+// entry is one route on the search queue. open names the positions the
+// route's next PoI may serve: 0 stands for position r.Size() alone (an
+// ordered or rated query), otherwise it is the set of positions an
+// unordered route has not served yet. pen is a rated route's rating
+// penalty Σ (1 − rating/MaxRating) over its PoIs, and 0 on every other
+// query.
+type entry struct {
+	r    *route.Route
+	open uint32
+	pen  float64
+}
+
+// begin arms one query of the search loop: it validates start, sequence
+// and departure time, establishes the cost metric and the canceller,
+// resets every piece of per-query state, picks the result set of the
+// query's shape and opens the query span. The Lemma 5.5 path filter is
+// sound only for ordered queries: on an unordered one a PoI reached
+// through a perfect match of one position may serve another, and on a
+// rated one a more similar blocker may be worse rated. It further needs
+// k = 1 (see Options.TopK) and Options.DisablePathFilter unset. Static
+// datasets always see td == false (and a depart of whatever was asked —
+// it has no observable effect), so every classic code path stays
+// byte-identical.
+func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, sh shape) error {
 	if len(seq) == 0 {
 		return fmt.Errorf("core: empty sequence")
 	}
@@ -457,14 +440,20 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	}
 	s.began = time.Now()
 	k := s.opts.effectiveTopK()
-	s.pathFilter = ordered && k == 1 && !s.opts.DisablePathFilter
+	s.shape = sh
+	s.pathFilter = sh == ordered && k == 1 && !s.opts.DisablePathFilter
 	s.seq = seq
 	s.stopsAtPerfect = s.stopsAtPerfect[:0]
 	if s.pathFilter {
 		s.stopsAtPerfect = s.perfectStops(s.stopsAtPerfect)
 	}
 	s.scorer = route.NewScorer(s.opts.Aggregation, len(seq))
-	s.sky = newResultSet(k)
+	s.sky, s.sky3 = nil, nil
+	if sh == rated {
+		s.sky3 = route.NewSkyline3()
+	} else {
+		s.sky = newResultSet(k)
+	}
 	s.stats = Stats{InitPerfectL: math.Inf(1), TopK: k}
 	s.cache = nil
 	s.cacheBytes = 0
@@ -475,7 +464,7 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 	s.destDist = nil
 	s.pot = nil
 	s.prepareIndexRows()
-	s.initTrace(ordered)
+	s.initTrace()
 	return nil
 }
 
@@ -484,9 +473,13 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, ordered bool)
 // on-the-fly cache is freed (§5.3.4): it rarely helps across different
 // inputs. The returned error is the cancellation that cut the query
 // short, if any.
-func (s *Searcher) finish(results int) error {
+func (s *Searcher) finish() error {
 	s.stats.QueryTime = time.Since(s.began)
-	s.stats.Results = results
+	if s.sky3 != nil {
+		s.stats.Results = s.sky3.Len()
+	} else {
+		s.stats.Results = s.sky.Len()
+	}
 	if sb, ok := s.sky.(*topk.Skyband); ok {
 		s.stats.TopKEvictions = sb.Evictions()
 		s.stats.TopKLevels = sb.Levels()
@@ -494,6 +487,56 @@ func (s *Searcher) finish(results int) error {
 	s.finishTrace(s.cc.err)
 	s.cache = nil
 	return s.cc.err
+}
+
+// search is Algorithm 1, the main loop of every query shape: it expands
+// the empty route at start, whose next PoI may serve the positions in
+// open (see entry), then pops routes in queue order until none is left.
+// A popped route is dropped by the Eq. 3 threshold its result set gives
+// it (re-checked at pop: the set may have improved since the route was
+// enqueued, Table 4 steps 6 and 9) or by the prune list (pruned);
+// otherwise the modified Dijkstra from its last PoI extends it. The
+// Result carries the two-criteria answer; a rated query reads its own
+// from sky3.
+func (s *Searcher) search(start graph.VertexID, open uint32) (*Result, error) {
+	qb := pq.NewHeap(s.entryLess)
+	if !s.cc.cancelled() {
+		s.expand(entry{r: route.Empty(s.scorer), open: open}, start, qb)
+	}
+	for qb.Len() > 0 {
+		faults.Fire(faults.RoutePop)
+		if s.cc.tick() {
+			break
+		}
+		e := qb.Pop()
+		s.stats.RoutesPopped++
+		lg := s.legHook(e.r.Size())
+		if lg != nil {
+			lg.popped++
+		}
+		threshold := s.threshold(e)
+		if e.r.Length() >= threshold {
+			s.stats.PrunedThreshold++
+			if lg != nil {
+				lg.prunedThreshold++
+			}
+			continue
+		}
+		s.noteTopKPop(e.r)
+		if s.pruned(e, threshold, true) {
+			continue
+		}
+		s.expand(e, e.r.Last(), qb)
+	}
+
+	// An interrupted search returns only its instrumentation: the result
+	// set may be missing routes a finished search would have found.
+	err := s.finish()
+	res := &Result{Stats: s.stats}
+	if err == nil && s.sky != nil {
+		res.Routes = s.sky.Routes()
+	}
+	return res, err
 }
 
 // noteTopKPop counts the pops a k > 1 run performs beyond what a k = 1
@@ -508,10 +551,11 @@ func (s *Searcher) noteTopKPop(r *route.Route) {
 	}
 }
 
-// routeLess is the route-queue order of every search loop: the proposed
+// entryLess is the route-queue order of the search loop: the proposed
 // priority (§5.3.2) or the conventional distance order, with
 // deterministic tie-breaks.
-func (s *Searcher) routeLess(a, b *route.Route) bool {
+func (s *Searcher) entryLess(x, y entry) bool {
+	a, b := x.r, y.r
 	if s.opts.ProposedQueue {
 		if a.Size() != b.Size() {
 			return a.Size() > b.Size()
@@ -533,12 +577,35 @@ func (s *Searcher) routeLess(a, b *route.Route) bool {
 	return a.Last() < b.Last()
 }
 
-// expand runs the modified Dijkstra for the next position of r (Algorithm
-// 2) and routes each found PoI into the queue or the skyline set.
-func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*route.Route]) {
+// threshold is the Eq. 3 threshold of e's scores: the length from which
+// e and every completion of it stay out of the result set. A rated query
+// reads it from its three-criteria skyline at e's semantic score and
+// rating penalty (the mean over all positions, so an unvisited position
+// counts as top-rated and the penalty only grows under extension).
+func (s *Searcher) threshold(e entry) float64 {
+	if s.sky3 != nil {
+		return s.sky3.Threshold(e.r.Semantic(), e.pen/float64(len(s.seq)))
+	}
+	return s.sky.Threshold(e.r.Semantic())
+}
+
+// accept offers the complete route of e to the result set.
+func (s *Searcher) accept(e entry) {
+	if s.sky3 != nil {
+		s.sky3.Update(route.Point3{L: e.r.Length(), S: e.r.Semantic(), R: e.pen / float64(len(s.seq)), Route: e.r})
+		return
+	}
+	s.sky.Update(e.r)
+}
+
+// expand runs the modified Dijkstra for e's open positions (Algorithm 2)
+// and routes each found PoI into the queue or the result set. A route
+// that reaches its last position completes with the destination leg
+// when the query has one (§6).
+func (s *Searcher) expand(e entry, from graph.VertexID, qb *pq.Heap[entry]) {
 	k := len(s.seq)
-	cands := s.nextPoIs(r, from)
-	for _, c := range cands {
+	r := e.r
+	for _, c := range s.nextPoIs(e, from) {
 		if r.Contains(c.v) {
 			continue // Definition 3.4(iii)
 		}
@@ -550,49 +617,74 @@ func (s *Searcher) expand(r *route.Route, from graph.VertexID, qb *pq.Heap[*rout
 			!r.Contains(c.block.v) && !s.servesOther(c.block.v, r.Size(), r.Size()+1) {
 			continue
 		}
-		rt := r.Extend(s.scorer, c.v, c.dist, c.sim)
-		complete := rt.Size() == k
+		next := entry{r: r.Extend(s.scorer, c.v, c.dist, c.sim), open: e.open &^ (1 << uint(c.pos)), pen: e.pen}
+		if s.sky3 != nil {
+			next.pen += dataset.RatingPenalty(s.d.Rating(c.v))
+		}
+		complete := next.r.Size() == k
 		if complete && s.hasDest() {
 			var ok bool
-			if rt, ok = s.completeToDest(rt); !ok {
+			if next.r, ok = s.completeToDest(next.r); !ok {
 				continue // destination unreachable, or leg provably too long
 			}
 		}
-		// Line 10: the Eq. 3 threshold for rt's own semantic score.
-		threshold := s.sky.Threshold(rt.Semantic())
-		if rt.Length() >= threshold {
+		// Line 10: the Eq. 3 threshold for the new route's own scores.
+		threshold := s.threshold(next)
+		if next.r.Length() >= threshold {
 			continue
 		}
 		if complete {
-			s.sky.Update(rt)
+			s.accept(next)
 			continue
 		}
-		// Enqueue-time forms of the cost-to-go and index prunes: a route
-		// they already condemn would be pruned at pop (the threshold only
-		// shrinks in the meantime), so don't queue it at all.
-		if s.pruneByPotential(rt, threshold) {
-			s.stats.PrunedByBounds++
-			if lg := s.legHook(rt.Size()); lg != nil {
-				lg.prunedBounds++
-			}
+		// The row prunes run at enqueue too: a route they already condemn
+		// would be pruned at pop (the threshold only shrinks in the
+		// meantime), so don't queue it at all.
+		if s.pruned(next, threshold, false) {
 			continue
 		}
-		if s.idxRows.any && s.pruneByIndex(rt, threshold) {
-			s.stats.PrunedByIndex++
-			if lg := s.legHook(rt.Size()); lg != nil {
-				lg.prunedIndex++
-			}
-			continue
-		}
-		qb.Push(rt)
+		qb.Push(next)
 		s.stats.RoutesEnqueued++
-		if lg := s.legHook(rt.Size() - 1); lg != nil {
+		if lg := s.legHook(next.r.Size() - 1); lg != nil {
 			lg.enqueued++
 		}
 		if qb.Len() > s.stats.PeakQueueLen {
 			s.stats.PeakQueueLen = qb.Len()
 		}
 	}
+}
+
+// pruned runs the prune list against a partial route that beats its
+// threshold, in order: the destination's cost-to-go row, the category
+// index bound, then — at pop only — the §5.3.3 rule. It counts the cut
+// that fires, under the leg that would pop the route. At enqueue the
+// list stops at the two row reads: the §5.3.3 rule, with its Lemma 5.8
+// increment, runs once per popped route rather than once per candidate.
+// Its Lemma 5.8 half reads witnesses from a two-criteria result set, so
+// a rated query runs the semantic half alone.
+func (s *Searcher) pruned(e entry, threshold float64, atPop bool) bool {
+	byIndex := false
+	switch {
+	case s.pruneByPotential(e.r, threshold):
+	case s.idxRows.any && s.pruneByIndex(e, threshold):
+		byIndex = true
+	case atPop && s.bounds != nil && s.bounds.prune(e.r, threshold, s.sky, s.scorer):
+	default:
+		return false
+	}
+	lg := s.legHook(e.r.Size())
+	if byIndex {
+		s.stats.PrunedByIndex++
+		if lg != nil {
+			lg.prunedIndex++
+		}
+	} else {
+		s.stats.PrunedByBounds++
+		if lg != nil {
+			lg.prunedBounds++
+		}
+	}
+	return true
 }
 
 // servesOther reports whether PoI v semantically matches a position
@@ -632,23 +724,34 @@ func (s *Searcher) perfectStops(buf []bool) []bool {
 	return buf
 }
 
-// pruneByIndex applies the precomputed index lower bound against the
-// threshold r must beat: the next hop of any completion of r costs at
-// least the distance from r's end to the nearest PoI of the next
-// position's tree (a row lookup); later hops are additionally bounded by
-// the §5.3.3 suffix when available. The ordered and rated loops share it.
-func (s *Searcher) pruneByIndex(r *route.Route, threshold float64) bool {
-	m := r.Size()
+// pruneByIndex applies the category index's lower bound against the
+// threshold e must beat. Any completion of e visits every open position,
+// so from e's last PoI it travels at least the distance to the nearest
+// semantic match of each: the largest of the open positions' tree-row
+// entries there (GoalBound over goalRows, as in the runs' frontier cut),
+// a single row read when one position is open. Where the §5.3.3 bounds
+// exist, the hops after the next one add their semantic-match minimum.
+// A route whose open positions have no row takes no index prune.
+func (s *Searcher) pruneByIndex(e entry, threshold float64) bool {
+	m := e.r.Size()
 	if m == 0 || m >= len(s.seq) {
 		return false
 	}
-	row := s.idxRows.sem[m]
-	if row == nil {
-		return false
+	var lb float64
+	if e.open == 0 {
+		row := s.idxRows.sem[m]
+		if row == nil {
+			return false
+		}
+		lb = float64(row[e.r.Last()])
+	} else {
+		var matchBuf [8]int32
+		var goalBuf [8][]float32
+		lb = dijkstra.GoalBound(s.goalRows(goalBuf[:0], m, s.matchPositions(matchBuf[:0], m, e.open)), e.r.Last())
 	}
-	bound := r.Length() + float64(row[r.Last()])
+	bound := e.r.Length() + lb
 	if s.bounds != nil {
-		bound += s.bounds.lsSuffix[m] // hops after the first
+		bound += s.bounds.lsSuffix[m] // hops after the next one
 	}
 	return bound >= threshold
 }

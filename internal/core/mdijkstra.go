@@ -13,10 +13,10 @@ import (
 // candidate is one PoI found by the modified Dijkstra: the position it
 // matched, its network distance from the search origin, its similarity
 // to that position's requirement, and the strongest PoI on the shortest
-// path to it (for the route-aware part of the Lemma 5.5 filter). Only the
-// unordered loop reads pos: an ordered run matches one position, and a
-// SharedCache entry may come from a query that placed the category at
-// another one.
+// path to it (for the route-aware part of the Lemma 5.5 filter). Only an
+// unordered route reads pos, to clear it from its open set: an ordered or
+// rated run matches one position, and a SharedCache entry may come from a
+// query that placed the category at another one.
 //
 // pos is an int32 beside v so the struct stays at 40 bytes: every cached
 // candidate costs that much, and the SharedCache under SearchBatch holds
@@ -75,24 +75,25 @@ type cacheEntry struct {
 	items    []candidate
 }
 
-// nextPoIs returns the PoIs that semantically match position r.Size(),
+// nextPoIs returns the PoIs that semantically match e's open positions,
 // reachable from `from` within the route's Lemma 5.3 radius, serving from
 // the on-the-fly cache when possible (§5.3.4). On time-dependent datasets
 // distances are travel times for a departure at the route's arrival time
 // at `from`.
-func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
+func (s *Searcher) nextPoIs(e entry, from graph.VertexID) []candidate {
+	r := e.r
 	pos := r.Size()
 	// Allowed search radius: Algorithm 2 line 8 stops when
 	// l(Rt) = l(Rd) + dist ≥ l̄(Rd).
-	threshold := s.sky.Threshold(r.Semantic())
-	radius := threshold - r.Length()
+	radius := s.threshold(e) - r.Length()
 	if s.bounds != nil && s.bounds.fromIndex && s.potRow(pos) == nil {
 		// Tighten the radius by the §5.3.3 suffix: a candidate found here
 		// sits at position pos, and completing the route from it costs at
 		// least lsSuffix[pos] more, so any candidate beyond
 		// threshold − lsSuffix[pos] yields a route the semantic rule would
 		// prune at pop (the threshold only shrinks in the meantime, and
-		// extension only raises the semantic score) — don't explore it.
+		// extension only raises the semantic score and a rated route's
+		// rating penalty) — don't explore it.
 		// Final-position candidates (lsSuffix = 0) are unaffected, so
 		// skyline entries are byte-identical with or without the cut. A
 		// run cut by a cost-to-go row skips this: the row already counts
@@ -107,13 +108,13 @@ func (s *Searcher) nextPoIs(r *route.Route, from graph.VertexID) []candidate {
 	if radius <= 0 {
 		return nil
 	}
-	return s.lookupOrRun(cacheKey{from: from, pos: pos, depart: s.expandDepart(r)}, radius)
+	return s.lookupOrRun(cacheKey{from: from, open: e.open, pos: pos, depart: s.expandDepart(r)}, radius)
 }
 
-// lookupOrRun answers one modified-Dijkstra request of the ordered, rated
-// or unordered loop: from the on-the-fly cache when an entry covers the
-// radius, otherwise by a run (through the SharedCache where it applies)
-// whose entry is then cached.
+// lookupOrRun answers one modified-Dijkstra request of the search loop:
+// from the on-the-fly cache when an entry covers the radius, otherwise
+// by a run (through the SharedCache where it applies) whose entry is
+// then cached.
 func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 	s.stats.MDijkstraRequests++
 	if s.cache == nil {
@@ -237,7 +238,7 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 //
 // No vertex on a kept candidate's shortest paths is cut, so the
 // candidate is settled with its exact distance, and in the same order as
-// without the cut, which leaves the ordered loop's Lemma 5.5 annotations
+// without the cut, which leaves an ordered query's Lemma 5.5 annotations
 // (the strongest PoI on the path) unchanged too. Entries therefore keep
 // the cacheEntry contract.
 //
@@ -375,7 +376,8 @@ func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
 // matching the positions in match, still has to travel from that vertex
 // (see runMDijkstra): a destination query's cost-to-go row for pos when
 // there is one, otherwise the tree row of every matched position that
-// has one. The unordered loop's route bound reads the same rows.
+// has one. pruneByIndex reads the same rows for a route with several
+// open positions.
 func (s *Searcher) goalRows(buf [][]float32, pos int, match []int32) [][]float32 {
 	if row := s.potRow(pos); row != nil {
 		return append(buf, row)

@@ -72,6 +72,7 @@ func (s *Searcher) clearTransient() {
 	s.seq = nil
 	s.scorer = route.Scorer{}
 	s.sky = nil
+	s.sky3 = nil
 	s.cache = nil
 	s.bounds = nil
 	s.destDist = nil

@@ -2,14 +2,14 @@ package core
 
 // The span bridge: when Options.Context carries a trace
 // (trace.NewContext), a query synthesizes a trace-span tree beneath its
-// root mirroring the search stages — NNinit, the §5.3.3
-// bounds, one span per sequence position ("leg") aggregating that
-// position's modified-Dijkstra work, and the §6 destination leg — so a
-// retained trace doubles as a query explain. Like the metrics bridge
-// (metrics.go), span construction happens once at query end from Stats
-// plus per-leg aggregates; the hot loops only bump plain counters behind
-// a nil check, so untraced queries pay one predictable branch and traced
-// queries stay within the serving tier's 1.05× instrumentation budget.
+// root mirroring the search stages — NNinit, the §5.3.3 bounds, one span
+// per hop ("leg") aggregating the search work that extended routes by
+// that hop, and the §6 destination leg — so a retained trace doubles as
+// a query explain. Like the metrics bridge (metrics.go), span
+// construction happens once at query end from Stats plus per-leg
+// aggregates; the hot loops only bump plain counters behind a nil check,
+// so untraced queries pay one predictable branch and traced queries stay
+// within the serving tier's 1.05× instrumentation budget.
 
 import (
 	"fmt"
@@ -19,9 +19,10 @@ import (
 	"skysr/internal/trace"
 )
 
-// legTrace aggregates one sequence position's search work for the span
-// tree. legs[i] describes the searches that looked for position i's PoIs
-// — i.e. expansions of routes holding i PoIs.
+// legTrace aggregates one hop's search work for the span tree. legs[i]
+// describes the expansions of routes holding i PoIs: on an ordered or
+// rated query the searches for position i's PoIs, on an unordered one the
+// searches for the (i+1)-th PoI, whichever position it serves.
 type legTrace struct {
 	runs            int64
 	settled         int64
@@ -37,12 +38,9 @@ type legTrace struct {
 	hasDepart       bool
 }
 
-// initTrace arms the per-query span state. legged selects per-position
-// aggregation (ordered/destination queries); the unordered and rated
-// loops report stage totals only: each unordered modified Dijkstra
-// searches a set of open positions rather than one, and the rated loop
-// keeps no per-leg counters.
-func (s *Searcher) initTrace(legged bool) {
+// initTrace arms the per-query span state: the query span and one leg
+// aggregate per hop, for every query shape.
+func (s *Searcher) initTrace() {
 	s.span = nil
 	s.legs = nil
 	parent := trace.SpanFromContext(s.opts.Context)
@@ -50,18 +48,16 @@ func (s *Searcher) initTrace(legged bool) {
 		return
 	}
 	s.span = parent.StartSpan("search")
-	if legged {
-		s.legs = make([]legTrace, len(s.seq))
-	}
+	s.legs = make([]legTrace, len(s.seq))
 }
 
-// legHook returns the aggregate for position pos, nil when the query is
-// untraced (the hot-path gate).
-func (s *Searcher) legHook(pos int) *legTrace {
-	if s.legs == nil || pos < 0 || pos >= len(s.legs) {
+// legHook returns the aggregate for the hop that extends routes of size
+// hop, nil when the query is untraced (the hot-path gate).
+func (s *Searcher) legHook(hop int) *legTrace {
+	if s.legs == nil || hop < 0 || hop >= len(s.legs) {
 		return nil
 	}
-	return &s.legs[pos]
+	return &s.legs[hop]
 }
 
 // finishTrace synthesizes the stage spans from Stats and the leg
@@ -85,7 +81,7 @@ func (s *Searcher) finishTrace(err error) {
 		}
 	}
 	boundsStart := qStart.Add(st.InitTime)
-	if s.opts.LowerBounds && s.legs != nil {
+	if s.opts.LowerBounds && s.shape != unordered {
 		bs := sp.Record("bounds", boundsStart, st.BoundsTime)
 		bs.Set("semantic", st.SemanticBound)
 		bs.Set("perfect", st.PerfectBound)
@@ -93,12 +89,14 @@ func (s *Searcher) finishTrace(err error) {
 	}
 	// Leg spans share the main-loop start: their searches interleave in
 	// reality, so only their durations (summed m-Dijkstra wall time per
-	// position) are meaningful, not their relative offsets.
+	// hop) are meaningful, not their relative offsets. A hop of an
+	// unordered query serves no one position, so its leg names none.
 	loopStart := boundsStart.Add(st.BoundsTime)
+	positional := s.shape != unordered
 	for i := range s.legs {
 		lg := &s.legs[i]
 		ls := sp.Record(fmt.Sprintf("leg[%d]", i), loopStart, lg.time)
-		if i < len(s.idxRows.cats) && s.idxRows.cats[i] != taxonomy.NoCategory {
+		if positional && i < len(s.idxRows.cats) && s.idxRows.cats[i] != taxonomy.NoCategory {
 			ls.Set("category", int(s.idxRows.cats[i]))
 		}
 		ls.Set("runs", lg.runs)
@@ -118,7 +116,7 @@ func (s *Searcher) finishTrace(err error) {
 		if lg.prunedIndex > 0 {
 			ls.Set("pruned_index", lg.prunedIndex)
 		}
-		if i < len(s.idxRows.sem) {
+		if positional && i < len(s.idxRows.sem) {
 			ls.Set("index_row", s.idxRows.sem[i] != nil)
 		}
 		if lg.hasDepart {

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"strconv"
-	"strings"
 	"testing"
 
 	"skysr/internal/faults"
 	"skysr/internal/gen"
+	"skysr/internal/index"
 	"skysr/internal/route"
 	"skysr/internal/trace"
 )
@@ -30,87 +30,152 @@ func findChild(sp *trace.Span, name string) *trace.Span {
 	return nil
 }
 
+// TestQuerySpanTreeMirrorsStats: every query shape records a search span
+// annotated with its Stats and one leg span per hop whose counters sum to
+// the totals. On the category index, legs of an ordered or rated query
+// name their position's category; a hop of an unordered query serves no
+// one position, so its leg names none.
 func TestQuerySpanTreeMirrorsStats(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
-	opts := DefaultOptions()
-	tr := trace.New("route")
-	opts.Context = trace.NewContext(context.Background(), tr)
-	s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
-	res, err := s.QueryCategories(vq, cats...)
-	if err != nil {
-		t.Fatal(err)
+	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
+	shapes := []struct {
+		name  string
+		query func(s *Searcher) (Stats, error)
+	}{
+		{"ordered", func(s *Searcher) (Stats, error) {
+			res, err := s.Query(vq, seq)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{"unordered", func(s *Searcher) (Stats, error) {
+			res, err := s.QueryUnordered(vq, seq)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{"rated", func(s *Searcher) (Stats, error) {
+			res, err := s.QueryRated(vq, seq)
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		}},
 	}
-	tr.Finish()
+	for _, sh := range shapes {
+		for _, variant := range []string{"bssr", "noopt", "index"} {
+			opts := DefaultOptions()
+			switch variant {
+			case "noopt":
+				opts = WithoutOptimizations()
+			case "index":
+				opts.Index = index.New(ds, 0)
+			}
+			name := sh.name + " " + variant
+			tr := trace.New("route")
+			opts.Context = trace.NewContext(context.Background(), tr)
+			st, err := sh.query(NewSearcher(ds, ds.Forest.WuPalmer, opts))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tr.Finish()
+			checkSpanTree(t, name, tr, st, len(cats), opts, sh.name != "unordered")
+		}
+	}
+}
 
+// checkSpanTree checks one traced query's span tree against its Stats.
+func checkSpanTree(t *testing.T, name string, tr *trace.Trace, st Stats, k int, opts Options, positional bool) {
+	t.Helper()
 	kids := tr.Root().Children()
 	if len(kids) != 1 || kids[0].Name() != "search" {
-		t.Fatalf("root children = %v, want one search span", kids)
+		t.Fatalf("%s: root children = %v, want one search span", name, kids)
 	}
 	search := kids[0]
 	attrs := attrMap(search)
 	checks := map[string]string{
-		"results":          strconv.Itoa(res.Stats.Results),
-		"popped":           strconv.FormatInt(res.Stats.RoutesPopped, 10),
-		"enqueued":         strconv.FormatInt(res.Stats.RoutesEnqueued, 10),
-		"settled":          strconv.FormatInt(res.Stats.SettledVertices, 10),
-		"md_runs":          strconv.FormatInt(res.Stats.MDijkstraRuns, 10),
-		"md_requests":      strconv.FormatInt(res.Stats.MDijkstraRequests, 10),
-		"cache_hits":       strconv.FormatInt(res.Stats.CacheHits, 10),
-		"pruned_threshold": strconv.FormatInt(res.Stats.PrunedThreshold, 10),
-		"pruned_bounds":    strconv.FormatInt(res.Stats.PrunedByBounds, 10),
-		"pruned_index":     strconv.FormatInt(res.Stats.PrunedByIndex, 10),
+		"results":          strconv.Itoa(st.Results),
+		"popped":           strconv.FormatInt(st.RoutesPopped, 10),
+		"enqueued":         strconv.FormatInt(st.RoutesEnqueued, 10),
+		"settled":          strconv.FormatInt(st.SettledVertices, 10),
+		"md_runs":          strconv.FormatInt(st.MDijkstraRuns, 10),
+		"md_requests":      strconv.FormatInt(st.MDijkstraRequests, 10),
+		"cache_hits":       strconv.FormatInt(st.CacheHits, 10),
+		"pruned_threshold": strconv.FormatInt(st.PrunedThreshold, 10),
+		"pruned_bounds":    strconv.FormatInt(st.PrunedByBounds, 10),
+		"pruned_index":     strconv.FormatInt(st.PrunedByIndex, 10),
 	}
-	for k, want := range checks {
-		if attrs[k] != want {
-			t.Errorf("search attr %s = %q, want %q", k, attrs[k], want)
+	for key, want := range checks {
+		if attrs[key] != want {
+			t.Errorf("%s: search attr %s = %q, want %q", name, key, attrs[key], want)
 		}
 	}
 	if _, ok := attrs["interrupted"]; ok {
-		t.Error("completed query marked interrupted")
+		t.Errorf("%s: completed query marked interrupted", name)
 	}
 
-	nninit := findChild(search, "nninit")
-	if nninit == nil {
-		t.Fatal("no nninit span")
+	if opts.InitialSearch {
+		nninit := findChild(search, "nninit")
+		if nninit == nil {
+			t.Fatalf("%s: no nninit span", name)
+		}
+		if got := attrMap(nninit)["routes"]; got != strconv.Itoa(st.InitRoutes) {
+			t.Errorf("%s: nninit routes = %q, want %d", name, got, st.InitRoutes)
+		}
 	}
-	na := attrMap(nninit)
-	if na["routes"] != strconv.Itoa(res.Stats.InitRoutes) {
-		t.Errorf("nninit routes = %q, want %d", na["routes"], res.Stats.InitRoutes)
-	}
-	if findChild(search, "bounds") == nil {
-		t.Fatal("no bounds span")
+	if wantBounds := opts.LowerBounds && positional; (findChild(search, "bounds") != nil) != wantBounds {
+		t.Errorf("%s: bounds span present = %v, want %v", name, !wantBounds, wantBounds)
 	}
 
-	// One leg span per position, with counters summing to the totals.
-	var legRuns, legSettled, legPopped int64
-	for i := range cats {
+	// One leg span per hop, with counters summing to the totals.
+	var legRuns, legSettled, legPopped, legEnqueued, legHits int64
+	for i := 0; i < k; i++ {
 		leg := findChild(search, "leg["+strconv.Itoa(i)+"]")
 		if leg == nil {
-			t.Fatalf("no leg[%d] span", i)
+			t.Fatalf("%s: no leg[%d] span", name, i)
 		}
 		la := attrMap(leg)
 		for _, key := range []string{"runs", "settled", "popped", "enqueued", "cache_hits"} {
 			if _, ok := la[key]; !ok {
-				t.Fatalf("leg[%d] missing attr %s: %v", i, la, key)
+				t.Fatalf("%s: leg[%d] missing attr %s: %v", name, i, key, la)
 			}
 		}
-		r, _ := strconv.ParseInt(la["runs"], 10, 64)
-		sv, _ := strconv.ParseInt(la["settled"], 10, 64)
-		p, _ := strconv.ParseInt(la["popped"], 10, 64)
-		legRuns += r
-		legSettled += sv
-		legPopped += p
+		if _, ok := la["category"]; ok != (positional && opts.Index != nil) {
+			t.Errorf("%s: leg[%d] category attr present = %v, want %v", name, i, ok, !ok)
+		}
+		count := func(key string) int64 {
+			n, _ := strconv.ParseInt(la[key], 10, 64)
+			return n
+		}
+		legRuns += count("runs")
+		legSettled += count("settled")
+		legPopped += count("popped")
+		legEnqueued += count("enqueued")
+		legHits += count("cache_hits")
 	}
-	if legRuns != res.Stats.MDijkstraRuns {
-		t.Errorf("Σ leg runs = %d, want MDijkstraRuns %d", legRuns, res.Stats.MDijkstraRuns)
+	if legRuns != st.MDijkstraRuns {
+		t.Errorf("%s: Σ leg runs = %d, want MDijkstraRuns %d", name, legRuns, st.MDijkstraRuns)
 	}
-	if legPopped != res.Stats.RoutesPopped {
-		t.Errorf("Σ leg popped = %d, want RoutesPopped %d", legPopped, res.Stats.RoutesPopped)
+	if legPopped != st.RoutesPopped {
+		t.Errorf("%s: Σ leg popped = %d, want RoutesPopped %d", name, legPopped, st.RoutesPopped)
 	}
-	// Leg settles exclude the shared-workspace searches (NNinit, bounds),
-	// so they can only bound the total from below.
-	if legSettled > res.Stats.SettledVertices {
-		t.Errorf("Σ leg settled = %d > total %d", legSettled, res.Stats.SettledVertices)
+	if legEnqueued != st.RoutesEnqueued {
+		t.Errorf("%s: Σ leg enqueued = %d, want RoutesEnqueued %d", name, legEnqueued, st.RoutesEnqueued)
+	}
+	if legHits != st.CacheHits {
+		t.Errorf("%s: Σ leg cache hits = %d, want CacheHits %d", name, legHits, st.CacheHits)
+	}
+	// Leg settles exclude the searches outside the modified Dijkstra
+	// (NNinit, bounds), so with either on they only bound the total from
+	// below; without both they are the total.
+	if opts.InitialSearch || opts.LowerBounds {
+		if legSettled > st.SettledVertices {
+			t.Errorf("%s: Σ leg settled = %d > total %d", name, legSettled, st.SettledVertices)
+		}
+	} else if legSettled != st.SettledVertices {
+		t.Errorf("%s: Σ leg settled = %d, want SettledVertices %d", name, legSettled, st.SettledVertices)
 	}
 }
 
@@ -158,58 +223,6 @@ func TestCancelledQueryRecordsInterruptedSpan(t *testing.T) {
 	}
 	if _, ok := attrMap(kids[0])["interrupted"]; !ok {
 		t.Fatal("interrupted query span lacks the interrupted attr")
-	}
-}
-
-// TestUnorderedQuerySpanIsCoarse: the unordered and rated loops record one
-// search span annotated with the run's totals, without per-leg children
-// (their modified Dijkstras do not map onto one sequence position each).
-func TestUnorderedQuerySpanIsCoarse(t *testing.T) {
-	ds, vq, cats := gen.PaperExample()
-	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
-	for _, tc := range []struct {
-		name  string
-		query func(s *Searcher) (Stats, error)
-	}{
-		{"unordered", func(s *Searcher) (Stats, error) {
-			res, err := s.QueryUnordered(vq, seq)
-			if err != nil {
-				return Stats{}, err
-			}
-			return res.Stats, nil
-		}},
-		{"rated", func(s *Searcher) (Stats, error) {
-			res, err := s.QueryRated(vq, seq)
-			if err != nil {
-				return Stats{}, err
-			}
-			return res.Stats, nil
-		}},
-	} {
-		opts := DefaultOptions()
-		tr := trace.New("route")
-		opts.Context = trace.NewContext(context.Background(), tr)
-		st, err := tc.query(NewSearcher(ds, ds.Forest.WuPalmer, opts))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		tr.Finish()
-		kids := tr.Root().Children()
-		if len(kids) != 1 || kids[0].Name() != "search" {
-			t.Fatalf("%s: root children = %v", tc.name, kids)
-		}
-		attrs := attrMap(kids[0])
-		if attrs["results"] != strconv.Itoa(st.Results) {
-			t.Errorf("%s: results attr = %q, want %d", tc.name, attrs["results"], st.Results)
-		}
-		if attrs["popped"] != strconv.FormatInt(st.RoutesPopped, 10) {
-			t.Errorf("%s: popped attr = %q, want %d", tc.name, attrs["popped"], st.RoutesPopped)
-		}
-		for _, c := range kids[0].Children() {
-			if strings.HasPrefix(c.Name(), "leg") {
-				t.Fatalf("%s: produced a per-leg span %s", tc.name, c.Name())
-			}
-		}
 	}
 }
 

@@ -26,8 +26,9 @@ import (
 //	footer  crc32-IEEE(u32) of everything after the magic
 //
 // Distances travel as raw float32 bit patterns, so a build → Write → Read
-// round-trip is bit-exact. The header fingerprints the dataset the rows
-// were computed over — shape counts plus a crc32 of its canonical text
+// round-trip is bit-exact. Read rejects a NaN or negative entry, which no
+// distance takes. The header fingerprints the dataset the rows were
+// computed over — shape counts plus a crc32 of its canonical text
 // serialization — and Read refuses a sidecar whose fingerprint does not
 // match the dataset it is being attached to (ErrDatasetMismatch). That is
 // what makes a stale sidecar safe, including one orphaned by a live-update
@@ -40,7 +41,8 @@ import (
 
 var indexMagic = [8]byte{'S', 'K', 'Y', 'S', 'R', 'C', 'I', '2'}
 
-// ErrBadFormat wraps structural parse failures of a sidecar file.
+// ErrBadFormat wraps parse failures of a sidecar file: a structural fault
+// or a row entry no distance takes.
 var ErrBadFormat = errors.New("index: bad sidecar format")
 
 // ErrDatasetMismatch reports a sidecar whose fingerprint does not match
@@ -184,7 +186,14 @@ func Read(r io.Reader, d *dataset.Dataset, maxBytes int64) (*CategoryDistances, 
 		}
 		row := make(Row, n)
 		for v := 0; v < n; v++ {
-			row[v] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*v:]))
+			x := math.Float32frombits(binary.LittleEndian.Uint32(buf[4*v:]))
+			// No distance is NaN or negative (+Inf marks an unreachable
+			// vertex). A NaN entry would silently disable every cut that
+			// reads it, and a negative one would not be a lower bound.
+			if !(x >= 0) {
+				return nil, fmt.Errorf("%w: row %d holds %v at vertex %d", ErrBadFormat, c, x, v)
+			}
+			row[v] = x
 		}
 		ci.buildMu.Lock()
 		ci.publishLocked(c, row)

@@ -2,7 +2,10 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -163,5 +166,43 @@ func TestSidecarRejectsCorruption(t *testing.T) {
 	// Truncation must fail too.
 	if _, err := Read(bytes.NewReader(raw[:len(raw)-7]), d, 0); err == nil {
 		t.Fatal("truncated sidecar loaded silently")
+	}
+}
+
+// TestSidecarRejectsInvalidEntries: a row entry no distance takes — NaN
+// or negative — must fail the load even under a valid checksum. A NaN
+// entry would otherwise load and silently disable every cut that reads
+// it. +Inf, an unreachable vertex, stays legal.
+func TestSidecarRejectsInvalidEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	f := taxonomy.Generated(2, 2, 2)
+	d := randomDataset(rng, f, 18, 9, false)
+	var buf bytes.Buffer
+	if err := rootIndex(d).Write(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Layout: magic(8) + fingerprint(25) + epoch(8) + rowCount(4) + the
+	// first row's category id(4), then its entries.
+	const entryOff = 8 + 25 + 8 + 4 + 4
+	for _, tc := range []struct {
+		val float32
+		ok  bool
+	}{
+		{float32(math.NaN()), false},
+		{-1, false},
+		{float32(math.Inf(-1)), false},
+		{float32(math.Inf(1)), true},
+	} {
+		img := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(img[entryOff+4*3:], math.Float32bits(tc.val))
+		n := len(img) - 4
+		binary.LittleEndian.PutUint32(img[n:], crc32.ChecksumIEEE(img[8:n]))
+		_, err := Read(bytes.NewReader(img), d, 0)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("entry %v rejected: %v", tc.val, err)
+		case !tc.ok && !errors.Is(err, ErrBadFormat):
+			t.Errorf("entry %v: err = %v, want ErrBadFormat", tc.val, err)
+		}
 	}
 }

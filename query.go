@@ -543,7 +543,9 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 		if err != nil {
 			return nil, err
 		}
-		return buildAnswer(sn, q, opts, sky.Routes(), nil, nil, began, nil)
+		s := sn.pool.Get(sim, core.Options{})
+		defer sn.pool.Put(s)
+		return buildAnswer(sn, q, opts, sky.Routes(), nil, nil, began, s)
 	default:
 		return nil, fmt.Errorf("skysr: unknown algorithm %d", opts.Algorithm)
 	}
@@ -559,8 +561,9 @@ func partialAnswer(alg Algorithm, stats *core.Stats, began time.Time) *Answer {
 
 // buildAnswer converts the routes of one search into an Answer. ratings
 // holds the rating penalty of each route for IncludeRatings searches and is
-// nil otherwise, which reports RatingScore -1. Paths are expanded on s, the
-// searcher that answered (nil for the naive baselines, which expand none).
+// nil otherwise, which reports RatingScore -1. Paths are expanded on s: the
+// searcher that answered, or for the naive baselines one borrowed from the
+// snapshot's pool.
 func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, ratings []float64, stats *core.Stats, began time.Time, s *core.Searcher) (*Answer, error) {
 	dest := graph.NoVertex
 	if q.HasDestination {
@@ -581,7 +584,7 @@ func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Rout
 		for _, p := range info.PoIs {
 			info.PoINames = append(info.PoINames, poiName(sn.ds, p))
 		}
-		if opts.ExpandPaths && s != nil {
+		if opts.ExpandPaths {
 			path, err := s.ExpandPath(q.Start, r, dest)
 			if err != nil {
 				return nil, err

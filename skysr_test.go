@@ -2,6 +2,7 @@ package skysr
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,7 +43,7 @@ func TestAllAlgorithmsAgreeOnPaperExample(t *testing.T) {
 	q := Query{Start: vq, Via: via}
 	var base *Answer
 	for _, alg := range []Algorithm{BSSR, BSSRNoOpt, NaiveDijkstra, NaivePNE} {
-		ans, err := eng.SearchWith(q, SearchOptions{Algorithm: alg})
+		ans, err := eng.SearchWith(q, SearchOptions{Algorithm: alg, ExpandPaths: true})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -58,6 +59,14 @@ func TestAllAlgorithmsAgreeOnPaperExample(t *testing.T) {
 				math.Abs(ans.Routes[i].SemanticScore-base.Routes[i].SemanticScore) > 1e-9 {
 				t.Fatalf("%v route %d = %v, BSSR %v", alg, i, ans.Routes[i], base.Routes[i])
 			}
+			if !slices.Equal(ans.Routes[i].Path, base.Routes[i].Path) {
+				t.Fatalf("%v route %d path %v, BSSR %v", alg, i, ans.Routes[i].Path, base.Routes[i].Path)
+			}
+		}
+	}
+	for i, r := range base.Routes {
+		if len(r.Path) == 0 {
+			t.Fatalf("BSSR route %d has no path", i)
 		}
 	}
 }
