@@ -33,16 +33,15 @@ type BatchOptions struct {
 
 // SearchBatch answers a whole workload over a bounded worker pool, reusing
 // pooled searcher workspaces and sharing cacheable state across the batch:
-// compiled requirements and, for every BSSR query whatever its
-// UseCategoryIndex says, the category index plus the cross-query
-// m-Dijkstra cache of the dataset version the batch runs on (BSSRNoOpt and
-// the naive baselines run as they do in SearchWith). Answers are returned
-// in query order and are identical to what a serial Search loop would
-// produce. The whole batch runs against the dataset version current when
-// the call starts: a concurrent ApplyUpdates never splits one batch across
-// two epochs. Each version has its own m-Dijkstra cache, so later batches
-// on the same version reuse this batch's entries, and the first batch
-// after an update starts on an empty cache.
+// compiled requirements and, for every query whatever its UseCategoryIndex
+// says, the category index plus the cross-query m-Dijkstra cache of the
+// dataset version the batch runs on. Answers are returned in query order
+// and are identical to what a serial Search loop would produce. The whole
+// batch runs against the dataset version current when the call starts: a
+// concurrent ApplyUpdates never splits one batch across two epochs. Each
+// version has its own m-Dijkstra cache, so later batches on the same
+// version reuse this batch's entries, and the first batch after an update
+// starts on an empty cache.
 //
 // Per-query options flow through unchanged, including SearchOptions.TopK:
 // a batch may mix classic and ranked top-k queries freely (k > 1 queries

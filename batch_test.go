@@ -67,10 +67,9 @@ func TestSearchBatchMatchesSerial(t *testing.T) {
 }
 
 // TestSearchBatchRunsCategoryIndex pins the batch serving profile: every
-// BSSR query of a SearchBatch runs the category index plus the shared
+// query of a SearchBatch runs the category index plus the shared
 // m-Dijkstra cache whatever its UseCategoryIndex says, and still answers
-// bit-identically to a serial zero-value SearchWith. A BSSRNoOpt query in
-// the same batch uses neither.
+// bit-identically to a serial zero-value SearchWith.
 func TestSearchBatchRunsCategoryIndex(t *testing.T) {
 	eng, err := Generate("tokyo", 0.2, 7)
 	if err != nil {
@@ -90,20 +89,17 @@ func TestSearchBatchRunsCategoryIndex(t *testing.T) {
 		}
 	}
 	// The second batch leaves UseCategoryIndex false in every PerQuery
-	// entry and appends one BSSRNoOpt query.
-	perQuery := make([]SearchOptions, len(queries)+1)
-	perQuery[len(queries)].Algorithm = BSSRNoOpt
-	withNoOpt := append(append([]Query(nil), queries...), queries[0])
+	// entry.
+	perQuery := make([]SearchOptions, len(queries))
 
 	for _, tc := range []struct {
-		name    string
-		queries []Query
-		opts    BatchOptions
+		name string
+		opts BatchOptions
 	}{
-		{"zero-value options", queries, BatchOptions{Workers: 1}},
-		{"per-query options", withNoOpt, BatchOptions{Workers: 1, PerQuery: perQuery}},
+		{"zero-value options", BatchOptions{Workers: 1}},
+		{"per-query options", BatchOptions{Workers: 1, PerQuery: perQuery}},
 	} {
-		answers, err := eng.SearchBatch(tc.queries, tc.opts)
+		answers, err := eng.SearchBatch(queries, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -120,15 +116,6 @@ func TestSearchBatchRunsCategoryIndex(t *testing.T) {
 		}
 		if sharedHits == 0 {
 			t.Errorf("%s: no shared-cache hits on a batch that repeats every template", tc.name)
-		}
-		if len(answers) > len(queries) {
-			noOpt := answers[len(queries)]
-			if noOpt.Stats.IndexCovered || noOpt.Stats.SharedCacheHits != 0 {
-				t.Errorf("%s: BSSRNoOpt query used the batch profile: %+v", tc.name, noOpt.Stats)
-			}
-			if !answersEqual(noOpt, want[0]) {
-				t.Errorf("%s: BSSRNoOpt answer differs from serial SearchWith", tc.name)
-			}
 		}
 	}
 }

@@ -130,11 +130,14 @@ func (nb *NetworkBuilder) AddPoI(lon, lat float64, categories ...string) (Vertex
 	return v, nil
 }
 
-// AddRoad adds an edge between u and v with the given weight (both
-// directions on undirected networks).
+// AddRoad adds an edge between u and v, both already added, with the given
+// non-negative weight (both directions on undirected networks).
 func (nb *NetworkBuilder) AddRoad(u, v VertexID, weight float64) error {
-	if weight < 0 {
-		return fmt.Errorf("skysr: negative road weight %v", weight)
+	if n := VertexID(nb.gb.NumVertices()); u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("skysr: road %d-%d has an endpoint outside [0, %d)", u, v, n)
+	}
+	if !(weight >= 0) {
+		return fmt.Errorf("skysr: road weight %v is not non-negative", weight)
 	}
 	if u == v {
 		return fmt.Errorf("skysr: road endpoints must differ")
@@ -168,7 +171,7 @@ func (nb *NetworkBuilder) EmbedPoI(lon, lat float64, category string) (VertexID,
 // SetRating attaches a rating in [0, 5] to a PoI (the §9 multi-attribute
 // extension); higher is better. Ratings take effect at Build.
 func (nb *NetworkBuilder) SetRating(v VertexID, rating float64) error {
-	if rating < 0 || rating > dataset.MaxRating {
+	if !(rating >= 0 && rating <= dataset.MaxRating) {
 		return fmt.Errorf("skysr: rating %v outside [0, %v]", rating, dataset.MaxRating)
 	}
 	if nb.ratings == nil {
@@ -198,7 +201,7 @@ func (nb *NetworkBuilder) Build() (*Engine, error) {
 			all[i] = dataset.MaxRating
 		}
 		for v, r := range nb.ratings {
-			if int(v) >= len(all) {
+			if v < 0 || int(v) >= len(all) {
 				return nil, fmt.Errorf("skysr: rating set for unknown vertex %d", v)
 			}
 			all[v] = r

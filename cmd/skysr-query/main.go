@@ -3,7 +3,7 @@
 // Usage:
 //
 //	skysr-query -data tokyo.skysr -start 17 \
-//	    -via "Sushi Restaurant,Art Museum,Gift Shop" [-alg BSSR] [-dest 99] \
+//	    -via "Sushi Restaurant,Art Museum,Gift Shop" [-dest 99] \
 //	    [-unordered] [-expand] [-k 5] [-depart 30600]
 //
 // -depart sets the departure time at the start vertex in the dataset's
@@ -38,7 +38,6 @@ func main() {
 	data := flag.String("data", "", "dataset file written by skysr-gen (required)")
 	start := flag.Int("start", 0, "start vertex id")
 	via := flag.String("via", "", "comma-separated category sequence (required)")
-	algName := flag.String("alg", "BSSR", "algorithm: BSSR, BSSRNoOpt, Dij or PNE")
 	dest := flag.Int("dest", -1, "destination vertex id (-1 for none)")
 	unordered := flag.Bool("unordered", false, "satisfy the categories in any order (§6)")
 	expand := flag.Bool("expand", false, "print the full vertex path of each route")
@@ -57,17 +56,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	alg, err := parseAlgorithm(*algName)
-	if err != nil {
-		fail(err)
-	}
 	reqs := parseVia(*via)
 	q := skysr.Query{Start: int32(*start), Via: reqs, Unordered: *unordered}
 	if *dest >= 0 {
 		q.Destination = int32(*dest)
 		q.HasDestination = true
 	}
-	opts := skysr.SearchOptions{Algorithm: alg, ExpandPaths: *expand, TopK: *k, DepartAt: *depart}
+	opts := skysr.SearchOptions{ExpandPaths: *expand, TopK: *k, DepartAt: *depart}
 	var tr *trace.Trace
 	if *traceFlag {
 		tr = trace.New("query")
@@ -95,9 +90,9 @@ func main() {
 	}
 
 	if *k > 1 {
-		fmt.Printf("%s on %s: top-%d — %d ranked route(s) in %s\n", ans.Algorithm, eng.Name(), *k, len(ans.Routes), ans.Elapsed)
+		fmt.Printf("%s: top-%d — %d ranked route(s) in %s\n", eng.Name(), *k, len(ans.Routes), ans.Elapsed)
 	} else {
-		fmt.Printf("%s on %s: %d skyline route(s) in %s\n", ans.Algorithm, eng.Name(), len(ans.Routes), ans.Elapsed)
+		fmt.Printf("%s: %d skyline route(s) in %s\n", eng.Name(), len(ans.Routes), ans.Elapsed)
 	}
 	for _, r := range ans.Routes {
 		fmt.Printf("%2d. %s\n", r.Rank, r)
@@ -105,7 +100,7 @@ func main() {
 			fmt.Printf("    path: %v\n", r.Path)
 		}
 	}
-	if *stats && ans.Stats != nil {
+	if *stats {
 		s := ans.Stats
 		fmt.Printf("stats: mDijkstra runs=%d cacheHits=%d settled=%d initRoutes=%d pruned(threshold=%d bounds=%d)\n",
 			s.MDijkstraRuns, s.CacheHits, s.SettledVertices, s.InitRoutes, s.PrunedThreshold, s.PrunedByBounds)
@@ -123,22 +118,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "skysr-query: %v\n", err)
 	os.Exit(1)
-}
-
-// parseAlgorithm maps a CLI name to an Algorithm.
-func parseAlgorithm(name string) (skysr.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "bssr":
-		return skysr.BSSR, nil
-	case "bssrnoopt":
-		return skysr.BSSRNoOpt, nil
-	case "dij":
-		return skysr.NaiveDijkstra, nil
-	case "pne":
-		return skysr.NaivePNE, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want BSSR, BSSRNoOpt, Dij or PNE)", name)
-	}
 }
 
 // parseVia splits a comma-separated category list into requirements.

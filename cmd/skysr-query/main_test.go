@@ -6,24 +6,6 @@ import (
 	"skysr"
 )
 
-func TestParseAlgorithm(t *testing.T) {
-	tests := map[string]skysr.Algorithm{
-		"BSSR": skysr.BSSR, "bssr": skysr.BSSR,
-		"BSSRNoOpt": skysr.BSSRNoOpt, "bssrnoopt": skysr.BSSRNoOpt,
-		"Dij": skysr.NaiveDijkstra, "dij": skysr.NaiveDijkstra,
-		"PNE": skysr.NaivePNE, "pne": skysr.NaivePNE,
-	}
-	for name, want := range tests {
-		got, err := parseAlgorithm(name)
-		if err != nil || got != want {
-			t.Errorf("parseAlgorithm(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseAlgorithm("quantum"); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
-}
-
 func TestParseVia(t *testing.T) {
 	reqs := parseVia("Sushi Restaurant, Gift Shop ,,  Bar")
 	if len(reqs) != 3 {
@@ -35,7 +17,7 @@ func TestParseVia(t *testing.T) {
 }
 
 // TestEndToEndThroughCLIHelpers drives the same flow main performs, minus
-// flag parsing: save a dataset, reopen it, query it with every algorithm.
+// flag parsing: save a dataset, reopen it, query it.
 func TestEndToEndThroughCLIHelpers(t *testing.T) {
 	eng, vq, cats := skysr.PaperExample()
 	path := t.TempDir() + "/paper.skysr"
@@ -47,23 +29,16 @@ func TestEndToEndThroughCLIHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	via := parseVia(cats[0] + "," + cats[1] + "," + cats[2])
-	for _, name := range []string{"BSSR", "BSSRNoOpt", "Dij", "PNE"} {
-		alg, err := parseAlgorithm(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans, err := loaded.SearchWith(skysr.Query{Start: vq, Via: via},
-			skysr.SearchOptions{Algorithm: alg, ExpandPaths: alg == skysr.BSSR})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(ans.Routes) != 2 {
-			t.Fatalf("%s: routes = %d, want 2", name, len(ans.Routes))
-		}
+	ans, err := loaded.SearchWith(skysr.Query{Start: vq, Via: via}, skysr.SearchOptions{ExpandPaths: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Routes) != 2 {
+		t.Fatalf("routes = %d, want 2", len(ans.Routes))
 	}
 	// The -k flag's flow: a top-3 run must return ranked alternatives
 	// superset-ing the skyline, with ranks 1..n.
-	ans, err := loaded.SearchWith(skysr.Query{Start: vq, Via: via},
+	ans, err = loaded.SearchWith(skysr.Query{Start: vq, Via: via},
 		skysr.SearchOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)

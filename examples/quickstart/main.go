@@ -30,8 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%d skyline sequenced routes (found by %s in %s):\n",
-		len(ans.Routes), ans.Algorithm, ans.Elapsed)
+	fmt.Printf("%d skyline sequenced routes (found in %s):\n", len(ans.Routes), ans.Elapsed)
 	for i, r := range ans.Routes {
 		fmt.Printf("%2d. %s\n", i+1, r)
 		fmt.Printf("    full path: %v\n", r.Path)

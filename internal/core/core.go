@@ -107,8 +107,7 @@ type Options struct {
 	// traffic out of the SharedCache, whose entries embed the filter's
 	// annotations. Ordered, destination and unordered queries support it:
 	// their result set is the band. The rated query ranks routes on a
-	// three-criteria skyline, which has no band, so it rejects k > 1, and
-	// so do the naive baselines.
+	// three-criteria skyline, which has no band, so it rejects k > 1.
 	TopK int
 
 	// DisablePathFilter turns off the Lemma 5.5 path filtering inside the

@@ -368,6 +368,8 @@ func TestBinaryRejectsWhatTextRejects(t *testing.T) {
 		{"self-loop", directed, secTargets, 0, u32(0)},
 		{"rating 99", rated, secRatings, 8 * int(verts["pAsian"]), f64(99)},
 		{"NaN rating", rated, secRatings, 8 * int(verts["pAsian"]), f64(math.NaN())},
+		{"NaN longitude", undirected, secPoints, 0, f64(math.NaN())},
+		{"infinite latitude", undirected, secPoints, 8, f64(math.Inf(1))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			img := written(tc.base)

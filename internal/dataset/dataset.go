@@ -11,6 +11,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"unicode"
@@ -40,8 +41,9 @@ type Dataset struct {
 const MaxRating = 5.0
 
 // New indexes g against f and returns the Dataset. Every PoI category in g
-// must be a valid id of f, and the dataset's name and every category name
-// must be one the text format reproduces (see checkName).
+// must be a valid id of f, every vertex's coordinates must be finite, and
+// the dataset's name and every category name must be one the text format
+// reproduces (see checkName).
 func New(name string, g *graph.Graph, f *taxonomy.Forest) (*Dataset, error) {
 	if err := checkName(name); err != nil {
 		return nil, fmt.Errorf("dataset name %q %w", name, err)
@@ -49,6 +51,12 @@ func New(name string, g *graph.Graph, f *taxonomy.Forest) (*Dataset, error) {
 	for c := taxonomy.CategoryID(0); int(c) < f.NumCategories(); c++ {
 		if err := checkName(f.Name(c)); err != nil {
 			return nil, fmt.Errorf("dataset %s: category name %q %w", name, f.Name(c), err)
+		}
+	}
+	// Coordinates reach JSON responses, which cannot encode NaN or ±Inf.
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if p := g.Point(v); !finite(p.Lon) || !finite(p.Lat) {
+			return nil, fmt.Errorf("dataset %s: vertex %d has non-finite coordinates (%v, %v)", name, v, p.Lon, p.Lat)
 		}
 	}
 	d := &Dataset{
@@ -95,6 +103,8 @@ func checkName(name string) error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustNew is New that panics on error, for tests and generators whose
 // inputs are constructed consistently.

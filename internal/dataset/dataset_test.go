@@ -227,6 +227,8 @@ func TestReadRejectsMalformedInput(t *testing.T) {
 		"bad edge endpoint":  strings.Replace(good, "e 0 1 1", "e 0 99 1", 1),
 		"negative weight":    strings.Replace(good, "e 0 1 1", "e 0 1 -5", 1),
 		"NaN weight":         strings.Replace(good, "e 0 1 1", "e 0 1 NaN", 1),
+		"NaN longitude":      strings.Replace(good, "p 1 0 1", "p NaN 0 1", 1),
+		"infinite latitude":  strings.Replace(good, "v 0 0", "v 0 -Inf", 1),
 		"self loop":          strings.Replace(good, "e 0 1 1", "e 1 1 1", 1),
 		"missing end":        strings.TrimSuffix(strings.TrimSpace(good), "end"),
 	}

@@ -144,6 +144,61 @@ func TestReadRejectsBadRating(t *testing.T) {
 	}
 }
 
+// FuzzRead feeds mutated text datasets to Read. Read must never panic, and
+// an input it accepts must render to a text that reads back and renders
+// byte-identically, and whose WriteBinary image ReadBinary decodes to the
+// same text. The seeds are the golden fixture and a rated dataset with
+// extra categories; testdata/fuzz/FuzzRead holds a time-profiled one with
+// comment and blank lines. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 30s ./internal/dataset
+func FuzzRead(f *testing.F) {
+	golden, err := os.ReadFile("testdata/paper-example.skysr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	rated, _, verts := fixture(f)
+	ratings := make([]float64, rated.Graph.NumVertices())
+	for i := range ratings {
+		ratings[i] = MaxRating
+	}
+	ratings[verts["pMulti"]] = 0.5
+	if err := rated.SetRatings(ratings); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, rated); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		text := textOf(t, d)
+		d2, err := Read(bytes.NewReader(text))
+		if err != nil {
+			t.Fatalf("Read rejects the text of an accepted input: %v\n%s", err, text)
+		}
+		if text2 := textOf(t, d2); !bytes.Equal(text, text2) {
+			t.Fatalf("text differs after a text round trip:\n%s\nvs\n%s", text, text2)
+		}
+		var img bytes.Buffer
+		if err := WriteBinary(&img, d); err != nil {
+			t.Fatalf("WriteBinary fails on an accepted input: %v", err)
+		}
+		d3, err := ReadBinary(img.Bytes())
+		if err != nil {
+			t.Fatalf("ReadBinary rejects the image of an accepted input: %v\n%s", err, text)
+		}
+		if text3 := textOf(t, d3); !bytes.Equal(text, text3) {
+			t.Fatalf("text differs after a binary round trip:\n%s\nvs\n%s", text, text3)
+		}
+	})
+}
+
 // FuzzReadBinary feeds mutated binary images to ReadBinary. The target
 // rewrites the trailing checksum before decoding, so mutations get past
 // it into the section decoders. ReadBinary must never panic, and an image

@@ -313,7 +313,6 @@ func (s *Server) handleCategories(w http.ResponseWriter, r *http.Request) {
 }
 
 type routeResponse struct {
-	Algorithm string      `json:"algorithm"`
 	ElapsedMS float64     `json:"elapsed_ms"`
 	Routes    []routeJSON `json:"routes"`
 }
@@ -486,18 +485,32 @@ type batchResponse struct {
 // it too, so many-core hosts cannot exceed it implicitly.
 const maxBatchWorkers = 64
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	// A maxBatch-sized batch fits comfortably in 4 MB; refuse to buffer
-	// more than that before the query-count check can even run.
-	var body batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeJSON(w, http.StatusRequestEntityTooLarge,
-				map[string]string{"error": fmt.Sprintf("body exceeds %d bytes; chunk the batch", tooLarge.Limit)})
-			return
-		}
+// maxBodyBytes caps every JSON request body. A maxBatch-sized batch fits
+// comfortably in it, so no handler buffers more than that before its own
+// size checks can even run.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body, its message ending in
+// advice, or 400 for malformed JSON, and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, advice string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("body exceeds %d bytes%s", tooLarge.Limit, advice)})
+	default:
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON"})
+	}
+	return false
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var body batchRequest
+	if !s.decodeBody(w, r, &body, "; chunk the batch") {
 		return
 	}
 	if len(body.Queries) == 0 {
@@ -560,7 +573,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // routeResponseOf converts an answer into its JSON form.
 func (s *Server) routeResponseOf(ans *skysr.Answer) routeResponse {
-	resp := routeResponse{Algorithm: ans.Algorithm.String(), ElapsedMS: float64(ans.Elapsed.Microseconds()) / 1000}
+	resp := routeResponse{ElapsedMS: float64(ans.Elapsed.Microseconds()) / 1000}
 	for _, rt := range ans.Routes {
 		rj := routeJSON{Rank: rt.Rank, PoIs: rt.PoINames, Length: rt.LengthScore, Semantic: rt.SemanticScore, Path: rt.Path}
 		for _, p := range rt.PoIs {
@@ -629,8 +642,7 @@ const maxUpdateEdits = 4096
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var body updateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&body); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON"})
+	if !s.decodeBody(w, r, &body, "; split the update") {
 		return
 	}
 	batch := new(skysr.UpdateBatch)
@@ -722,8 +734,7 @@ type surveyPost struct {
 
 func (s *Server) handleSurveyPost(w http.ResponseWriter, r *http.Request) {
 	var body surveyPost
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON"})
+	if !s.decodeBody(w, r, &body, "") {
 		return
 	}
 	s.mu.Lock()

@@ -93,9 +93,6 @@ func TestRouteEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Algorithm != "BSSR" {
-		t.Errorf("algorithm = %q", out.Algorithm)
-	}
 	if len(out.Routes) != 2 {
 		t.Fatalf("routes = %d, want 2 (Table 4)", len(out.Routes))
 	}
@@ -320,6 +317,13 @@ func TestSurveyEndpoints(t *testing.T) {
 			t.Errorf("POST %q status = %d, want 400", body, rec.Code)
 		}
 	}
+	// An oversized post is refused before it is read in full.
+	rec = httptest.NewRecorder()
+	big := `{"question":"` + strings.Repeat("a", 4<<20) + `","option":1}`
+	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/api/survey", strings.NewReader(big)))
+	if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.Len() > 1024 {
+		t.Errorf("oversized POST status = %d with a %d-byte body, want a short 413", rec.Code, rec.Body.Len())
+	}
 
 	// Ratios reflect the two recorded answers.
 	rec = httptest.NewRecorder()
@@ -410,6 +414,12 @@ func TestUpdateEndpointErrors(t *testing.T) {
 				t.Errorf("status = %d, want 400: %s", rec.Code, rec.Body.String())
 			}
 		})
+	}
+	rec := httptest.NewRecorder()
+	big := `{"add_pois":[{"v":6,"categories":["` + strings.Repeat("x", 4<<20) + `"]}]}`
+	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/api/update", strings.NewReader(big)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized update status = %d, want 413: %s", rec.Code, rec.Body.String())
 	}
 }
 

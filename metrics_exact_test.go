@@ -158,32 +158,6 @@ func TestMetricsExactAcrossProfiles(t *testing.T) {
 	assertCounter(t, samples, "skysr_shared_cache_hits_total", want.sharedHits)
 }
 
-// TestMetricsNaiveBaselinesUnobserved pins the observe seam's scope: the
-// naive baselines return no Stats and must not move the search counters.
-func TestMetricsNaiveBaselinesUnobserved(t *testing.T) {
-	eng, _, _ := PaperExample()
-	reg := metrics.New()
-	eng.EnableMetrics(reg)
-	q := Query{Start: 0, Via: []Requirement{Category("Gift Shop")}}
-
-	ans, err := eng.SearchWith(q, SearchOptions{Algorithm: NaiveDijkstra})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Stats != nil {
-		t.Fatal("naive baseline returned Stats — update this test and the observe seam")
-	}
-	samples := scrapeRegistry(t, reg)
-	assertCounter(t, samples, "skysr_search_total", 0)
-
-	// A BSSR query on the same engine is observed.
-	if _, err := eng.Search(q); err != nil {
-		t.Fatal(err)
-	}
-	samples = scrapeRegistry(t, reg)
-	assertCounter(t, samples, "skysr_search_total", 1)
-}
-
 // TestMetricsInterruptedSearchCounted verifies a search interrupted
 // inside the core is observed with its flag set. The deadline must trip
 // mid-search, not in the pre-dispatch check (which refuses the search

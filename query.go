@@ -3,13 +3,11 @@ package skysr
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"skysr/internal/core"
 	"skysr/internal/graph"
-	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
@@ -175,39 +173,6 @@ const (
 	Mean    = route.AggMean
 )
 
-// Algorithm selects the query algorithm.
-type Algorithm int
-
-const (
-	// BSSR is the paper's bulk SkySR algorithm with all optimizations —
-	// the default and the right choice for applications.
-	BSSR Algorithm = iota
-	// BSSRNoOpt is BSSR without the four optimizations ("BSSR w/o Opt").
-	BSSRNoOpt
-	// NaiveDijkstra iterates optimal-sequenced-route queries with the
-	// Dijkstra-based solution over super-category sequences (baseline).
-	NaiveDijkstra
-	// NaivePNE iterates OSR queries with progressive neighbour
-	// exploration (baseline).
-	NaivePNE
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case BSSR:
-		return "BSSR"
-	case BSSRNoOpt:
-		return "BSSR w/o Opt"
-	case NaiveDijkstra:
-		return "Dij"
-	case NaivePNE:
-		return "PNE"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // Typed search-interruption errors. Both match with errors.Is; when a
 // context caused the interruption the returned error also wraps the
 // context's error, so errors.Is(err, context.Canceled) and errors.Is(err,
@@ -222,18 +187,14 @@ var (
 )
 
 // SearchOptions tunes a Search beyond the defaults. The zero value means:
-// BSSR with all optimizations, Wu–Palmer similarity, product aggregation.
+// Wu–Palmer similarity, product aggregation. Every search runs BSSR with
+// all four optimizations.
 type SearchOptions struct {
-	Algorithm   Algorithm
 	Similarity  Similarity
 	Aggregation Aggregation
 	// ExpandPaths fills RouteInfo.Path with the full vertex path of each
 	// result route (costs one Dijkstra per leg).
 	ExpandPaths bool
-	// Budget caps the work of the naive baselines (route pops + settled
-	// vertices); 0 means unlimited. BSSR ignores it (it does not need
-	// one).
-	Budget int64
 	// UseCategoryIndex enables the category-index serving profile: per-
 	// category distance rows are built on demand (within the Engine's
 	// index memory budget, see ConfigureCategoryIndex) and, once a
@@ -261,17 +222,15 @@ type SearchOptions struct {
 	// under the FIFO profile contract — the rush-hour workload of Costa
 	// et al. On static datasets the field has no effect. Must be
 	// non-negative and finite; times past the period wrap around.
-	// SearchAt is the convenience wrapper that sets this field. The naive
-	// baseline algorithms do not support time-dependent datasets.
+	// SearchAt is the convenience wrapper that sets this field.
 	DepartAt float64
-	// Context, when non-nil, cancels the search: the BSSR expansion loops
-	// observe it on an amortized schedule (every search start and every
-	// ~1024 units of hot-loop work) and unwind, returning an Answer whose
+	// Context, when non-nil, cancels the search: the BSSR expansion loop
+	// observes it on an amortized schedule (every search start and every
+	// ~1024 units of hot-loop work) and unwinds, returning an Answer whose
 	// Routes are nil but whose Stats describe the work done, alongside
 	// ErrSearchCancelled (or ErrDeadlineExceeded when the context's
 	// deadline caused it). The engine, its pools, caches and snapshots
-	// remain fully usable afterwards. The naive baselines check it only
-	// before starting. A nil Context costs nothing.
+	// remain fully usable afterwards. A nil Context costs nothing.
 	Context context.Context
 }
 
@@ -294,8 +253,8 @@ type Query struct {
 	Unordered bool
 	// IncludeRatings adds PoI ratings as a third skyline criterion (the
 	// §9 multi-attribute extension): results are Pareto-optimal in
-	// (length, semantic score, rating penalty). Requires BSSR and is
-	// mutually exclusive with Unordered and HasDestination. On datasets
+	// (length, semantic score, rating penalty). It is mutually exclusive
+	// with Unordered, HasDestination and top-k. On datasets
 	// without ratings the penalty is 0 everywhere and results match the
 	// plain query.
 	IncludeRatings bool
@@ -307,10 +266,7 @@ type Answer struct {
 	Routes []RouteInfo
 	// Elapsed is the wall-clock query time.
 	Elapsed time.Duration
-	// Algorithm echoes the algorithm that produced the answer.
-	Algorithm Algorithm
-	// Stats carries the paper's instrumentation counters for BSSR runs
-	// (nil for the naive baselines).
+	// Stats carries the paper's instrumentation counters of the search.
 	Stats *core.Stats
 }
 
@@ -379,9 +335,8 @@ const MaxTopK = 1024
 // through every serving profile; note that k > 1 queries in a SearchBatch
 // bypass its cross-query m-Dijkstra sharing, because ranked enumeration
 // must keep dominated routes the shared entries' Lemma 5.5 annotations
-// discard. Top-k supports ordered, destination and
-// unordered queries under BSSR/BSSRNoOpt; the naive baselines and
-// IncludeRatings do not support k > 1.
+// discard. Top-k supports ordered, destination and unordered queries;
+// IncludeRatings does not support k > 1.
 func (e *Engine) SearchTopK(q Query, k int, opts SearchOptions) (*Answer, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("skysr: top-k requires k >= 1, got %d", k)
@@ -409,37 +364,29 @@ func (e *Engine) SearchWith(q Query, opts SearchOptions) (*Answer, error) {
 	return e.searchOn(sn, q, opts, false)
 }
 
-// searchOn answers q against one pinned snapshot. share, set only by
-// SearchBatch, runs BSSR queries with the category index and the
+// searchOn answers q against one pinned snapshot with BSSR. share, set
+// only by SearchBatch, runs the query with the category index and the
 // snapshot's cross-query m-Dijkstra cache whatever opts.UseCategoryIndex
-// says.
+// says. The checks here are those core cannot make; core itself rejects
+// an empty sequence, a bad start vertex or departure time and top-k on a
+// rated query.
 func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool) (*Answer, error) {
-	if len(q.Via) == 0 {
-		return nil, fmt.Errorf("skysr: query has no requirements")
-	}
 	if opts.TopK < 0 {
 		return nil, fmt.Errorf("skysr: negative TopK %d", opts.TopK)
 	}
 	if opts.TopK > MaxTopK {
 		return nil, fmt.Errorf("skysr: TopK %d exceeds MaxTopK %d", opts.TopK, MaxTopK)
 	}
-	if opts.TopK > 1 {
-		if opts.Algorithm != BSSR && opts.Algorithm != BSSRNoOpt {
-			return nil, fmt.Errorf("skysr: top-k requires the BSSR algorithms, not %s", opts.Algorithm)
-		}
-		if q.IncludeRatings {
-			return nil, fmt.Errorf("skysr: top-k cannot combine with IncludeRatings")
-		}
+	if q.IncludeRatings && (q.Unordered || q.HasDestination) {
+		return nil, fmt.Errorf("skysr: IncludeRatings cannot combine with Unordered or Destination")
 	}
-	if opts.DepartAt < 0 || math.IsNaN(opts.DepartAt) || math.IsInf(opts.DepartAt, 0) {
-		return nil, fmt.Errorf("skysr: departure time %v is not non-negative and finite", opts.DepartAt)
+	if q.Unordered && q.HasDestination {
+		return nil, fmt.Errorf("skysr: unordered queries with destinations are not supported")
 	}
-	if sn.ds.Graph.TimeVarying() && (opts.Algorithm == NaiveDijkstra || opts.Algorithm == NaivePNE) {
-		return nil, fmt.Errorf("skysr: the naive baselines do not support time-dependent datasets")
-	}
-	// Pre-dispatch check: algorithms that do not thread cancellation
-	// internally (the naive baselines) still refuse to start, in O(1),
-	// once their caller has given up.
+	// Refuse in O(1) a query whose caller has already given up, before
+	// compiling matchers or borrowing a searcher. SearchBatch relies on
+	// it: a cancel between a worker claiming a query and starting it is
+	// observed here.
 	if err := core.ContextError(opts.Context); err != nil {
 		return nil, err
 	}
@@ -463,114 +410,74 @@ func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool)
 	}
 
 	began := time.Now()
-	switch opts.Algorithm {
-	case BSSR, BSSRNoOpt:
-		copts := core.DefaultOptions()
-		if opts.Algorithm == BSSRNoOpt {
-			copts = core.WithoutOptimizations()
-		}
-		copts.Aggregation = opts.Aggregation
-		copts.TopK = opts.TopK
-		copts.DepartAt = opts.DepartAt
-		// A trace carried by the context (serve's sampled requests,
-		// skysr-query -trace) receives the query's explain span tree.
-		copts.Context = opts.Context
-		share = share && opts.Algorithm == BSSR
-		if opts.UseCategoryIndex || share {
-			copts.Index = e.categoryIndex(sn)
-		}
-		if share {
-			copts.Shared = sn.shared[opts.Similarity]
-		}
-		s := sn.pool.Get(sim, copts)
-		defer sn.pool.Put(s)
-		if q.IncludeRatings {
-			if q.Unordered || q.HasDestination {
-				return nil, fmt.Errorf("skysr: IncludeRatings cannot combine with Unordered or Destination")
-			}
-			res, err := s.QueryRated(q.Start, seq)
-			if err != nil {
-				if res != nil {
-					e.observeSearch(&res.Stats, true)
-					return partialAnswer(opts.Algorithm, &res.Stats, began), err
-				}
-				return nil, err
-			}
-			e.observeSearch(&res.Stats, false)
-			routes := make([]*route.Route, len(res.Routes))
-			ratings := make([]float64, len(res.Routes))
-			for i, rr := range res.Routes {
-				routes[i], ratings[i] = rr.Route, rr.Rating
-			}
-			return buildAnswer(sn, q, opts, routes, ratings, &res.Stats, began, s)
-		}
-		var res *core.Result
-		var err error
-		switch {
-		case q.Unordered && q.HasDestination:
-			return nil, fmt.Errorf("skysr: unordered queries with destinations are not supported")
-		case q.Unordered:
-			res, err = s.QueryUnordered(q.Start, seq)
-		case q.HasDestination:
-			res, err = s.QueryWithDestination(q.Start, seq, q.Destination)
-		default:
-			res, err = s.Query(q.Start, seq)
-		}
-		if err != nil {
-			if res != nil {
-				e.observeSearch(&res.Stats, true)
-				return partialAnswer(opts.Algorithm, &res.Stats, began), err
-			}
-			return nil, err
-		}
-		e.observeSearch(&res.Stats, false)
-		return buildAnswer(sn, q, opts, res.Routes, nil, &res.Stats, began, s)
-	case NaiveDijkstra, NaivePNE:
-		if q.Unordered || q.HasDestination || q.IncludeRatings {
-			return nil, fmt.Errorf("skysr: the naive baselines answer only plain ordered queries")
-		}
-		cats, ok := seq.Categories()
-		if !ok {
-			return nil, fmt.Errorf("skysr: the naive baselines answer only plain category sequences")
-		}
-		engine := osr.EngineDijkstra
-		if opts.Algorithm == NaivePNE {
-			engine = osr.EnginePNE
-		}
-		solver := osr.NewSolver(sn.ds, engine, sim, opts.Aggregation)
-		solver.Budget = opts.Budget
-		sky, err := solver.SkySRExact(q.Start, cats)
-		if err != nil {
-			return nil, err
-		}
-		s := sn.pool.Get(sim, core.Options{})
-		defer sn.pool.Put(s)
-		return buildAnswer(sn, q, opts, sky.Routes(), nil, nil, began, s)
-	default:
-		return nil, fmt.Errorf("skysr: unknown algorithm %d", opts.Algorithm)
+	copts := core.DefaultOptions()
+	copts.Aggregation = opts.Aggregation
+	copts.TopK = opts.TopK
+	copts.DepartAt = opts.DepartAt
+	// A trace carried by the context (serve's sampled requests,
+	// skysr-query -trace) receives the query's explain span tree.
+	copts.Context = opts.Context
+	if opts.UseCategoryIndex || share {
+		copts.Index = e.categoryIndex(sn)
 	}
+	if share {
+		copts.Shared = sn.shared[opts.Similarity]
+	}
+	s := sn.pool.Get(sim, copts)
+	defer sn.pool.Put(s)
+	var (
+		res     *core.Result
+		ratings []float64
+		err     error
+	)
+	switch {
+	case q.IncludeRatings:
+		res, ratings, err = queryRated(s, q.Start, seq)
+	case q.Unordered:
+		res, err = s.QueryUnordered(q.Start, seq)
+	case q.HasDestination:
+		res, err = s.QueryWithDestination(q.Start, seq, q.Destination)
+	default:
+		res, err = s.Query(q.Start, seq)
+	}
+	if res == nil {
+		return nil, err
+	}
+	e.observeSearch(&res.Stats, err != nil)
+	if err != nil {
+		// An interrupted search has no routes, but its Stats account for
+		// the work done before it stopped.
+		return &Answer{Stats: &res.Stats, Elapsed: time.Since(began)}, err
+	}
+	return buildAnswer(sn, q, opts, res, ratings, began, s)
 }
 
-// partialAnswer packages the instrumentation of an interrupted search:
-// no routes, but the Stats of the work done before cancellation, so
-// callers can account for abandoned queries. It is returned alongside the
-// interruption error.
-func partialAnswer(alg Algorithm, stats *core.Stats, began time.Time) *Answer {
-	return &Answer{Algorithm: alg, Stats: stats, Elapsed: time.Since(began)}
+// queryRated runs a rated query and splits its answer into a Result and
+// the rating penalty of each route.
+func queryRated(s *core.Searcher, start VertexID, seq route.Sequence) (*core.Result, []float64, error) {
+	rr, err := s.QueryRated(start, seq)
+	if rr == nil {
+		return nil, nil, err
+	}
+	res := &core.Result{Routes: make([]*route.Route, len(rr.Routes)), Stats: rr.Stats}
+	ratings := make([]float64, len(rr.Routes))
+	for i, r := range rr.Routes {
+		res.Routes[i], ratings[i] = r.Route, r.Rating
+	}
+	return res, ratings, err
 }
 
-// buildAnswer converts the routes of one search into an Answer. ratings
+// buildAnswer converts the result of one search into an Answer. ratings
 // holds the rating penalty of each route for IncludeRatings searches and is
-// nil otherwise, which reports RatingScore -1. Paths are expanded on s: the
-// searcher that answered, or for the naive baselines one borrowed from the
-// snapshot's pool.
-func buildAnswer(sn *snapshot, q Query, opts SearchOptions, routes []*route.Route, ratings []float64, stats *core.Stats, began time.Time, s *core.Searcher) (*Answer, error) {
+// nil otherwise, which reports RatingScore -1. Paths are expanded on s, the
+// searcher that answered.
+func buildAnswer(sn *snapshot, q Query, opts SearchOptions, res *core.Result, ratings []float64, began time.Time, s *core.Searcher) (*Answer, error) {
 	dest := graph.NoVertex
 	if q.HasDestination {
 		dest = q.Destination
 	}
-	ans := &Answer{Algorithm: opts.Algorithm, Stats: stats}
-	for i, r := range routes {
+	ans := &Answer{Stats: &res.Stats}
+	for i, r := range res.Routes {
 		info := RouteInfo{
 			Rank:          i + 1,
 			PoIs:          r.PoIs(),

@@ -83,10 +83,6 @@ func TestRatedQueryRejectsCombinations(t *testing.T) {
 	if _, err := eng.Search(Query{Start: start, Via: via, IncludeRatings: true, Destination: start, HasDestination: true}); err == nil {
 		t.Error("IncludeRatings+Destination should fail")
 	}
-	if _, err := eng.SearchWith(Query{Start: start, Via: via, IncludeRatings: true},
-		SearchOptions{Algorithm: NaivePNE}); err == nil {
-		t.Error("naive baselines should reject rated queries")
-	}
 }
 
 func TestRatedQueryExpandPaths(t *testing.T) {

@@ -18,7 +18,8 @@
 // priority queue, minimum-distance lower bounds and on-the-fly caching).
 // The naive baselines the paper compares against (iterated optimal
 // sequenced route queries via Dijkstra or progressive neighbour
-// exploration) are available for benchmarking through SearchOptions.
+// exploration) and BSSR without its optimizations are not part of this
+// API; cmd/skysr-bench runs them for the paper's evaluation.
 //
 // # Quick start
 //

@@ -5,6 +5,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"skysr/internal/core"
+	"skysr/internal/osr"
+	"skysr/internal/route"
+	"skysr/internal/taxonomy"
 )
 
 func TestPaperExampleThroughPublicAPI(t *testing.T) {
@@ -34,39 +39,52 @@ func TestPaperExampleThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestAllAlgorithmsAgreeOnPaperExample checks the Engine's BSSR answer
+// against BSSR w/o Opt and both naive baselines, run directly on the
+// Engine's dataset: the same PoIs, lengths and semantic scores.
 func TestAllAlgorithmsAgreeOnPaperExample(t *testing.T) {
 	eng, vq, catNames := PaperExample()
 	via := make([]Requirement, len(catNames))
 	for i, n := range catNames {
 		via[i] = Category(n)
 	}
-	q := Query{Start: vq, Via: via}
-	var base *Answer
-	for _, alg := range []Algorithm{BSSR, BSSRNoOpt, NaiveDijkstra, NaivePNE} {
-		ans, err := eng.SearchWith(q, SearchOptions{Algorithm: alg, ExpandPaths: true})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if base == nil {
-			base = ans
-			continue
-		}
-		if len(ans.Routes) != len(base.Routes) {
-			t.Fatalf("%v returned %d routes, BSSR %d", alg, len(ans.Routes), len(base.Routes))
-		}
-		for i := range ans.Routes {
-			if math.Abs(ans.Routes[i].LengthScore-base.Routes[i].LengthScore) > 1e-9 ||
-				math.Abs(ans.Routes[i].SemanticScore-base.Routes[i].SemanticScore) > 1e-9 {
-				t.Fatalf("%v route %d = %v, BSSR %v", alg, i, ans.Routes[i], base.Routes[i])
-			}
-			if !slices.Equal(ans.Routes[i].Path, base.Routes[i].Path) {
-				t.Fatalf("%v route %d path %v, BSSR %v", alg, i, ans.Routes[i].Path, base.Routes[i].Path)
-			}
-		}
+	base, err := eng.SearchWith(Query{Start: vq, Via: via}, SearchOptions{ExpandPaths: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range base.Routes {
 		if len(r.Path) == 0 {
 			t.Fatalf("BSSR route %d has no path", i)
+		}
+	}
+	ds := eng.internalDataset()
+	cats := make([]taxonomy.CategoryID, len(catNames))
+	for i, n := range catNames {
+		cats[i], _ = ds.Forest.Lookup(n)
+	}
+	noOpt, err := core.NewSearcher(ds, ds.Forest.WuPalmer, core.WithoutOptimizations()).QueryCategories(vq, cats...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := map[string][]*route.Route{"BSSR w/o Opt": noOpt.Routes}
+	for _, engine := range []osr.Engine{osr.EngineDijkstra, osr.EnginePNE} {
+		sky, err := osr.NewSolver(ds, engine, ds.Forest.WuPalmer, Product).SkySRExact(vq, cats)
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		answers[engine.String()] = sky.Routes()
+	}
+	for alg, routes := range answers {
+		if len(routes) != len(base.Routes) {
+			t.Fatalf("%s returned %d routes, BSSR %d", alg, len(routes), len(base.Routes))
+		}
+		for i, r := range routes {
+			want := base.Routes[i]
+			if !slices.Equal(r.PoIs(), want.PoIs) ||
+				math.Abs(r.Length()-want.LengthScore) > 1e-9 ||
+				math.Abs(r.Semantic()-want.SemanticScore) > 1e-9 {
+				t.Fatalf("%s route %d = %v (%v, %v), BSSR %v", alg, i, r.PoIs(), r.Length(), r.Semantic(), want)
+			}
 		}
 	}
 }
@@ -241,19 +259,8 @@ func TestSearchOptionsAndErrors(t *testing.T) {
 	if _, err := eng.Search(Query{Start: vq, Via: []Requirement{Category("Nope")}}); err == nil {
 		t.Error("unknown category should fail")
 	}
-	if _, err := eng.SearchWith(Query{Start: vq, Via: via}, SearchOptions{Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
 	if _, err := eng.SearchWith(Query{Start: vq, Via: via}, SearchOptions{Similarity: Similarity(99)}); err == nil {
 		t.Error("unknown similarity should fail")
-	}
-	if _, err := eng.SearchWith(Query{Start: vq, Via: via, Unordered: true},
-		SearchOptions{Algorithm: NaivePNE}); err == nil {
-		t.Error("naive baselines should reject unordered queries")
-	}
-	complexQ := Query{Start: vq, Via: []Requirement{AnyOf(Category(catNames[0]), Category(catNames[1]))}}
-	if _, err := eng.SearchWith(complexQ, SearchOptions{Algorithm: NaiveDijkstra}); err == nil {
-		t.Error("naive baselines should reject complex requirements")
 	}
 	if _, err := eng.Search(Query{Start: vq, Via: []Requirement{AnyOf()}}); err == nil {
 		t.Error("empty AnyOf should fail")
@@ -425,6 +432,59 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestNetworkBuilderRejectsBadInput feeds the builder endpoints, weights,
+// ratings and coordinates it cannot build an engine from. Each must fail
+// with an error, at the call when atCall is set and at Build otherwise,
+// and never panic.
+func TestNetworkBuilderRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		atCall bool
+		edit   func(nb *NetworkBuilder, a, p VertexID) error
+	}{
+		{"road to an unknown vertex", true, func(nb *NetworkBuilder, a, _ VertexID) error { return nb.AddRoad(a, 99, 1) }},
+		{"road from a negative vertex", true, func(nb *NetworkBuilder, a, _ VertexID) error { return nb.AddRoad(-1, a, 1) }},
+		{"NaN road weight", true, func(nb *NetworkBuilder, a, p VertexID) error { return nb.AddRoad(a, p, math.NaN()) }},
+		{"NaN rating", true, func(nb *NetworkBuilder, _, p VertexID) error { return nb.SetRating(p, math.NaN()) }},
+		{"rating of a negative vertex", false, func(nb *NetworkBuilder, _, _ VertexID) error { return nb.SetRating(-1, 3) }},
+		{"rating of an unknown vertex", false, func(nb *NetworkBuilder, _, _ VertexID) error { return nb.SetRating(99, 3) }},
+		{"NaN PoI coordinate", false, func(nb *NetworkBuilder, _, _ VertexID) error {
+			_, err := nb.AddPoI(math.NaN(), 0, "Ramen")
+			return err
+		}},
+		{"infinite vertex coordinate", false, func(nb *NetworkBuilder, _, _ VertexID) error {
+			nb.AddVertex(0, math.Inf(1))
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			nb := NewNetworkBuilder("bad", NewTaxonomyBuilder().Root("Food").Child("Food", "Ramen"))
+			a := nb.AddVertex(0, 0)
+			p, err := nb.AddPoI(1, 0, "Ramen")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nb.AddRoad(a, p, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.edit(nb, a, p); err != nil || tc.atCall {
+				if err == nil {
+					t.Fatal("the call accepted the input")
+				}
+				return
+			}
+			if _, err := nb.Build(); err == nil {
+				t.Fatal("Build accepted the input")
+			}
+		})
+	}
+}
+
 func TestFoursquareBuilderAndEmbedding(t *testing.T) {
 	nb := NewFoursquareNetworkBuilder("manhattan-ish")
 	a := nb.AddVertex(-73.99, 40.73)
@@ -472,18 +532,5 @@ func TestFoursquareBuilderAndEmbedding(t *testing.T) {
 	}
 	if eng.PoIName(a) != "v0" {
 		t.Errorf("road vertex name = %q", eng.PoIName(a))
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	for alg, want := range map[Algorithm]string{
-		BSSR: "BSSR", BSSRNoOpt: "BSSR w/o Opt", NaiveDijkstra: "Dij", NaivePNE: "PNE",
-	} {
-		if alg.String() != want {
-			t.Errorf("%d → %q, want %q", alg, alg.String(), want)
-		}
-	}
-	if Algorithm(42).String() == "" {
-		t.Error("unknown algorithm should render")
 	}
 }

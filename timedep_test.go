@@ -300,10 +300,6 @@ func TestTimeDependentRoundTripAndEffect(t *testing.T) {
 		t.Error("no query's best route length changed between free flow and rush hour")
 	}
 
-	// Naive baselines refuse time-dependent datasets.
-	if _, err := eng.SearchWith(queries[0], SearchOptions{Algorithm: NaiveDijkstra}); err == nil {
-		t.Error("naive baseline accepted a time-dependent dataset")
-	}
 	// Invalid departure times are rejected.
 	if _, err := eng.SearchAt(queries[0], -5, SearchOptions{}); err == nil {
 		t.Error("negative departure accepted")

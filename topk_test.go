@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"skysr/internal/core"
 	"skysr/internal/graph"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
@@ -137,6 +138,15 @@ func answerPoints(ans *Answer) []topk.Point {
 	return out
 }
 
+// routePoints is answerPoints for the routes of a core search.
+func routePoints(routes []*route.Route) []topk.Point {
+	var out []topk.Point
+	for _, r := range routes {
+		out = append(out, topk.Point{Length: r.Length(), Semantic: r.Semantic()})
+	}
+	return out
+}
+
 // checkRankedAnswer asserts the satellite invariants of a top-k answer:
 // ranks are 1..n, the list is sorted by ascending length (ties by
 // semantic), score points are duplicate-free and no PoI sequence repeats.
@@ -220,13 +230,15 @@ func TestSearchTopKMatchesBruteForce(t *testing.T) {
 								ctx, name, ans.Routes, base.Routes)
 						}
 					}
-					// BSSRNoOpt must enumerate the same band.
-					noOpt, err := eng.SearchTopK(q, k, SearchOptions{Algorithm: BSSRNoOpt})
+					// BSSR w/o Opt must enumerate the same band.
+					noOptOpts := core.WithoutOptimizations()
+					noOptOpts.TopK = k
+					noOpt, err := core.NewSearcher(ds, ds.Forest.WuPalmer, noOptOpts).Query(start, seq)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(answerPoints(noOpt), want) {
-						t.Fatalf("%s: BSSRNoOpt points %v, want %v", ctx, answerPoints(noOpt), want)
+					if pts := routePoints(noOpt.Routes); !reflect.DeepEqual(pts, want) {
+						t.Fatalf("%s: BSSR w/o Opt points %v, want %v", ctx, pts, want)
 					}
 					for _, p := range prev {
 						found := false
@@ -372,9 +384,6 @@ func TestSearchTopKErrors(t *testing.T) {
 	}
 	if _, err := eng.SearchTopK(q, MaxTopK+1, SearchOptions{}); err == nil {
 		t.Error("TopK above MaxTopK accepted")
-	}
-	if _, err := eng.SearchTopK(q, 2, SearchOptions{Algorithm: NaiveDijkstra}); err == nil {
-		t.Error("top-k accepted for a naive baseline")
 	}
 	rq := q
 	rq.IncludeRatings = true
