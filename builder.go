@@ -44,7 +44,7 @@ func (tb *TaxonomyBuilder) Child(parent, name string) *TaxonomyBuilder {
 	}
 	p, ok := tb.ids[parent]
 	if !ok {
-		tb.err = fmt.Errorf("skysr: unknown parent category %q", parent)
+		tb.err = fmt.Errorf("skysr: unknown parent category %.64q", parent)
 		return tb
 	}
 	var id taxonomy.CategoryID
@@ -119,7 +119,7 @@ func (nb *NetworkBuilder) AddPoI(lon, lat float64, categories ...string) (Vertex
 	for i, name := range categories {
 		c, ok := f.Lookup(name)
 		if !ok {
-			return NoVertex, fmt.Errorf("skysr: unknown category %q", name)
+			return NoVertex, fmt.Errorf("skysr: unknown category %.64q", name)
 		}
 		ids[i] = c
 	}
@@ -156,7 +156,7 @@ func (nb *NetworkBuilder) EmbedPoI(lon, lat float64, category string) (VertexID,
 	f := nb.forestReady()
 	c, ok := f.Lookup(category)
 	if !ok {
-		return NoVertex, fmt.Errorf("skysr: unknown category %q", category)
+		return NoVertex, fmt.Errorf("skysr: unknown category %.64q", category)
 	}
 	if nb.embedder == nil {
 		em, err := graph.NewEmbedder(nb.gb, 64)

@@ -40,7 +40,8 @@ func NewSurvey(questions []SurveyQuestion) *Survey {
 	}
 }
 
-// Record tallies one response. Unknown questions or options are rejected.
+// Record tallies one response. Unknown questions or options are rejected;
+// the error quotes at most the first 64 runes of an unknown question id.
 func (s *Survey) Record(r SurveyResponse) error {
 	if r.Option < 1 || r.Option > 3 {
 		return fmt.Errorf("survey: option %d out of range", r.Option)
@@ -53,7 +54,7 @@ func (s *Survey) Record(r SurveyResponse) error {
 		}
 	}
 	if !found {
-		return fmt.Errorf("survey: unknown question %q", r.QuestionID)
+		return fmt.Errorf("survey: unknown question %.64q", r.QuestionID)
 	}
 	c := s.counts[r.QuestionID]
 	c[r.Option-1]++

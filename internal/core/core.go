@@ -213,6 +213,7 @@ type Searcher struct {
 	pot        []index.Row    // cost-to-go rows of a destination query (computePotentials); nil without one
 	idxRows    indexRows      // per-position index rows resolved for this query
 	blockers   []blocker      // per vertex: the Lemma 5.5 blocker it passes on in a modified Dijkstra, lazily sized
+	seeds      []candidate    // NNinit's last-stage matches (lastStage), reused across queries
 	scr        *boundsScratch // epoch-stamped §5.3.3 scratch arrays, lazily sized
 
 	// stopsAtPerfect[i] is whether position i's modified Dijkstras may
@@ -309,31 +310,6 @@ func (s *Searcher) prepareIndexRows() {
 		}
 	}
 	s.stats.IndexCovered = ir.covered
-}
-
-// noSemanticReachable reports that the index proves no semantically
-// matching PoI of position i is reachable from v (tree-row entry +Inf).
-// False when no row is available — absence of a row never prunes.
-func (ir *indexRows) noSemanticReachable(i int, v graph.VertexID) bool {
-	if i >= len(ir.sem) {
-		return false
-	}
-	row := ir.sem[i]
-	return row != nil && math.IsInf(float64(row[v]), 1)
-}
-
-// noPerfectReachable reports that the index proves no perfectly matching
-// PoI of position i is reachable from v: perfect matches are a subset of
-// the category's associated PoIs (its own row) and of the tree's (the sem
-// row), so +Inf in either row suffices.
-func (ir *indexRows) noPerfectReachable(i int, v graph.VertexID) bool {
-	if i >= len(ir.perf) {
-		return false
-	}
-	if row := ir.perf[i]; row != nil && math.IsInf(float64(row[v]), 1) {
-		return true
-	}
-	return ir.noSemanticReachable(i, v)
 }
 
 // NewSearcher returns a Searcher with the given options, scoring category

@@ -763,9 +763,9 @@ func TestStatsInstrumentation(t *testing.T) {
 			{"ordered": {2104, 21, 433, 14}, "destination": {1744, 13, 468, 13}, "unordered": {4776, 57, 354, 33}, "rated": {2104, 22, 381, 14}},
 		},
 		true: {
-			{"ordered": {1144, 10, 124, 8}, "destination": {1768, 15, 398, 11}, "unordered": {2184, 23, 125, 19}, "rated": {1144, 11, 124, 8}},
-			{"ordered": {1392, 8, 142, 9}, "destination": {2048, 11, 413, 11}, "unordered": {1232, 14, 88, 9}, "rated": {1392, 11, 142, 9}},
-			{"ordered": {1776, 15, 183, 13}, "destination": {1744, 13, 353, 13}, "unordered": {3328, 41, 197, 22}, "rated": {1776, 15, 183, 13}},
+			{"ordered": {1144, 10, 110, 8}, "destination": {1768, 15, 384, 11}, "unordered": {2184, 23, 115, 19}, "rated": {1144, 11, 105, 8}},
+			{"ordered": {1392, 8, 142, 9}, "destination": {2048, 11, 413, 11}, "unordered": {1232, 14, 73, 9}, "rated": {1392, 11, 123, 9}},
+			{"ordered": {1776, 15, 160, 13}, "destination": {1744, 13, 330, 13}, "unordered": {3328, 41, 183, 22}, "rated": {1776, 15, 155, 13}},
 		},
 	}
 	seq := route.NewCategorySequence(f, f.WuPalmer, cats...)

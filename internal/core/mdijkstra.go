@@ -249,12 +249,11 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 // in the same run, so a candidate's blocker is the strongest PoI on the
 // path the kernel settled it along. That path is fixed by the kernel: it
 // settles in (distance, vertex id) order and moves a parent only on a
-// strict improvement of a tentative distance. The goal check at pop
-// comes after the settle is counted and can fire only for the origin,
-// since every queued vertex passed the same test at relax with a
-// distance at least its final one. A +Inf entry cuts without marking the
-// run Cut, so an uncancelled run's entry is complete exactly when the
-// run was not cut.
+// strict improvement of a tentative distance. The kernel checks the goal
+// rows before it queues a vertex, the origin included, so an origin the
+// rows cut settles nothing. A +Inf entry cuts without marking the run
+// Cut, so an uncancelled run's entry is complete exactly when the run
+// was not cut.
 func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	from, depart := key.from, key.depart
 	s.stats.MDijkstraRuns++

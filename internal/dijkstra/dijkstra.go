@@ -8,6 +8,18 @@
 // A Workspace amortizes the per-search arrays across the many Dijkstra
 // executions a single SkySR query performs (the paper counts hundreds,
 // Figure 5): arrays are epoch-stamped so resetting between runs is O(1).
+//
+// A run may carry an A* potential (Options.Potential): rows of per-vertex
+// lower bounds on the distance to the nearest target, queued by distance
+// plus potential. The category index stores its rows rounded down to
+// float32, so a potential is admissible but may be inconsistent by an ulp
+// along an arc; a potential run therefore reopens a settled vertex that a
+// strictly shorter path reaches later. With an admissible potential a
+// target (potential 0) is settled only at its exact distance: any shorter
+// path to it leaves a queued vertex on that path keyed at most that
+// distance, up to the float64 rounding every sum shares. On a
+// time-dependent run the rows hold distances on the lower-bound graph,
+// which stay admissible because profiles are FIFO.
 package dijkstra
 
 import (
@@ -28,6 +40,12 @@ const (
 	SkipExpand
 	// Stop terminates the search immediately.
 	Stop
+	// StopAfterTies expands the vertex like Continue, then lowers Bound to
+	// just above its key: what is still queued at that key, or reaches it
+	// through zero-cost arcs, settles before the search stops. A search
+	// for the match with the least (distance, vertex id) returns this at
+	// every match and keeps the least one it sees.
+	StopAfterTies
 )
 
 // Settled is a vertex together with its final shortest-path distance.
@@ -51,11 +69,22 @@ type Options struct {
 	Bound float64
 	// Goal, when non-empty, cuts the search by rows of per-vertex lower
 	// bounds on what is still to travel from a vertex: a vertex v reached
-	// at distance d is neither expanded (checked at pop) nor queued
-	// (checked at relax) once d + GoalBound(Goal, v) ≥ Bound.
+	// at distance d, a source included, is not queued once
+	// d + GoalBound(Goal, v) ≥ Bound.
 	Goal [][]float32
+	// Potential, when non-empty, turns the run into A*: a vertex v
+	// reached at distance d is queued by the key d plus the smallest
+	// entry of the rows at v, and Bound compares against keys rather than
+	// distances. Each row must lower-bound the distance from a vertex to
+	// the run's targets, so a +Inf entry proves none is reachable from v
+	// and drops it, a source included. Vertices settle in key order, and
+	// a settled vertex that a strictly shorter path reaches later is
+	// reopened (see the package doc); OnSettle then sees it again at the
+	// shorter distance.
+	Potential [][]float32
 	// OnSettle, when non-nil, observes every settled vertex in ascending
-	// distance order and steers the search.
+	// key order (distance order without a Potential) and steers the
+	// search.
 	OnSettle func(v graph.VertexID, d float64) Control
 
 	// Halt, when non-nil, is polled once per heap pop; a true return
@@ -107,9 +136,9 @@ func New(g *graph.Graph) *Workspace {
 }
 
 // Run executes one Dijkstra search and returns the number of settled
-// vertices (the Table 8 "number of visited vertices" metric); a vertex the
-// goal rows cut at pop counts as settled. Distances, parents and Cut of
-// the run remain queryable until the next Run.
+// vertices (the Table 8 "number of visited vertices" metric), counting a
+// reopened vertex each time it settles. Distances, parents and Cut of the
+// run remain queryable until the next Run.
 func (w *Workspace) Run(opts Options) int {
 	w.epoch++
 	if w.epoch == 0 {
@@ -126,6 +155,7 @@ func (w *Workspace) Run(opts Options) int {
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
+	goal, pot := opts.Goal, opts.Potential
 	for i, s := range opts.Sources {
 		d := 0.0
 		if opts.SourceDist != nil {
@@ -134,27 +164,38 @@ func (w *Workspace) Run(opts Options) int {
 		if w.stamp[s] == w.epoch && w.dist[s] <= d {
 			continue // listed twice: the smaller start stands
 		}
+		if len(goal) > 0 && w.goalCut(goal, s, d, bound) {
+			continue
+		}
+		key := d
+		if len(pot) > 0 {
+			h := potentialBound(pot, s)
+			if math.IsInf(h, 1) {
+				continue
+			}
+			key += h
+		}
 		w.dist[s] = d
 		w.parent[s] = graph.NoVertex
 		w.stamp[s] = w.epoch
-		w.heap.PushOrDecrease(s, d)
+		w.heap.PushOrDecrease(s, key)
 	}
-	goal := opts.Goal
 	count := 0
 	for w.heap.Len() > 0 {
 		if opts.Halt != nil && opts.Halt() {
 			break
 		}
-		v, d := w.heap.Pop()
-		if d >= bound {
+		v, key := w.heap.Pop()
+		if key >= bound {
 			w.cut = true
 			break
 		}
+		d := key
+		if len(pot) > 0 {
+			d = w.dist[v]
+		}
 		w.settled[v] = w.epoch
 		count++
-		if len(goal) > 0 && w.goalCut(goal, v, d, bound) {
-			continue
-		}
 
 		ctrl := Continue
 		if opts.OnSettle != nil {
@@ -166,14 +207,17 @@ func (w *Workspace) Run(opts Options) int {
 		if ctrl == SkipExpand {
 			continue
 		}
+		if ctrl == StopAfterTies {
+			bound = math.Nextafter(key, math.Inf(1))
+		}
 		ts, ws := w.g.Neighbors(v)
 		var base int32
 		if opts.TimeDependent {
 			base = w.g.ArcBase(v)
 		}
 		for i, t := range ts {
-			if w.settled[t] == w.epoch {
-				continue
+			if w.settled[t] == w.epoch && len(pot) == 0 {
+				continue // final: only a potential run reopens
 			}
 			cost := ws[i]
 			if opts.TimeDependent {
@@ -188,10 +232,22 @@ func (w *Workspace) Run(opts Options) int {
 				continue
 			}
 			if w.stamp[t] != w.epoch || nd < w.dist[t] {
+				key := nd
+				if len(pot) > 0 {
+					h := potentialBound(pot, t)
+					if math.IsInf(h, 1) {
+						continue
+					}
+					if key += h; key >= bound {
+						w.cut = true
+						continue
+					}
+					w.settled[t] = 0 // reopen: epochs start at 1
+				}
 				w.dist[t] = nd
 				w.parent[t] = v
 				w.stamp[t] = w.epoch
-				w.heap.PushOrDecrease(t, nd)
+				w.heap.PushOrDecrease(t, key)
 			}
 		}
 	}
@@ -204,6 +260,16 @@ func GoalBound(rows [][]float32, v graph.VertexID) float64 {
 	var lb float32
 	for _, row := range rows {
 		lb = max(lb, row[v])
+	}
+	return float64(lb)
+}
+
+// potentialBound is the potential at v: the smallest entry of the
+// (non-empty) potential rows there.
+func potentialBound(rows [][]float32, v graph.VertexID) float64 {
+	lb := rows[0][v]
+	for _, row := range rows[1:] {
+		lb = min(lb, row[v])
 	}
 	return float64(lb)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"skysr/internal/gen"
 	"skysr/internal/geo"
 	"skysr/internal/graph"
 )
@@ -503,10 +504,16 @@ func TestCut(t *testing.T) {
 	if w.WasSettled(graph.VertexID(len(far) - 1)) {
 		t.Error("vertex whose goal entry reaches Bound was settled")
 	}
-	// A source the goal rows cut at pop counts as settled and marks too.
+	// A source the goal rows cut is never queued: it settles nothing and
+	// marks the run too.
 	far[0] = float32(ecc + 2)
-	if settled := w.Run(Options{Sources: src, Bound: ecc + 1, Goal: [][]float32{far}}); settled != 1 || !w.Cut() {
-		t.Errorf("source cut at pop: settled %d, cut %v; want 1, true", settled, w.Cut())
+	if settled := w.Run(Options{Sources: src, Bound: ecc + 1, Goal: [][]float32{far}}); settled != 0 || !w.Cut() {
+		t.Errorf("source cut by the goal rows: settled %d, cut %v; want 0, true", settled, w.Cut())
+	}
+	// A +Inf entry drops the source without marking the run.
+	far[0] = inf
+	if settled := w.Run(Options{Sources: src, Goal: [][]float32{far}}); settled != 0 || w.Cut() {
+		t.Errorf("source with a +Inf goal entry: settled %d, cut %v; want 0, false", settled, w.Cut())
 	}
 }
 
@@ -603,5 +610,256 @@ func BenchmarkDijkstraFullGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Run(Options{Sources: []graph.VertexID{graph.VertexID(i % 5000)}})
+	}
+}
+
+// TestPotentialReopensSettledVertex is the smallest case where an
+// admissible but inconsistent potential settles a vertex too early: the
+// potential at a (2.5) exceeds the arc a→b (1) plus the potential at b
+// (0), so b settles at 3 over its direct arc before a, on the shorter
+// path through which b sits at 2. Without reopening b, the goal would
+// settle at 6 instead of 5.
+func TestPotentialReopensSettledVertex(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for i := 0; i < 4; i++ {
+		b.AddVertex(geo.Point{Lon: float64(i)})
+	}
+	const s, a, mid, goal = 0, 1, 2, 3
+	b.AddEdge(s, a, 1)
+	b.AddEdge(s, mid, 3)
+	b.AddEdge(a, mid, 1)
+	b.AddEdge(mid, goal, 3)
+	g := b.Build()
+	pot := [][]float32{{0, 2.5, 0, 0}}
+	w := New(g)
+	found := math.Inf(1)
+	w.Run(Options{
+		Sources:   []graph.VertexID{s},
+		Potential: pot,
+		OnSettle: func(v graph.VertexID, d float64) Control {
+			if v == goal {
+				found = d
+				return Stop
+			}
+			return Continue
+		},
+	})
+	if found != 5 {
+		t.Fatalf("goal settled at %v, want 5", found)
+	}
+	if p := w.PathTo(goal); len(p) != 4 || p[1] != a {
+		t.Errorf("path to the goal %v, want it through %d", p, a)
+	}
+}
+
+// nearestGoal runs w under opts and returns the goal with the least
+// (distance, vertex id), the rule NNinit's greedy stages keep, its
+// distance (NoVertex and +Inf when none is reachable) and the number of
+// vertices the run settled.
+func nearestGoal(w *Workspace, opts Options, isGoal []bool) (graph.VertexID, float64, int) {
+	best, dist := graph.NoVertex, math.Inf(1)
+	opts.OnSettle = func(v graph.VertexID, d float64) Control {
+		if !isGoal[v] {
+			return Continue
+		}
+		if d < dist || d == dist && v < best {
+			best, dist = v, d
+		}
+		return StopAfterTies
+	}
+	settled := w.Run(opts)
+	return best, dist, settled
+}
+
+// potentialRows returns, for each goal set, the row of lower-bound
+// distances from every vertex to the set's nearest goal, from a reverse
+// sweep over the weight column (the lower-bound graph on time-dependent
+// networks), rounded down to float32 as the category index stores them.
+// With shrink set, every entry is further scaled by a random factor in
+// [0.5, 1].
+func potentialRows(rng *rand.Rand, g *graph.Graph, sets [][]graph.VertexID, shrink bool) [][]float32 {
+	rev := New(g.Reversed())
+	var rows [][]float32
+	for _, set := range sets {
+		row := make([]float32, g.NumVertices())
+		for v := range row {
+			row[v] = float32(math.Inf(1))
+		}
+		rev.Run(Options{Sources: set, OnSettle: func(v graph.VertexID, d float64) Control {
+			if shrink {
+				d *= 0.5 + rng.Float64()/2
+			}
+			row[v] = roundDown32(d)
+			return Continue
+		}})
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestPotentialRunsMatchPlain checks A* runs against plain runs on random
+// graphs: the least (distance, vertex id) goal and its distance must be
+// bit-identical, and a run left to exhaust its queue must settle every
+// vertex that can reach a goal at its plain distance, which only
+// reopening achieves under an inconsistent potential. The trials cover
+// exact rows rounded down to float32 and rows shrunk further, one row per
+// goal (the potential is their minimum) and one row for all, zero-weight
+// arcs, directed graphs and time-dependent profiles with a departure
+// time.
+func TestPotentialRunsMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	settledPlain, settledAStar := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		directed, zero, td := trial%2 == 1, trial%4 >= 2, trial%8 >= 4
+		n := 10 + rng.Intn(40)
+		b := graph.NewBuilder(directed)
+		if td {
+			if err := b.SetTimePeriod(60); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			b.AddVertex(geo.Point{Lon: rng.Float64(), Lat: rng.Float64()})
+		}
+		weight := func() float64 {
+			if zero {
+				return float64(rng.Intn(3)) // 0, 1 or 2: zero arcs and exact ties
+			}
+			return 1 + rng.Float64()*9
+		}
+		edge := func(u, v int) {
+			idx := b.AddEdge(graph.VertexID(u), graph.VertexID(v), weight())
+			if td && rng.Intn(2) == 0 {
+				if err := b.SetEdgeProfile(idx, gen.RandomFIFOProfile(rng, 60, 1+rng.Intn(4), 12)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 1; i < n; i++ {
+			edge(i, rng.Intn(i))
+			if directed {
+				edge(rng.Intn(i), i)
+			}
+		}
+		for e := 0; e < n; e++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edge(u, v)
+			}
+		}
+		g := b.Build()
+
+		isGoal := make([]bool, n)
+		var goals []graph.VertexID
+		for len(goals) < 1+rng.Intn(4) {
+			v := graph.VertexID(rng.Intn(n))
+			if !isGoal[v] {
+				isGoal[v] = true
+				goals = append(goals, v)
+			}
+		}
+		sets := [][]graph.VertexID{goals}
+		if trial%3 == 0 {
+			sets = sets[:0]
+			for _, x := range goals {
+				sets = append(sets, []graph.VertexID{x})
+			}
+		}
+		pot := potentialRows(rng, g, sets, trial%5 >= 3)
+		src := graph.VertexID(rng.Intn(n))
+		opts := Options{Sources: []graph.VertexID{src}, TimeDependent: td}
+		if td {
+			opts.DepartAt = rng.Float64() * 60
+		}
+
+		w := New(g)
+		wantV, wantD, plain := nearestGoal(w, opts, isGoal)
+		opts.Potential = pot
+		gotV, gotD, astar := nearestGoal(w, opts, isGoal)
+		if gotV != wantV || math.Float64bits(gotD) != math.Float64bits(wantD) {
+			t.Fatalf("trial %d (directed %v, zero %v, td %v): A* reached goal %d at %v, plain %d at %v",
+				trial, directed, zero, td, gotV, gotD, wantV, wantD)
+		}
+		settledPlain += plain
+		settledAStar += astar
+
+		opts.Potential = nil
+		w.Run(opts)
+		want := make([]float64, n)
+		for v := range want {
+			want[v], _ = w.Dist(graph.VertexID(v))
+		}
+		opts.Potential = pot
+		w.Run(opts)
+		for v := range want {
+			if math.IsInf(potentialBound(pot, graph.VertexID(v)), 1) {
+				continue
+			}
+			if got, ok := w.Dist(graph.VertexID(v)); !ok || !w.WasSettled(graph.VertexID(v)) || math.Float64bits(got) != math.Float64bits(want[v]) {
+				t.Fatalf("trial %d (directed %v, zero %v, td %v): exhaustive A* settled %d at %v (reached %v), plain at %v",
+					trial, directed, zero, td, v, got, ok, want[v])
+			}
+		}
+	}
+	if settledAStar >= settledPlain {
+		t.Errorf("potential runs settled %d vertices, plain runs %d: the potential never pruned", settledAStar, settledPlain)
+	}
+}
+
+// TestPotentialInfDropsSource checks that a +Inf potential at the source
+// proves no goal reachable: the run settles nothing.
+func TestPotentialInfDropsSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	g := randomConnectedGraph(rng, 20, 20)
+	row := make([]float32, g.NumVertices())
+	row[4] = float32(math.Inf(1))
+	w := New(g)
+	if settled := w.Run(Options{Sources: []graph.VertexID{4}, Potential: [][]float32{row}}); settled != 0 {
+		t.Errorf("run from a source with a +Inf potential settled %d vertices, want 0", settled)
+	}
+	if _, ok := w.Dist(4); ok {
+		t.Error("source with a +Inf potential was reached")
+	}
+	// A second row, zero everywhere, keeps the source: the potential is
+	// the smallest entry.
+	if settled := w.Run(Options{Sources: []graph.VertexID{4}, Potential: [][]float32{row, make([]float32, g.NumVertices())}}); settled != g.NumVertices() {
+		t.Errorf("run under a zero smallest entry settled %d vertices, want all %d", settled, g.NumVertices())
+	}
+}
+
+// TestStopAfterTies checks the least-(distance, id) rule on a zero-weight
+// tie: the first goal settled (1) is not the least one (0), which sits at
+// the same distance behind a zero-weight arc from a vertex settled after
+// it. StopAfterTies settles that vertex and goal 0, but not vertex 4,
+// queued beyond the tie, which a plain Stop would not settle either.
+func TestStopAfterTies(t *testing.T) {
+	b := graph.NewBuilder(true)
+	for i := 0; i < 5; i++ {
+		b.AddVertex(geo.Point{Lon: float64(i)})
+	}
+	const src = 3
+	b.AddEdge(src, 1, 1)
+	b.AddEdge(src, 2, 1)
+	b.AddEdge(2, 0, 0)
+	b.AddEdge(src, 4, 2)
+	g := b.Build()
+	isGoal := []bool{true, true, false, false, false}
+	w := New(g)
+	opts := Options{Sources: []graph.VertexID{src}}
+	if v, d, _ := nearestGoal(w, opts, isGoal); v != 0 || d != 1 {
+		t.Errorf("least goal %d at %v, want 0 at 1", v, d)
+	}
+	order := []graph.VertexID{}
+	opts.OnSettle = func(v graph.VertexID, d float64) Control {
+		order = append(order, v)
+		if isGoal[v] {
+			return StopAfterTies
+		}
+		return Continue
+	}
+	if settled := w.Run(opts); settled != 4 || len(order) != 4 || order[1] != 1 || order[3] != 0 {
+		t.Errorf("settled %d in order %v, want 4: 3, 1, 2, 0", settled, order)
+	}
+	if w.WasSettled(4) {
+		t.Error("vertex 4, queued beyond the tie, was settled")
 	}
 }

@@ -275,3 +275,32 @@ func TestTraceMetricsRegistered(t *testing.T) {
 		t.Errorf("skysr_trace_recorder_len = %v, want 1", samples["skysr_trace_recorder_len"])
 	}
 }
+
+// TestLongNamesEchoShort sends category and question names far longer
+// than any real one to every endpoint that names them in an error: each
+// must answer 400 with a short body, and the error traces the recorder
+// keeps must stay short too, however much the requests carried.
+func TestLongNamesEchoShort(t *testing.T) {
+	_, mux := tracedServer(t, Config{SlowQuery: -1, TraceSample: -1})
+	long := strings.Repeat("x", 1<<20)
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/api/route?start=0&via="+long[:200<<10], nil),
+		httptest.NewRequest("POST", "/api/batch", strings.NewReader(`{"queries":[{"start":0,"via":["`+long+`"]}]}`)),
+		httptest.NewRequest("POST", "/api/survey", strings.NewReader(`{"question":"`+long+`","option":1}`)),
+		httptest.NewRequest("POST", "/api/update", strings.NewReader(`{"add_pois":[{"v":0,"categories":["`+long+`"]}]}`)),
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || rec.Body.Len() > 1024 {
+			t.Errorf("%s %s: status %d with a %d-byte body, want a short 400", req.Method, req.URL.Path, rec.Code, rec.Body.Len())
+		}
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/debug/traces", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() > 4096 {
+		t.Errorf("trace list: status %d with a %d-byte body, want a short 200", rec.Code, rec.Body.Len())
+	}
+	if out := listTraces(t, mux, ""); len(out.Traces) != 3 {
+		t.Errorf("kept traces %+v, want the route, batch and update errors", out.Traces)
+	}
+}

@@ -55,12 +55,16 @@ func Excluding(base Requirement, excludedCategory string) Requirement {
 	return Requirement{kind: reqExcluding, excluded: excludedCategory, subs: []Requirement{base}}
 }
 
+// compile resolves r against the forest. An unknown name is quoted to its
+// first 64 runes: the HTTP server returns these errors to clients and
+// keeps them in error traces, so an echo stays short whatever a request
+// carried.
 func (r Requirement) compile(f *taxonomy.Forest, sim taxonomy.Similarity) (route.Matcher, error) {
 	switch r.kind {
 	case reqCategory:
 		c, ok := f.Lookup(r.name)
 		if !ok {
-			return nil, fmt.Errorf("skysr: unknown category %q", r.name)
+			return nil, fmt.Errorf("skysr: unknown category %.64q", r.name)
 		}
 		return route.NewCategory(f, c, sim), nil
 	case reqAnyOf, reqAllOf:
@@ -86,7 +90,7 @@ func (r Requirement) compile(f *taxonomy.Forest, sim taxonomy.Similarity) (route
 		}
 		c, ok := f.Lookup(r.excluded)
 		if !ok {
-			return nil, fmt.Errorf("skysr: unknown excluded category %q", r.excluded)
+			return nil, fmt.Errorf("skysr: unknown excluded category %.64q", r.excluded)
 		}
 		return route.NewExcluding(base, f, c), nil
 	default:

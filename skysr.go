@@ -292,7 +292,7 @@ func (e *Engine) WarmCategoryIndex(names ...string) (int, error) {
 		for _, name := range names {
 			c, ok := sn.ds.Forest.Lookup(name)
 			if !ok {
-				return 0, fmt.Errorf("skysr: unknown category %q", name)
+				return 0, fmt.Errorf("skysr: unknown category %.64q", name)
 			}
 			cats = append(cats, c)
 		}
@@ -555,7 +555,7 @@ func (e *Engine) CategoryCount(name string) (int, error) {
 	ds := e.snap().ds
 	c, ok := ds.Forest.Lookup(name)
 	if !ok {
-		return 0, fmt.Errorf("skysr: unknown category %q", name)
+		return 0, fmt.Errorf("skysr: unknown category %.64q", name)
 	}
 	return len(ds.PoIsExact(c)), nil
 }

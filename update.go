@@ -221,7 +221,7 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 		for i, name := range names {
 			c, ok := f.Lookup(name)
 			if !ok {
-				return nil, fmt.Errorf("skysr: unknown category %q", name)
+				return nil, fmt.Errorf("skysr: unknown category %.64q", name)
 			}
 			out[i] = c
 		}
