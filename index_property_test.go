@@ -289,3 +289,37 @@ func TestConfigureCategoryIndexBudget(t *testing.T) {
 		t.Fatal("expected the budget to deny at least one row build")
 	}
 }
+
+// TestWarmCategoryIndexCountsDistinctRows: a childless root that holds
+// PoIs is both a tree root and a populated leaf, so the default warm-up
+// requests it twice. WarmCategoryIndex must report the distinct rows it
+// left resident, once each, as do the index stats; so must a named list
+// that repeats a category.
+func TestWarmCategoryIndexCountsDistinctRows(t *testing.T) {
+	tb := NewTaxonomyBuilder().Root("Solo").Root("Food").Child("Food", "Sushi")
+	nb := NewNetworkBuilder("solo", tb)
+	v := nb.AddVertex(0, 0)
+	for i, cat := range []string{"Solo", "Sushi"} {
+		p, err := nb.AddPoI(float64(i+1), 0, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nb.AddRoad(v, p, float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := nb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed, err := eng.WarmCategoryIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.CategoryIndexStats(); warmed != 3 || st.RowsBuilt != 3 {
+		t.Fatalf("WarmCategoryIndex() = %d with %d rows resident, want 3 and 3 (Solo, Food, Sushi)", warmed, st.RowsBuilt)
+	}
+	if warmed, err := eng.WarmCategoryIndex("Sushi", "Solo", "Sushi"); err != nil || warmed != 2 {
+		t.Fatalf("WarmCategoryIndex(Sushi, Solo, Sushi) = %d, %v; want 2", warmed, err)
+	}
+}

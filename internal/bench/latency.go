@@ -274,20 +274,16 @@ func compileSequences(d *dataset.Dataset, qs []gen.Query) []route.Sequence {
 	return seqs
 }
 
-// warmIndex builds a category index over d with the workload's rows
-// prewarmed, as WarmCategoryIndex (or a sidecar load) does before serving.
+// warmIndex builds a category index over d with the tree roots' and the
+// workload's rows prewarmed in one build round, as WarmCategoryIndex (or
+// a sidecar load) does before serving.
 func warmIndex(d *dataset.Dataset, qs []gen.Query) *index.CategoryDistances {
 	ci := index.New(d, 0)
-	ci.EnsureRoots()
-	seen := map[taxonomy.CategoryID]bool{}
+	cats := append([]taxonomy.CategoryID(nil), d.Forest.Roots()...)
 	for _, q := range qs {
-		for _, c := range q.Categories {
-			if !seen[c] {
-				seen[c] = true
-				ci.Prewarm(c)
-			}
-		}
+		cats = append(cats, q.Categories...)
 	}
+	ci.Prewarm(cats...)
 	return ci
 }
 

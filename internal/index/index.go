@@ -11,6 +11,14 @@
 // configurable memory budget, and are immutable once published, so one
 // index is safely shared by any number of concurrent searchers.
 //
+// Every build runs as one round over a list of rows: a warm-up list, the
+// rows one query is missing, a single first-use Row call, or the rows an
+// Evolve rebuilds or repairs. The budget admits rows serially in request
+// order, the sweeps then run on min(GOMAXPROCS, rows) workers, each on
+// its own Dijkstra workspace, and the rows are published in list order
+// once every sweep has finished. A row is a pure function of (dataset,
+// category), so the number of workers never changes a row or a counter.
+//
 // Every stored distance is rounded *down* to float32 (toward −∞), so a row
 // lookup is always a true lower bound of the exact network distance. That
 // is what makes the index exactness-preserving wherever it replaces a
@@ -31,6 +39,7 @@ package index
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -67,8 +76,11 @@ type CategoryDistances struct {
 	carried  atomic.Int64
 	repaired atomic.Int64
 
-	buildMu sync.Mutex // serializes builds and repairs; guards ws
-	ws      *dijkstra.Workspace
+	// buildMu serializes build rounds (admission, the parallel sweeps and
+	// publication; see sweepLocked) and guards ws, the workspaces of the
+	// round's workers, kept for the next round.
+	buildMu sync.Mutex
+	ws      []*dijkstra.Workspace
 
 	hopMu sync.RWMutex // guards hops
 	hops  map[hopKey]float64
@@ -131,22 +143,8 @@ func (ci *CategoryDistances) Row(c taxonomy.CategoryID) Row {
 	if r := ci.RowIfBuilt(c); r != nil {
 		return r
 	}
-	if int(c) < 0 || int(c) >= len(ci.rows) {
-		return nil
-	}
-	ci.buildMu.Lock()
-	defer ci.buildMu.Unlock()
-	if p := ci.rows[c].Load(); p != nil { // built while waiting
-		return *p
-	}
-	cost := ci.rowBytes()
-	if ci.bytes.Load()+cost > ci.maxBytes.Load() {
-		ci.skipped.Add(1)
-		return nil
-	}
-	row := ci.buildRowLocked(c)
-	ci.publishLocked(c, row)
-	return row
+	ci.Prewarm(c)
+	return ci.RowIfBuilt(c)
 }
 
 // rowBytes is the storage cost of one row.
@@ -154,34 +152,94 @@ func (ci *CategoryDistances) rowBytes() int64 {
 	return int64(ci.d.Graph.NumVertices()) * 4
 }
 
-// buildRowLocked computes the row for c with one multi-source Dijkstra.
-// Callers hold buildMu.
-func (ci *CategoryDistances) buildRowLocked(c taxonomy.CategoryID) Row {
+// sweep is one row a build round computes: a multi-source Dijkstra from
+// sources, at dist (nil means 0), on the search graph, lowering a copy of
+// from, or an all-+Inf row when from is nil. Seeded at every PoI
+// associated with cat over an all-+Inf row, it builds cat's row; over a
+// resident row it is Evolve's decrease-only repair (see repair).
+type sweep struct {
+	cat     taxonomy.CategoryID
+	from    Row
+	sources []graph.VertexID
+	dist    []float64
+}
+
+// run computes s's row on ws. A settled vertex whose rounded distance
+// exceeds its entry keeps the entry and is not expanded; every other one
+// stores RoundDown32 of its distance and is expanded. Over an all-+Inf
+// row that stores every settled distance.
+func (ci *CategoryDistances) run(ws *dijkstra.Workspace, s sweep) Row {
 	row := make(Row, ci.d.Graph.NumVertices())
-	sources := ci.d.PoIsAssociated(c)
-	inf := float32(math.Inf(1))
-	for i := range row {
-		row[i] = inf
+	if s.from != nil {
+		copy(row, s.from)
+	} else {
+		inf := float32(math.Inf(1))
+		for i := range row {
+			row[i] = inf
+		}
 	}
-	if len(sources) > 0 {
-		ci.workspaceLocked().Run(dijkstra.Options{
-			Sources: sources,
-			OnSettle: func(v graph.VertexID, dd float64) dijkstra.Control {
-				row[v] = RoundDown32(dd)
-				return dijkstra.Continue
-			},
-		})
-	}
+	ws.Run(dijkstra.Options{
+		Sources:    s.sources,
+		SourceDist: s.dist,
+		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
+			r := RoundDown32(d)
+			if r > row[v] {
+				return dijkstra.SkipExpand
+			}
+			row[v] = r
+			return dijkstra.Continue
+		},
+	})
 	return row
 }
 
-// workspaceLocked returns the Dijkstra workspace over the search graph,
-// allocating it on first use. Callers hold buildMu.
-func (ci *CategoryDistances) workspaceLocked() *dijkstra.Workspace {
-	if ci.ws == nil {
-		ci.ws = dijkstra.New(ci.search)
+// sweepLocked runs the sweeps on min(GOMAXPROCS, len(sweeps)) workers,
+// each on its own workspace from ci.ws, and returns their rows in order.
+// A single worker runs them on the calling goroutine. A panicking sweep
+// stops the round: once every worker has returned, the first panic value
+// is raised again on the caller, as if the sweep had run there. Callers
+// hold buildMu.
+func (ci *CategoryDistances) sweepLocked(sweeps []sweep) []Row {
+	rows := make([]Row, len(sweeps))
+	workers := min(runtime.GOMAXPROCS(0), len(sweeps))
+	for len(ci.ws) < workers {
+		ci.ws = append(ci.ws, dijkstra.New(ci.search))
 	}
-	return ci.ws
+	if workers == 1 {
+		for i, s := range sweeps {
+			rows[i] = ci.run(ci.ws[0], s)
+		}
+		return rows
+	}
+	var (
+		next    atomic.Int64
+		failed  atomic.Bool
+		failure any // the first panic, written by the worker that set failed
+		wg      sync.WaitGroup
+	)
+	for _, ws := range ci.ws[:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil && failed.CompareAndSwap(false, true) {
+					failure = p
+				}
+			}()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(sweeps) {
+					return
+				}
+				rows[i] = ci.run(ws, sweeps[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() {
+		panic(failure)
+	}
+	return rows
 }
 
 // publishLocked installs a built row. Callers hold buildMu.
@@ -202,19 +260,44 @@ func RoundDown32(d float64) float32 {
 }
 
 // EnsureRoots builds the row of every tree root (the semantic-match rows),
-// subject to the budget. It reports how many root rows are available
-// afterwards.
+// subject to the budget, in one round. It reports how many root rows are
+// available afterwards.
 func (ci *CategoryDistances) EnsureRoots() int {
 	return ci.Prewarm(ci.d.Forest.Roots()...)
 }
 
-// Prewarm builds the rows of the given categories (subject to the budget)
-// and reports how many of them are available afterwards. Use it to move
-// build cost out of the serving path.
+// Prewarm builds, in one round, the rows of the given categories that are
+// not resident yet, and reports how many distinct requested categories
+// have a row afterwards. Ids outside the forest and repeats are ignored.
+// The budget admits the missing rows in request order; each row it denies
+// counts one skipped build. Use it to move build cost out of the serving
+// path, or to build every row a query lacks at once.
 func (ci *CategoryDistances) Prewarm(cats ...taxonomy.CategoryID) int {
-	n := 0
+	ci.buildMu.Lock()
+	defer ci.buildMu.Unlock()
+	requested := make([]bool, len(ci.rows))
+	cost, room := ci.rowBytes(), ci.maxBytes.Load()-ci.bytes.Load()
+	var sweeps []sweep
 	for _, c := range cats {
-		if ci.Row(c) != nil {
+		if int(c) < 0 || int(c) >= len(ci.rows) || requested[c] {
+			continue
+		}
+		requested[c] = true
+		switch {
+		case ci.rows[c].Load() != nil: // resident, or built while waiting for buildMu
+		case cost > room:
+			ci.skipped.Add(1)
+		default:
+			room -= cost
+			sweeps = append(sweeps, sweep{cat: c, sources: ci.d.PoIsAssociated(c)})
+		}
+	}
+	for i, row := range ci.sweepLocked(sweeps) {
+		ci.publishLocked(sweeps[i].cat, row)
+	}
+	n := 0
+	for c, req := range requested {
+		if req && ci.rows[c].Load() != nil {
 			n++
 		}
 	}

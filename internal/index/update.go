@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"skysr/internal/dataset"
-	"skysr/internal/dijkstra"
 	"skysr/internal/graph"
 	"skysr/internal/taxonomy"
 )
@@ -37,10 +36,12 @@ type Dirty struct {
 //     category) is rebuilt from scratch over next. Carrying it would stay
 //     admissible, but loose around the vacated PoI for good;
 //   - a row that shortened arcs or joining PoIs may lower is repaired on a
-//     copy by one decrease-only sweep (see repairLocked);
+//     copy by one decrease-only sweep (see repair);
 //   - every other row is carried by pointer (rows are immutable).
 //
-// The receiver is left untouched for searchers still pinned to the old
+// The rebuilds and repairs run as one build round on parallel workers
+// (see sweepLocked), and the rows are published in category order. The
+// receiver is left untouched for searchers still pinned to the old
 // snapshot. The hop-minimum cache starts empty (its minima range over PoI
 // sets that may have changed) and the budget is inherited. Stats of the
 // result count the rows carried and the rows repaired or rebuilt.
@@ -54,29 +55,32 @@ func (ci *CategoryDistances) Evolve(next *dataset.Dataset, dirty Dirty) *Categor
 
 	out.buildMu.Lock()
 	defer out.buildMu.Unlock()
-	carried, repaired := 0, 0
+	rows := make([]Row, len(ci.rows)) // by category: carried now, swept below
+	var sweeps []sweep
 	for c := range ci.rows {
 		p := ci.rows[c].Load()
 		if p == nil {
 			continue
 		}
 		cat := taxonomy.CategoryID(c)
-		var row Row
 		if left[c] {
-			row = out.buildRowLocked(cat)
+			sweeps = append(sweeps, sweep{cat: cat, sources: next.PoIsAssociated(cat)})
+		} else if s := out.repair(cat, *p, dirty.Shortened, joined[c]); s.sources != nil {
+			sweeps = append(sweeps, s)
 		} else {
-			row = out.repairLocked(*p, dirty.Shortened, joined[c])
+			rows[c] = *p
 		}
-		if row == nil {
-			row = *p
-			carried++
-		} else {
-			repaired++
-		}
-		out.publishLocked(cat, row)
 	}
-	out.carried.Store(int64(carried))
-	out.repaired.Store(int64(repaired))
+	for i, row := range out.sweepLocked(sweeps) {
+		rows[sweeps[i].cat] = row
+	}
+	for c, row := range rows {
+		if row != nil {
+			out.publishLocked(taxonomy.CategoryID(c), row)
+		}
+	}
+	out.carried.Store(out.built.Load() - int64(len(sweeps)))
+	out.repaired.Store(int64(len(sweeps)))
 	return out
 }
 
@@ -118,31 +122,29 @@ func associations(d *dataset.Dataset, v graph.VertexID) []taxonomy.CategoryID {
 	return out
 }
 
-// repairLocked returns a copy of row lowered to a lower bound of the
-// distances on the receiver's dataset, or nil when no seed can lower an
-// entry and row is still one. shortened lists the arcs the batch
-// shortened, and joined the PoIs that joined the row's category. Callers
-// hold buildMu.
+// repair returns the sweep that lowers a copy of cat's row to a lower
+// bound of the distances on the receiver's dataset, with no sources when
+// no seed can lower an entry and row is still one. shortened lists the
+// arcs the batch shortened, and joined the PoIs that joined the category.
 //
 // An arc u→v shortened to weight w seeds u at w + row[v], and an undirected
 // edge also seeds v at w + row[u]; a joined PoI seeds itself at 0. A seed
-// is dropped when it is +Inf or rounds down above its entry. One
-// multi-source sweep on the search graph then stores RoundDown32(d) where
-// that is lower than the entry. It expands a vertex whose rounded value is
-// lower than or equal to its entry, and stops at one whose entry is lower
-// by at least a full float32 step. Expanding on equality is what keeps the
-// result a lower bound: a vertex whose distance fell by less than a
-// float32 step keeps its entry, yet vertices behind it may still have to
-// fall. Stopping is safe because an entry a full step below the rounded
-// candidate rounds down from a value below the candidate itself, and the
-// row already bounds every vertex behind it from that value.
-func (ci *CategoryDistances) repairLocked(row Row, shortened []graph.EdgeChange, joined []graph.VertexID) Row {
-	var sources []graph.VertexID
-	var dist []float64
+// is dropped when it is +Inf or rounds down above its entry. The sweep
+// (see run) stores RoundDown32(d) where that is lower than the entry. It
+// expands a vertex whose rounded value is lower than or equal to its
+// entry, and stops at one whose entry is lower by at least a full float32
+// step. Expanding on equality is what keeps the result a lower bound: a
+// vertex whose distance fell by less than a float32 step keeps its entry,
+// yet vertices behind it may still have to fall. Stopping is safe because
+// an entry a full step below the rounded candidate rounds down from a
+// value below the candidate itself, and the row already bounds every
+// vertex behind it from that value.
+func (ci *CategoryDistances) repair(cat taxonomy.CategoryID, row Row, shortened []graph.EdgeChange, joined []graph.VertexID) sweep {
+	s := sweep{cat: cat, from: row}
 	seed := func(v graph.VertexID, d float64) {
 		if !math.IsInf(d, 1) && RoundDown32(d) <= row[v] {
-			sources = append(sources, v)
-			dist = append(dist, d)
+			s.sources = append(s.sources, v)
+			s.dist = append(s.dist, d)
 		}
 	}
 	undirected := !ci.d.Graph.Directed()
@@ -155,21 +157,5 @@ func (ci *CategoryDistances) repairLocked(row Row, shortened []graph.EdgeChange,
 	for _, p := range joined {
 		seed(p, 0)
 	}
-	if len(sources) == 0 {
-		return nil
-	}
-	fixed := append(Row(nil), row...)
-	ci.workspaceLocked().Run(dijkstra.Options{
-		Sources:    sources,
-		SourceDist: dist,
-		OnSettle: func(v graph.VertexID, d float64) dijkstra.Control {
-			r := RoundDown32(d)
-			if r > fixed[v] {
-				return dijkstra.SkipExpand
-			}
-			fixed[v] = r
-			return dijkstra.Continue
-		},
-	})
-	return fixed
+	return s
 }

@@ -112,6 +112,11 @@ type IndexedHeap struct {
 	ids  []int32   // heap slot -> id
 	prio []float64 // heap slot -> priority
 	pos  []int32   // id -> heap slot, -1 when absent
+	// Every push and pop writes the slice headers above. The padding puts
+	// the struct in the 128-byte size class, whose slots start on cache
+	// line boundaries, so the heaps of concurrent workers (the category
+	// index's build workers, parallel searchers) never share a line.
+	_ [56]byte
 }
 
 // NewIndexedHeap returns an indexed heap able to hold ids in [0, capacity).
@@ -125,12 +130,6 @@ func NewIndexedHeap(capacity int) *IndexedHeap {
 
 // Len returns the number of queued ids.
 func (h *IndexedHeap) Len() int { return len(h.ids) }
-
-// Contains reports whether id is currently queued.
-func (h *IndexedHeap) Contains(id int32) bool { return h.pos[id] >= 0 }
-
-// Priority returns the queued priority of id; it must be queued.
-func (h *IndexedHeap) Priority(id int32) float64 { return h.prio[h.pos[id]] }
 
 // PushOrDecrease inserts id with the given priority, or lowers its priority
 // if it is already queued with a larger one. It reports whether the queue
@@ -177,13 +176,6 @@ func (h *IndexedHeap) Reset() {
 	}
 	h.ids = h.ids[:0]
 	h.prio = h.prio[:0]
-}
-
-// Grow ensures the heap can hold ids in [0, capacity).
-func (h *IndexedHeap) Grow(capacity int) {
-	for len(h.pos) < capacity {
-		h.pos = append(h.pos, -1)
-	}
 }
 
 func (h *IndexedHeap) lessAt(i, j int) bool {

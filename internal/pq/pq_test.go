@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHeapBasic(t *testing.T) {
@@ -141,18 +142,9 @@ func TestIndexedHeapBasic(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("len = %d, want 3", h.Len())
 	}
-	if !h.Contains(7) || h.Contains(2) {
-		t.Error("Contains wrong")
-	}
-	if got := h.Priority(3); got != 5.0 {
-		t.Errorf("Priority(3) = %v, want 5", got)
-	}
 	id, prio := h.Pop()
 	if id != 7 || prio != 2.0 {
 		t.Fatalf("pop = (%d, %v), want (7, 2)", id, prio)
-	}
-	if h.Contains(7) {
-		t.Error("popped id should not be contained")
 	}
 }
 
@@ -162,9 +154,6 @@ func TestIndexedHeapDecreaseKey(t *testing.T) {
 	h.PushOrDecrease(1, 20)
 	if changed := h.PushOrDecrease(1, 30); changed {
 		t.Error("increasing priority should be a no-op")
-	}
-	if got := h.Priority(1); got != 20 {
-		t.Errorf("priority after rejected increase = %v, want 20", got)
 	}
 	if changed := h.PushOrDecrease(1, 5); !changed {
 		t.Error("decrease should report change")
@@ -189,22 +178,34 @@ func TestIndexedHeapDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestIndexedHeapResetAndGrow(t *testing.T) {
+// TestIndexedHeapReset: after Reset no id counts as queued, so pushing
+// one again, at any priority, inserts it afresh.
+func TestIndexedHeapReset(t *testing.T) {
 	h := NewIndexedHeap(2)
 	h.PushOrDecrease(0, 1)
 	h.PushOrDecrease(1, 2)
 	h.Reset()
-	if h.Len() != 0 || h.Contains(0) || h.Contains(1) {
-		t.Fatal("Reset did not clear")
+	if h.Len() != 0 {
+		t.Fatalf("len after Reset = %d, want 0", h.Len())
 	}
-	h.Grow(5)
-	h.PushOrDecrease(4, 1.5)
-	if !h.Contains(4) {
-		t.Fatal("Grow did not extend capacity")
+	if !h.PushOrDecrease(1, 3) || !h.PushOrDecrease(0, 4) {
+		t.Fatal("a push after Reset was taken for a rejected increase")
 	}
-	id, prio := h.Pop()
-	if id != 4 || prio != 1.5 {
-		t.Fatalf("pop = (%d, %v), want (4, 1.5)", id, prio)
+	for _, want := range []struct {
+		id   int32
+		prio float64
+	}{{1, 3}, {0, 4}} {
+		if id, prio := h.Pop(); id != want.id || prio != want.prio {
+			t.Fatalf("pop = (%d, %v), want (%d, %v)", id, prio, want.id, want.prio)
+		}
+	}
+}
+
+// TestIndexedHeapFillsItsSizeClass: the padding keeps IndexedHeap at 128
+// bytes, a size class whose slots never share a cache line.
+func TestIndexedHeapFillsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(IndexedHeap{}); got != 128 {
+		t.Fatalf("IndexedHeap is %d bytes, want 128", got)
 	}
 }
 

@@ -275,8 +275,11 @@ func (e *Engine) ConfigureCategoryIndex(maxBytes int64) {
 // WarmCategoryIndex builds index rows ahead of serving, moving build cost
 // out of the query path. With no arguments it warms every tree root plus
 // every leaf category that has at least one PoI; otherwise it warms the
-// named categories. It reports how many of the requested rows are resident
-// afterwards (the memory budget may deny some).
+// named categories. The rows are built on parallel workers, up to
+// GOMAXPROCS at once. It reports how many distinct requested categories
+// have a resident row afterwards (the memory budget may deny some); a
+// category requested twice, such as a childless root holding PoIs, counts
+// once.
 func (e *Engine) WarmCategoryIndex(names ...string) (int, error) {
 	sn := e.pin()
 	defer sn.release()

@@ -240,6 +240,9 @@ func TestApplyUpdatesValidation(t *testing.T) {
 	}
 	bad := []*UpdateBatch{
 		new(UpdateBatch).SetEdgeWeight(0, 99, 1),                 // unknown vertex
+		new(UpdateBatch).SetEdgeWeight(99, 0, 1),                 // unknown first vertex
+		new(UpdateBatch).SetEdgeWeight(-1, 0, 1),                 // negative vertex id
+		new(UpdateBatch).ClearEdgeProfile(99, 0),                 // unknown first vertex
 		new(UpdateBatch).SetEdgeWeight(1, 2, 1),                  // missing edge
 		new(UpdateBatch).SetEdgeWeight(0, 1, -1),                 // negative weight
 		new(UpdateBatch).AddPoI(1, "Sushi Restaurant"),           // already a PoI
