@@ -275,9 +275,8 @@ type indexRows struct {
 }
 
 // prepareIndexRows resolves the per-position index rows for the current
-// sequence. Rows still missing are built now, all in one index build round
-// (one multi-source Dijkstra each, amortized across every later query
-// naming the category).
+// sequence. Missing rows are built now (one multi-source Dijkstra each,
+// amortized across every later query naming the category).
 func (s *Searcher) prepareIndexRows() {
 	s.idxRows = indexRows{}
 	ci := s.opts.Index
@@ -291,7 +290,6 @@ func (s *Searcher) prepareIndexRows() {
 	ir.cats = make([]taxonomy.CategoryID, k)
 	ir.roots = make([]taxonomy.CategoryID, k)
 	ir.covered = true
-	var missing []taxonomy.CategoryID
 	for i, m := range s.seq {
 		ir.cats[i], ir.roots[i] = taxonomy.NoCategory, taxonomy.NoCategory
 		c, ok := m.(*route.Category)
@@ -302,21 +300,8 @@ func (s *Searcher) prepareIndexRows() {
 		cat := c.ID()
 		root := s.d.Forest.Root(cat)
 		ir.cats[i], ir.roots[i] = cat, root
-		for _, need := range [2]taxonomy.CategoryID{root, cat} {
-			if ci.RowIfBuilt(need) == nil {
-				missing = append(missing, need)
-			}
-		}
-	}
-	if len(missing) > 0 {
-		ci.Prewarm(missing...)
-	}
-	for i, cat := range ir.cats {
-		if cat == taxonomy.NoCategory {
-			continue
-		}
-		ir.sem[i] = ci.RowIfBuilt(ir.roots[i])
-		ir.perf[i] = ci.RowIfBuilt(cat)
+		ir.sem[i] = ci.Row(root)
+		ir.perf[i] = ci.Row(cat)
 		if ir.sem[i] == nil || ir.perf[i] == nil {
 			ir.covered = false
 		}

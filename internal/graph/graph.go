@@ -125,8 +125,12 @@ func (g *Graph) Degree(v VertexID) int {
 }
 
 // EdgeWeight returns the weight of the arc u->v and whether it exists. With
-// parallel arcs the smallest weight is returned.
+// parallel arcs the smallest weight is returned. An arc from a vertex
+// outside the graph does not exist.
 func (g *Graph) EdgeWeight(u, v VertexID) (float64, bool) {
+	if u < 0 || int(u) >= g.NumVertices() {
+		return 0, false
+	}
 	ts, ws := g.Neighbors(u)
 	best := math.Inf(1)
 	found := false

@@ -70,6 +70,11 @@ func TestBuildDirected(t *testing.T) {
 	if _, ok := g.EdgeWeight(1, 0); ok {
 		t.Error("reverse arc should not exist in a directed graph")
 	}
+	for _, u := range []VertexID{-1, VertexID(g.NumVertices())} {
+		if _, ok := g.EdgeWeight(u, 0); ok {
+			t.Errorf("EdgeWeight(%d,0) found an arc from outside the graph", u)
+		}
+	}
 }
 
 func TestPoIBookkeeping(t *testing.T) {

@@ -11,13 +11,13 @@
 // configurable memory budget, and are immutable once published, so one
 // index is safely shared by any number of concurrent searchers.
 //
-// Every build runs as one round over a list of rows: a warm-up list, the
-// rows one query is missing, a single first-use Row call, or the rows an
-// Evolve rebuilds or repairs. The budget admits rows serially in request
-// order, the sweeps then run on min(GOMAXPROCS, rows) workers, each on
-// its own Dijkstra workspace, and the rows are published in list order
-// once every sweep has finished. A row is a pure function of (dataset,
-// category), so the number of workers never changes a row or a counter.
+// Every build runs as one round over a list of rows: a warm-up list, a
+// single first-use Row call, or the rows an Evolve rebuilds or repairs.
+// The budget admits rows serially in request order, the sweeps then run
+// on min(GOMAXPROCS, rows) workers, each on its own Dijkstra workspace,
+// and the rows are published in list order once every sweep has
+// finished. A row is a pure function of (dataset, category), so the
+// number of workers never changes a row or a counter.
 //
 // Every stored distance is rounded *down* to float32 (toward −∞), so a row
 // lookup is always a true lower bound of the exact network distance. That
@@ -77,10 +77,10 @@ type CategoryDistances struct {
 	repaired atomic.Int64
 
 	// buildMu serializes build rounds (admission, the parallel sweeps and
-	// publication; see sweepLocked) and guards ws, the workspaces of the
-	// round's workers, kept for the next round.
+	// publication; see sweepLocked) and guards ws, the workspace of the
+	// worker that runs on the caller, kept for the next round.
 	buildMu sync.Mutex
-	ws      []*dijkstra.Workspace
+	ws      *dijkstra.Workspace
 
 	hopMu sync.RWMutex // guards hops
 	hops  map[hopKey]float64
@@ -193,23 +193,21 @@ func (ci *CategoryDistances) run(ws *dijkstra.Workspace, s sweep) Row {
 	return row
 }
 
-// sweepLocked runs the sweeps on min(GOMAXPROCS, len(sweeps)) workers,
-// each on its own workspace from ci.ws, and returns their rows in order.
-// A single worker runs them on the calling goroutine. A panicking sweep
-// stops the round: once every worker has returned, the first panic value
-// is raised again on the caller, as if the sweep had run there. Callers
-// hold buildMu.
+// sweepLocked runs the sweeps on min(GOMAXPROCS, len(sweeps)) workers
+// and returns their rows in order. The calling goroutine is one worker,
+// on ci.ws; every other worker runs on a new goroutine with a workspace
+// of its own, dropped after the round, so one worker starts no goroutine
+// and the index keeps one workspace, as a serial build would. A
+// panicking sweep stops the round: once every worker has returned, the
+// first panic value is raised again on the caller, as if the sweep had
+// run there. Callers hold buildMu.
 func (ci *CategoryDistances) sweepLocked(sweeps []sweep) []Row {
 	rows := make([]Row, len(sweeps))
-	workers := min(runtime.GOMAXPROCS(0), len(sweeps))
-	for len(ci.ws) < workers {
-		ci.ws = append(ci.ws, dijkstra.New(ci.search))
-	}
-	if workers == 1 {
-		for i, s := range sweeps {
-			rows[i] = ci.run(ci.ws[0], s)
-		}
+	if len(sweeps) == 0 {
 		return rows
+	}
+	if ci.ws == nil {
+		ci.ws = dijkstra.New(ci.search)
 	}
 	var (
 		next    atomic.Int64
@@ -217,24 +215,28 @@ func (ci *CategoryDistances) sweepLocked(sweeps []sweep) []Row {
 		failure any // the first panic, written by the worker that set failed
 		wg      sync.WaitGroup
 	)
-	for _, ws := range ci.ws[:workers] {
+	work := func(ws *dijkstra.Workspace) {
+		defer func() {
+			if p := recover(); p != nil && failed.CompareAndSwap(false, true) {
+				failure = p
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(sweeps) {
+				return
+			}
+			rows[i] = ci.run(ws, sweeps[i])
+		}
+	}
+	for range min(runtime.GOMAXPROCS(0), len(sweeps)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil && failed.CompareAndSwap(false, true) {
-					failure = p
-				}
-			}()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(sweeps) {
-					return
-				}
-				rows[i] = ci.run(ws, sweeps[i])
-			}
+			work(dijkstra.New(ci.search))
 		}()
 	}
+	work(ci.ws)
 	wg.Wait()
 	if failed.Load() {
 		panic(failure)
@@ -271,7 +273,7 @@ func (ci *CategoryDistances) EnsureRoots() int {
 // have a row afterwards. Ids outside the forest and repeats are ignored.
 // The budget admits the missing rows in request order; each row it denies
 // counts one skipped build. Use it to move build cost out of the serving
-// path, or to build every row a query lacks at once.
+// path.
 func (ci *CategoryDistances) Prewarm(cats ...taxonomy.CategoryID) int {
 	ci.buildMu.Lock()
 	defer ci.buildMu.Unlock()

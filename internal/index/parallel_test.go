@@ -215,7 +215,8 @@ func TestParallelRowRace(t *testing.T) {
 // TestParallelBuildPanic: a sweep that panics (here on a source outside
 // the graph) stops its round and panics again on the caller once every
 // worker has returned: a round started right after it, on the same
-// workspaces, builds every row right, and no goroutine is left behind.
+// index and its kept workspace, builds every row right, and no goroutine
+// is left behind.
 func TestParallelBuildPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	f := taxonomy.Generated(3, 2, 2)

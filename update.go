@@ -181,27 +181,14 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 	edits.RemoveEdges = b.removeEdges
 	edits.SetProfiles = b.setProfiles
 
-	// edgeWeight looks up the weight an edit replaces. Graph.EdgeWeight
-	// indexes by u, so an unknown u is refused first.
-	edgeWeight := func(u, v VertexID, what string) (float64, error) {
-		if u < 0 || int(u) >= g.NumVertices() {
-			return 0, fmt.Errorf("skysr: %s names unknown vertex %d", what, u)
-		}
-		old, ok := g.EdgeWeight(u, v)
-		if !ok {
-			return 0, fmt.Errorf("skysr: %s names missing edge (%d,%d)", what, u, v)
-		}
-		return old, nil
-	}
-
 	// A decreased weight or a new edge shortens an arc, which can shorten
 	// paths through it. Increases and removals only grow distances, which
 	// rounded-down rows tolerate by construction.
 	dirty.Shortened = append(dirty.Shortened, b.addEdges...)
 	for _, c := range b.setWeights {
-		old, err := edgeWeight(c.U, c.V, "weight edit")
-		if err != nil {
-			return edits, dirty, nil, err
+		old, ok := g.EdgeWeight(c.U, c.V)
+		if !ok {
+			return edits, dirty, nil, fmt.Errorf("skysr: weight edit names missing edge (%d,%d)", c.U, c.V)
 		}
 		if c.Weight < old {
 			dirty.Shortened = append(dirty.Shortened, c)
@@ -212,9 +199,9 @@ func (b *UpdateBatch) compile(ds *dataset.Dataset) (graph.Edits, index.Dirty, *U
 	// iff the minimum drops. Clearing keeps the lower-bound weight, so
 	// distances cannot shrink either way.
 	for _, c := range b.setProfiles {
-		old, err := edgeWeight(c.U, c.V, "profile edit")
-		if err != nil {
-			return edits, dirty, nil, err
+		old, ok := g.EdgeWeight(c.U, c.V)
+		if !ok {
+			return edits, dirty, nil, fmt.Errorf("skysr: profile edit names missing edge (%d,%d)", c.U, c.V)
 		}
 		if c.Clear {
 			res.ProfilesCleared++
