@@ -47,18 +47,6 @@ func assertGates[M any](t *testing.T, good func() M, rows func(M) []bench.Row, c
 	}
 }
 
-func TestChurnGates(t *testing.T) {
-	good := func() *churnResult {
-		return &churnResult{queries: 60, resident: 10, carried: 40, repaired: churnRounds*10 - 1, identical: true}
-	}
-	rows := func(m *churnResult) []bench.Row { return []bench.Row{churnRow("tokyo", *m)} }
-	assertGates(t, good, rows, map[string]func(*churnResult){
-		"churn identical":                func(m *churnResult) { m.identical = false },
-		"churn carried>0":                func(m *churnResult) { m.carried = 0 },
-		"churn repaired<rounds×resident": func(m *churnResult) { m.repaired = churnRounds * m.resident },
-	})
-}
-
 func TestSoakGates(t *testing.T) {
 	good := func() *soakResult {
 		m := &soakResult{tracedDeadlines: 1, tracedCancels: 1, tracedPanics: 1, snapshots: 1, identical: true}

@@ -8,7 +8,6 @@
 //
 //   - latency times serving variants (category index, top-k, constant
 //     and rush-hour profiles) against plain BSSR on one serial searcher;
-//   - churn interleaves queries with live updates;
 //   - soak storms a live server with faults, cancels and updates;
 //   - httpload drives concurrent HTTP clients while scraping /metrics.
 //
@@ -17,7 +16,6 @@
 //	skysr-bench                     # paper suite, laptop-sized defaults
 //	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5 -verify -json BENCH_PAPER.json
 //	skysr-bench -gate latency -json BENCH_LATENCY.json
-//	skysr-bench -gate churn -json BENCH_CHURN.json
 //	skysr-bench -gate soak -json BENCH_SOAK.json
 //	skysr-bench -gate httpload -json BENCH_HTTPLOAD.json
 package main
@@ -32,9 +30,8 @@ import (
 	"skysr/internal/bench"
 )
 
-// Scenario sizes of the churn, soak and httpload gates.
+// Scenario sizes of the soak and httpload gates.
 const (
-	churnRounds = 5   // update batches each dataset sustains
 	soakOps     = 160 // soak client operations per dataset
 	soakWorkers = 8   // concurrent soak clients
 	httpLoadOps = 200 // route requests per (dataset, workers) point
@@ -59,8 +56,6 @@ var modes = map[string]mode{
 		(*bench.Harness).Paper},
 	"latency": {"Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)",
 		(*bench.Harness).Latency},
-	"churn": {"Churn: mixed read/write serving (category-index profile; updates interleave with query rounds)",
-		perDataset(churnDataset)},
 	"soak": {"Soak: fault-injected HTTP serving (mixed query/update/cancel traffic; recovery asserted after the storm)",
 		perDataset(soakDataset)},
 	"httpload": {"HTTP load: concurrent clients vs the serving tier, /metrics scraped mid-run; summary rows gate throughput scaling and instrumentation overhead",
@@ -91,7 +86,7 @@ func main() {
 	datasets := flag.String("datasets", "tokyo,nyc,cal", "comma-separated dataset presets")
 	budget := flag.Int64("budget", cfg.Budget, "naive-baseline work budget per query (0 = unlimited)")
 	verify := flag.Bool("verify", false, "gate the suite's Figure 3 rows on returning BSSR's skyline")
-	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency, churn, soak or httpload): print its table and exit 1 when one of its gates fails")
+	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency, soak or httpload): print its table and exit 1 when one of its gates fails")
 	jsonOut := flag.String("json", "", "write the rows as a JSON report to this path")
 	flag.Parse()
 
@@ -112,7 +107,7 @@ func main() {
 
 	m, ok := modes[*gateName]
 	if !ok {
-		exit(2, "unknown gate %q (want latency, churn, soak or httpload)", *gateName)
+		exit(2, "unknown gate %q (want latency, soak or httpload)", *gateName)
 	}
 	h := bench.New(cfg)
 	rows, err := m.run(h)

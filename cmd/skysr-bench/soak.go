@@ -204,6 +204,47 @@ func soakDataset(cfg bench.Config, name string) ([]bench.Row, error) {
 	return []bench.Row{soakRow(name, m)}, nil
 }
 
+// matchesFreshEngine replays the workload against an engine rebuilt from
+// the mutated dataset's serialization and compares answers exactly.
+func matchesFreshEngine(eng *skysr.Engine, queries []skysr.Query, opts skysr.SearchOptions) (bool, error) {
+	var buf bytes.Buffer
+	if err := eng.Write(&buf); err != nil {
+		return false, err
+	}
+	fresh, err := skysr.Read(&buf)
+	if err != nil {
+		return false, err
+	}
+	for _, q := range queries {
+		got, err := eng.SearchWith(q, opts)
+		if err != nil {
+			return false, err
+		}
+		want, err := fresh.SearchWith(q, opts)
+		if err != nil {
+			return false, err
+		}
+		if len(got.Routes) != len(want.Routes) {
+			return false, nil
+		}
+		for i := range got.Routes {
+			a, b := got.Routes[i], want.Routes[i]
+			if a.LengthScore != b.LengthScore || a.SemanticScore != b.SemanticScore {
+				return false, nil
+			}
+			if len(a.PoIs) != len(b.PoIs) {
+				return false, nil
+			}
+			for j := range a.PoIs {
+				if a.PoIs[j] != b.PoIs[j] {
+					return false, nil
+				}
+			}
+		}
+	}
+	return true, nil
+}
+
 // soakScrapeTraces pulls the flight recorder while the server is still
 // up and tallies the retained traces by typed status. The soak server
 // runs with sampling and the slow-query rule off, so everything here was

@@ -3,7 +3,7 @@
 // Check and WriteJSON): the paper suite (Harness.Paper), which regenerates
 // every table and figure of the paper's evaluation (§7) plus the
 // user-study aggregation of §8 in one pass, and the gated modes. The
-// latency mode lives here too. The churn, soak and httpload modes drive
+// latency mode lives here too. The soak and httpload modes drive
 // the public skysr.Engine and internal/serve, which this package cannot
 // import without a cycle, so they live in cmd/skysr-bench and build the
 // same rows.

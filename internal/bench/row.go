@@ -1,8 +1,8 @@
 package bench
 
-// Every skysr-bench mode (the paper suite, latency, churn, soak,
-// httpload) reports in one layout. A Row names what it measured (dataset
-// and scenario), carries the values it reports, and holds the verdict of
+// Every skysr-bench mode (the paper suite, latency, soak, httpload)
+// reports in one layout. A Row names what it measured (dataset and
+// scenario), carries the values it reports, and holds the verdict of
 // every gate the mode puts on that measurement. Each mode decides its
 // verdicts where it builds its rows, so Render, Check and WriteJSON serve
 // every mode alike.

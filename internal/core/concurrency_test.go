@@ -125,9 +125,9 @@ func TestCacheRadiusReRun(t *testing.T) {
 		d := dyadicDataset(rng, f, vertices, pois, trial%2 == 1)
 		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 3)...)
 		start := graph.VertexID(rng.Intn(vertices))
-		want := map[string]*route.Skyline{
-			"ordered":   osr.BruteForceSkySR(d, start, seq, route.AggProduct),
-			"unordered": osr.BruteForceUnordered(d, start, seq, route.AggProduct),
+		want := map[string][]route.Point3{
+			"ordered":   osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1),
+			"unordered": osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, Unordered: true}, 1),
 		}
 		ci := index.New(d, 0)
 		for _, idx := range []*index.CategoryDistances{nil, ci} {
@@ -148,7 +148,7 @@ func TestCacheRadiusReRun(t *testing.T) {
 				st := res.Stats
 				if !sameSkyline(res.Routes, want[shape]) {
 					t.Fatalf("trial %d (directed %v) index=%v %s: mismatch\ngot:  %v\nwant: %v",
-						trial, d.Graph.Directed(), idx != nil, shape, res.Routes, want[shape].Routes())
+						trial, d.Graph.Directed(), idx != nil, shape, res.Routes, want[shape])
 				}
 				if st.MDijkstraRuns+st.CacheHits != st.MDijkstraRequests {
 					t.Fatalf("accounting broken: runs=%d hits=%d requests=%d",

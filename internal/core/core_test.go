@@ -131,14 +131,15 @@ func pickCats(rng *rand.Rand, f *taxonomy.Forest, n int) []taxonomy.CategoryID {
 	return out
 }
 
-func sameSkyline(a []*route.Route, b *route.Skyline) bool {
-	rb := b.Routes()
-	if len(a) != len(rb) {
+// sameSkyline reports whether the search's routes a score the oracle's
+// points want, in order, to within 1e-9.
+func sameSkyline(a []*route.Route, want []route.Point3) bool {
+	if len(a) != len(want) {
 		return false
 	}
 	for i := range a {
-		if math.Abs(a[i].Length()-rb[i].Length()) > 1e-9 ||
-			math.Abs(a[i].Semantic()-rb[i].Semantic()) > 1e-9 {
+		if math.Abs(a[i].Length()-want[i].L) > 1e-9 ||
+			math.Abs(a[i].Semantic()-want[i].S) > 1e-9 {
 			return false
 		}
 	}
@@ -178,7 +179,7 @@ func TestBSSRMatchesBruteForce(t *testing.T) {
 		cats := pickCats(rng, f, 2+rng.Intn(2))
 		start := graph.VertexID(rng.Intn(20))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 
 		enqueued := map[bool]int64{}
 		for name, opts := range optionVariants() {
@@ -194,7 +195,7 @@ func TestBSSRMatchesBruteForce(t *testing.T) {
 				}
 				if !sameSkyline(res.Routes, want) {
 					t.Fatalf("trial %d %s (path filter off: %v): skyline mismatch\ngot:  %v\nwant: %v",
-						trial, name, disable, res.Routes, want.Routes())
+						trial, name, disable, res.Routes, want)
 				}
 				if name == "all" {
 					enqueued[disable] = res.Stats.RoutesEnqueued
@@ -229,14 +230,14 @@ func TestBSSRMatchesBruteForceUnevenForest(t *testing.T) {
 		d := randomDataset(rng, f, 18, 14)
 		cats := []taxonomy.CategoryID{f.MustLookup("shallow"), f.MustLookup("b1")}
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 		res, err := s.QueryCategories(0, cats...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }
@@ -249,7 +250,7 @@ func TestBSSRAlternativeAggregations(t *testing.T) {
 			d := randomDataset(rng, f, 16, 12)
 			cats := pickCats(rng, f, 2)
 			seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-			want := osr.BruteForceSkySR(d, 0, seq, agg)
+			want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Agg: agg, Dest: graph.NoVertex}, 1)
 			opts := DefaultOptions()
 			opts.Aggregation = agg
 			s := NewSearcher(d, f.WuPalmer, opts)
@@ -258,7 +259,7 @@ func TestBSSRAlternativeAggregations(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("%v trial %d: mismatch\ngot:  %v\nwant: %v", agg, trial, res.Routes, want.Routes())
+				t.Fatalf("%v trial %d: mismatch\ngot:  %v\nwant: %v", agg, trial, res.Routes, want)
 			}
 		}
 	}
@@ -271,14 +272,14 @@ func TestBSSRPathLengthSimilarity(t *testing.T) {
 		d := randomDataset(rng, f, 16, 12)
 		cats := pickCats(rng, f, 2)
 		seq := route.NewCategorySequence(f, f.PathLength, cats...)
-		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 		s := NewSearcher(d, f.PathLength, DefaultOptions())
 		res, err := s.QueryCategories(0, cats...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }
@@ -340,7 +341,7 @@ func TestBSSRPaperExample(t *testing.T) {
 func TestBSSRPaperExampleAllVariants(t *testing.T) {
 	ds, vq, cats := gen.PaperExample()
 	seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
-	want := osr.BruteForceSkySR(ds, vq, seq, route.AggProduct)
+	want := osr.BruteForce(ds, osr.Query{Start: vq, Seq: seq, Dest: graph.NoVertex}, 1)
 	for name, opts := range optionVariants() {
 		s := NewSearcher(ds, ds.Forest.WuPalmer, opts)
 		res, err := s.QueryCategories(vq, cats...)
@@ -348,7 +349,7 @@ func TestBSSRPaperExampleAllVariants(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("%s: mismatch\ngot:  %v\nwant: %v", name, res.Routes, want.Routes())
+			t.Fatalf("%s: mismatch\ngot:  %v\nwant: %v", name, res.Routes, want)
 		}
 	}
 }
@@ -399,14 +400,14 @@ func TestSingleCategoryQuery(t *testing.T) {
 	d := randomDataset(rng, f, 15, 10)
 	cats := pickCats(rng, f, 1)
 	seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-	want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+	want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 	res, err := s.QueryCategories(0, cats...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSkyline(res.Routes, want) {
-		t.Fatalf("k=1 mismatch\ngot:  %v\nwant: %v", res.Routes, want.Routes())
+		t.Fatalf("k=1 mismatch\ngot:  %v\nwant: %v", res.Routes, want)
 	}
 }
 
@@ -458,8 +459,8 @@ func TestQueryWithDestinationMatchesBruteForce(t *testing.T) {
 		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 2+rng.Intn(2))...)
 		start := graph.VertexID(rng.Intn(vertices))
 		dest := graph.VertexID(rng.Intn(vertices))
-		want := osr.BruteForceSkySRWithDestination(d, start, seq, route.AggProduct, dest)
-		wantNoDest := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: dest}, 1)
+		wantNoDest := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 		ci := index.New(d, 0)
 		shared := NewSharedCache(0)
 		for _, profile := range []string{"plain", "index", "index+shared"} {
@@ -472,14 +473,14 @@ func TestQueryWithDestinationMatchesBruteForce(t *testing.T) {
 					opts.Shared = shared
 				}
 				s := NewSearcher(d, f.WuPalmer, opts)
-				check := func(what string, res *Result, err error, want *route.Skyline) {
+				check := func(what string, res *Result, err error, want []route.Point3) {
 					t.Helper()
 					if err != nil {
 						t.Fatalf("trial %d %s %s %s: %v", trial, profile, name, what, err)
 					}
 					if !sameSkyline(res.Routes, want) {
 						t.Fatalf("trial %d (directed %v, %d positions) %s %s %s: mismatch\ngot:  %v\nwant: %v",
-							trial, d.Graph.Directed(), len(seq), profile, name, what, res.Routes, want.Routes())
+							trial, d.Graph.Directed(), len(seq), profile, name, what, res.Routes, want)
 					}
 				}
 				res, err := s.Query(start, seq)
@@ -511,14 +512,14 @@ func TestDirectedGraphQuery(t *testing.T) {
 	gb.AddEdge(pa2, v0, 1)
 	d := dataset.MustNew("directed", gb.Build(), f)
 	seq := route.NewCategorySequence(f, f.WuPalmer, a, bCat)
-	want := osr.BruteForceSkySR(d, v0, seq, route.AggProduct)
+	want := osr.BruteForce(d, osr.Query{Start: v0, Seq: seq, Dest: graph.NoVertex}, 1)
 	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 	res, err := s.QueryCategories(v0, a, bCat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSkyline(res.Routes, want) {
-		t.Fatalf("directed mismatch\ngot:  %v\nwant: %v", res.Routes, want.Routes())
+		t.Fatalf("directed mismatch\ngot:  %v\nwant: %v", res.Routes, want)
 	}
 	if len(res.Routes) == 0 {
 		t.Fatal("expected a route on the directed cycle")
@@ -610,14 +611,14 @@ func TestMultiCategoryPoIQuery(t *testing.T) {
 	gb.AddEdge(dual, pb, 1)
 	d := dataset.MustNew("dual", gb.Build(), f)
 	seq := route.NewCategorySequence(f, f.WuPalmer, a, bCat)
-	want := osr.BruteForceSkySR(d, v0, seq, route.AggProduct)
+	want := osr.BruteForce(d, osr.Query{Start: v0, Seq: seq, Dest: graph.NoVertex}, 1)
 	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 	res, err := s.QueryCategories(v0, a, bCat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSkyline(res.Routes, want) {
-		t.Fatalf("multi-category mismatch\ngot:  %v\nwant: %v", res.Routes, want.Routes())
+		t.Fatalf("multi-category mismatch\ngot:  %v\nwant: %v", res.Routes, want)
 	}
 	// The only valid route is ⟨dual, pb⟩ with length 2.
 	if len(res.Routes) != 1 || math.Abs(res.Routes[0].Length()-2) > 1e-9 {
@@ -641,14 +642,14 @@ func TestComplexRequirementsMatchBruteForce(t *testing.T) {
 			route.NewAnyOf(route.NewCategory(f, l1, f.WuPalmer), route.NewCategory(f, l2, f.WuPalmer)),
 			route.NewExcluding(route.NewCategory(f, l3, f.WuPalmer), f, excl),
 		}
-		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 		res, err := s.Query(0, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d complex requirements mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d complex requirements mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }
@@ -668,18 +669,10 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameSkyline(first.Routes, skylineOf(again.Routes)) {
+		if !sameSkyline(first.Routes, routePoints(again.Routes)) {
 			t.Fatal("query results changed between runs")
 		}
 	}
-}
-
-func skylineOf(routes []*route.Route) *route.Skyline {
-	s := route.NewSkyline()
-	for _, r := range routes {
-		s.Update(r)
-	}
-	return s
 }
 
 func TestStatsInstrumentation(t *testing.T) {
@@ -893,7 +886,7 @@ func TestStartOnPoI(t *testing.T) {
 	gb.AddEdge(p1, p2, 1)
 	d := dataset.MustNew("poi-start", gb.Build(), f)
 	seq := route.NewCategorySequence(f, f.WuPalmer, a)
-	want := osr.BruteForceSkySR(d, p1, seq, route.AggProduct)
+	want := osr.BruteForce(d, osr.Query{Start: p1, Seq: seq, Dest: graph.NoVertex}, 1)
 	for name, opts := range optionVariants() {
 		s := NewSearcher(d, f.WuPalmer, opts)
 		res, err := s.QueryCategories(p1, a)
@@ -901,7 +894,7 @@ func TestStartOnPoI(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("%s: PoI-start mismatch\ngot:  %v\nwant: %v", name, res.Routes, want.Routes())
+			t.Fatalf("%s: PoI-start mismatch\ngot:  %v\nwant: %v", name, res.Routes, want)
 		}
 		if len(res.Routes) != 1 || res.Routes[0].Length() != 0 {
 			t.Fatalf("%s: want the zero-length route at the start PoI, got %v", name, res.Routes)
@@ -919,7 +912,7 @@ func TestStartOnPoIRandomized(t *testing.T) {
 		start := pois[rng.Intn(len(pois))]
 		cats := pickCats(rng, f, 2)
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 		for name, opts := range optionVariants() {
 			s := NewSearcher(d, f.WuPalmer, opts)
 			res, err := s.QueryCategories(start, cats...)
@@ -927,7 +920,7 @@ func TestStartOnPoIRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("trial %d %s: PoI-start mismatch\ngot:  %v\nwant: %v", trial, name, res.Routes, want.Routes())
+				t.Fatalf("trial %d %s: PoI-start mismatch\ngot:  %v\nwant: %v", trial, name, res.Routes, want)
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 			cats := pickCats(rng, f, 2+rng.Intn(2))
 			start := graph.VertexID(rng.Intn(16))
 			seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-			want := osr.BruteForceUnordered(d, start, seq, route.AggProduct)
+			want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, Unordered: true}, 1)
 			run := func(opts Options, ci *index.CategoryDistances, k int) *Result {
 				t.Helper()
 				opts.Index, opts.TopK = ci, k
@@ -60,7 +60,7 @@ func TestUnorderedMatchesBruteForce(t *testing.T) {
 				for _, ci := range []*index.CategoryDistances{nil, idx} {
 					if res := run(opts, ci, 0); !sameSkyline(res.Routes, want) {
 						t.Fatalf("%s index=%v: unordered mismatch\ngot:  %v\nwant: %v",
-							ctx, ci != nil, res.Routes, want.Routes())
+							ctx, ci != nil, res.Routes, want)
 					}
 				}
 				for _, k := range []int{2, 3} {
@@ -146,9 +146,9 @@ func TestUnorderedPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := osr.BruteForceUnordered(ds, vq, seq, route.AggProduct)
+	want := osr.BruteForce(ds, osr.Query{Start: vq, Seq: seq, Dest: graph.NoVertex, Unordered: true}, 1)
 	if !sameSkyline(unordered.Routes, want) {
-		t.Fatalf("unordered mismatch\ngot:  %v\nwant: %v", unordered.Routes, want.Routes())
+		t.Fatalf("unordered mismatch\ngot:  %v\nwant: %v", unordered.Routes, want)
 	}
 	for _, or := range ordered.Routes {
 		cover := false

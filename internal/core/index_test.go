@@ -28,7 +28,7 @@ func TestIndexPreservesExactness(t *testing.T) {
 		cats := pickCats(rng, f, 2+rng.Intn(2))
 		start := graph.VertexID(rng.Intn(20))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 		for name, opts := range optionVariants() {
 			opts.Index = idx
 			opts.Shared = shared
@@ -39,7 +39,7 @@ func TestIndexPreservesExactness(t *testing.T) {
 			}
 			if !sameSkyline(res.Routes, want) {
 				t.Fatalf("trial %d %s+index+shared: mismatch\ngot:  %v\nwant: %v",
-					trial, name, res.Routes, want.Routes())
+					trial, name, res.Routes, want)
 			}
 			sharedHits += res.Stats.SharedCacheHits
 		}
@@ -62,7 +62,7 @@ func TestCategoryIndexPreservesExactness(t *testing.T) {
 		cats := pickCats(rng, f, 2+rng.Intn(3))
 		start := graph.VertexID(rng.Intn(24))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 		for name, opts := range optionVariants() {
 			opts.Index = idx
 			s := NewSearcher(d, f.WuPalmer, opts)
@@ -72,7 +72,7 @@ func TestCategoryIndexPreservesExactness(t *testing.T) {
 			}
 			if !sameSkyline(res.Routes, want) {
 				t.Fatalf("trial %d %s+catindex: mismatch\ngot:  %v\nwant: %v",
-					trial, name, res.Routes, want.Routes())
+					trial, name, res.Routes, want)
 			}
 		}
 	}
@@ -131,7 +131,7 @@ func TestCategoryIndexBudgetFallback(t *testing.T) {
 		cats := pickCats(rng, f, 3)
 		start := graph.VertexID(rng.Intn(24))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1)
 		opts := DefaultOptions()
 		opts.Index = idx
 		s := NewSearcher(d, f.WuPalmer, opts)
@@ -140,7 +140,7 @@ func TestCategoryIndexBudgetFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: budget fallback mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d: budget fallback mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }
@@ -243,7 +243,7 @@ func TestPathFilterAblationPreservesExactness(t *testing.T) {
 			}
 		}
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 		enqueued := map[bool]int64{}
 		for _, disable := range []bool{false, true} {
 			opts := DefaultOptions()
@@ -254,7 +254,7 @@ func TestPathFilterAblationPreservesExactness(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("trial %d filter disabled %v: mismatch\ngot:  %v\nwant: %v", trial, disable, res.Routes, want.Routes())
+				t.Fatalf("trial %d filter disabled %v: mismatch\ngot:  %v\nwant: %v", trial, disable, res.Routes, want)
 			}
 			enqueued[disable] = res.Stats.RoutesEnqueued
 		}

@@ -31,15 +31,14 @@ func ratedDataset(t *testing.T, rng *rand.Rand, f *taxonomy.Forest, vertices, po
 	return d
 }
 
-func sameSkyline3(got []RatedRoute, want *route.Skyline3) bool {
-	wp := want.Points()
-	if len(got) != len(wp) {
+func sameSkyline3(got []RatedRoute, want []route.Point3) bool {
+	if len(got) != len(want) {
 		return false
 	}
 	for i := range got {
-		if math.Abs(got[i].Route.Length()-wp[i].L) > 1e-9 ||
-			math.Abs(got[i].Route.Semantic()-wp[i].S) > 1e-9 ||
-			math.Abs(got[i].Rating-wp[i].R) > 1e-9 {
+		if math.Abs(got[i].Route.Length()-want[i].L) > 1e-9 ||
+			math.Abs(got[i].Route.Semantic()-want[i].S) > 1e-9 ||
+			math.Abs(got[i].Rating-want[i].R) > 1e-9 {
 			return false
 		}
 	}
@@ -64,7 +63,7 @@ func TestRatedMatchesBruteForce(t *testing.T) {
 		cats := pickCats(rng, f, size)
 		start := graph.VertexID(rng.Intn(16))
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := osr.BruteForceRated(d, start, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, Rated: true}, 1)
 		for name, opts := range optionVariants() {
 			for _, useIdx := range []bool{false, true} {
 				opts.Index = nil
@@ -78,7 +77,7 @@ func TestRatedMatchesBruteForce(t *testing.T) {
 				}
 				if !sameSkyline3(res.Routes, want) {
 					t.Fatalf("trial %d %s idx=%v: rated skyline mismatch\ngot:  %v\nwant: %v",
-						trial, name, useIdx, renderRated(res.Routes), want.Points())
+						trial, name, useIdx, renderRated(res.Routes), want)
 				}
 			}
 		}

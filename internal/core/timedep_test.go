@@ -11,9 +11,9 @@ import (
 	"skysr/internal/geo"
 	"skysr/internal/graph"
 	"skysr/internal/index"
+	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
-	"skysr/internal/topk"
 )
 
 // tdDataset builds a small random connected dataset whose edges carry
@@ -54,115 +54,6 @@ func tdDataset(rng *rand.Rand, f *taxonomy.Forest, vertices, pois int, period, f
 	return dataset.MustNew("td-rand", b.Build(), f)
 }
 
-// refTDDist is the reference time-dependent single-source shortest
-// travel-time computation: a plain O(V²) label-setting Dijkstra with
-// cost-at-arrival evaluation, structurally independent of the engine's
-// workspace/heap machinery.
-func refTDDist(g *graph.Graph, src graph.VertexID, depart float64) []float64 {
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for {
-		u := graph.VertexID(-1)
-		best := math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !done[v] && dist[v] < best {
-				best, u = dist[v], graph.VertexID(v)
-			}
-		}
-		if u < 0 {
-			return dist
-		}
-		done[u] = true
-		ts, _ := g.Neighbors(u)
-		base := g.ArcBase(u)
-		for i, t := range ts {
-			nd := dist[u] + g.CostAt(base+int32(i), depart+dist[u])
-			if nd < dist[t] {
-				dist[t] = nd
-			}
-		}
-	}
-}
-
-// bruteTDRoutes enumerates every feasible sequenced route for an ordered
-// query — all assignments of distinct semantically matching PoIs to
-// positions, each leg priced by the reference time-dependent Dijkstra at
-// its actual departure time — and feeds them to visit. dest of
-// graph.NoVertex means no destination leg.
-func bruteTDRoutes(d *dataset.Dataset, seq route.Sequence, start, dest graph.VertexID, depart float64, scorer route.Scorer, visit func(*route.Route)) {
-	g := d.Graph
-	var rec func(r *route.Route, from graph.VertexID, t float64)
-	rec = func(r *route.Route, from graph.VertexID, t float64) {
-		pos := r.Size()
-		if pos == len(seq) {
-			if dest != graph.NoVertex {
-				leg := refTDDist(g, from, t)[dest]
-				if math.IsInf(leg, 1) {
-					return
-				}
-				r = r.AddLength(leg)
-			}
-			visit(r)
-			return
-		}
-		dist := refTDDist(g, from, t)
-		origin := pos == 0
-		for _, p := range g.PoIVertices() {
-			if r.Contains(p) || math.IsInf(dist[p], 1) {
-				continue
-			}
-			if p == from && !origin {
-				continue
-			}
-			sim := seq[pos].Sim(g.Categories(p))
-			if sim <= 0 {
-				continue
-			}
-			rec(r.Extend(scorer, p, dist[p], sim), p, t+dist[p])
-		}
-	}
-	rec(route.Empty(scorer), start, depart)
-}
-
-// bruteTDUnordered is bruteTDRoutes for the unordered (trip planning)
-// query: every PoI may serve any still-uncovered position it matches.
-func bruteTDUnordered(d *dataset.Dataset, seq route.Sequence, start graph.VertexID, depart float64, scorer route.Scorer, visit func(*route.Route)) {
-	g := d.Graph
-	full := uint32(1)<<len(seq) - 1
-	var rec func(r *route.Route, mask uint32, from graph.VertexID, t float64)
-	rec = func(r *route.Route, mask uint32, from graph.VertexID, t float64) {
-		if mask == full {
-			visit(r)
-			return
-		}
-		dist := refTDDist(g, from, t)
-		origin := r.Size() == 0
-		for _, p := range g.PoIVertices() {
-			if r.Contains(p) || math.IsInf(dist[p], 1) {
-				continue
-			}
-			if p == from && !origin {
-				continue
-			}
-			cats := g.Categories(p)
-			for pos := range seq {
-				if mask&(1<<uint(pos)) != 0 {
-					continue
-				}
-				if sim := seq[pos].Sim(cats); sim > 0 {
-					rec(r.Extend(scorer, p, dist[p], sim), mask|1<<uint(pos), p, t+dist[p])
-				}
-			}
-		}
-	}
-	rec(route.Empty(scorer), 0, start, depart)
-}
-
 // tdVariants are the option configurations the time-dependent exactness
 // tests sweep, including the category-index serving profile.
 func tdVariants(d *dataset.Dataset, cats []taxonomy.CategoryID) map[string]Options {
@@ -201,11 +92,7 @@ func TestTimeDependentMatchesBruteForce(t *testing.T) {
 		start := graph.VertexID(rng.Intn(d.Graph.NumVertices()))
 		departs := []float64{0, rng.Float64() * 60, 55 + rng.Float64()*10}
 		for _, depart := range departs {
-			scorer := route.NewScorer(route.AggProduct, size)
-			want := route.NewSkyline()
-			bruteTDRoutes(d, seq, start, graph.NoVertex, depart, scorer, func(r *route.Route) {
-				want.Update(r)
-			})
+			want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, DepartAt: depart}, 1)
 			for name, opts := range tdVariants(d, cats) {
 				opts.DepartAt = depart
 				s := NewSearcher(d, d.Forest.WuPalmer, opts)
@@ -215,7 +102,7 @@ func TestTimeDependentMatchesBruteForce(t *testing.T) {
 				}
 				if !sameSkyline(res.Routes, want) {
 					t.Fatalf("trial %d depart %v %s: skyline mismatch\n got %v\nwant %v",
-						trial, depart, name, res.Routes, want.Routes())
+						trial, depart, name, res.Routes, want)
 				}
 			}
 		}
@@ -235,11 +122,7 @@ func TestTimeDependentDestinationMatchesBruteForce(t *testing.T) {
 		start := graph.VertexID(rng.Intn(d.Graph.NumVertices()))
 		dest := graph.VertexID(rng.Intn(d.Graph.NumVertices()))
 		depart := rng.Float64() * 60
-		scorer := route.NewScorer(route.AggProduct, len(seq))
-		want := route.NewSkyline()
-		bruteTDRoutes(d, seq, start, dest, depart, scorer, func(r *route.Route) {
-			want.Update(r)
-		})
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: dest, DepartAt: depart}, 1)
 		for name, opts := range tdVariants(d, cats) {
 			opts.DepartAt = depart
 			s := NewSearcher(d, d.Forest.WuPalmer, opts)
@@ -249,7 +132,7 @@ func TestTimeDependentDestinationMatchesBruteForce(t *testing.T) {
 			}
 			if !sameSkyline(res.Routes, want) {
 				t.Fatalf("trial %d %s: destination skyline mismatch\n got %v\nwant %v",
-					trial, name, res.Routes, want.Routes())
+					trial, name, res.Routes, want)
 			}
 		}
 	}
@@ -267,11 +150,7 @@ func TestTimeDependentUnorderedMatchesBruteForce(t *testing.T) {
 		seq := route.NewCategorySequence(d.Forest, d.Forest.WuPalmer, cats...)
 		start := graph.VertexID(rng.Intn(d.Graph.NumVertices()))
 		depart := rng.Float64() * 60
-		scorer := route.NewScorer(route.AggProduct, len(seq))
-		want := route.NewSkyline()
-		bruteTDUnordered(d, seq, start, depart, scorer, func(r *route.Route) {
-			want.Update(r)
-		})
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, DepartAt: depart, Unordered: true}, 1)
 		for name, opts := range tdVariants(d, cats) {
 			opts.DepartAt = depart
 			s := NewSearcher(d, d.Forest.WuPalmer, opts)
@@ -281,7 +160,7 @@ func TestTimeDependentUnorderedMatchesBruteForce(t *testing.T) {
 			}
 			if !sameSkyline(res.Routes, want) {
 				t.Fatalf("trial %d %s: unordered skyline mismatch\n got %v\nwant %v",
-					trial, name, res.Routes, want.Routes())
+					trial, name, res.Routes, want)
 			}
 		}
 	}
@@ -300,11 +179,7 @@ func TestTimeDependentTopKMatchesBruteForce(t *testing.T) {
 		start := graph.VertexID(rng.Intn(d.Graph.NumVertices()))
 		depart := rng.Float64() * 60
 		for _, k := range []int{2, 3} {
-			scorer := route.NewScorer(route.AggProduct, len(seq))
-			want := topk.NewSkyband(k)
-			bruteTDRoutes(d, seq, start, graph.NoVertex, depart, scorer, func(r *route.Route) {
-				want.Update(r)
-			})
+			want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, DepartAt: depart}, k)
 			opts := DefaultOptions()
 			opts.DepartAt = depart
 			opts.TopK = k
@@ -313,16 +188,15 @@ func TestTimeDependentTopKMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
-			wr := want.Routes()
-			if len(res.Routes) != len(wr) {
+			if len(res.Routes) != len(want) {
 				t.Fatalf("trial %d k=%d: %d routes, want %d\n got %v\nwant %v",
-					trial, k, len(res.Routes), len(wr), res.Routes, wr)
+					trial, k, len(res.Routes), len(want), res.Routes, want)
 			}
-			for i := range wr {
-				if math.Abs(res.Routes[i].Length()-wr[i].Length()) > 1e-9 ||
-					math.Abs(res.Routes[i].Semantic()-wr[i].Semantic()) > 1e-9 {
+			for i := range want {
+				if math.Abs(res.Routes[i].Length()-want[i].L) > 1e-9 ||
+					math.Abs(res.Routes[i].Semantic()-want[i].S) > 1e-9 {
 					t.Fatalf("trial %d k=%d: rank %d (%v) != brute (%v)",
-						trial, k, i+1, res.Routes[i], wr[i])
+						trial, k, i+1, res.Routes[i], want[i])
 				}
 			}
 		}
@@ -430,7 +304,7 @@ func TestTimeDependentFIFOMonotonic(t *testing.T) {
 			}
 		}
 		// Cross-check the engine Dijkstra against the reference.
-		ref := refTDDist(g, src, t1)
+		ref := osr.Distances(g, src, t1)
 		for v := range ref {
 			got := a1[v] - t1
 			if math.IsInf(ref[v], 1) != math.IsInf(got, 1) || (!math.IsInf(ref[v], 1) && math.Abs(got-ref[v]) > 1e-9) {

@@ -28,14 +28,14 @@ func TestUnorderedWithMultiCategoryPoI(t *testing.T) {
 	gb.AddEdge(dual, pa, 1)
 	d := dataset.MustNew("dual-un", gb.Build(), f)
 	seq := route.NewCategorySequence(f, f.WuPalmer, a, bCat)
-	want := osr.BruteForceUnordered(d, v0, seq, route.AggProduct)
+	want := osr.BruteForce(d, osr.Query{Start: v0, Seq: seq, Dest: graph.NoVertex, Unordered: true}, 1)
 	s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 	res, err := s.QueryUnordered(v0, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameSkyline(res.Routes, want) {
-		t.Fatalf("mismatch\ngot:  %v\nwant: %v", res.Routes, want.Routes())
+		t.Fatalf("mismatch\ngot:  %v\nwant: %v", res.Routes, want)
 	}
 	// The only valid assignment: dual serves B (or A) and pa serves A —
 	// either way both PoIs are visited, total length 2.
@@ -81,14 +81,14 @@ func TestUnorderedRepeatedCategory(t *testing.T) {
 		d := randomDataset(rng, f, 14, 10)
 		leaf := f.Leaves()[rng.Intn(len(f.Leaves()))]
 		seq := route.NewCategorySequence(f, f.WuPalmer, leaf, leaf)
-		want := osr.BruteForceUnordered(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex, Unordered: true}, 1)
 		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 		res, err := s.QueryUnordered(0, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestOrderedRepeatedCategory(t *testing.T) {
 		d := randomDataset(rng, f, 14, 10)
 		leaf := f.Leaves()[rng.Intn(len(f.Leaves()))]
 		seq := route.NewCategorySequence(f, f.WuPalmer, leaf, leaf)
-		want := osr.BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := osr.BruteForce(d, osr.Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 		for name, opts := range optionVariants() {
 			s := NewSearcher(d, f.WuPalmer, opts)
 			res, err := s.Query(0, seq)
@@ -110,7 +110,7 @@ func TestOrderedRepeatedCategory(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sameSkyline(res.Routes, want) {
-				t.Fatalf("trial %d %s: mismatch\ngot:  %v\nwant: %v", trial, name, res.Routes, want.Routes())
+				t.Fatalf("trial %d %s: mismatch\ngot:  %v\nwant: %v", trial, name, res.Routes, want)
 			}
 		}
 	}
@@ -150,14 +150,14 @@ func TestDestinationEqualsStart(t *testing.T) {
 		d := randomDataset(rng, f, 16, 12)
 		start := graph.VertexID(rng.Intn(16))
 		seq := route.NewCategorySequence(f, f.WuPalmer, pickCats(rng, f, 2)...)
-		want := osr.BruteForceSkySRWithDestination(d, start, seq, route.AggProduct, start)
+		want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: start}, 1)
 		s := NewSearcher(d, f.WuPalmer, DefaultOptions())
 		res, err := s.QueryWithDestination(start, seq, start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameSkyline(res.Routes, want) {
-			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want.Routes())
+			t.Fatalf("trial %d: mismatch\ngot:  %v\nwant: %v", trial, res.Routes, want)
 		}
 	}
 }

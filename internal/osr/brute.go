@@ -1,213 +1,164 @@
 package osr
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"skysr/internal/dataset"
-	"skysr/internal/dijkstra"
 	"skysr/internal/graph"
 	"skysr/internal/route"
 )
 
-// BruteForceSkySR enumerates every sequenced route (every combination of
-// semantically matching, pairwise-distinct PoIs) and returns the exact
-// skyline. It is exponential in the sequence length and exists purely as
-// the test oracle that cross-validates BSSR, the naive baseline and the
-// extension variants on small instances.
-func BruteForceSkySR(d *dataset.Dataset, start graph.VertexID, seq route.Sequence, agg route.Aggregation) *route.Skyline {
-	return BruteForceSkySRWithDestination(d, start, seq, agg, graph.NoVertex)
+// Query is one query the reference enumerator answers: ordered or
+// unordered, with or without a destination, a departure time or ratings.
+type Query struct {
+	Start graph.VertexID
+	Seq   route.Sequence
+	Agg   route.Aggregation
+	// Dest adds the leg from the last PoI to Dest to every route's length
+	// (the §6 destination variant); graph.NoVertex adds none.
+	Dest graph.VertexID
+	// DepartAt is the time the start is left. Each leg is priced when the
+	// route reaches its tail, so it only matters on time-dependent graphs.
+	DepartAt float64
+	// Unordered lets every PoI serve any still open position (the §6
+	// trip-planning variant) instead of the next one in sequence order.
+	Unordered bool
+	// Rated scores each route's mean rating penalty as its R coordinate
+	// (the §9 three-criteria extension); otherwise R is 0.
+	Rated bool
 }
 
-// BruteForceSkySRWithDestination is BruteForceSkySR for the §6 destination
-// variant: each complete route's length additionally counts the network
-// distance from its last PoI to dest. Pass graph.NoVertex for no
-// destination.
-func BruteForceSkySRWithDestination(d *dataset.Dataset, start graph.VertexID, seq route.Sequence, agg route.Aggregation, dest graph.VertexID) *route.Skyline {
-	k := len(seq)
-	scorer := route.NewScorer(agg, k)
-	sky := route.NewSkyline()
-	if k == 0 {
-		return sky
+// BruteForce is the reference oracle for every query shape: it enumerates
+// every sequenced route of q — each position served by a PoI of positive
+// similarity, all PoIs distinct (Definition 3.4(iii)), each leg the exact
+// shortest travel time from Distances at the time the leg starts — and
+// returns the k-skyband of their (length, semantic, rating) points, sorted
+// by (L, S, R), with one route per point. k = 1 is the skyline of
+// Definition 4.1. It is exponential in the sequence length and shares no
+// code with the search's Dijkstra kernel or result sets; never call it on
+// a real dataset.
+func BruteForce(d *dataset.Dataset, q Query, k int) []route.Point3 {
+	g := d.Graph
+	n := len(q.Seq)
+	if n == 0 {
+		return nil
 	}
-
-	// Candidates per position: every PoI with positive similarity.
-	cands := make([][]graph.VertexID, k)
-	sims := make([][]float64, k)
-	for i, m := range seq {
-		for _, p := range d.Graph.PoIVertices() {
-			if h := m.Sim(d.Graph.Categories(p)); h > 0 {
-				cands[i] = append(cands[i], p)
-				sims[i] = append(sims[i], h)
-			}
+	// On a graph whose costs do not vary with time, one row per source
+	// serves every departure.
+	rows := map[graph.VertexID][]float64{}
+	dist := func(src graph.VertexID, at float64) []float64 {
+		if g.TimeVarying() {
+			return Distances(g, src, at)
 		}
+		if rows[src] == nil {
+			rows[src] = Distances(g, src, at)
+		}
+		return rows[src]
 	}
-
-	// Pairwise distances, computed lazily one source at a time.
-	ws := dijkstra.New(d.Graph)
-	distFrom := map[graph.VertexID]map[graph.VertexID]float64{}
-	dist := func(u, v graph.VertexID) float64 {
-		row, ok := distFrom[u]
-		if !ok {
-			row = make(map[graph.VertexID]float64)
-			ws.Run(dijkstra.Options{Sources: []graph.VertexID{u}})
-			for x := graph.VertexID(0); int(x) < d.Graph.NumVertices(); x++ {
-				if dd, reached := ws.Dist(x); reached {
-					row[x] = dd
-				}
-			}
-			distFrom[u] = row
-		}
-		if dd, ok := row[v]; ok {
-			return dd
-		}
-		return math.Inf(1)
-	}
-
-	var rec func(r *route.Route, from graph.VertexID)
-	rec = func(r *route.Route, from graph.VertexID) {
-		pos := r.Size()
-		if pos == k {
-			if dest != graph.NoVertex {
-				leg := dist(r.Last(), dest)
+	scorer := route.NewScorer(q.Agg, n)
+	var points []route.Point3
+	var rec func(r *route.Route, from graph.VertexID, open uint64, at, penalty float64)
+	rec = func(r *route.Route, from graph.VertexID, open uint64, at, penalty float64) {
+		if open == 0 {
+			if q.Dest != graph.NoVertex {
+				leg := dist(from, at)[q.Dest]
 				if math.IsInf(leg, 1) {
 					return
 				}
 				r = r.AddLength(leg)
 			}
-			sky.Update(r)
+			p := route.Point3{L: r.Length(), S: r.Semantic(), Route: r}
+			if q.Rated {
+				p.R = penalty / float64(n)
+			}
+			points = append(points, p)
 			return
 		}
-		for i, p := range cands[pos] {
-			if r.Contains(p) {
-				continue // Definition 3.4(iii)
-			}
-			d := dist(from, p)
-			if math.IsInf(d, 1) {
+		row := dist(from, at)
+		for pos, m := range q.Seq {
+			if open&(1<<pos) == 0 {
 				continue
 			}
-			rec(r.Extend(scorer, p, d, sims[pos][i]), p)
+			for _, p := range g.PoIVertices() {
+				if r.Contains(p) || math.IsInf(row[p], 1) {
+					continue
+				}
+				if h := m.Sim(g.Categories(p)); h > 0 {
+					rec(r.Extend(scorer, p, row[p], h), p, open&^(1<<pos), at+row[p],
+						penalty+dataset.RatingPenalty(d.Rating(p)))
+				}
+			}
+			if !q.Unordered {
+				break // an ordered route serves its first open position next
+			}
 		}
 	}
-	rec(route.Empty(scorer), start)
-	return sky
+	rec(route.Empty(scorer), q.Start, 1<<n-1, q.DepartAt, 0)
+	return Band(points, k)
 }
 
-// BruteForceRated is the oracle for the §9 three-criteria extension:
-// enumerate every sequenced route and keep the exact skyline over
-// (length, semantic score, rating penalty).
-func BruteForceRated(d *dataset.Dataset, start graph.VertexID, seq route.Sequence, agg route.Aggregation) *route.Skyline3 {
-	k := len(seq)
-	scorer := route.NewScorer(agg, k)
-	sky := route.NewSkyline3()
-	if k == 0 {
-		return sky
-	}
-	cands := make([][]graph.VertexID, k)
-	sims := make([][]float64, k)
-	for i, m := range seq {
-		for _, p := range d.Graph.PoIVertices() {
-			if h := m.Sim(d.Graph.Categories(p)); h > 0 {
-				cands[i] = append(cands[i], p)
-				sims[i] = append(sims[i], h)
+// Band returns the k-skyband of points: each distinct (L, S, R) point that
+// fewer than k other distinct points are componentwise ≤, sorted by
+// (L, S, R); a repeated point keeps its first route. k < 1 counts as 1,
+// the skyline. Every point ≤ p sorts before p, and a point the band drops
+// already has k kept points ≤ it, so counting kept points as the sorted
+// scan goes is exact.
+func Band(points []route.Point3, k int) []route.Point3 {
+	k = max(k, 1)
+	sorted := slices.Clone(points)
+	slices.SortStableFunc(sorted, func(a, b route.Point3) int {
+		return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.S, b.S), cmp.Compare(a.R, b.R))
+	})
+	var band []route.Point3
+	for _, p := range sorted {
+		if last := len(band) - 1; last >= 0 && band[last].L == p.L && band[last].S == p.S && band[last].R == p.R {
+			continue
+		}
+		below := 0
+		for _, b := range band {
+			if b.L <= p.L && b.S <= p.S && b.R <= p.R {
+				below++
 			}
 		}
-	}
-	ws := dijkstra.New(d.Graph)
-	distFrom := map[graph.VertexID]map[graph.VertexID]float64{}
-	dist := func(u, v graph.VertexID) float64 {
-		row, ok := distFrom[u]
-		if !ok {
-			row = make(map[graph.VertexID]float64)
-			ws.Run(dijkstra.Options{Sources: []graph.VertexID{u}})
-			for x := graph.VertexID(0); int(x) < d.Graph.NumVertices(); x++ {
-				if dd, reached := ws.Dist(x); reached {
-					row[x] = dd
-				}
-			}
-			distFrom[u] = row
-		}
-		if dd, ok := row[v]; ok {
-			return dd
-		}
-		return math.Inf(1)
-	}
-	var rec func(r *route.Route, from graph.VertexID, penalty float64)
-	rec = func(r *route.Route, from graph.VertexID, penalty float64) {
-		pos := r.Size()
-		if pos == k {
-			sky.Update(route.Point3{L: r.Length(), S: r.Semantic(), R: penalty / float64(k), Route: r})
-			return
-		}
-		for i, p := range cands[pos] {
-			if r.Contains(p) {
-				continue
-			}
-			dd := dist(from, p)
-			if math.IsInf(dd, 1) {
-				continue
-			}
-			rec(r.Extend(scorer, p, dd, sims[pos][i]), p, penalty+dataset.RatingPenalty(d.Rating(p)))
+		if below < k {
+			band = append(band, p)
 		}
 	}
-	rec(route.Empty(scorer), start, 0)
-	return sky
+	return band
 }
 
-// BruteForceUnordered is the oracle for the §6 "skyline trip planning"
-// variant: every requirement must be satisfied exactly once, in any order.
-func BruteForceUnordered(d *dataset.Dataset, start graph.VertexID, seq route.Sequence, agg route.Aggregation) *route.Skyline {
-	k := len(seq)
-	scorer := route.NewScorer(agg, k)
-	sky := route.NewSkyline()
-	if k == 0 {
-		return sky
+// Distances returns the shortest travel time from src, left at time
+// depart, to every vertex (+Inf where unreachable). It is a plain O(V²)
+// label-setting search that prices each arc with CostAt when its tail is
+// left, the FIFO time-dependent reference of Costa et al.; on a static
+// graph it is Dijkstra's algorithm. It shares no code with the search's
+// kernel, so a kernel bug cannot hide in the oracle built on it.
+func Distances(g *graph.Graph, src graph.VertexID, depart float64) []float64 {
+	dist := make([]float64, g.NumVertices())
+	done := make([]bool, len(dist))
+	for i := range dist {
+		dist[i] = math.Inf(1)
 	}
-	ws := dijkstra.New(d.Graph)
-	distFrom := map[graph.VertexID]map[graph.VertexID]float64{}
-	dist := func(u, v graph.VertexID) float64 {
-		row, ok := distFrom[u]
-		if !ok {
-			row = make(map[graph.VertexID]float64)
-			ws.Run(dijkstra.Options{Sources: []graph.VertexID{u}})
-			for x := graph.VertexID(0); int(x) < d.Graph.NumVertices(); x++ {
-				if dd, reached := ws.Dist(x); reached {
-					row[x] = dd
-				}
+	dist[src] = 0
+	for {
+		u, du := graph.NoVertex, math.Inf(1)
+		for v, dv := range dist {
+			if !done[v] && dv < du {
+				u, du = graph.VertexID(v), dv
 			}
-			distFrom[u] = row
 		}
-		if dd, ok := row[v]; ok {
-			return dd
+		if u == graph.NoVertex {
+			return dist
 		}
-		return math.Inf(1)
-	}
-
-	var rec func(r *route.Route, from graph.VertexID, mask uint32)
-	rec = func(r *route.Route, from graph.VertexID, mask uint32) {
-		if r.Size() == k {
-			sky.Update(r)
-			return
-		}
-		for pos := 0; pos < k; pos++ {
-			if mask&(1<<uint(pos)) != 0 {
-				continue
-			}
-			for _, p := range d.Graph.PoIVertices() {
-				if r.Contains(p) {
-					continue
-				}
-				h := seq[pos].Sim(d.Graph.Categories(p))
-				if h <= 0 {
-					continue
-				}
-				dd := dist(from, p)
-				if math.IsInf(dd, 1) {
-					continue
-				}
-				rec(r.Extend(scorer, p, dd, h), p, mask|1<<uint(pos))
+		done[u] = true
+		ts, _ := g.Neighbors(u)
+		base := g.ArcBase(u)
+		for i, t := range ts {
+			if dt := du + g.CostAt(base+int32(i), depart+du); dt < dist[t] {
+				dist[t] = dt
 			}
 		}
 	}
-	rec(route.Empty(scorer), start, 0)
-	return sky
 }

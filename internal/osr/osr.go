@@ -2,8 +2,18 @@
 // paper compares against (§2, §7.1): the Dijkstra-based solution and the
 // Progressive Neighbour Exploration (PNE) approach of Sharifzadeh et al.,
 // plus the naive SkySR solution that iterates OSR queries over every
-// super-category sequence (§4) and an exhaustive brute-force oracle used
-// by the test suite to cross-validate every algorithm in this repository.
+// super-category sequence (§4).
+//
+// It also holds the one reference oracle the test suite checks every
+// algorithm in this repository against. BruteForce enumerates every
+// sequenced route of an ordered or unordered query, with or without a
+// destination, a departure time or ratings, and Band reduces the routes'
+// (length, semantic, rating) points to their k-skyband: k = 1 is the
+// skyline of Definition 4.1, k > 1 the top-k band of Liu et al. Its legs
+// come from Distances, a label-setting search that prices FIFO
+// time-dependent arcs as Costa et al. do and shares no code with
+// internal/dijkstra, and its bands from Band alone, not from the result
+// sets the search fills.
 package osr
 
 import (

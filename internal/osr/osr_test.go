@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"skysr/internal/dataset"
-	"skysr/internal/dijkstra"
 	"skysr/internal/gen"
 	"skysr/internal/geo"
 	"skysr/internal/graph"
@@ -53,22 +52,12 @@ func pickQueryCats(rng *rand.Rand, f *taxonomy.Forest, n int) []taxonomy.Categor
 // bruteForceOSR finds the shortest sequenced route for explicit candidate
 // membership per position, by exhaustive enumeration.
 func bruteForceOSR(d *dataset.Dataset, start graph.VertexID, members []map[graph.VertexID]struct{}) float64 {
-	ws := dijkstra.New(d.Graph)
-	memo := map[graph.VertexID]map[graph.VertexID]float64{}
+	rows := map[graph.VertexID][]float64{}
 	dist := func(u, v graph.VertexID) float64 {
-		if memo[u] == nil {
-			memo[u] = map[graph.VertexID]float64{}
-			ws.Run(dijkstra.Options{Sources: []graph.VertexID{u}})
-			for x := graph.VertexID(0); int(x) < d.Graph.NumVertices(); x++ {
-				if dd, ok := ws.Dist(x); ok {
-					memo[u][x] = dd
-				}
-			}
+		if rows[u] == nil {
+			rows[u] = Distances(d.Graph, u, 0)
 		}
-		if dd, ok := memo[u][v]; ok {
-			return dd
-		}
-		return math.Inf(1)
+		return rows[u][v]
 	}
 	best := math.Inf(1)
 	var rec func(pos int, from graph.VertexID, used map[graph.VertexID]bool, acc float64)
@@ -193,7 +182,7 @@ func TestNaiveSkySRMatchesBruteForceUniformForest(t *testing.T) {
 		d := randomDataset(rng, f, 18, 12)
 		cats := pickQueryCats(rng, f, 2)
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := BruteForce(d, Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 
 		for _, engine := range []Engine{EngineDijkstra, EnginePNE} {
 			s := NewSolver(d, engine, f.WuPalmer, route.AggProduct)
@@ -232,7 +221,7 @@ func TestNaiveSkySRExactOnUnevenForest(t *testing.T) {
 		d := randomDataset(rng, f, 16, 14)
 		cats := []taxonomy.CategoryID{f.MustLookup("shallow"), f.MustLookup("b1")}
 		seq := route.NewCategorySequence(f, f.WuPalmer, cats...)
-		want := BruteForceSkySR(d, 0, seq, route.AggProduct)
+		want := BruteForce(d, Query{Start: 0, Seq: seq, Dest: graph.NoVertex}, 1)
 
 		s := NewSolver(d, EnginePNE, f.WuPalmer, route.AggProduct)
 		gotExact, err := s.SkySRExact(0, cats)
@@ -344,23 +333,31 @@ func assertPaperSkyline(t *testing.T, name string, sky *route.Skyline) {
 	}
 }
 
-func sameSkyline(a, b *route.Skyline) bool {
-	ra, rb := a.Routes(), b.Routes()
-	if len(ra) != len(rb) {
+// points lists a skyline's routes as the oracle's points.
+func points(sky *route.Skyline) []route.Point3 {
+	var out []route.Point3
+	for _, r := range sky.Routes() {
+		out = append(out, route.Point3{L: r.Length(), S: r.Semantic(), Route: r})
+	}
+	return out
+}
+
+func sameSkyline(got *route.Skyline, want []route.Point3) bool {
+	gp := points(got)
+	if len(gp) != len(want) {
 		return false
 	}
-	for i := range ra {
-		if math.Abs(ra[i].Length()-rb[i].Length()) > 1e-9 ||
-			math.Abs(ra[i].Semantic()-rb[i].Semantic()) > 1e-9 {
+	for i := range gp {
+		if math.Abs(gp[i].L-want[i].L) > 1e-9 || math.Abs(gp[i].S-want[i].S) > 1e-9 {
 			return false
 		}
 	}
 	return true
 }
 
-func assertSameSkyline(t *testing.T, name string, got, want *route.Skyline) {
+func assertSameSkyline(t *testing.T, name string, got *route.Skyline, want []route.Point3) {
 	t.Helper()
 	if !sameSkyline(got, want) {
-		t.Fatalf("%s: skyline mismatch\ngot:  %v\nwant: %v", name, got.Routes(), want.Routes())
+		t.Fatalf("%s: skyline mismatch\ngot:  %v\nwant: %v", name, got.Routes(), want)
 	}
 }

@@ -89,3 +89,61 @@ func FuzzUpdateEndpoint(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchEndpoint feeds mutated JSON bodies to POST /api/batch on a
+// paper-example server that serves on the category index, with tracing
+// off. The endpoint must never panic and must answer 200, 400, 413 or
+// 504. After a 200, each answer must list the same (length, semantic)
+// points as SearchWith on the same engine with that query's k and
+// departure time: a batch runs every query through the snapshot's
+// SharedCache, a single query through none. The committed input under
+// testdata/fuzz/FuzzBatchEndpoint mixes ordered, destination, unordered
+// and k = 2 queries.
+func FuzzBatchEndpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		eng, _, _ := skysr.PaperExample()
+		base := skysr.SearchOptions{UseCategoryIndex: true}
+		srv := New(eng, Config{Logger: logx.Discard(), BaseOpts: base, DisableTracing: true})
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/api/batch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
+			return
+		default:
+			t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
+		}
+		var req batchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("batch answered 200 to a body that does not decode: %v", err)
+		}
+		var resp batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Answers) != len(req.Queries) {
+			t.Fatalf("%d answers to %d queries", len(resp.Answers), len(req.Queries))
+		}
+		for i, bq := range req.Queries {
+			q, err := srv.makeQuery(bq.Start, bq.Via, bq.Dest, bq.Unordered)
+			if err != nil {
+				t.Fatalf("query %d answered, but it does not build: %v", i, err)
+			}
+			opts := base
+			opts.TopK, opts.DepartAt = bq.K, bq.Depart
+			ans, err := eng.SearchWith(q, opts)
+			if err != nil {
+				t.Fatalf("query %d answered in the batch, but SearchWith fails: %v", i, err)
+			}
+			got := resp.Answers[i].Routes
+			if len(got) != len(ans.Routes) {
+				t.Fatalf("query %d: batch answers %d routes, SearchWith %d", i, len(got), len(ans.Routes))
+			}
+			for j, r := range ans.Routes {
+				if g := got[j]; g.Length != r.LengthScore || g.Semantic != r.SemanticScore {
+					t.Fatalf("query %d route %d: batch (%v, %v), SearchWith (%v, %v)", i, j, g.Length, g.Semantic, r.LengthScore, r.SemanticScore)
+				}
+			}
+		}
+	})
+}

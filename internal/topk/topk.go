@@ -23,9 +23,6 @@
 // Lemma 5.5 path filter — a candidate reached through a more-similar PoI
 // yields a dominated route, and dominated routes are precisely what a
 // k-band must keep — so the core search disables it for k > 1.
-//
-// BruteForce is the reference enumerator the property tests verify the
-// search against.
 package topk
 
 import (

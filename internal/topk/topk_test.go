@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"skysr/internal/graph"
+	"skysr/internal/osr"
 	"skysr/internal/route"
 )
 
@@ -65,36 +66,36 @@ func TestSkybandOneEqualsSkyline(t *testing.T) {
 
 // TestSkybandMatchesBand checks the incremental structure against the
 // set-level ground truth: after any insertion order, the accepted points
-// must be exactly Band(all points seen, k), and the k-th-best threshold
-// must agree with a direct selection over them.
+// must be exactly osr.Band(all points seen, k), and the k-th-best
+// threshold must agree with a direct selection over them.
 func TestSkybandMatchesBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, k := range []int{1, 2, 3, 5, 9} {
 		for trial := 0; trial < 100; trial++ {
 			band := NewSkyband(k)
-			var pts []Point
+			var pts []route.Point3
 			for _, r := range randomStream(rng, 50) {
 				band.Update(r)
-				pts = append(pts, Point{Length: r.Length(), Semantic: r.Semantic()})
+				pts = append(pts, route.Point3{L: r.Length(), S: r.Semantic()})
 			}
-			want := Band(pts, k)
+			want := osr.Band(pts, k)
 			got := band.Routes()
 			if len(got) != len(want) {
 				t.Fatalf("k=%d trial %d: band has %d points, ground truth %d\nband: %v\nwant: %v",
 					k, trial, len(got), len(want), got, want)
 			}
 			for i := range got {
-				if got[i].Length() != want[i].Length || got[i].Semantic() != want[i].Semantic {
+				if got[i].Length() != want[i].L || got[i].Semantic() != want[i].S {
 					t.Fatalf("k=%d trial %d: point %d = (%g, %g), want (%g, %g)",
-						k, trial, i, got[i].Length(), got[i].Semantic(), want[i].Length, want[i].Semantic)
+						k, trial, i, got[i].Length(), got[i].Semantic(), want[i].L, want[i].S)
 				}
 			}
 			// Threshold must be the k-th smallest member length per level.
 			for sem := 0.0; sem <= 1.0; sem += 0.125 {
 				var lengths []float64
 				for _, p := range want {
-					if p.Semantic <= sem {
-						lengths = append(lengths, p.Length)
+					if p.S <= sem {
+						lengths = append(lengths, p.L)
 					}
 				}
 				wantTh := math.Inf(1)
@@ -123,15 +124,15 @@ func TestSkybandMonotoneInK(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
 		stream := randomStream(rng, 60)
-		var prev []Point
+		var prev []route.Point3
 		for k := 1; k <= 6; k++ {
 			band := NewSkyband(k)
 			for _, r := range stream {
 				band.Update(r)
 			}
-			var cur []Point
+			var cur []route.Point3
 			for _, m := range band.Routes() {
-				cur = append(cur, Point{Length: m.Length(), Semantic: m.Semantic()})
+				cur = append(cur, route.Point3{L: m.Length(), S: m.Semantic()})
 			}
 			for _, p := range prev {
 				found := false
@@ -190,16 +191,17 @@ func TestSkybandDuplicatePoint(t *testing.T) {
 	}
 }
 
-// TestBandGroundTruth pins Band's semantics on a hand-checked instance.
+// TestBandGroundTruth pins the semantics of osr.Band, the ground truth
+// above, on a hand-checked instance.
 func TestBandGroundTruth(t *testing.T) {
-	pts := []Point{
-		{4, 0}, {6, 0}, {9, 0}, // level 0: (9, 0) is third-best, out at k=2
-		{3, 0.5}, {5, 0.5}, // level 0.5: (5, .5) trails (4, 0) and (3, .5)
-		{2, 0.75}, {7, 0.75}, // level 0.75: (7, .75) trails everything
-		{4, 0}, // duplicate, must collapse
+	pts := []route.Point3{
+		{L: 4}, {L: 6}, {L: 9}, // level 0: (9, 0) is third-best, out at k=2
+		{L: 3, S: 0.5}, {L: 5, S: 0.5}, // level 0.5: (5, .5) trails (4, 0) and (3, .5)
+		{L: 2, S: 0.75}, {L: 7, S: 0.75}, // level 0.75: (7, .75) trails everything
+		{L: 4}, // duplicate, must collapse
 	}
-	got := Band(pts, 2)
-	want := []Point{{2, 0.75}, {3, 0.5}, {4, 0}, {6, 0}}
+	got := osr.Band(pts, 2)
+	want := []route.Point3{{L: 2, S: 0.75}, {L: 3, S: 0.5}, {L: 4}, {L: 6}}
 	if len(got) != len(want) {
 		t.Fatalf("Band = %v, want %v", got, want)
 	}

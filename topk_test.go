@@ -8,9 +8,9 @@ import (
 
 	"skysr/internal/core"
 	"skysr/internal/graph"
+	"skysr/internal/osr"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
-	"skysr/internal/topk"
 )
 
 // TestSearchTopKOneIsSearch is the acceptance-criterion property:
@@ -128,21 +128,31 @@ func dyadicEngine(t *testing.T, rng *rand.Rand, directed bool, vertices, pois in
 	return eng, leaves
 }
 
-// answerPoints projects an Answer onto its score points; an empty answer
-// projects to nil, as the brute-force band of no routes does.
-func answerPoints(ans *Answer) []topk.Point {
-	var out []topk.Point
+// answerPoints projects an Answer onto its score points, without routes,
+// so reflect.DeepEqual compares them bit for bit; an empty answer
+// projects to nil, as scores does an empty band.
+func answerPoints(ans *Answer) []route.Point3 {
+	var out []route.Point3
 	for _, r := range ans.Routes {
-		out = append(out, topk.Point{Length: r.LengthScore, Semantic: r.SemanticScore})
+		out = append(out, route.Point3{L: r.LengthScore, S: r.SemanticScore})
 	}
 	return out
 }
 
 // routePoints is answerPoints for the routes of a core search.
-func routePoints(routes []*route.Route) []topk.Point {
-	var out []topk.Point
+func routePoints(routes []*route.Route) []route.Point3 {
+	var out []route.Point3
 	for _, r := range routes {
-		out = append(out, topk.Point{Length: r.Length(), Semantic: r.Semantic()})
+		out = append(out, route.Point3{L: r.Length(), S: r.Semantic()})
+	}
+	return out
+}
+
+// scores is answerPoints for the oracle's points: it drops their routes.
+func scores(points []route.Point3) []route.Point3 {
+	var out []route.Point3
+	for _, p := range points {
+		out = append(out, route.Point3{L: p.L, S: p.S, R: p.R})
 	}
 	return out
 }
@@ -152,7 +162,7 @@ func routePoints(routes []*route.Route) []topk.Point {
 // semantic), score points are duplicate-free and no PoI sequence repeats.
 func checkRankedAnswer(t *testing.T, ctx string, ans *Answer) {
 	t.Helper()
-	seenPoint := map[topk.Point]bool{}
+	seenPoint := map[[2]float64]bool{}
 	seenPoIs := map[string]bool{}
 	for i, r := range ans.Routes {
 		if r.Rank != i+1 {
@@ -165,7 +175,7 @@ func checkRankedAnswer(t *testing.T, ctx string, ans *Answer) {
 				t.Errorf("%s: routes not sorted at %d: %v after %v", ctx, i, r, prev)
 			}
 		}
-		p := topk.Point{Length: r.LengthScore, Semantic: r.SemanticScore}
+		p := [2]float64{r.LengthScore, r.SemanticScore}
 		if seenPoint[p] {
 			t.Errorf("%s: duplicate score point %v", ctx, p)
 		}
@@ -205,9 +215,9 @@ func TestSearchTopKMatchesBruteForce(t *testing.T) {
 				start := VertexID(rng.Intn(40))
 				seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
 				q := Query{Start: start, Via: via}
-				var prev []topk.Point
+				var prev []route.Point3
 				for _, k := range []int{1, 2, 3, 5} {
-					want := topk.BruteForce(ds, start, seq, k, Product, graph.NoVertex)
+					want := scores(osr.BruteForce(ds, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, k))
 					base, err := eng.SearchTopK(q, k, SearchOptions{})
 					if err != nil {
 						t.Fatal(err)
@@ -281,7 +291,7 @@ func TestSearchTopKDestination(t *testing.T) {
 			seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cats...)
 			q := Query{Start: start, Via: via, Destination: dest, HasDestination: true}
 			for _, k := range []int{1, 2, 3} {
-				want := topk.BruteForce(ds, start, seq, k, Product, dest)
+				want := scores(osr.BruteForce(ds, osr.Query{Start: start, Seq: seq, Dest: dest}, k))
 				for name, p := range servingProfiles() {
 					opts := p.opts
 					opts.TopK = k
@@ -300,7 +310,7 @@ func TestSearchTopKDestination(t *testing.T) {
 
 // TestSearchTopKUnordered verifies the unordered (trip-planning) variant:
 // under every serving profile, the band must equal the brute-force band
-// over every visit order.
+// of every route that visits both categories, in either order.
 func TestSearchTopKUnordered(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	eng, leaves := dyadicEngine(t, rng, false, 36, 12)
@@ -312,16 +322,9 @@ func TestSearchTopKUnordered(t *testing.T) {
 		cb, _ := ds.Forest.Lookup(b)
 		start := VertexID(rng.Intn(36))
 		q := Query{Start: start, Via: []Requirement{Category(a), Category(b)}, Unordered: true}
+		seq := route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, ca, cb)
 		for _, k := range []int{1, 2, 3} {
-			// Brute force over both visit orders, then take the band of the
-			// union of achieved points (BruteForce already bands per order,
-			// and banding a union of per-order bands equals banding the
-			// union of all points: any point a per-order band drops has k
-			// dominators in that order's points, which survive into the
-			// union's band argument transitively).
-			fwd := topk.BruteForce(ds, start, route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, ca, cb), k, Product, graph.NoVertex)
-			rev := topk.BruteForce(ds, start, route.NewCategorySequence(ds.Forest, ds.Forest.WuPalmer, cb, ca), k, Product, graph.NoVertex)
-			want := topk.Band(append(append([]topk.Point(nil), fwd...), rev...), k)
+			want := scores(osr.BruteForce(ds, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex, Unordered: true}, k))
 			for name, p := range servingProfiles() {
 				opts := p.opts
 				opts.TopK = k

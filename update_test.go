@@ -113,7 +113,10 @@ func randomBatch(e *Engine, rng *rand.Rand, structural bool) *UpdateBatch {
 // TestApplyUpdatesMatchesFreshEngine is the core exactness property of the
 // live-update engine: after any update batch, answers on the new epoch are
 // identical — across every serving profile — to a fresh engine built from
-// the mutated dataset's serialization.
+// the mutated dataset's serialization. The non-structural batches run on a
+// warmed category index, so each one's Evolve carries, repairs and
+// rebuilds resident rows, the rows of the PoI it removes included; the
+// structural ones start cold, and their rows are built after the updates.
 func TestApplyUpdatesMatchesFreshEngine(t *testing.T) {
 	for _, structural := range []bool{false, true} {
 		structural := structural
@@ -121,6 +124,11 @@ func TestApplyUpdatesMatchesFreshEngine(t *testing.T) {
 			eng, err := Generate("tokyo", 0.1, 7)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !structural {
+				if _, err := eng.WarmCategoryIndex(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			rng := rand.New(rand.NewSource(99))
 			for round := 0; round < 3; round++ {
