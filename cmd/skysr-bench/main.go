@@ -8,15 +8,18 @@
 //
 //   - latency times serving variants (category index, top-k, constant
 //     and rush-hour profiles) against plain BSSR on one serial searcher;
-//   - soak storms a live server with faults, cancels and updates;
-//   - httpload drives concurrent HTTP clients while scraping /metrics.
+//   - httpload times the HTTP serving tier's throughput at several
+//     client counts and the instrumentation overhead against a bare
+//     engine.
+//
+// What the serving tier must get right under faults and load is tested
+// in internal/serve, under go test -race.
 //
 // Usage:
 //
 //	skysr-bench                     # paper suite, laptop-sized defaults
 //	skysr-bench -scale 1 -queries 100 -sizes 2,3,4,5 -verify -json BENCH_PAPER.json
 //	skysr-bench -gate latency -json BENCH_LATENCY.json
-//	skysr-bench -gate soak -json BENCH_SOAK.json
 //	skysr-bench -gate httpload -json BENCH_HTTPLOAD.json
 package main
 
@@ -29,18 +32,6 @@ import (
 
 	"skysr/internal/bench"
 )
-
-// Scenario sizes of the soak and httpload gates.
-const (
-	soakOps     = 160 // soak client operations per dataset
-	soakWorkers = 8   // concurrent soak clients
-	httpLoadOps = 200 // route requests per (dataset, workers) point
-)
-
-// httpLoadWorkers lists the concurrent client counts the httpload gate
-// measures, ascending; its summary row compares the multi-worker points
-// with the first.
-var httpLoadWorkers = []int{1, 4, 8}
 
 // mode is what one run of the command measures: the title of its table
 // and its runner.
@@ -56,25 +47,8 @@ var modes = map[string]mode{
 		(*bench.Harness).Paper},
 	"latency": {"Latency: serving variants vs plain BSSR (template workload, |Sq| = 3; best of two passes, index build excluded)",
 		(*bench.Harness).Latency},
-	"soak": {"Soak: fault-injected HTTP serving (mixed query/update/cancel traffic; recovery asserted after the storm)",
-		perDataset(soakDataset)},
-	"httpload": {"HTTP load: concurrent clients vs the serving tier, /metrics scraped mid-run; summary rows gate throughput scaling and instrumentation overhead",
-		perDataset(httpLoadDataset)},
-}
-
-// perDataset runs one gated mode's scenario on every configured dataset.
-func perDataset(run func(cfg bench.Config, name string) ([]bench.Row, error)) func(*bench.Harness) ([]bench.Row, error) {
-	return func(h *bench.Harness) ([]bench.Row, error) {
-		var rows []bench.Row
-		for _, name := range h.Config().Datasets {
-			dsRows, err := run(h.Config(), name)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			rows = append(rows, dsRows...)
-		}
-		return rows, nil
-	}
+	"httpload": {"HTTP load: concurrent clients vs the serving tier; summary rows gate throughput scaling and instrumentation overhead",
+		httpLoad},
 }
 
 func main() {
@@ -86,7 +60,7 @@ func main() {
 	datasets := flag.String("datasets", "tokyo,nyc,cal", "comma-separated dataset presets")
 	budget := flag.Int64("budget", cfg.Budget, "naive-baseline work budget per query (0 = unlimited)")
 	verify := flag.Bool("verify", false, "gate the suite's Figure 3 rows on returning BSSR's skyline")
-	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency, soak or httpload): print its table and exit 1 when one of its gates fails")
+	gateName := flag.String("gate", "", "run one gated mode instead of the suite (latency or httpload): print its table and exit 1 when one of its gates fails")
 	jsonOut := flag.String("json", "", "write the rows as a JSON report to this path")
 	flag.Parse()
 
@@ -107,7 +81,7 @@ func main() {
 
 	m, ok := modes[*gateName]
 	if !ok {
-		exit(2, "unknown gate %q (want latency, soak or httpload)", *gateName)
+		exit(2, "unknown gate %q (want latency or httpload)", *gateName)
 	}
 	h := bench.New(cfg)
 	rows, err := m.run(h)

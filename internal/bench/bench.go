@@ -3,10 +3,10 @@
 // Check and WriteJSON): the paper suite (Harness.Paper), which regenerates
 // every table and figure of the paper's evaluation (§7) plus the
 // user-study aggregation of §8 in one pass, and the gated modes. The
-// latency mode lives here too. The soak and httpload modes drive
-// the public skysr.Engine and internal/serve, which this package cannot
-// import without a cycle, so they live in cmd/skysr-bench and build the
-// same rows.
+// latency mode lives here too. The httpload mode drives the public
+// skysr.Engine and internal/serve, which this package cannot import
+// without a cycle, so it lives in cmd/skysr-bench and builds the same
+// rows.
 //
 // Absolute numbers differ from the paper (synthetic datasets at reduced
 // scale, Go instead of C++, different hardware); the harness exists to

@@ -1,7 +1,7 @@
 package bench
 
-// Every skysr-bench mode (the paper suite, latency, soak, httpload)
-// reports in one layout. A Row names what it measured (dataset and
+// Every skysr-bench mode (the paper suite, latency, httpload) reports in
+// one layout. A Row names what it measured (dataset and
 // scenario), carries the values it reports, and holds the verdict of
 // every gate the mode puts on that measurement. Each mode decides its
 // verdicts where it builds its rows, so Render, Check and WriteJSON serve

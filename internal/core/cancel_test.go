@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,18 +179,35 @@ func TestPoolClearsCancellation(t *testing.T) {
 	pool.Put(s2)
 }
 
-// TestDeadlineTripsMidSearch: a live deadline expiring during the search
-// (forced by a fault-hook delay) unwinds with partial stats.
+// expiringContext is a context whose deadline passes when expire is
+// called, so a test decides the exact point inside a search where it
+// does, whatever the machine's load.
+type expiringContext struct {
+	context.Context
+	expired atomic.Bool
+}
+
+func (c *expiringContext) expire() { c.expired.Store(true) }
+
+func (c *expiringContext) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestDeadlineTripsMidSearch: a deadline passing during the search (in
+// the first modified-Dijkstra run, after the upfront check) unwinds with
+// partial stats.
 func TestDeadlineTripsMidSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	f := taxonomy.Generated(3, 2, 3)
 	d := randomDataset(rng, f, 24, 18)
 	cats := pickCats(rng, f, 3)
 
-	restore := faults.Set(faults.MDijkstraRun, func(int64) { time.Sleep(3 * time.Millisecond) })
+	ctx := &expiringContext{Context: context.Background()}
+	restore := faults.Set(faults.MDijkstraRun, func(int64) { ctx.expire() })
 	defer restore()
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Millisecond))
-	defer cancel()
 	opts := DefaultOptions()
 	opts.Context = ctx
 	s := NewSearcher(d, f.WuPalmer, opts)

@@ -1,12 +1,12 @@
 // Package faults is the compiled-in fault-injection seam of the search
 // core and serving tier. Production builds carry the instrumentation
 // permanently — every instrumented site calls Fire, which costs one
-// atomic load when no hook is installed at its point — and tests (and the
-// skysr-bench soak experiment) install hooks to delay, panic, or cancel
-// at precise points inside a search: per-pop delays simulate slow storage
-// and CPU contention, panic-at-pop-N proves the serving tier's recovery
-// middleware and the pool/snapshot unwinding, and cancel-mid-leg drives
-// the cancellation seam from arbitrary depths.
+// atomic load when no hook is installed at its point — and tests install
+// hooks to delay, panic, or cancel at precise points inside a search:
+// per-pop delays simulate slow storage and CPU contention, panic-at-pop-N
+// proves the serving tier's recovery middleware and the pool/snapshot
+// unwinding, and cancel-mid-leg drives the cancellation seam from
+// arbitrary depths.
 //
 // Hooks are process-global (the seam cuts across pooled searchers and
 // HTTP handlers, which have no per-request identity to key on), so tests

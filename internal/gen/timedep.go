@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -101,9 +102,19 @@ func rushHourProfile(w, fm, fe, period float64) graph.Profile {
 // period: n breakpoints at random times, costs in (0, maxCost], repaired
 // to the FIFO slope bound. The correctness property suites use it to
 // exercise the time-dependent search with unstructured profiles.
+// Breakpoints sit on multiples of 1/16 below the period, so n is capped
+// at how many there are. A period that is not positive and finite
+// panics.
 func RandomFIFOProfile(rng *rand.Rand, period float64, n int, maxCost float64) graph.Profile {
+	steps := math.Ceil(period * 16) // the multiples k/16 with 0 ≤ k/16 < period
+	if !(steps >= 1) || math.IsInf(steps, 1) {
+		panic(fmt.Sprintf("gen: RandomFIFOProfile period %v is not positive and finite", period))
+	}
 	if n < 1 {
 		n = 1
+	}
+	if float64(n) > steps {
+		n = int(steps)
 	}
 	times := make([]float64, 0, n)
 	seen := map[float64]bool{}

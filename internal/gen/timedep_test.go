@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,5 +73,32 @@ func TestRandomFIFOProfileAlwaysValid(t *testing.T) {
 	var zero graph.Profile
 	if len(zero.Times) != 0 {
 		t.Fatal("unexpected zero profile state")
+	}
+}
+
+// TestRandomFIFOProfileShortPeriod: a period holding fewer 1/16 steps
+// than the breakpoints asked for gets at most one breakpoint per step
+// instead of a search for times that do not exist, and a period that is
+// not positive and finite panics.
+func TestRandomFIFOProfileShortPeriod(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		p := RandomFIFOProfile(rng, 0.1, 3, 12)
+		if err := p.Validate(0.1); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(p.Times) > 2 {
+			t.Fatalf("trial %d: %d breakpoints in a period holding 2 steps", trial, len(p.Times))
+		}
+	}
+	for _, period := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("period %v: no panic", period)
+				}
+			}()
+			RandomFIFOProfile(rng, period, 3, 12)
+		}()
 	}
 }

@@ -2,9 +2,9 @@ package metrics
 
 // ParseText is the validating counterpart of Registry.WriteText: a small
 // parser for the Prometheus text exposition format used by the test
-// suites, the skysr-bench httpload gate and the CI scrape smoke to assert
-// that /metrics output is well-formed and that specific samples hold
-// specific values — without depending on a Prometheus client library.
+// suites to assert that /metrics output is well-formed and that specific
+// samples hold specific values — without depending on a Prometheus
+// client library.
 
 import (
 	"fmt"

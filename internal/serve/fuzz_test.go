@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"skysr"
@@ -143,6 +145,80 @@ func FuzzBatchEndpoint(f *testing.F) {
 				if g := got[j]; g.Length != r.LengthScore || g.Semantic != r.SemanticScore {
 					t.Fatalf("query %d route %d: batch (%v, %v), SearchWith (%v, %v)", i, j, g.Length, g.Semantic, r.LengthScore, r.SemanticScore)
 				}
+			}
+		}
+	})
+}
+
+// FuzzRouteEndpoint feeds mutated query strings to GET /api/route on a
+// paper-example server that serves on the category index, with tracing
+// off. The bytes go in as the raw query, so malformed escapes and pairs
+// reach the handler's decoder (httptest.NewRequest would panic on such a
+// target). The endpoint must never panic and must answer 200, 400 or
+// 504. After a 200, the answer must list the same (length, semantic)
+// points as SearchWith on the same engine with the start, via, dest,
+// unordered flag, k and departure time the request carried. The route
+// endpoint never changes the engine, so one server answers every input,
+// as a long-running one would. The seed below is the paper's Table 4
+// query, ordered, with a destination, k = 2, a departure time and
+// expand=1; the committed input under testdata/fuzz/FuzzRouteEndpoint is
+// its unordered twin.
+func FuzzRouteEndpoint(f *testing.F) {
+	f.Add([]byte("start=0&via=Asian+Restaurant,Arts+%26+Entertainment,Gift+Shop&dest=3&k=2&depart=2.5&expand=1"))
+	eng, _, _ := skysr.PaperExample()
+	base := skysr.SearchOptions{UseCategoryIndex: true}
+	srv := New(eng, Config{Logger: logx.Discard(), BaseOpts: base, DisableTracing: true})
+	mux := srv.Handler()
+	f.Fuzz(func(t *testing.T, rawQuery []byte) {
+		req := httptest.NewRequest("GET", "/api/route", nil)
+		req.URL.RawQuery = string(rawQuery)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusGatewayTimeout:
+			return
+		default:
+			t.Fatalf("route status %d: %s", rec.Code, rec.Body.String())
+		}
+		qv := req.URL.Query()
+		start, err := strconv.Atoi(qv.Get("start"))
+		if err != nil {
+			t.Fatalf("answered 200 to start %q", qv.Get("start"))
+		}
+		var dest *int
+		if raw := qv.Get("dest"); raw != "" {
+			d, err := strconv.Atoi(raw)
+			if err != nil {
+				t.Fatalf("answered 200 to dest %q", raw)
+			}
+			dest = &d
+		}
+		q, err := srv.makeQuery(start, strings.Split(qv.Get("via"), ","), dest, qv.Get("unordered") == "1")
+		if err != nil {
+			t.Fatalf("answered 200, but the query does not build: %v", err)
+		}
+		opts := base
+		if opts.TopK, err = parseTopK(qv.Get("k")); err != nil {
+			t.Fatalf("answered 200 to k %q", qv.Get("k"))
+		}
+		if opts.DepartAt, err = parseDepart(qv.Get("depart")); err != nil {
+			t.Fatalf("answered 200 to depart %q", qv.Get("depart"))
+		}
+		ans, err := eng.SearchWith(q, opts)
+		if err != nil {
+			t.Fatalf("answered 200, but SearchWith fails: %v", err)
+		}
+		var got routeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Routes) != len(ans.Routes) {
+			t.Fatalf("route answers %d routes, SearchWith %d", len(got.Routes), len(ans.Routes))
+		}
+		for i, r := range ans.Routes {
+			if g := got.Routes[i]; g.Length != r.LengthScore || g.Semantic != r.SemanticScore {
+				t.Fatalf("route %d: (%v, %v), SearchWith (%v, %v)", i, g.Length, g.Semantic, r.LengthScore, r.SemanticScore)
 			}
 		}
 	})

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"skysr/internal/logx"
@@ -34,9 +33,10 @@ var httpEndpoints = []string{
 }
 
 // RequiredMetricNames are the families every /metrics scrape of a
-// server with tracing on carries. The serve tests, the skysr-bench
-// httpload gate and the CI scrape smoke, which greps for the same list,
-// all assert them, so a renamed family cannot slip out silently.
+// server with tracing on carries. Every scrape the serve tests take, the
+// ones pulled mid-storm included, and the CI scrape smoke, which greps
+// for the same list, assert them, so a renamed family cannot slip out
+// silently.
 var RequiredMetricNames = []string{
 	"skysr_search_total",
 	"skysr_search_stage_seconds_bucket",
@@ -56,29 +56,6 @@ var RequiredMetricNames = []string{
 	"skysr_trace_kept_total",
 	"skysr_trace_dropped_total",
 	"skysr_trace_recorder_len",
-}
-
-// MissingMetrics returns the RequiredMetricNames absent from a parsed
-// scrape (metrics.ParseText output, keyed "name" or "name{labels}").
-func MissingMetrics(samples map[string]float64) []string {
-	var missing []string
-	for _, name := range RequiredMetricNames {
-		if !hasMetric(samples, name) {
-			missing = append(missing, name)
-		}
-	}
-	return missing
-}
-
-// hasMetric reports whether a parsed scrape carries any sample of the
-// named family.
-func hasMetric(samples map[string]float64, name string) bool {
-	for k := range samples {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			return true
-		}
-	}
-	return false
 }
 
 // tracedEndpoints names the endpoints whose requests get a per-request

@@ -21,6 +21,7 @@ import (
 	"skysr"
 	"skysr/internal/logx"
 	"skysr/internal/metrics"
+	"skysr/internal/trace"
 )
 
 // scrape pulls GET /metrics through the mux and parses the exposition;
@@ -40,10 +41,26 @@ func scrape(t *testing.T, mux http.Handler) map[string]float64 {
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, rec.Body.String())
 	}
-	if missing := MissingMetrics(samples); len(missing) > 0 {
+	if missing := missingMetrics(samples); len(missing) > 0 {
 		t.Fatalf("/metrics missing families: %s", strings.Join(missing, ", "))
 	}
 	return samples
+}
+
+// missingMetrics returns the RequiredMetricNames absent from a parsed
+// scrape (metrics.ParseText output, keyed "name" or "name{labels}").
+func missingMetrics(samples map[string]float64) []string {
+	var missing []string
+next:
+	for _, name := range RequiredMetricNames {
+		for k := range samples {
+			if k == name || strings.HasPrefix(k, name+"{") {
+				continue next
+			}
+		}
+		missing = append(missing, name)
+	}
+	return missing
 }
 
 const tableFourQuery = "/api/route?start=0&via=Asian+Restaurant,Arts+%26+Entertainment,Gift+Shop"
@@ -114,25 +131,41 @@ func TestMetricsEpochGauge(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrentStorm hammers route, batch and update while a
-// scraper loop pulls /metrics — the -race run proves the exposition
-// path is safe against the serving hot path, and the final deltas prove
-// exactness holds under concurrency: every 200 route is one search,
-// every 200 batch is two, updates are none.
+// TestMetricsConcurrentStorm hammers route, batch and update on a server
+// that keeps every trace (sample 1) while a scraper loop pulls /metrics.
+// The -race run proves the exposition and the flight recorder are safe
+// against the serving hot path. Two execution slots for six clients keep
+// the admission queue busy, and every request must answer 200. The
+// final deltas prove exactness holds under concurrency: every route is
+// one search, one 2xx and one latency observation, every batch is two
+// searches, every update one epoch, and every request one kept trace.
+// Afterwards the recorder, its ring wrapped many times over, must list a
+// full ring whose every trace is servable by ID, route traces with their
+// search span.
 func TestMetricsConcurrentStorm(t *testing.T) {
 	leakCheck(t)
-	_, mux := testServer(t)
+	_, mux := tracedServer(t, Config{MaxConcurrent: 2})
 	before := scrape(t, mux)
 
 	const (
 		workers    = 6
 		opsPerKind = 30
+		perKind    = workers * opsPerKind
 	)
 	batchBody := `{"queries":[
 		{"start":0,"via":["Gift Shop"]},
 		{"start":0,"via":["Asian Restaurant","Arts & Entertainment","Gift Shop"]}]}`
 
-	var routeOK, batchOK, updateOK atomic.Int64
+	var failed atomic.Int64
+	var firstFailure atomic.Value
+	do := func(req *http.Request) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			failed.Add(1)
+			firstFailure.CompareAndSwap(nil, fmt.Sprintf("%s %s: %d %s", req.Method, req.URL.Path, rec.Code, rec.Body.String()))
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -140,28 +173,16 @@ func TestMetricsConcurrentStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < opsPerKind; i++ {
-				rec := httptest.NewRecorder()
-				mux.ServeHTTP(rec, httptest.NewRequest("GET", tableFourQuery, nil))
-				if rec.Code == http.StatusOK {
-					routeOK.Add(1)
-				}
-				rec = httptest.NewRecorder()
-				mux.ServeHTTP(rec, httptest.NewRequest("POST", "/api/batch", strings.NewReader(batchBody)))
-				if rec.Code == http.StatusOK {
-					batchOK.Add(1)
-				}
+				do(httptest.NewRequest("GET", tableFourQuery, nil))
+				do(httptest.NewRequest("POST", "/api/batch", strings.NewReader(batchBody)))
 				// Flip one road weight back and forth; every update is
 				// valid, so concurrent epochs only ever move forward.
 				weight := "10"
 				if (w+i)%2 == 1 {
 					weight = "12"
 				}
-				rec = httptest.NewRecorder()
-				mux.ServeHTTP(rec, httptest.NewRequest("POST", "/api/update",
+				do(httptest.NewRequest("POST", "/api/update",
 					strings.NewReader(`{"set_weights":[{"u":0,"v":1,"w":`+weight+`}]}`)))
-				if rec.Code == http.StatusOK {
-					updateOK.Add(1)
-				}
 			}
 		}()
 	}
@@ -186,7 +207,7 @@ func TestMetricsConcurrentStorm(t *testing.T) {
 			mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 			samples, err := metrics.ParseText(rec.Body.Bytes())
 			if err == nil {
-				if missing := MissingMetrics(samples); len(missing) > 0 {
+				if missing := missingMetrics(samples); len(missing) > 0 {
 					err = fmt.Errorf("missing families: %s", strings.Join(missing, ", "))
 				}
 			}
@@ -201,33 +222,53 @@ func TestMetricsConcurrentStorm(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	scraperWG.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d requests did not answer 200; first: %s", n, 3*perKind, firstFailure.Load())
+	}
 	if scrapeErr != nil {
 		t.Fatalf("mid-storm scrape failed: %v", scrapeErr)
 	}
 	if scrapes == 0 {
 		t.Fatal("the scraper never completed a pull during the storm")
 	}
-	if updateOK.Load() == 0 {
-		t.Fatal("no update ever succeeded")
-	}
 
 	after := scrape(t, mux)
-	wantSearches := float64(routeOK.Load() + 2*batchOK.Load())
-	if d := after["skysr_search_total"] - before["skysr_search_total"]; d != wantSearches {
-		t.Errorf("skysr_search_total moved %v, want exactly %v (%d routes + 2×%d batches)",
-			d, wantSearches, routeOK.Load(), batchOK.Load())
+	for _, c := range []struct {
+		key  string
+		want float64
+	}{
+		{"skysr_search_total", 3 * perKind},
+		{`skysr_http_requests_total{endpoint="route",code="2xx"}`, perKind},
+		{`skysr_http_request_seconds_count{endpoint="route"}`, perKind},
+		{`skysr_http_requests_total{endpoint="update",code="2xx"}`, perKind},
+		{"skysr_epoch", perKind},
+		{"skysr_trace_kept_total", 3 * perKind},
+	} {
+		if d := after[c.key] - before[c.key]; d != c.want {
+			t.Errorf("%s moved %v, want exactly %v", c.key, d, c.want)
+		}
 	}
-	if d := after[`skysr_http_requests_total{endpoint="route",code="2xx"}`] -
-		before[`skysr_http_requests_total{endpoint="route",code="2xx"}`]; d != float64(routeOK.Load()) {
-		t.Errorf("route 2xx counter moved %v for %d requests", d, routeOK.Load())
+
+	out := listTraces(t, mux, "")
+	if len(out.Traces) != out.Capacity || out.Capacity >= 3*perKind {
+		t.Fatalf("listed %d traces with capacity %d after %d kept, want a full ring", len(out.Traces), out.Capacity, 3*perKind)
 	}
-	if d := after[`skysr_http_requests_total{endpoint="update",code="2xx"}`] -
-		before[`skysr_http_requests_total{endpoint="update",code="2xx"}`]; d != float64(updateOK.Load()) {
-		t.Errorf("update 2xx counter moved %v for %d updates", d, updateOK.Load())
-	}
-	if after["skysr_epoch"] != before["skysr_epoch"]+float64(updateOK.Load()) {
-		t.Errorf("skysr_epoch = %v after %d updates from %v",
-			after["skysr_epoch"], updateOK.Load(), before["skysr_epoch"])
+	for _, sum := range out.Traces {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/debug/traces/"+sum.ID, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("listed trace %s: status %d: %s", sum.ID, rec.Code, rec.Body.String())
+		}
+		var full trace.TraceJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
+			t.Fatal(err)
+		}
+		if full.ID != sum.ID || full.Status != "ok" {
+			t.Errorf("trace %s served as %s with status %q", sum.ID, full.ID, full.Status)
+		}
+		if sum.Name == "route" && !slices.ContainsFunc(full.Root.Children, func(c trace.SpanJSON) bool { return c.Name == "search" }) {
+			t.Errorf("route trace %s has no search span: %+v", sum.ID, full.Root.Children)
+		}
 	}
 }
 

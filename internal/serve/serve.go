@@ -5,9 +5,10 @@
 // cancellation seam, a bounded admission queue with Retry-After
 // backpressure, panic-recovery middleware that converts handler panics
 // into JSON 500s, and SIGTERM-style graceful drain with a budget
-// (lifecycle.go). The skysr-bench soak experiment drives this package
-// directly, with fault injection enabled, to prove the tier recovers
-// without goroutine or snapshot leaks.
+// (lifecycle.go). The package's tests drive it with fault injection
+// enabled (a delayed or panicking search, a client that cancels
+// mid-search or in the queue) and check that the tier recovers without
+// goroutine or snapshot leaks.
 //
 // The tier is observable end to end: GET /metrics exposes the engine's
 // search-stage instrumentation and the per-endpoint HTTP series in

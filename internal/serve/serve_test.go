@@ -539,6 +539,7 @@ func TestQueryTimeout(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-timeout status = %d: %s", rec.Code, rec.Body.String())
 	}
+	applyUpdate(t, mux)
 	if n := s.eng.LiveSnapshots(); n != 1 {
 		t.Errorf("live snapshots = %d, want 1 (timed-out queries must release their pins)", n)
 	}
@@ -588,6 +589,7 @@ func TestPanicRecovery(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-panic status = %d: %s", rec.Code, rec.Body.String())
 	}
+	applyUpdate(t, mux)
 	if n := s.eng.LiveSnapshots(); n != 1 {
 		t.Errorf("live snapshots = %d, want 1 (panicked queries must release their pins)", n)
 	}
@@ -684,6 +686,116 @@ func TestAdmissionSaturation(t *testing.T) {
 			t.Errorf("request %d status = %d, want 200", i, code)
 		}
 	}
+}
+
+// assertCancelAftermath checks what one cancelled request must leave
+// behind on a server that keeps failure traces only: a single retained
+// trace with status cancelled, nothing queued or running, and no snapshot
+// pin.
+func assertCancelAftermath(t *testing.T, s *Server, mux http.Handler) {
+	t.Helper()
+	if out := listTraces(t, mux, ""); len(out.Traces) != 1 || out.Traces[0].Status != "cancelled" {
+		t.Errorf("traces = %+v, want one with status cancelled", out.Traces)
+	}
+	if depth, running := s.adm.queueDepth(), s.adm.inFlightCount(); depth != 0 || running != 0 {
+		t.Errorf("queue depth %d, in flight %d after the cancel, want 0 and 0", depth, running)
+	}
+	applyUpdate(t, mux)
+	if n := s.eng.LiveSnapshots(); n != 1 {
+		t.Errorf("live snapshots = %d after an update, want 1 (a cancelled request must release its pin)", n)
+	}
+}
+
+// applyUpdate moves the engine to a new version, retiring the one a
+// failed request ran on unless that request still pins it.
+func applyUpdate(t *testing.T, mux http.Handler) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/api/update", strings.NewReader(`{"set_weights":[{"u":0,"v":1,"w":9}]}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("update status = %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestClientCancelMidSearch cancels a route request's context from inside
+// its search, as a client that walks away mid-query does: the search
+// unwinds through the cancellation seam and the handler answers 503.
+func TestClientCancelMidSearch(t *testing.T) {
+	leakCheck(t)
+	s, mux := tracedServer(t, Config{SlowQuery: -1, TraceSample: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The core checks the context right after this hook, so the search
+	// stops at the start of its second m-Dijkstra run, the first having
+	// done real work.
+	restore := faults.Set(faults.MDijkstraRun, func(n int64) {
+		if n == 2 {
+			cancel()
+		}
+	})
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil).WithContext(ctx))
+	restore()
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "query cancelled") {
+		t.Fatalf("status = %d: %s, want 503 query cancelled", rec.Code, rec.Body.String())
+	}
+	assertCancelAftermath(t, s, mux)
+}
+
+// TestClientAbandonsQueue cancels a request while it waits in the
+// admission queue behind one that holds the only execution slot: the
+// waiter answers 503 without ever searching, and the holder still
+// finishes with 200.
+func TestClientAbandonsQueue(t *testing.T) {
+	leakCheck(t)
+	s, mux := tracedServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, SlowQuery: -1, TraceSample: -1})
+	entered, gate := make(chan struct{}), make(chan struct{})
+	restore := faults.Set(faults.RoutePop, func(n int64) {
+		if n == 1 {
+			close(entered)
+			<-gate
+		}
+	})
+	defer restore()
+
+	held := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil))
+		held <- rec.Code
+	}()
+	select {
+	case <-entered:
+	case code := <-held:
+		t.Fatalf("the slot holder finished with %d without reaching the pop loop", code)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	queued := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/api/route?start=0&via=Gift+Shop", nil).WithContext(ctx))
+		queued <- rec
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.adm.queueDepth() != 1 {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("second request never queued (depth = %d)", s.adm.queueDepth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	rec := <-queued
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "abandoned while queued") {
+		t.Errorf("abandoned request: status %d: %s, want 503 abandoned while queued", rec.Code, rec.Body.String())
+	}
+	close(gate)
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("slot holder status = %d, want 200", code)
+	}
+	restore()
+	assertCancelAftermath(t, s, mux)
 }
 
 // TestDrainingRejectsHeavyEndpoints flips the draining flag and checks
