@@ -3,6 +3,7 @@ package skysr
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -118,9 +119,7 @@ func TestPreExpiredDeadlineAllShapes(t *testing.T) {
 		t.Errorf("batch: cancelled context err = %v, want ErrSearchCancelled wrapping context.Canceled", err)
 	}
 
-	if n := eng.LiveSnapshots(); n != 1 {
-		t.Fatalf("engine holds %d live snapshots after refused searches, want 1", n)
-	}
+	assertPinsReleased(t, eng, "refused searches")
 }
 
 // TestCancelledThenIdentical: a query cancelled mid-search (inside its
@@ -177,9 +176,7 @@ func TestCancelledThenIdentical(t *testing.T) {
 			}
 		}
 	}
-	if n := eng.LiveSnapshots(); n != 1 {
-		t.Fatalf("engine holds %d live snapshots after cancelled searches, want 1 (pin leak)", n)
-	}
+	assertPinsReleased(t, eng, "cancelled searches")
 }
 
 // TestBatchMidFlightCancellation: cancelling a batch while its workers are
@@ -228,7 +225,18 @@ func TestBatchMidFlightCancellation(t *testing.T) {
 			t.Fatalf("answer %d diverged after the cancelled batch", i)
 		}
 	}
+	assertPinsReleased(t, eng, "a cancelled batch")
+}
+
+// assertPinsReleased supersedes eng's snapshot with one update batch and
+// checks nothing still pins the old one: a leaked pin only shows once
+// its snapshot is no longer current.
+func assertPinsReleased(t *testing.T, eng *Engine, after string) {
+	t.Helper()
+	if _, err := eng.ApplyUpdates(randomBatch(eng, rand.New(rand.NewSource(1)), false)); err != nil {
+		t.Fatal(err)
+	}
 	if n := eng.LiveSnapshots(); n != 1 {
-		t.Fatalf("engine holds %d live snapshots after a cancelled batch, want 1 (pin leak)", n)
+		t.Fatalf("engine holds %d live snapshots after %s and an update, want 1 (pin leak)", n, after)
 	}
 }

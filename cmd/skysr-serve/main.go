@@ -76,7 +76,8 @@
 // GET /metrics serves the engine's search-stage counters and histograms
 // plus the per-endpoint HTTP series in Prometheus text format (no
 // client dependency — see internal/metrics and README, "Observability").
-// All log output is structured key=value lines through internal/logx;
+// All log output is log/slog text lines on stderr (time=… level=INFO
+// msg=… k=v …), a request's lines with its endpoint and trace ID bound;
 // -log-level selects the threshold (debug logs one line per request).
 // -pprof mounts net/http/pprof under /debug/pprof/ for live profiling;
 // it is off by default because profile endpoints expose internals.
@@ -95,6 +96,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -136,7 +138,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skysr-serve: %v\n", err)
 		os.Exit(2)
 	}
-	logger := logx.New(os.Stderr, level)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	var eng *skysr.Engine
 	switch {

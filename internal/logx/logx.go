@@ -1,229 +1,50 @@
-// Package logx is the serving tier's leveled, structured logger: one line
-// per event in logfmt-style key=value form (ts=… level=… msg=… k=v …),
-// with request-scoped field binding via With and context plumbing via
-// NewContext/FromContext. It is deliberately tiny — no dependency, no
-// global state, no reflection beyond fmt — because its output is meant
-// for operators and log pipelines, not for re-parsing by this program.
+// Package logx holds the two things the serving tier's logging needs
+// beyond log/slog: the level names skysr-serve's -log-level flag accepts,
+// an "off" level among them, and a logger that drops everything for
+// benchmarks and tests.
 package logx
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// Level orders log severities. Messages below the logger's level are
-// dropped before any formatting work happens.
-type Level int32
+// LevelOff is above every level the program logs at: a handler whose
+// threshold it is writes nothing.
+const LevelOff = slog.LevelError + 4
 
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-	// LevelOff disables all output.
-	LevelOff
-)
-
-// String returns the level's lowercase name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	case LevelOff:
-		return "off"
-	}
-	return fmt.Sprintf("level(%d)", int32(l))
-}
-
-// ParseLevel parses a level name (debug, info, warn, error, off).
-func ParseLevel(s string) (Level, error) {
+// ParseLevel parses a level name: debug, info, warn (or warning), error,
+// or off (or none).
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	case "off", "none":
 		return LevelOff, nil
 	}
-	return LevelInfo, fmt.Errorf("logx: unknown level %q (use debug, info, warn, error or off)", s)
+	return slog.LevelInfo, fmt.Errorf("logx: unknown level %q (use debug, info, warn, error or off)", s)
 }
 
-// sink is the output shared by a logger and every child derived from it
-// with With: one writer, one mutex (lines never interleave), one level.
-type sink struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
-	now   func() time.Time // injectable for tests
-}
+// Discard returns a logger that drops everything. Its handler is
+// disabled at every level and returns itself from WithAttrs and
+// WithGroup, so binding request fields to it formats nothing: a
+// TextHandler on io.Discard at LevelOff would still render every bound
+// field. (slog.DiscardHandler, from Go 1.24, is the same handler.)
+func Discard() *slog.Logger { return discard }
 
-// Logger writes structured log lines. Create one with New; derive
-// request-scoped children with With. All methods are safe for concurrent
-// use, and a nil *Logger silently discards everything, so optional
-// logging needs no guards.
-type Logger struct {
-	s      *sink
-	prefix string // pre-rendered bound fields, "" or " k=v k=v"
-}
+var discard = slog.New(discardHandler{})
 
-// New returns a Logger writing lines at or above level to w.
-func New(w io.Writer, level Level) *Logger {
-	s := &sink{w: w, now: time.Now}
-	s.level.Store(int32(level))
-	return &Logger{s: s}
-}
+type discardHandler struct{}
 
-// Default returns a Logger writing to stderr at LevelInfo.
-func Default() *Logger { return New(os.Stderr, LevelInfo) }
-
-// Discard returns a Logger that drops everything — for benchmarks and
-// tests that exercise noisy paths.
-func Discard() *Logger { return New(io.Discard, LevelOff) }
-
-// SetLevel changes the threshold for this logger and every logger sharing
-// its sink (parents and With-children alike).
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.s.level.Store(int32(level))
-}
-
-// Enabled reports whether a message at level would be written.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= LevelDebug && level < LevelOff && int32(level) >= l.s.level.Load()
-}
-
-// With returns a child logger with kv ("key", value, "key", value, …)
-// bound to every line it writes — the request-scoped-fields primitive.
-// The child shares the parent's writer and level.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
-	}
-	var b strings.Builder
-	b.WriteString(l.prefix)
-	appendKV(&b, kv)
-	return &Logger{s: l.s, prefix: b.String()}
-}
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
-	var b strings.Builder
-	b.WriteString("ts=")
-	b.WriteString(l.s.now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" msg=")
-	b.WriteString(quote(msg))
-	b.WriteString(l.prefix)
-	appendKV(&b, kv)
-	b.WriteByte('\n')
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	io.WriteString(l.s.w, b.String())
-}
-
-// appendKV renders alternating key/value pairs. A non-string key or a
-// trailing key without a value is rendered under !BADKEY instead of
-// panicking — a logging call must never take the server down.
-func appendKV(b *strings.Builder, kv []any) {
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok || key == "" {
-			key = "!BADKEY"
-		}
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		if i+1 < len(kv) {
-			b.WriteString(formatValue(kv[i+1]))
-		} else {
-			b.WriteString("!MISSING")
-		}
-	}
-}
-
-// formatValue renders one value: numbers and bools bare, durations and
-// errors via their String/Error forms, strings quoted only when needed.
-func formatValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return quote(x)
-	case error:
-		return quote(x.Error())
-	case time.Duration:
-		return x.String()
-	case fmt.Stringer:
-		return quote(x.String())
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 32)
-	case bool, int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64:
-		return fmt.Sprint(x)
-	case nil:
-		return "<nil>"
-	}
-	return quote(fmt.Sprint(v))
-}
-
-// quote wraps s in strconv quoting when it contains whitespace, quotes,
-// '=' or control characters; bare tokens stay bare for readability.
-func quote(s string) string {
-	if s == "" {
-		return `""`
-	}
-	for _, c := range s {
-		if c <= ' ' || c == '"' || c == '=' || c == 0x7f {
-			return strconv.Quote(s)
-		}
-	}
-	return s
-}
-
-type ctxKey struct{}
-
-// NewContext returns ctx carrying l; handlers deeper in the call chain
-// recover it with FromContext to log with the request's bound fields.
-func NewContext(ctx context.Context, l *Logger) context.Context {
-	return context.WithValue(ctx, ctxKey{}, l)
-}
-
-// FromContext returns the Logger carried by ctx, or nil (which is itself
-// a valid, silent Logger) when none was attached.
-func FromContext(ctx context.Context) *Logger {
-	l, _ := ctx.Value(ctxKey{}).(*Logger)
-	return l
-}
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }

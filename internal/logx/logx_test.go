@@ -2,112 +2,16 @@ package logx
 
 import (
 	"context"
-	"errors"
-	"fmt"
+	"log/slog"
+	"math"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-// capture returns a logger writing into buf with a frozen clock.
-func capture(level Level) (*Logger, *strings.Builder) {
-	var buf strings.Builder
-	l := New(&buf, level)
-	l.s.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
-	return l, &buf
-}
-
-func TestLineFormat(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	l.Info("update applied", "epoch", 3, "edits", int64(5), "ok", true, "ratio", 1.5)
-	want := "ts=2026-08-08T12:00:00.000Z level=info msg=\"update applied\" epoch=3 edits=5 ok=true ratio=1.5\n"
-	if buf.String() != want {
-		t.Fatalf("line = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestLevelFiltering(t *testing.T) {
-	l, buf := capture(LevelWarn)
-	l.Debug("d")
-	l.Info("i")
-	l.Warn("w")
-	l.Error("e")
-	out := buf.String()
-	if strings.Contains(out, "level=debug") || strings.Contains(out, "level=info") {
-		t.Errorf("below-threshold lines written:\n%s", out)
-	}
-	if !strings.Contains(out, "level=warn") || !strings.Contains(out, "level=error") {
-		t.Errorf("at/above-threshold lines missing:\n%s", out)
-	}
-	l.SetLevel(LevelDebug)
-	l.Debug("now visible")
-	if !strings.Contains(buf.String(), "now visible") {
-		t.Error("SetLevel did not lower the threshold")
-	}
-}
-
-func TestWithBindsFields(t *testing.T) {
-	l, buf := capture(LevelDebug)
-	req := l.With("endpoint", "route", "method", "GET")
-	req.Debug("request", "status", 200)
-	if !strings.Contains(buf.String(), " endpoint=route method=GET status=200") {
-		t.Fatalf("bound fields missing: %q", buf.String())
-	}
-	// The child shares the parent's level.
-	req.SetLevel(LevelOff)
-	buf.Reset()
-	l.Error("silenced")
-	if buf.String() != "" {
-		t.Errorf("parent wrote after child SetLevel(off): %q", buf.String())
-	}
-}
-
-func TestValueFormatting(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	l.Info("m",
-		"dur", 1500*time.Millisecond,
-		"err", errors.New("boom failed"),
-		"quoted", "a b",
-		"eq", "a=b",
-		"empty", "",
-		"nilv", nil,
-	)
-	out := buf.String()
-	for _, want := range []string{
-		"dur=1.5s", `err="boom failed"`, `quoted="a b"`, `eq="a=b"`, `empty=""`, "nilv=<nil>",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in %q", want, out)
-		}
-	}
-}
-
-func TestMalformedPairs(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	l.Info("m", 42, "v", "dangling")
-	out := buf.String()
-	if !strings.Contains(out, "!BADKEY=v") || !strings.Contains(out, "dangling=!MISSING") {
-		t.Fatalf("malformed pairs not flagged: %q", out)
-	}
-}
-
-func TestNilLoggerIsSilent(t *testing.T) {
-	var l *Logger
-	l.Info("into the void", "k", "v") // must not panic
-	l.SetLevel(LevelDebug)
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
-	}
-	if child := l.With("k", "v"); child != nil {
-		t.Error("nil logger's With returned non-nil")
-	}
-}
-
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "off": LevelOff,
+	for s, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "INFO": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, " error ": slog.LevelError, "off": LevelOff, "none": LevelOff,
 	} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
@@ -119,89 +23,52 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-func TestContextPlumbing(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	ctx := NewContext(context.Background(), l.With("req", "abc"))
-	FromContext(ctx).Info("handled")
-	if !strings.Contains(buf.String(), "req=abc") {
-		t.Fatalf("context logger lost fields: %q", buf.String())
-	}
-	if FromContext(context.Background()) != nil {
-		t.Error("empty context returned a logger")
-	}
-}
-
-func TestConcurrentLines(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Info("line", "worker", w, "i", i)
+// TestLevelFiltering runs a TextHandler at each parsed threshold: it must
+// write the lines at or above it and none below, and "off" must silence
+// even errors.
+func TestLevelFiltering(t *testing.T) {
+	for name, want := range map[string]string{
+		"debug": "DEBUG INFO WARN ERROR",
+		"info":  "INFO WARN ERROR",
+		"warn":  "WARN ERROR",
+		"error": "ERROR",
+		"off":   "",
+	} {
+		level, err := ParseLevel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		l := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: level}))
+		l.Debug("d")
+		l.Info("i")
+		l.Warn("w")
+		l.Error("e")
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			if _, after, ok := strings.Cut(line, " level="); ok {
+				lvl, _, _ := strings.Cut(after, " ")
+				got = append(got, lvl)
 			}
-		}(w)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 800 {
-		t.Fatalf("got %d lines, want 800", len(lines))
-	}
-	for _, line := range lines {
-		if !strings.HasPrefix(line, "ts=") || !strings.Contains(line, "msg=line") {
-			t.Fatalf("interleaved or malformed line: %q", line)
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("threshold %s wrote levels %q, want %q", name, got, want)
 		}
 	}
 }
 
-func TestLevelString(t *testing.T) {
-	if fmt.Sprint(LevelDebug, LevelInfo, LevelWarn, LevelError, LevelOff) != "debug info warn error off" {
-		t.Errorf("level names wrong: %v", fmt.Sprint(LevelDebug, LevelInfo, LevelWarn, LevelError, LevelOff))
+// TestDiscardIsSilent checks Discard's handler is disabled at every
+// level and stays the same handler however many fields are bound.
+func TestDiscardIsSilent(t *testing.T) {
+	l := Discard()
+	for _, level := range []slog.Level{math.MinInt, slog.LevelDebug, slog.LevelError, LevelOff, math.MaxInt} {
+		if l.Enabled(context.Background(), level) {
+			t.Errorf("Discard enabled at %v", level)
+		}
 	}
-}
-
-// TestWithFieldOrdering pins the contract the serving tier's tracing
-// relies on: With-bound fields render before the call-site fields, in
-// binding order, so the trace ID stamped by the instrument middleware
-// always appears in the same position on every line of one request.
-func TestWithFieldOrdering(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	req := l.With("endpoint", "route").With("trace", "00000000deadbeef")
-	req.Info("slow query", "elapsed", 2*time.Second)
-	line := buf.String()
-	want := " endpoint=route trace=00000000deadbeef elapsed=2s"
-	if !strings.Contains(line, want) {
-		t.Fatalf("line = %q, want fields ordered as %q", line, want)
-	}
-	// Grandchildren inherit the whole chain, trace ID included.
-	buf.Reset()
-	req.With("stage", "mdijkstra").Info("leg done")
-	if !strings.Contains(buf.String(), "endpoint=route trace=00000000deadbeef stage=mdijkstra") {
-		t.Fatalf("grandchild lost inherited fields: %q", buf.String())
-	}
-}
-
-// TestContextCarriesTraceFields checks the request-scoped logger a
-// handler recovers via FromContext still carries the trace ID bound
-// before NewContext — the plumbing instrument() depends on.
-func TestContextCarriesTraceFields(t *testing.T) {
-	l, buf := capture(LevelInfo)
-	bound := l.With("trace", "0123456789abcdef")
-	ctx := NewContext(context.Background(), bound)
-
-	deepHandler := func(ctx context.Context) {
-		FromContext(ctx).Info("deep work", "step", 2)
-	}
-	deepHandler(ctx)
-	if !strings.Contains(buf.String(), "trace=0123456789abcdef step=2") {
-		t.Fatalf("context-recovered logger dropped the trace field: %q", buf.String())
-	}
-	// A context without a logger yields nil, which logs nothing and does
-	// not panic — optional tracing must not need guards at call sites.
-	buf.Reset()
-	deepHandler(context.Background())
-	if buf.String() != "" {
-		t.Errorf("nil context logger wrote output: %q", buf.String())
+	l.Error("into the void", "k", "v") // must not panic
+	bound := l.With("endpoint", "route").WithGroup("g").With("trace", "00000000deadbeef")
+	if bound.Handler() != l.Handler() {
+		t.Errorf("With/WithGroup on Discard made a new handler %#v", bound.Handler())
 	}
 }

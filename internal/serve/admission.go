@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
 	"skysr/internal/trace"
@@ -66,11 +65,13 @@ func (a *admission) release() {
 	<-a.slots
 }
 
+// retryAfter is the Retry-After hint, in seconds, on every rejection.
+const retryAfter = "1"
+
 // admit wraps a heavy handler in the admission gate. Rejections carry a
 // Retry-After hint: 503 while draining or when the client's context died
 // in the queue, 429 when the queue itself is full.
 func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
-	retryAfter := strconv.Itoa(int((s.cfg.RetryAfter).Seconds() + 0.999))
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.rejected.Add(1)

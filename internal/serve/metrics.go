@@ -15,12 +15,13 @@ package serve
 // operator actions, not traffic.
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"time"
 
-	"skysr/internal/logx"
 	"skysr/internal/metrics"
 	"skysr/internal/trace"
 )
@@ -185,17 +186,18 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 // instrument wraps one endpoint's handler (admission gate included, so
 // queue wait shows up in the latency histogram and rejections in the 4xx
 // and 5xx classes) with request counting, latency observation and a
-// request-scoped logger reachable via logx.FromContext. A panicking
+// request-scoped logger that handlers reach through s.logger. A panicking
 // handler is counted by skysr_http_panics_total instead — the recovery
 // middleware sits outside this one, and a request that never completed
 // has no meaningful latency or status to record.
 func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.HandlerFunc {
 	em := s.hm.endpoints[endpoint]
 	traced := s.rec != nil && tracedEndpoints[endpoint]
+	el := s.log.With("endpoint", endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		began := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		rl := s.log.With("endpoint", endpoint)
+		rl := el
 		ctx := r.Context()
 		if traced {
 			// Every traced request carries a trace: the span tree is built
@@ -220,18 +222,35 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 				s.finishTrace(tr, em, rl)
 			}()
 		}
-		next(sw, r.WithContext(logx.NewContext(ctx, rl)))
+		next(sw, r.WithContext(withLogger(ctx, rl)))
 		code := sw.status
 		if code == 0 {
 			code = http.StatusOK
 		}
 		em.byClass[classOf(code)].Inc()
 		em.latency.Observe(time.Since(began).Seconds())
-		if rl.Enabled(logx.LevelDebug) {
+		// The guard keeps the disabled path from boxing four arguments.
+		if rl.Enabled(ctx, slog.LevelDebug) {
 			rl.Debug("request served", "method", r.Method, "path", r.URL.Path,
 				"status", code, "elapsed", time.Since(began))
 		}
 	}
+}
+
+type loggerKey struct{}
+
+// withLogger returns ctx carrying the request-scoped logger l.
+func withLogger(ctx context.Context, l *slog.Logger) context.Context {
+	return context.WithValue(ctx, loggerKey{}, l)
+}
+
+// logger returns the request-scoped logger instrument put in ctx, or the
+// server's own logger for a context that has none.
+func (s *Server) logger(ctx context.Context) *slog.Logger {
+	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok {
+		return l
+	}
+	return s.log
 }
 
 // finishTrace completes one request's trace: it seals the root span,
@@ -239,7 +258,7 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 // queries always kept, the rest probabilistically), and emits the
 // structured slow-query warning with a latency exemplar pinned to the
 // bucket the request landed in.
-func (s *Server) finishTrace(tr *trace.Trace, em *endpointMetrics, rl *logx.Logger) {
+func (s *Server) finishTrace(tr *trace.Trace, em *endpointMetrics, rl *slog.Logger) {
 	tr.Finish()
 	dur := tr.Duration()
 	reason, kept := s.rec.Offer(tr)

@@ -12,9 +12,10 @@
 //
 // The tier is observable end to end: GET /metrics exposes the engine's
 // search-stage instrumentation and the per-endpoint HTTP series in
-// Prometheus text format (metrics.go), every log line goes through a
-// leveled structured logger (internal/logx), and Config.EnablePprof
-// mounts the net/http/pprof handlers for live profiling.
+// Prometheus text format (metrics.go), every log line goes through
+// log/slog, a request's handler logging with its endpoint and trace ID
+// bound, and Config.EnablePprof mounts the net/http/pprof handlers for
+// live profiling.
 package serve
 
 import (
@@ -23,8 +24,10 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
+	"log/slog"
 	"math"
 	"net/http"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -35,7 +38,6 @@ import (
 
 	"skysr"
 	"skysr/internal/bench"
-	"skysr/internal/logx"
 	"skysr/internal/metrics"
 	"skysr/internal/trace"
 )
@@ -62,18 +64,11 @@ type Config struct {
 	// beyond it requests are rejected with 429 + Retry-After. 0 means
 	// 4×MaxConcurrent.
 	MaxQueue int
-	// RetryAfter is the hint sent with 429/503 rejections; 0 means 1s.
-	RetryAfter time.Duration
-	// Logger receives the tier's structured log output; nil means the
-	// process-wide default (key=value lines on stderr at info level).
-	// Tests and embedded runners pass logx.Discard().
-	Logger *logx.Logger
-	// Registry receives the tier's metrics and the engine's search-stage
-	// instrumentation; nil means a fresh private registry. The registry
-	// is served on GET /metrics. Note an engine reports to one registry
-	// only (the first it is enabled on), so callers constructing several
-	// servers over one engine should share one Registry.
-	Registry *metrics.Registry
+	// Logger receives the tier's log lines; a request's handler logs
+	// through it with the request's endpoint and trace ID bound. nil
+	// means a slog.TextHandler on stderr at info level. Tests and
+	// embedded runners pass logx.Discard().
+	Logger *slog.Logger
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
 	// (the skysr-serve -pprof flag). Off by default: profiling endpoints
 	// expose internals and can be heavy, so an operator opts in.
@@ -105,8 +100,8 @@ type Server struct {
 	eng *skysr.Engine
 	cfg Config
 	adm *admission
-	log *logx.Logger
-	reg *metrics.Registry
+	log *slog.Logger
+	reg *metrics.Registry // served on GET /metrics
 	hm  *httpMetrics
 	rec *trace.Recorder // flight recorder; nil when tracing is disabled
 
@@ -123,7 +118,10 @@ type Server struct {
 	timeouts atomic.Int64 // searches that hit a deadline (504s)
 }
 
-// New returns a Server over eng with the given configuration.
+// New returns a Server over eng with the given configuration and its own
+// metrics registry. An engine reports its search-stage metrics to the
+// first registry it is enabled on, so only the first Server built over
+// eng serves them on GET /metrics.
 func New(eng *skysr.Engine, cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
@@ -131,21 +129,15 @@ func New(eng *skysr.Engine, cfg Config) *Server {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.MaxConcurrent
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Logger == nil {
-		cfg.Logger = logx.Default()
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = metrics.New()
+		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	s := &Server{
 		eng:    eng,
 		cfg:    cfg,
 		adm:    newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		log:    cfg.Logger,
-		reg:    cfg.Registry,
+		reg:    metrics.New(),
 		survey: bench.NewSurvey(bench.PaperQuestions()),
 	}
 	if !cfg.DisableTracing {
@@ -165,11 +157,11 @@ func New(eng *skysr.Engine, cfg Config) *Server {
 	}
 	// Engine metrics first, then the HTTP families: a scrape renders
 	// families in registration order, so search counters lead the page.
-	eng.EnableMetrics(cfg.Registry)
-	s.hm = newHTTPMetrics(cfg.Registry)
-	s.registerServerMetrics(cfg.Registry)
+	eng.EnableMetrics(s.reg)
+	s.hm = newHTTPMetrics(s.reg)
+	s.registerServerMetrics(s.reg)
 	if s.rec != nil {
-		s.registerTraceMetrics(cfg.Registry)
+		s.registerTraceMetrics(s.reg)
 	}
 	return s
 }
@@ -302,7 +294,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Leaves []string
 	}{s.eng.Name(), s.eng.Stats(), s.eng.LeafCategories()})
 	if err != nil {
-		logx.FromContext(r.Context()).Error("index render failed", "err", err)
+		s.logger(r.Context()).Error("index render failed", "err", err)
 	}
 }
 
@@ -684,7 +676,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	logx.FromContext(r.Context()).Info("update applied",
+	s.logger(r.Context()).Info("update applied",
 		"epoch", res.Epoch, "edits", batch.Len(),
 		"rows_carried", res.RowsCarried, "rows_dirtied", res.RowsDirtied)
 	s.writeJSON(w, http.StatusOK, updateResponse{

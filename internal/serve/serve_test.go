@@ -617,13 +617,24 @@ func TestAdmissionSaturation(t *testing.T) {
 
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
+	firstDone := make(chan struct{})
 	for i := range codes {
 		if i == 1 {
-			<-entered // the first request holds the slot before the second queues
+			// The first request holds the slot before the second queues.
+			select {
+			case <-entered:
+			case <-firstDone:
+				t.Fatalf("first request answered %d without reaching the search", codes[0])
+			case <-time.After(5 * time.Second):
+				t.Fatal("first request neither reached the search nor answered")
+			}
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if i == 0 {
+				defer close(firstDone)
+			}
 			rec := httptest.NewRecorder()
 			// The multi-category query reaches the RoutePop site (a
 			// single-category one finishes in the initial expansion).

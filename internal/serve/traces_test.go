@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -133,10 +135,8 @@ func TestTracesDisabled(t *testing.T) {
 // the trace ID as an exemplar that ParseText accepts.
 func TestSlowQueryRetainedAndLogged(t *testing.T) {
 	var logBuf bytes.Buffer
-	reg := metrics.New()
-	_, mux := tracedServer(t, Config{
-		Logger:      logx.New(&logBuf, logx.LevelWarn),
-		Registry:    reg,
+	s, mux := tracedServer(t, Config{
+		Logger:      slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelWarn})),
 		SlowQuery:   time.Nanosecond, // everything is slow
 		TraceSample: -1,              // never sample; only tail rules keep
 	})
@@ -158,7 +158,7 @@ func TestSlowQueryRetainedAndLogged(t *testing.T) {
 	}
 
 	var scrape bytes.Buffer
-	if err := reg.WriteText(&scrape); err != nil {
+	if err := s.reg.WriteText(&scrape); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(scrape.String(), `# {trace_id="`+id+`"}`) {
@@ -167,6 +167,75 @@ func TestSlowQueryRetainedAndLogged(t *testing.T) {
 	if _, err := metrics.ParseText(scrape.Bytes()); err != nil {
 		t.Errorf("scrape with exemplars does not parse: %v", err)
 	}
+}
+
+// TestRequestLogKeys reads the lines a traced route request and an
+// update write at debug level: instrument binds the endpoint and the
+// trace ID to every line of a request, the update handler's line
+// included, next to the line's own keys.
+func TestRequestLogKeys(t *testing.T) {
+	var logBuf bytes.Buffer
+	_, mux := tracedServer(t, Config{
+		Logger:    slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
+		SlowQuery: -1,
+	})
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("route status = %d", rec.Code)
+	}
+	out := listTraces(t, mux, "")
+	if len(out.Traces) != 1 {
+		t.Fatalf("traces = %+v, want the route request's", out.Traces)
+	}
+	applyUpdate(t, mux)
+
+	served := logLine(t, logBuf.String(), "request served", "route")
+	for k, want := range map[string]string{
+		"trace": out.Traces[0].ID, "method": "GET", "path": "/api/route", "status": "200",
+	} {
+		if served[k] != want {
+			t.Errorf("request served: %s = %q, want %q in %v", k, served[k], want, served)
+		}
+	}
+	if _, err := time.ParseDuration(served["elapsed"]); err != nil {
+		t.Errorf("request served: elapsed %q: %v", served["elapsed"], err)
+	}
+	updated := logLine(t, logBuf.String(), "update applied", "update")
+	if updated["epoch"] != "1" || updated["edits"] != "1" {
+		t.Errorf("update applied: epoch %q, edits %q, want 1 and 1", updated["epoch"], updated["edits"])
+	}
+	for _, k := range []string{"trace", "rows_carried", "rows_dirtied"} {
+		if _, ok := updated[k]; !ok {
+			t.Errorf("update applied: no %s in %v", k, updated)
+		}
+	}
+}
+
+// logLine returns the keys of the one slog text line in out with message
+// msg from the given endpoint.
+func logLine(t *testing.T, out, msg, endpoint string) map[string]string {
+	t.Helper()
+	var found []map[string]string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		kv := map[string]string{}
+		for rest := line; rest != ""; {
+			k, v, _ := strings.Cut(rest, "=")
+			if q, err := strconv.QuotedPrefix(v); err == nil {
+				kv[k], _ = strconv.Unquote(q)
+				rest = strings.TrimPrefix(v[len(q):], " ")
+			} else {
+				kv[k], rest, _ = strings.Cut(v, " ")
+			}
+		}
+		if kv["msg"] == msg && kv["endpoint"] == endpoint {
+			found = append(found, kv)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d %q lines from endpoint %s, want 1:\n%s", len(found), msg, endpoint, out)
+	}
+	return found[0]
 }
 
 // TestErrorTracesRetained drives the three failure shapes — timeout,
@@ -253,15 +322,14 @@ func TestTraceListLimit(t *testing.T) {
 // TestTraceMetricsRegistered checks the recorder's counters land on the
 // scrape page alongside the HTTP families.
 func TestTraceMetricsRegistered(t *testing.T) {
-	reg := metrics.New()
-	_, mux := tracedServer(t, Config{Registry: reg})
+	s, mux := tracedServer(t, Config{})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("route status = %d", rec.Code)
 	}
 	var scrape bytes.Buffer
-	if err := reg.WriteText(&scrape); err != nil {
+	if err := s.reg.WriteText(&scrape); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := metrics.ParseText(scrape.Bytes())
