@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -169,16 +170,17 @@ func TestSlowQueryRetainedAndLogged(t *testing.T) {
 	}
 }
 
-// TestRequestLogKeys reads the lines a traced route request and an
-// update write at debug level: instrument binds the endpoint and the
-// trace ID to every line of a request, the update handler's line
-// included, next to the line's own keys.
+// debugLogger writes every line at debug level and above into buf.
+func debugLogger(buf *bytes.Buffer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// TestRequestLogKeys reads the line a traced route request writes at
+// debug level: instrument binds the endpoint and the request's trace ID
+// next to the line's own keys.
 func TestRequestLogKeys(t *testing.T) {
 	var logBuf bytes.Buffer
-	_, mux := tracedServer(t, Config{
-		Logger:    slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug})),
-		SlowQuery: -1,
-	})
+	_, mux := tracedServer(t, Config{Logger: debugLogger(&logBuf), SlowQuery: -1})
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil))
 	if rec.Code != http.StatusOK {
@@ -188,9 +190,8 @@ func TestRequestLogKeys(t *testing.T) {
 	if len(out.Traces) != 1 {
 		t.Fatalf("traces = %+v, want the route request's", out.Traces)
 	}
-	applyUpdate(t, mux)
 
-	served := logLine(t, logBuf.String(), "request served", "route")
+	served, _ := logLine(t, logBuf.String(), "request served", "route")
 	for k, want := range map[string]string{
 		"trace": out.Traces[0].ID, "method": "GET", "path": "/api/route", "status": "200",
 	} {
@@ -201,41 +202,112 @@ func TestRequestLogKeys(t *testing.T) {
 	if _, err := time.ParseDuration(served["elapsed"]); err != nil {
 		t.Errorf("request served: elapsed %q: %v", served["elapsed"], err)
 	}
-	updated := logLine(t, logBuf.String(), "update applied", "update")
+}
+
+// TestUpdateLogKeys reads the line the update handler writes through the
+// logger instrument put in its request's context: next to the handler's
+// own keys it carries the endpoint and the update's trace ID, both bound
+// one layer up.
+func TestUpdateLogKeys(t *testing.T) {
+	var logBuf bytes.Buffer
+	_, mux := tracedServer(t, Config{Logger: debugLogger(&logBuf), SlowQuery: -1})
+	applyUpdate(t, mux)
+	out := listTraces(t, mux, "")
+	if len(out.Traces) != 1 || out.Traces[0].Name != "update" {
+		t.Fatalf("traces = %+v, want the update request's", out.Traces)
+	}
+
+	updated, _ := logLine(t, logBuf.String(), "update applied", "update")
+	if updated["trace"] != out.Traces[0].ID {
+		t.Errorf("update applied: trace = %q, want %q", updated["trace"], out.Traces[0].ID)
+	}
 	if updated["epoch"] != "1" || updated["edits"] != "1" {
 		t.Errorf("update applied: epoch %q, edits %q, want 1 and 1", updated["epoch"], updated["edits"])
 	}
-	for _, k := range []string{"trace", "rows_carried", "rows_dirtied"} {
+	for _, k := range []string{"rows_carried", "rows_dirtied"} {
 		if _, ok := updated[k]; !ok {
 			t.Errorf("update applied: no %s in %v", k, updated)
 		}
 	}
 }
 
+// TestSlowQueryLogKeyOrder reads the slow-query warning finishTrace
+// writes through the chain instrument builds, endpoint bound once per
+// endpoint and trace once per request: the bound keys lead, in that
+// order, ahead of the line's own.
+func TestSlowQueryLogKeyOrder(t *testing.T) {
+	var logBuf bytes.Buffer
+	_, mux := tracedServer(t, Config{Logger: debugLogger(&logBuf), SlowQuery: time.Nanosecond})
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest("GET", tracedRouteURL, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("route status = %d", rec.Code)
+	}
+	out := listTraces(t, mux, "")
+	if len(out.Traces) != 1 {
+		t.Fatalf("traces = %+v, want the route request's", out.Traces)
+	}
+
+	slow, keys := logLine(t, logBuf.String(), "slow query", "route")
+	want := "time level msg endpoint trace elapsed threshold status kept reason"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("slow query keys = %q, want %q", got, want)
+	}
+	if slow["trace"] != out.Traces[0].ID {
+		t.Errorf("slow query: trace = %q, want %q", slow["trace"], out.Traces[0].ID)
+	}
+}
+
+// TestRequestLoggerInContext checks the handoff from instrument to the
+// handlers: logger returns the logger withLogger put in a context, its
+// bound keys included, and the server's own logger for a context that
+// has none.
+func TestRequestLoggerInContext(t *testing.T) {
+	var logBuf bytes.Buffer
+	s, _ := tracedServer(t, Config{Logger: debugLogger(&logBuf)})
+	rl := s.log.With("endpoint", "route")
+	ctx := withLogger(context.Background(), rl)
+	if s.logger(ctx) != rl {
+		t.Error("logger did not return the context's logger")
+	}
+	s.logger(ctx).Info("handled")
+	if !strings.Contains(logBuf.String(), `msg=handled endpoint=route`) {
+		t.Errorf("context logger lost its bound key: %q", logBuf.String())
+	}
+	if s.logger(context.Background()) != s.log {
+		t.Error("logger on an empty context did not fall back to the server's logger")
+	}
+}
+
 // logLine returns the keys of the one slog text line in out with message
-// msg from the given endpoint.
-func logLine(t *testing.T, out, msg, endpoint string) map[string]string {
+// msg from the given endpoint, as a map and in the order the line has them.
+func logLine(t *testing.T, out, msg, endpoint string) (map[string]string, []string) {
 	t.Helper()
-	var found []map[string]string
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		kv := map[string]string{}
-		for rest := line; rest != ""; {
+	type line struct {
+		kv   map[string]string
+		keys []string
+	}
+	var found []line
+	for _, text := range strings.Split(strings.TrimSpace(out), "\n") {
+		l := line{kv: map[string]string{}}
+		for rest := text; rest != ""; {
 			k, v, _ := strings.Cut(rest, "=")
+			l.keys = append(l.keys, k)
 			if q, err := strconv.QuotedPrefix(v); err == nil {
-				kv[k], _ = strconv.Unquote(q)
+				l.kv[k], _ = strconv.Unquote(q)
 				rest = strings.TrimPrefix(v[len(q):], " ")
 			} else {
-				kv[k], rest, _ = strings.Cut(v, " ")
+				l.kv[k], rest, _ = strings.Cut(v, " ")
 			}
 		}
-		if kv["msg"] == msg && kv["endpoint"] == endpoint {
-			found = append(found, kv)
+		if l.kv["msg"] == msg && l.kv["endpoint"] == endpoint {
+			found = append(found, l)
 		}
 	}
 	if len(found) != 1 {
 		t.Fatalf("%d %q lines from endpoint %s, want 1:\n%s", len(found), msg, endpoint, out)
 	}
-	return found[0]
+	return found[0].kv, found[0].keys
 }
 
 // TestErrorTracesRetained drives the three failure shapes — timeout,
