@@ -34,19 +34,27 @@ type BatchOptions struct {
 // SearchBatch answers a whole workload over a bounded worker pool, reusing
 // pooled searcher workspaces and sharing cacheable state across the batch:
 // compiled requirements and, for every query whatever its UseCategoryIndex
-// says, the category index plus the cross-query m-Dijkstra cache of the
-// dataset version the batch runs on. Answers are returned in query order
-// and are identical to what a serial Search loop would produce. The whole
-// batch runs against the dataset version current when the call starts: a
+// says, the category index plus the cross-query cache of the dataset
+// version the batch runs on. That cache holds m-Dijkstra results and the
+// cost-to-go rows of ordered queries without a destination: for each
+// suffix of positions, a lower bound on the rest of the route from every
+// vertex, which cuts the searches of every query sharing that suffix of
+// category trees, its first search from the start included. A row costs
+// one sweep of the graph, so it is built only for a suffix that recurs:
+// the queries that miss it pay rent, the work at its position, until that
+// rent covers several sweeps, and later queries read it. Answers are
+// returned in query order and are
+// identical to what a serial Search loop would produce. The whole batch
+// runs against the dataset version current when the call starts: a
 // concurrent ApplyUpdates never splits one batch across two epochs. Each
-// version has its own m-Dijkstra cache, so later batches on the same
-// version reuse this batch's entries, and the first batch after an update
+// version has its own cache, so later batches on the same version reuse
+// this batch's entries and rows, and the first batch after an update
 // starts on an empty cache.
 //
 // Per-query options flow through unchanged, including SearchOptions.TopK:
 // a batch may mix classic and ranked top-k queries freely (k > 1 queries
 // skip the cross-query m-Dijkstra sharing — see SearchTopK — but still
-// share the index and compiled matchers).
+// read the cost-to-go rows and share the index and compiled matchers).
 //
 // The batch fails fast: the first query error cancels the queries not yet
 // started and is returned with its query index; already-computed answers

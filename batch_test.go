@@ -4,6 +4,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
+
+	"skysr/internal/faults"
+	"skysr/internal/metrics"
 )
 
 // answersEqual compares the score vectors of two answers.
@@ -193,5 +197,94 @@ func TestSearchBatchCancellation(t *testing.T) {
 	answers, err := eng.SearchBatch(queries[:4], BatchOptions{Workers: 2, Context: ctx2})
 	if err != nil || len(answers) != 4 {
 		t.Fatalf("live-context batch: %v, %d answers", err, len(answers))
+	}
+}
+
+// TestSearchBatchWorkersShareRows: a cost-to-go row is built once the
+// queries that missed it have paid its rent, and batch workers that miss
+// the same rows at once each build them; the SharedCache keeps one row per
+// suffix of tree roots, which every later query reads. One query alone
+// builds no row. A fault hook holds each worker in its first row sweep
+// until every worker is in one. The batch must answer like SearchWith,
+// leave one row per position but the last, and a second batch must build
+// no row and answer the same.
+func TestSearchBatchWorkersShareRows(t *testing.T) {
+	eng, err := Generate("tokyo", 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	eng.EnableMetrics(reg)
+	tmpl, err := eng.Workload(1, 3, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	// Sequentially, the rows' rent is paid after 20 of these queries, so
+	// every worker still has queries to take when it is.
+	queries := make([]Query, 64)
+	want := make([]*Answer, len(queries))
+	for i := range queries {
+		queries[i] = tmpl[0]
+		queries[i].Start = VertexID(i * eng.NumVertices() / len(queries))
+		if want[i], err = eng.SearchWith(queries[i], SearchOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	one, err := eng.SearchBatch(queries[:1], BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweeps := one[0].Stats.DestLegRuns; sweeps != 0 {
+		t.Errorf("one query ran %d row sweeps, want 0: a suffix no other query names is not worth a row", sweeps)
+	}
+
+	// Each worker's first sweep fires the hook once before it waits, so
+	// the workers-th firing finds every worker in a sweep.
+	release := make(chan struct{})
+	restore := faults.Set(faults.DestLeg, func(n int64) {
+		if n > workers {
+			return
+		}
+		if n == workers {
+			close(release)
+		}
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+			t.Error("the batch workers never were in a row sweep at once")
+		}
+	})
+	first, err := eng.SearchBatch(queries, BatchOptions{Workers: workers})
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweeps int64
+	for i, a := range first {
+		sweeps += a.Stats.DestLegRuns
+		if !answersMatch(a, want[i]) {
+			t.Errorf("query %d differs from SearchWith", i)
+		}
+	}
+	if sweeps < workers {
+		t.Errorf("the batch ran %d row sweeps, want at least one per worker (%d)", sweeps, workers)
+	}
+	if rows := scrapeRegistry(t, reg)["skysr_shared_cache_rows"]; rows != float64(len(tmpl[0].Via)-1) {
+		t.Errorf("skysr_shared_cache_rows = %v, want one row per position but the last (%d)", rows, len(tmpl[0].Via)-1)
+	}
+
+	again, err := eng.SearchBatch(queries, BatchOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range again {
+		if a.Stats.DestLegRuns != 0 {
+			t.Errorf("query %d of the second batch ran %d row sweeps, want 0", i, a.Stats.DestLegRuns)
+		}
+		if !answersMatch(a, want[i]) {
+			t.Errorf("query %d of the second batch differs from SearchWith", i)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"skysr/internal/faults"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
@@ -62,57 +63,87 @@ func TestPreExpiredDeadlineCore(t *testing.T) {
 	}
 }
 
-// TestCancelledRunStoresNothing: a search cancelled inside its first
-// m-Dijkstra run must not publish the truncated result — neither into the
-// cross-query SharedCache nor into its own per-query cache — and the same
-// searcher must answer the identical query correctly afterwards.
+// TestCancelledRunStoresNothing: a search cancelled inside a
+// modified-Dijkstra run or inside the sweep of a cost-to-go row must not
+// publish the truncated result — neither into the cross-query SharedCache
+// nor into its own per-query cache — and the same searcher must answer the
+// identical query correctly afterwards.
 func TestCancelledRunStoresNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	f := taxonomy.Generated(3, 2, 3)
-	d := randomDataset(rng, f, 24, 18)
-	cats := pickCats(rng, f, 3)
-
-	shared := NewSharedCache(0)
-	opts := DefaultOptions()
-	opts.Shared = shared
-
-	ctx, cancel := context.WithCancel(context.Background())
-	restore := faults.Set(faults.MDijkstraRun, func(n int64) {
-		if n == 1 {
-			cancel()
+	for _, c := range []struct {
+		name           string
+		at             faults.Point
+		n              int64
+		vertices, pois int
+		index          bool
+	}{
+		// The first run after the start run: start runs are never shared,
+		// so a cancellation in one would leave the cache empty whatever
+		// the guard does.
+		{"run", faults.MDijkstraRun, 2, 24, 18, false},
+		// The first row's sweep, once a first query has missed the rows and
+		// they are paid for. It settles more vertices than one cancellation
+		// stride, so the cancellation halts it midway.
+		{"row sweep", faults.DestLeg, 1, 3000, 300, true},
+	} {
+		d := randomDataset(rng, f, c.vertices, c.pois)
+		cats := pickCats(rng, f, 3)
+		shared := NewSharedCache(0)
+		opts := DefaultOptions()
+		opts.Shared = shared
+		if c.index {
+			opts.Index = index.New(d, 0)
+			if _, err := NewSearcher(d, f.WuPalmer, opts).QueryCategories(0, cats...); err != nil {
+				t.Fatal(err)
+			}
+			payAllRows(shared)
 		}
-	})
-	copts := opts
-	copts.Context = ctx
-	s := NewSearcher(d, f.WuPalmer, copts)
-	res, err := s.QueryCategories(0, cats...)
-	restore()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if res == nil || res.Routes != nil {
-		t.Fatalf("cancelled result = %+v, want partial stats with no routes", res)
-	}
-	if st := shared.Stats(); st.Entries != 0 {
-		t.Fatalf("SharedCache holds %d entries after a cancelled run, want 0 (truncated results must not be published)", st.Entries)
-	}
+		before := shared.Stats()
 
-	// The same searcher, reconfigured without the dead context, must match
-	// a fresh searcher exactly — no poisoned workspace state survives.
-	s.Reconfigure(f.WuPalmer, opts)
-	got, err := s.QueryCategories(0, cats...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewSearcher(d, f.WuPalmer, DefaultOptions()).QueryCategories(0, cats...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !routesMatch(got.Routes, fresh.Routes) {
-		t.Fatalf("post-cancel answer diverged\ngot:  %v\nwant: %v", got.Routes, fresh.Routes)
-	}
-	if st := shared.Stats(); st.Entries == 0 {
-		t.Fatal("completed run stored nothing in the SharedCache — the cancelled-run guard is too broad")
+		ctx, cancel := context.WithCancel(context.Background())
+		restore := faults.Set(c.at, func(n int64) {
+			if n == c.n {
+				cancel()
+			}
+		})
+		copts := opts
+		copts.Context = ctx
+		s := NewSearcher(d, f.WuPalmer, copts)
+		res, err := s.QueryCategories(0, cats...)
+		restore()
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("%s: err = %v, want ErrCancelled", c.name, err)
+		}
+		if res == nil || res.Routes != nil {
+			t.Fatalf("%s: cancelled result = %+v, want partial stats with no routes", c.name, res)
+		}
+		if st := shared.Stats(); st.Entries != before.Entries || st.Rows != 0 {
+			t.Fatalf("%s: SharedCache holds %d entries and %d rows after a cancelled query, want %d and none (truncated results must not be published)", c.name, st.Entries, st.Rows, before.Entries)
+		}
+
+		// The same searcher, reconfigured without the dead context, must
+		// match a fresh searcher exactly — no poisoned workspace state
+		// survives.
+		s.Reconfigure(f.WuPalmer, opts)
+		got, err := s.QueryCategories(0, cats...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewSearcher(d, f.WuPalmer, DefaultOptions()).QueryCategories(0, cats...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !routesMatch(got.Routes, fresh.Routes) {
+			t.Fatalf("%s: post-cancel answer diverged\ngot:  %v\nwant: %v", c.name, got.Routes, fresh.Routes)
+		}
+		st := shared.Stats()
+		if st.Entries <= before.Entries {
+			t.Fatalf("%s: completed query stored no entry in the SharedCache — the cancelled-run guard is too broad", c.name)
+		}
+		if c.index && st.Rows != len(cats)-1 {
+			t.Fatalf("%s: completed query left %d rows in the SharedCache, want %d", c.name, st.Rows, len(cats)-1)
+		}
 	}
 }
 

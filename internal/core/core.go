@@ -17,7 +17,12 @@
 //
 // The serving machinery lives here too: Searcher is the single-goroutine
 // query workspace, SearcherPool recycles searchers across queries, and
-// SharedCache extends the §5.3.4 cache across queries and goroutines.
+// SharedCache extends the §5.3.4 cache across queries and goroutines. It
+// also keeps the cost-to-go rows of ordered queries: per position, a
+// lower bound on the rest of the sequence from every vertex (the §6
+// destination rows with the last position's tree row in the
+// destination's place), which cut the modified Dijkstras and the routes
+// of every query sharing that suffix of tree roots.
 // Searchers, pools and shared caches are each bound to one immutable
 // dataset version; an engine that mutates its dataset (live updates)
 // gives every version its own, so distances from different graph versions
@@ -28,6 +33,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -75,10 +81,15 @@ type Options struct {
 	DepartAt float64
 
 	// Shared, when non-nil, additionally serves modified-Dijkstra results
-	// from a cross-query cache (see SharedCache). Only plain Category
-	// positions participate; the caller must dedicate one SharedCache per
-	// (dataset version, similarity function) pair. Sharing never changes
-	// results — a cached entry is a pure function of that dataset version.
+	// from a cross-query cache (see SharedCache), and gives every ordered
+	// query without a destination whose positions are all plain categories
+	// a cost-to-go row per position but the last, kept in that cache, once
+	// the queries that missed the row have paid its rent (see
+	// sharedPotentials; the rows need Index for the last position's tree
+	// row). Only plain Category positions participate; the caller must
+	// dedicate one SharedCache per (dataset version, similarity function)
+	// pair. Sharing never changes results — a cached entry or row is a
+	// pure function of that dataset version.
 	Shared *SharedCache
 
 	// Index, when non-nil, supplies the category-level nearest-matching-PoI
@@ -210,7 +221,9 @@ type Searcher struct {
 	cacheBytes int64 // resident bytes of cache (entryBytes), for PeakCacheBytes
 	bounds     *bounds
 	destDist   []float64      // D(u, dest) for every vertex u (computePotentials); nil without a destination
-	pot        []index.Row    // cost-to-go rows of a destination query (computePotentials); nil without one
+	pot        []index.Row    // cost-to-go rows by position (computePotentials, sharedPotentials); see potRow
+	potKey     string         // tree roots of every position when pot came from the SharedCache, "" otherwise
+	rent       []int64        // with potKey: vertices settled by runs at each position, paid to the rows it lacks (payRent)
 	idxRows    indexRows      // per-position index rows resolved for this query
 	blockers   []blocker      // per vertex: the Lemma 5.5 blocker it passes on in a modified Dijkstra, lazily sized
 	seeds      []candidate    // NNinit's last-stage matches (lastStage), reused across queries
@@ -349,6 +362,8 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	if dest != graph.NoVertex {
 		s.dest = dest
 		s.computePotentials(dest)
+	} else {
+		s.sharedPotentials()
 	}
 	// Optimization 1: seed the upper bound with NNinit (§5.3.1).
 	if s.opts.InitialSearch && !s.cc.cancelled() {
@@ -359,7 +374,9 @@ func (s *Searcher) query(start graph.VertexID, seq route.Sequence, dest graph.Ve
 	if s.opts.LowerBounds && !s.cc.cancelled() {
 		s.computeBounds(start, s.sky.ThresholdPerfect())
 	}
-	return s.search(start, 0)
+	res, err := s.search(start, 0)
+	s.payRent()
+	return res, err
 }
 
 // shape is the form of query the search loop answers. It decides what
@@ -438,6 +455,8 @@ func (s *Searcher) begin(start graph.VertexID, seq route.Sequence, sh shape) err
 	s.bounds = nil
 	s.destDist = nil
 	s.pot = nil
+	s.potKey = ""
+	s.rent = s.rent[:0]
 	s.prepareIndexRows()
 	s.initTrace()
 	return nil
@@ -732,9 +751,9 @@ func (s *Searcher) pruneByIndex(e entry, threshold float64) bool {
 }
 
 // pruneByPotential reports that r cannot visit its remaining positions
-// and reach the query destination before threshold: its length plus the
-// cost-to-go row of its size at its last PoI (computePotentials) already
-// reaches it. Always false without a destination.
+// (and reach the query destination, if any) before threshold: its length
+// plus the cost-to-go row of its size at its last PoI already reaches it.
+// Always false for a route whose size has no row (see potRow).
 func (s *Searcher) pruneByPotential(r *route.Route, threshold float64) bool {
 	row := s.potRow(r.Size())
 	return row != nil && r.Length()+float64(row[r.Last()]) >= threshold
@@ -742,9 +761,12 @@ func (s *Searcher) pruneByPotential(r *route.Route, threshold float64) bool {
 
 // potRow returns the cost-to-go row of position pos — the row that cuts
 // the modified Dijkstras of routes holding pos PoIs, and those routes
-// themselves — or nil when there is none: no destination, or pos 0.
+// themselves — or nil when there is none. A destination query has one
+// for every position but the first (computePotentials); an ordered query
+// run with a SharedCache, for every position but the last, the start run's
+// included (sharedPotentials); other queries have none.
 func (s *Searcher) potRow(pos int) index.Row {
-	if pos < 1 || pos >= len(s.pot) {
+	if pos >= len(s.pot) {
 		return nil
 	}
 	return s.pot[pos]
@@ -841,55 +863,162 @@ func (s *Searcher) reversedGraph() *graph.Graph {
 // (k = len(seq)), lower-bounds the cost of finishing a route from u by
 // visiting positions i..k−1 in order and then the destination: the
 // minimum, over the semantic matches c of position i, of D(u, c) plus
-// the next row's value at c (destDist for i = k−1) — one reverse
-// multi-source sweep seeded at every such c at that value. Position 0
-// gets no row: only the single expansion of the empty route could use it.
-// Like the category index's rows, pot rows are rounded down to float32,
-// so they stay lower bounds and cut the modified Dijkstra through the
-// same goal-row code. The reverse graph carries no time table, so on
+// the next row's value at c (destDist for i = k−1), built by costToGoRow.
+// Position 0 gets no row: only the single expansion of the empty route
+// could use it. The reverse graph carries no time table, so on
 // time-dependent datasets every value is a lower-bound distance (see
 // completeToDest).
 func (s *Searcher) computePotentials(dest graph.VertexID) {
 	k := len(s.seq)
 	g := s.d.Graph
-	n := g.NumVertices()
-	s.destDist = make([]float64, n)
+	s.destDist = make([]float64, g.NumVertices())
 	for v := range s.destDist {
 		s.destDist[v] = math.Inf(1)
 	}
 	s.reverseSweep([]graph.VertexID{dest}, nil, func(v graph.VertexID, d float64) { s.destDist[v] = d })
 	s.pot = make([]index.Row, k)
 	for i := k - 1; i >= 1; i-- {
-		var seeds []graph.VertexID
-		var at []float64
-		for _, c := range g.PoIVertices() {
-			d := s.destDist[c]
-			if i < k-1 {
-				d = float64(s.pot[i+1][c])
+		s.pot[i] = s.costToGoRow(g.PoIVertices(), func(c graph.VertexID) float64 {
+			switch {
+			case s.seq[i].Sim(g.Categories(c)) <= 0:
+				return math.Inf(1)
+			case i == k-1:
+				return s.destDist[c]
 			}
-			if !math.IsInf(d, 1) && s.seq[i].Sim(g.Categories(c)) > 0 {
-				seeds = append(seeds, c)
-				at = append(at, d)
-			}
-		}
-		row := make(index.Row, n)
-		for v := range row {
-			row[v] = float32(math.Inf(1))
-		}
-		s.reverseSweep(seeds, at, func(v graph.VertexID, d float64) { row[v] = index.RoundDown32(d) })
-		s.pot[i] = row
+			return float64(s.pot[i+1][c])
+		})
 	}
+}
+
+// sharedPotentials gives an ordered query without a destination, run with
+// a SharedCache, a cost-to-go row for every position m but the last, the
+// start position included: pot[m][u] lower-bounds the cost of finishing a
+// route from u by visiting positions m..k−1 in order, the least
+// D(u, x) + pot[m+1][x] over the PoIs x of position m's tree, with the
+// last position's tree row for pot[k−1]. Such a row depends only on the
+// dataset version and the tree roots of positions m..k−1, so the
+// SharedCache keeps it under those roots (a suffix of potKey) for every
+// query with that suffix.
+//
+// A missing row costs one sweep of the graph, by costToGoRow, charged to
+// DestLegRuns, DestLegTime and SettledVertices, and pays back only part of
+// the runs it cuts, so it is bought as in ski rental: the queries that
+// miss it pay rent instead, the vertices their runs at its position
+// settle (payRent), and the rows missing from position m on are built
+// once the rents paid to them reach rowPriceSweeps sweeps of every vertex
+// per row. A row needs the next position's, so a chain is built suffix
+// first, and the longest chain whose rent covers it wins. A position left
+// without a row runs on its tree rows and the §5.3.3 bounds, as a query
+// without rows does.
+//
+// Rows need every position to be a plain category, the last one's tree
+// row resident and a byte cap that admits a row; without them pot stays
+// nil. So it does when a cancellation halts a sweep: a halted row is no
+// lower bound, so it is neither stored nor used.
+func (s *Searcher) sharedPotentials() {
+	k := len(s.seq)
+	n := s.d.Graph.NumVertices()
+	ir := &s.idxRows
+	last := ir.semRow(k - 1)
+	if s.opts.Shared == nil || k < 2 || last == nil || !s.opts.Shared.admitsRow(n) {
+		return
+	}
+	key := make([]byte, 0, rootKeyBytes*k)
+	for _, r := range ir.roots {
+		if r == taxonomy.NoCategory {
+			return
+		}
+		key = binary.LittleEndian.AppendUint32(key, uint32(r))
+	}
+	potKey := string(key)
+	pot := make([]index.Row, k-1)
+	from := k - 1 // build the missing rows of positions from..k−2
+	var paid, owed int64
+	for m := k - 2; m >= 0; m-- {
+		row, rent := s.opts.Shared.row(potKey[rootKeyBytes*m:])
+		if pot[m] = row; row == nil {
+			paid += rent
+			owed += rowPriceSweeps * int64(n)
+			if paid >= owed {
+				from = m
+			}
+		}
+	}
+	next := last
+	for m := k - 2; m >= 0; m-- {
+		if pot[m] == nil && m >= from {
+			row := s.costToGoRow(s.d.PoIsAssociated(ir.roots[m]), func(x graph.VertexID) float64 { return float64(next[x]) })
+			if s.cc.checkpoint() {
+				return
+			}
+			pot[m] = s.opts.Shared.storeRow(potKey[rootKeyBytes*m:], row)
+		}
+		next = pot[m]
+	}
+	s.pot, s.potKey = pot, potKey
+	if cap(s.rent) < k-1 {
+		s.rent = make([]int64, k-1)
+	}
+	s.rent = s.rent[:k-1]
+	clear(s.rent)
+}
+
+// payRent pays each cost-to-go row the query lacked (sharedPotentials) the
+// vertices its runs at that row's position settled, work the row would
+// have cut.
+func (s *Searcher) payRent() {
+	for m, settled := range s.rent {
+		if s.pot[m] == nil && settled > 0 {
+			s.opts.Shared.payRent(s.potKey[rootKeyBytes*m:], settled)
+		}
+	}
+}
+
+// rootKeyBytes is the width of one tree root in potKey and in the
+// SharedCache's row and suffix keys.
+const rootKeyBytes = 4
+
+// rowPriceSweeps is the rent, in sweeps of the graph, that a cost-to-go
+// row must have earned before it is built. Rent counts all the work at the
+// row's position, of which a row cuts about a quarter where it pays best:
+// on batches of recurring category templates rows cut the search's
+// settled vertices by a quarter, on random categories by less.
+const rowPriceSweeps = 4
+
+// costToGoRow builds one cost-to-go row: its entry at u is the least
+// D(u, c) + at(c) over the vertices c of pois, +Inf where no c with a
+// finite at(c) is reachable — one reverse multi-source sweep seeded at
+// every such c at at(c). Like the category index's rows, entries are
+// rounded down to float32, so they stay lower bounds and cut the modified
+// Dijkstra through the same goal-row code.
+func (s *Searcher) costToGoRow(pois []graph.VertexID, at func(graph.VertexID) float64) index.Row {
+	var seeds []graph.VertexID
+	var dist []float64
+	for _, c := range pois {
+		if d := at(c); !math.IsInf(d, 1) {
+			seeds = append(seeds, c)
+			dist = append(dist, d)
+		}
+	}
+	row := make(index.Row, s.d.Graph.NumVertices())
+	for v := range row {
+		row[v] = float32(math.Inf(1))
+	}
+	s.reverseSweep(seeds, dist, func(v graph.VertexID, d float64) { row[v] = index.RoundDown32(d) })
+	return row
 }
 
 // reverseSweep runs one Dijkstra on the reverse graph, so directed
 // networks are handled correctly, from sources at the start distances at
 // (zero when at is nil), and reports every settled vertex with its
 // distance to the sources. Each sweep is charged as one DestLegRuns, to
-// DestLegTime and to SettledVertices.
+// DestLegTime and to SettledVertices. A cancellation halts it, leaving
+// every vertex it did not settle unreported.
 func (s *Searcher) reverseSweep(sources []graph.VertexID, at []float64, settle func(graph.VertexID, float64)) {
 	s.stats.DestLegRuns++
 	began := time.Now()
 	defer func() { s.stats.DestLegTime += time.Since(began) }()
+	faults.Fire(faults.DestLeg)
 	rg := s.reversedGraph()
 	ws := s.ws
 	if rg != s.d.Graph {

@@ -801,6 +801,31 @@ func TestStatsInstrumentation(t *testing.T) {
 			}
 		}
 	}
+	// With a SharedCache, ordered queries take cost-to-go rows once the
+	// rent their misses paid covers rowPriceSweeps sweeps of the 55
+	// vertices. Starts 0–3 pay rent; start 4 builds the row of position 1
+	// (one DestLegRuns, its settled vertices counted), start 6 that of
+	// position 0, and start 7 reads both. Rows lost, built on a first or
+	// second miss, or built once per query move these pins.
+	opts = DefaultOptions()
+	opts.Index = index.New(d, 0)
+	opts.Shared = NewSharedCache(0)
+	s = NewSearcher(d, f.WuPalmer, opts)
+	wantShared := [8]pin{{1144, 10, 110, 8}, {1392, 8, 142, 9}, {1896, 15, 153, 11}, {2584, 21, 307, 13},
+		{2016, 14, 155, 7}, {2584, 26, 245, 9}, {1472, 9, 177, 6}, {2584, 26, 242, 9}}
+	wantSweeps := [8]int64{0, 0, 0, 0, 1, 0, 1, 0}
+	for v := range 8 {
+		res, err := s.Query(graph.VertexID(v), seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		disjoint(fmt.Sprintf("index+shared start %d ordered", v), st)
+		if got := pinOf(st); got != wantShared[v] || st.DestLegRuns != wantSweeps[v] {
+			t.Errorf("index+shared start %d ordered: {PeakCacheBytes, RoutesEnqueued, SettledVertices, MDijkstraRuns} = %v with %d sweeps, want %v with %d",
+				v, got, st.DestLegRuns, wantShared[v], wantSweeps[v])
+		}
+	}
 	// Time-dependent destination queries: NNinit prices an exact leg for
 	// every seed it offers, from inside its own stage.
 	tdRng := rand.New(rand.NewSource(41))

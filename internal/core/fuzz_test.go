@@ -271,12 +271,12 @@ func agreeUpToRounding(got, want []route.Point3) error {
 
 // FuzzSearchMatchesBruteForce is the search core's differential target.
 // On a small decoded graph (see decodeFuzzQuery), ordered, destination
-// and unordered queries at k = 1 and 2, plain, on the category index and,
-// at k = 1, on the index plus a primed SharedCache, must return the
-// osr.BruteForce skyline or skyband up to float rounding (see
-// agreeUpToRounding). They run on the decoded categories, on the derived
-// complex requirements, and on the time-dependent twin graph at the
-// derived departure time. Rated queries on the decoded categories, plain
+// and unordered queries at k = 1 and 2, plain, on the category index and
+// on the index plus a primed SharedCache (whose cost-to-go rows cut
+// ordered queries at both k), must return the osr.BruteForce skyline or
+// skyband up to float rounding (see agreeUpToRounding). They run on the
+// decoded categories, on the derived complex requirements, and on the
+// time-dependent twin graph at the derived departure time. Rated queries on the decoded categories, plain
 // and on the index, must return the three-criteria skyline. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzSearchMatchesBruteForce$' -fuzztime 30s ./internal/core
@@ -326,19 +326,24 @@ func FuzzSearchMatchesBruteForce(f *testing.F) {
 					}
 					s := NewSearcher(c.d, fuzzForest.WuPalmer, opts)
 					if profile == "index+shared" {
-						if k > 1 {
-							continue // top-k runs never share
-						}
 						// Prime a SharedCache with every proper prefix of the
 						// sequence, as a batch holding them would: a prefix's
 						// last position sees no later one, so its runs may stop
-						// at perfect matches the full query has to traverse.
+						// at perfect matches the full query has to traverse,
+						// and it leaves the rows of its own suffixes. A first
+						// round, the full sequence included, misses every row;
+						// once they are paid for, the prefixes build theirs and
+						// the ordered query below its own. Top-k runs share no
+						// runs, but they do read the rows.
 						opts.Shared = NewSharedCache(0)
 						s = NewSearcher(c.d, fuzzForest.WuPalmer, opts)
-						for i := 1; i < len(c.seq); i++ {
-							if _, err := s.Query(q.start, c.seq[:i]); err != nil {
-								t.Fatal(err)
+						for _, n := range []int{len(c.seq), len(c.seq) - 1} {
+							for i := 1; i <= n; i++ {
+								if _, err := s.Query(q.start, c.seq[:i]); err != nil {
+									t.Fatal(err)
+								}
 							}
+							payAllRows(opts.Shared)
 						}
 					}
 					for _, shape := range []string{"ordered", "destination", "unordered"} {

@@ -58,15 +58,17 @@ type cacheKey struct {
 // origin (see runMDijkstra's frontier cut):
 //
 //   - every candidate whose route can still finish within the radius is
-//     present, with its exact distance; for an ordered or rated run
-//     without a destination, that is every matching PoI with
-//     dist < radius;
+//     present, with its exact distance; for a run cut by tree rows alone,
+//     that is every matching PoI with dist < radius, and for a run cut by
+//     a cost-to-go row, every one whose dist plus the next position's
+//     row entry there stays below the radius;
 //   - other items may be missing, or may carry a longer distance when
 //     their shortest path crossed a cut vertex, and every route built
 //     from them fails its threshold;
-//   - the cut depends only on the key (origin, position and open set)
-//     and the radius, so serving the entry at a smaller radius keeps the
-//     guarantee.
+//   - the cut depends only on the key (origin, position and open set),
+//     the run's goal rows and the radius, so serving the entry at a
+//     smaller radius keeps the guarantee. A SharedCache key names the
+//     tree roots a cost-to-go row depends on (see sharedKey).
 //
 // Unordered runs stay unfiltered and never enter the SharedCache.
 type cacheEntry struct {
@@ -96,8 +98,9 @@ func (s *Searcher) nextPoIs(e entry, from graph.VertexID) []candidate {
 		// rating penalty) — don't explore it.
 		// Final-position candidates (lsSuffix = 0) are unaffected, so
 		// skyline entries are byte-identical with or without the cut. A
-		// run cut by a cost-to-go row skips this: the row already counts
-		// those hops, and subtracting them again would count them twice.
+		// run cut by a cost-to-go row, a destination's or an ordered
+		// query's, skips this: the row already counts those hops, and
+		// subtracting them again would count them twice.
 		if rem := s.bounds.lsSuffix[pos]; rem > 0 {
 			if math.IsInf(rem, 1) {
 				return nil
@@ -144,30 +147,37 @@ func (s *Searcher) lookupOrRun(key cacheKey, radius float64) []candidate {
 }
 
 // sharedOrRun serves a modified-Dijkstra request from the cross-query
-// SharedCache when the position is shareable, running (and publishing) the
-// search otherwise. A position is shareable when it is a plain Category
-// matcher, the query's Lemma 5.5 path filter is on, none of the
-// position's perfect matches serves another position of the query (so
-// the run stops at all of them; see perfectStops), and the dataset is not
-// time-dependent: the cached candidates — including their blocking-PoI
-// annotations — then depend only on the immutable dataset and the
-// similarity function the cache is dedicated to. Rated, unordered and
-// k > 1 queries run unfiltered (see begin), so they never share.
-// Time-dependent runs bypass the shared cache entirely (their distances
-// are functions of the departure time, which the shared key does not
-// carry), and so do runs cut by a destination's cost-to-go row: their
-// entries leave out candidates that cannot reach this query's
-// destination in time.
+// SharedCache when the run is shareable, running (and publishing) the
+// search otherwise. A run is shareable when its position is a plain
+// Category matcher after the first, the query has no destination, its
+// Lemma 5.5 path filter is on, none of the position's perfect matches
+// serves another position of the query (so the run stops at all of them;
+// see perfectStops), and the dataset is not time-dependent: the cached
+// candidates — including their blocking-PoI annotations — then depend only
+// on the immutable dataset, the similarity function the cache is
+// dedicated to and the run's goal rows. Rated, unordered and k > 1
+// queries run unfiltered (see begin), so they never share. Time-dependent
+// runs bypass the shared cache entirely (their distances are functions of
+// the departure time, which the shared key does not carry), and so do
+// destination queries: their cost-to-go rows leave out candidates that
+// cannot reach this query's destination in time. A start run is never
+// shared: its origin varies with every query and rarely recurs, and it is
+// the one run whose origin is itself a candidate. A run cut by an ordered
+// query's cost-to-go row is published under a key that also names the
+// tree roots of every later position, the suffix that row depends on.
 func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 	shared := s.opts.Shared
-	if shared == nil || !s.pathFilter || s.td || s.potRow(key.pos) != nil || !s.stopsAtPerfect[key.pos] {
+	if shared == nil || key.pos == 0 || s.hasDest() || !s.pathFilter || s.td || !s.stopsAtPerfect[key.pos] {
 		return s.runMDijkstra(key, radius)
 	}
 	cat, ok := s.seq[key.pos].(*route.Category)
 	if !ok {
 		return s.runMDijkstra(key, radius)
 	}
-	skey := sharedKey{from: key.from, cat: cat.ID(), origin: key.pos == 0}
+	skey := sharedKey{from: key.from, cat: cat.ID()}
+	if s.potRow(key.pos) != nil {
+		skey.suffix = s.potKey[rootKeyBytes*(key.pos+1):]
+	}
 	if e := shared.lookup(skey, radius); e != nil {
 		s.stats.SharedCacheHits++
 		if lg := s.legHook(key.pos); lg != nil {
@@ -207,9 +217,9 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 //
 // Goal-directed frontier cut. The run skips a vertex u, at pop and at
 // relax, once d + GoalBound(u) ≥ radius. GoalBound is the largest entry
-// at u of the run's goal rows (goalRows): the tree row of every matched
-// position that has one or, for a destination query's route holding
-// pos ≥ 1 PoIs, its cost-to-go row alone. Let r be a route expanding
+// at u of the run's goal rows (goalRows): position pos's cost-to-go row
+// alone where it has one (see potRow), otherwise the tree row of every
+// matched position that has one. Let r be a route expanding
 // through this key, so radius = threshold(sem r) − l(r), and let x be a
 // candidate of position p whose shortest path from the origin runs
 // through u. Each row bounds what a completion of r through x still
@@ -221,8 +231,9 @@ func (s *Searcher) sharedOrRun(key cacheKey, radius float64) *cacheEntry {
 //     within the radius.
 //   - Another open position q of an unordered run: the completion visits
 //     q after x, so it costs at least D(u,x) + D_q(x) ≥ D_q(u) ≥ row_q[u].
-//   - A destination row: it seeds x's position at C(x), the next row's
-//     value at x (destDist for the last position), so pot[pos][u] ≤
+//   - A cost-to-go row: it seeds x's position at C(x), the next row's
+//     value at x (destDist for a destination query's last position, the
+//     last position's tree row for an ordered query), so pot[pos][u] ≤
 //     D(u,x) + C(x), and every completion through x costs at least that.
 //
 // A skipped vertex or arc therefore carries only completions R of length
@@ -352,6 +363,9 @@ func (s *Searcher) runMDijkstra(key cacheKey, radius float64) *cacheEntry {
 	}
 	s.noteFirstRadius(maxSettled)
 	s.stats.SettledVertices += int64(settled)
+	if key.pos < len(s.rent) {
+		s.rent[key.pos] += int64(settled)
+	}
 	return entry
 }
 
@@ -373,10 +387,10 @@ func (s *Searcher) matchPositions(buf []int32, pos int, open uint32) []int32 {
 // goalRows appends to buf the rows whose largest entry at a vertex
 // lower-bounds what a route expanding through a run of key position pos,
 // matching the positions in match, still has to travel from that vertex
-// (see runMDijkstra): a destination query's cost-to-go row for pos when
-// there is one, otherwise the tree row of every matched position that
-// has one. pruneByIndex reads the same rows for a route with several
-// open positions.
+// (see runMDijkstra): pos's cost-to-go row when there is one (potRow),
+// otherwise the tree row of every matched position that has one.
+// pruneByIndex reads the same rows for a route with several open
+// positions.
 func (s *Searcher) goalRows(buf [][]float32, pos int, match []int32) [][]float32 {
 	if row := s.potRow(pos); row != nil {
 		return append(buf, row)

@@ -6,6 +6,7 @@ import (
 
 	"skysr/internal/dataset"
 	"skysr/internal/graph"
+	"skysr/internal/index"
 	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
@@ -77,6 +78,8 @@ func (s *Searcher) clearTransient() {
 	s.bounds = nil
 	s.destDist = nil
 	s.pot = nil
+	s.potKey = ""
+	s.rent = s.rent[:0]
 	s.stats = Stats{}
 	s.opts.Shared = nil
 	s.opts.Index = nil
@@ -97,14 +100,17 @@ func (s *Searcher) clearTransient() {
 // Unlike the per-query cacheKey, the position index cannot identify the
 // requirement here — different queries place the same category at
 // different positions — so the key carries the category itself. Only plain
-// Category matchers are shared; the similarity function is fixed per
-// SharedCache (the caller keeps one cache per similarity). The origin flag
-// distinguishes position-0 runs, where the origin vertex is itself a
-// usable candidate (see runMDijkstra).
+// Category matchers after the first position are shared (see
+// sharedOrRun), so the origin is never a candidate; the similarity
+// function is fixed per SharedCache (the caller keeps one cache per
+// similarity). suffix is empty for a run cut by the category's tree row.
+// A run cut by a cost-to-go row (sharedPotentials) depends on the tree
+// roots of every later position as well, and suffix names them in
+// potKey's encoding.
 type sharedKey struct {
 	from   graph.VertexID
 	cat    taxonomy.CategoryID
-	origin bool
+	suffix string
 }
 
 // SharedCacheStats is a point-in-time snapshot of a SharedCache.
@@ -112,7 +118,8 @@ type SharedCacheStats struct {
 	Hits    int64 // lookups served from the cache
 	Misses  int64 // lookups that fell through to a fresh run
 	Entries int   // current entry count
-	Bytes   int64 // approximate resident bytes of the entries
+	Rows    int   // current cost-to-go row count
+	Bytes   int64 // approximate resident bytes of the entries, rows and missed row keys
 	Flushes int64 // times the cache was emptied by the byte cap
 }
 
@@ -124,17 +131,29 @@ type sharedCounters struct {
 
 // SharedCache caches modified-Dijkstra results across queries and across
 // goroutines (the cross-query extension of the paper's §5.3.4 on-the-fly
-// cache). An entry is a pure function of its key, the explored radius and
-// the one dataset version the cache serves: the caller dedicates a cache
-// to each version and starts the next version on Next. All methods are
-// safe for concurrent use.
+// cache), together with the cost-to-go rows of ordered queries (see
+// Searcher.sharedPotentials), each under the tuple of tree roots it
+// depends on. An entry is a pure function of its key, the explored radius
+// and the one dataset version the cache serves, and a row of its key and
+// that version: the caller dedicates a cache to each version and starts
+// the next version on Next, so an update leaves nothing to repair. All
+// methods are safe for concurrent use.
 //
-// Memory is bounded by an approximate byte cap: when an insert would
-// exceed it, the whole cache is flushed — a simple scheme whose worst case
-// (periodic cold restarts) is still strictly better than no sharing.
+// A row costs a sweep of the whole graph and pays only once several
+// queries read it, so the cache builds one only for a suffix that recurs:
+// the first query to miss a suffix leaves its key behind, and the queries
+// that miss it pay rent there until the row is worth its sweep (see row
+// and Searcher.sharedPotentials).
+//
+// Memory is bounded by an approximate byte cap over entries, rows and
+// missed keys: when an insert would exceed it, the whole cache is flushed
+// — a simple scheme whose worst case (periodic cold restarts) is still
+// strictly better than no sharing.
 type SharedCache struct {
 	mu       sync.RWMutex
 	entries  map[sharedKey]*cacheEntry
+	rows     map[string]index.Row
+	missed   map[string]int64 // row keys a query found absent, with the rent paid since
 	bytes    int64
 	maxBytes int64
 	counts   *sharedCounters
@@ -150,7 +169,17 @@ func NewSharedCache(maxBytes int64) *SharedCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultSharedCacheBytes
 	}
-	return &SharedCache{entries: make(map[sharedKey]*cacheEntry), maxBytes: maxBytes, counts: new(sharedCounters)}
+	return newSharedCache(maxBytes, new(sharedCounters))
+}
+
+func newSharedCache(maxBytes int64, counts *sharedCounters) *SharedCache {
+	return &SharedCache{
+		entries:  make(map[sharedKey]*cacheEntry),
+		rows:     make(map[string]index.Row),
+		missed:   make(map[string]int64),
+		maxBytes: maxBytes,
+		counts:   counts,
+	}
 }
 
 // Next returns an empty cache for the next dataset version, with the same
@@ -158,18 +187,19 @@ func NewSharedCache(maxBytes int64) *SharedCache {
 // counters, so the counters of a cache lineage only ever rise, whichever
 // version a lookup ran against.
 func (c *SharedCache) Next() *SharedCache {
-	return &SharedCache{entries: make(map[sharedKey]*cacheEntry), maxBytes: c.maxBytes, counts: c.counts}
+	return newSharedCache(c.maxBytes, c.counts)
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *SharedCache) Stats() SharedCacheStats {
 	c.mu.RLock()
-	entries, bytes := len(c.entries), c.bytes
+	entries, rows, bytes := len(c.entries), len(c.rows), c.bytes
 	c.mu.RUnlock()
 	return SharedCacheStats{
 		Hits:    c.counts.hits.Load(),
 		Misses:  c.counts.misses.Load(),
 		Entries: entries,
+		Rows:    rows,
 		Bytes:   bytes,
 		Flushes: c.counts.flushes.Load(),
 	}
@@ -190,8 +220,12 @@ func (c *SharedCache) lookup(key sharedKey, radius float64) *cacheEntry {
 
 // store publishes e under key. When two goroutines raced on the same key,
 // whichever entry covers the larger radius wins. Entries are immutable
-// after publication, so readers holding an older entry stay correct.
+// after publication, so readers holding an older entry stay correct. It
+// first copies e's items to their exact length: a run grows them by
+// append, and the spare capacity would be resident memory the byte cap
+// never counts.
 func (c *SharedCache) store(key sharedKey, e *cacheEntry) {
+	e.items = append(make([]candidate, 0, len(e.items)), e.items...)
 	cost := entryBytes(e)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,13 +242,81 @@ func (c *SharedCache) store(key sharedKey, e *cacheEntry) {
 		c.bytes -= entryBytes(old)
 		delete(c.entries, key)
 	}
+	c.makeRoomLocked(cost)
+	c.entries[key] = e
+	c.bytes += cost
+}
+
+// row returns the cost-to-go row resident under key or, without one, the
+// rent the queries that missed key have paid for it (see payRent). The
+// first miss records key at no rent.
+func (c *SharedCache) row(key string) (row index.Row, rent int64) {
+	c.mu.RLock()
+	row = c.rows[key]
+	rent, seen := c.missed[key]
+	c.mu.RUnlock()
+	if row != nil || seen {
+		return row, rent
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	row = c.rows[key]
+	if rent, seen = c.missed[key]; row != nil || seen {
+		return row, rent
+	}
+	cost := missBytes(key)
+	c.makeRoomLocked(cost)
+	c.missed[key] = 0
+	c.bytes += cost
+	return nil, 0
+}
+
+// payRent adds settled vertices to the rent of the missed row key: the
+// work that a query which found no row there spent on the runs the row
+// would have cut. A key built or flushed since keeps no rent.
+func (c *SharedCache) payRent(key string, settled int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rent, ok := c.missed[key]; ok {
+		c.missed[key] = rent + settled
+	}
+}
+
+// admitsRow reports whether the byte cap can hold a row over n vertices at
+// all. A row it cannot hold is never built.
+func (c *SharedCache) admitsRow(n int) bool { return rowBytes(n) <= c.maxBytes }
+
+// storeRow publishes row under key and returns the row resident there
+// afterwards: the one already stored when another query built it first.
+// A row is a pure function of its key and the dataset version, so the two
+// are equal, and every query with that suffix reads the same row.
+func (c *SharedCache) storeRow(key string, row index.Row) index.Row {
+	cost := rowBytes(len(row))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.rows[key]; ok {
+		return old
+	}
+	if _, ok := c.missed[key]; ok {
+		delete(c.missed, key)
+		c.bytes -= missBytes(key)
+	}
+	c.makeRoomLocked(cost)
+	c.rows[key] = row
+	c.bytes += cost
+	return row
+}
+
+// makeRoomLocked flushes every entry, row and missed key when cost more
+// bytes would exceed the cap. Callers hold mu.
+func (c *SharedCache) makeRoomLocked(cost int64) {
 	if c.bytes+cost > c.maxBytes {
 		c.entries = make(map[sharedKey]*cacheEntry)
+		c.rows = make(map[string]index.Row)
+		c.missed = make(map[string]int64)
 		c.bytes = 0
 		c.counts.flushes.Add(1)
 	}
-	c.entries[key] = e
-	c.bytes += cost
 }
 
 // entryBytes is the approximate resident size of a cache entry: a header
@@ -223,3 +325,11 @@ func (c *SharedCache) store(key sharedKey, e *cacheEntry) {
 func entryBytes(e *cacheEntry) int64 {
 	return 48 + int64(len(e.items))*40
 }
+
+// rowBytes is what a cost-to-go row over n vertices counts against the
+// SharedCache byte cap: one float32 per vertex.
+func rowBytes(n int) int64 { return 4 * int64(n) }
+
+// missBytes is what a missed row key counts against the SharedCache byte
+// cap: its bytes plus a map slot's string header and bucket share.
+func missBytes(key string) int64 { return 32 + int64(len(key)) }

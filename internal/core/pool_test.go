@@ -7,6 +7,9 @@ import (
 	"unsafe"
 
 	"skysr/internal/graph"
+	"skysr/internal/index"
+	"skysr/internal/osr"
+	"skysr/internal/route"
 	"skysr/internal/taxonomy"
 )
 
@@ -153,6 +156,67 @@ func TestSharedCacheByteCapFlush(t *testing.T) {
 	}
 }
 
+// TestSharedCacheByteCapRows: cost-to-go rows count against the byte cap.
+// A cap of one and a half rows holds one row but not two: a query that
+// builds both of its rows flushes the cache when it stores the second, and
+// only that row stays. A cap below one row builds none and records no
+// missed key. Answers stay exact either way.
+// The path filter is off, so runs publish no entries and only rows and
+// missed keys fill the cap.
+func TestSharedCacheByteCapRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	f := taxonomy.Generated(2, 2, 3)
+	d := randomDataset(rng, f, 40, 25)
+	row := rowBytes(d.Graph.NumVertices())
+	for _, c := range []struct {
+		cap  int64
+		rows bool
+	}{{row + row/2, true}, {row - 1, false}} {
+		shared := NewSharedCache(c.cap)
+		opts := DefaultOptions()
+		opts.Index = index.New(d, 0)
+		opts.Shared = shared
+		opts.DisablePathFilter = true
+		var built int
+		for trial := 0; trial < 10; trial++ {
+			cats := pickCats(rng, f, 3)
+			start := graph.VertexID(rng.Intn(40))
+			want, err := NewSearcher(d, f.WuPalmer, DefaultOptions()).QueryCategories(start, cats...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first run misses the rows, the second builds them.
+			for rep := 0; rep < 2; rep++ {
+				if rep == 1 {
+					payAllRows(shared)
+				}
+				flushes := shared.Stats().Flushes
+				got, err := NewSearcher(d, f.WuPalmer, opts).QueryCategories(start, cats...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !routesMatch(got.Routes, want.Routes) {
+					t.Fatalf("cap %d trial %d run %d: answer differs under byte-capped rows\ngot:  %v\nwant: %v", c.cap, trial, rep, got.Routes, want.Routes)
+				}
+				st := shared.Stats()
+				switch sweeps := got.Stats.DestLegRuns; {
+				case !c.rows && (sweeps != 0 || st.Rows != 0 || st.Bytes != 0):
+					t.Fatalf("cap %d trial %d: %d sweeps, %d rows, %d bytes; a cap below one row wants none", c.cap, trial, sweeps, st.Rows, st.Bytes)
+				case sweeps == 2:
+					built++
+					if st.Rows != 1 || st.Flushes == flushes || st.Bytes > c.cap {
+						t.Fatalf("cap %d trial %d: after building two rows the cache holds %d rows in %d bytes with %d new flushes, want 1 row, a flush, at most %d bytes",
+							c.cap, trial, st.Rows, st.Bytes, st.Flushes-flushes, c.cap)
+					}
+				}
+			}
+		}
+		if c.rows && built == 0 {
+			t.Errorf("cap %d: no query built both of its rows", c.cap)
+		}
+	}
+}
+
 // TestCandidateStaysPacked pins the candidate layout at 40 bytes. Every
 // cached modified-Dijkstra result is a slice of them, and the SharedCache
 // under SearchBatch holds hundreds of thousands: widening pos to an int
@@ -160,5 +224,88 @@ func TestSharedCacheByteCapFlush(t *testing.T) {
 func TestCandidateStaysPacked(t *testing.T) {
 	if got := unsafe.Sizeof(candidate{}); got != 40 {
 		t.Fatalf("candidate is %d bytes, want 40", got)
+	}
+}
+
+// TestSharedRunKeysNameTheirSuffix: a run cut by an ordered query's
+// cost-to-go row leaves out the candidates that cannot finish that
+// query's later positions in time, so its SharedCache entry may serve
+// only queries with the same tree roots after its position. Each trial
+// runs, from one start on one cache, a query of three positions twice (the
+// second run with its rows), then its first two positions alone and with a
+// last position from another tree. Both must return the brute-force
+// skyline, which they miss when the second run's entries for position 1
+// serve them.
+func TestSharedRunKeysNameTheirSuffix(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	f := taxonomy.Generated(3, 2, 3)
+	leaves := f.Leaves()
+	for trial := 0; trial < 60; trial++ {
+		d := dyadicDataset(rng, f, 20, 16, trial%2 == 1)
+		cats := pickCats(rng, f, 3)
+		other := cats[2]
+		for f.Root(other) == f.Root(cats[2]) {
+			other = leaves[rng.Intn(len(leaves))]
+		}
+		start := graph.VertexID(rng.Intn(20))
+		opts := DefaultOptions()
+		opts.Index = index.New(d, 0)
+		opts.Shared = NewSharedCache(0)
+		s := NewSearcher(d, f.WuPalmer, opts)
+		// The first query misses its rows and pays for them; its repeat
+		// builds them and publishes the runs they cut.
+		for i, cs := range [][]taxonomy.CategoryID{cats, cats, cats[:2], {cats[0], cats[1], other}} {
+			if i == 1 {
+				payAllRows(opts.Shared)
+			}
+			seq := route.NewCategorySequence(f, f.WuPalmer, cs...)
+			res, err := s.Query(start, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := osr.BruteForce(d, osr.Query{Start: start, Seq: seq, Dest: graph.NoVertex}, 1); !sameSkyline(res.Routes, want) {
+				t.Fatalf("trial %d from %d via %v after %v: mismatch\ngot:  %v\nwant: %v", trial, start, cs, cats, res.Routes, want)
+			}
+		}
+	}
+}
+
+// TestSharedEntriesAreExactLength: every entry a SharedCache holds keeps
+// its candidates at their exact length, so the byte cap and Bytes count
+// what the cache holds rather than what the runs' appends reserved.
+func TestSharedEntriesAreExactLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := taxonomy.Generated(3, 2, 3)
+	d := randomDataset(rng, f, 60, 40)
+	opts := DefaultOptions()
+	opts.Index = index.New(d, 0)
+	opts.Shared = NewSharedCache(0)
+	s := NewSearcher(d, f.WuPalmer, opts)
+	for range 20 {
+		if _, err := s.QueryCategories(graph.VertexID(rng.Intn(60)), pickCats(rng, f, 2+rng.Intn(2))...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := opts.Shared
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if len(c.entries) == 0 {
+		t.Fatal("the workload published no entry")
+	}
+	var bytes int64
+	for key, e := range c.entries {
+		if cap(e.items) != len(e.items) {
+			t.Errorf("entry %+v holds %d candidates in a capacity of %d", key, len(e.items), cap(e.items))
+		}
+		bytes += entryBytes(e)
+	}
+	for _, row := range c.rows {
+		bytes += rowBytes(len(row))
+	}
+	for key := range c.missed {
+		bytes += missBytes(key)
+	}
+	if bytes != c.bytes {
+		t.Errorf("the cache counts %d bytes, its entries, rows and missed keys %d", c.bytes, bytes)
 	}
 }

@@ -62,8 +62,13 @@ type Stats struct {
 	// that build a destination query's cost-to-go rows (computePotentials:
 	// k of them for k positions, one from the destination and one per
 	// position k−1 down to 1) plus, on time-dependent datasets, each exact
-	// leg pricing (destLeg). Each counts as a run, charges its wall time
-	// here, and charges its settled vertices to SettledVertices.
+	// leg pricing (destLeg). An ordered query run with a SharedCache
+	// charges here, too, the sweep of every cost-to-go row it builds
+	// because the cache lacks it and its rent is paid (sharedPotentials:
+	// at most one per position but the last; none when every row is
+	// resident or none is paid for). Each counts
+	// as a run, charges its wall time here, and charges its settled
+	// vertices to SettledVertices.
 	DestLegRuns int64
 	DestLegTime time.Duration
 

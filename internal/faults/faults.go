@@ -27,8 +27,11 @@ const (
 	// MDijkstraRun fires at the start of every modified-Dijkstra
 	// expansion (Algorithm 2).
 	MDijkstraRun
-	// DestLeg fires at the start of every exact destination-leg pricing
-	// search (time-dependent destination queries).
+	// DestLeg fires at the start of every search charged to the
+	// destination leg: each exact leg pricing of a time-dependent
+	// destination query, and each reverse sweep that builds a cost-to-go
+	// row (a destination query's, or an ordered query's under a
+	// SharedCache).
 	DestLeg
 	numPoints
 )

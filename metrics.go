@@ -66,8 +66,11 @@ func (e *Engine) EnableMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc("skysr_shared_cache_entries",
 			"Resident SharedCache entries of the current snapshot.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Entries) }))
+		reg.GaugeFunc("skysr_shared_cache_rows",
+			"Resident SharedCache cost-to-go rows of the current snapshot.",
+			shared(func(s core.SharedCacheStats) float64 { return float64(s.Rows) }))
 		reg.GaugeFunc("skysr_shared_cache_bytes",
-			"Approximate resident bytes of the current snapshot's SharedCache entries.",
+			"Approximate resident bytes of the current snapshot's SharedCache entries, rows and missed row keys.",
 			shared(func(s core.SharedCacheStats) float64 { return float64(s.Bytes) }))
 
 		// Index stats are per current snapshot, so they are gauges, not

@@ -339,7 +339,8 @@ const MaxTopK = 1024
 // through every serving profile; note that k > 1 queries in a SearchBatch
 // bypass its cross-query m-Dijkstra sharing, because ranked enumeration
 // must keep dominated routes the shared entries' Lemma 5.5 annotations
-// discard. Top-k supports ordered, destination and unordered queries;
+// discard (they still read its cost-to-go rows, which are lower bounds
+// whatever k is). Top-k supports ordered, destination and unordered queries;
 // IncludeRatings does not support k > 1.
 func (e *Engine) SearchTopK(q Query, k int, opts SearchOptions) (*Answer, error) {
 	if k < 1 {
@@ -370,8 +371,8 @@ func (e *Engine) SearchWith(q Query, opts SearchOptions) (*Answer, error) {
 
 // searchOn answers q against one pinned snapshot with BSSR. share, set
 // only by SearchBatch, runs the query with the category index and the
-// snapshot's cross-query m-Dijkstra cache whatever opts.UseCategoryIndex
-// says. The checks here are those core cannot make; core itself rejects
+// snapshot's cross-query cache (m-Dijkstra results and cost-to-go rows)
+// whatever opts.UseCategoryIndex says. The checks here are those core cannot make; core itself rejects
 // an empty sequence, a bad start vertex or departure time and top-k on a
 // rated query.
 func (e *Engine) searchOn(sn *snapshot, q Query, opts SearchOptions, share bool) (*Answer, error) {
